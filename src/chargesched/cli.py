@@ -65,10 +65,16 @@ def cmd_simulate(args) -> int:
     rates = _parse_rates(args.rates)
     if any(r < 0 for r in rates):
         raise UsageError("arrival rates must be non-negative")
-    scenario = models.with_penalty(scenario, args.penalty)
-    _echo_config(args, {"resolved_rates": rates})
+    try:    # refuses a scenario that has no arrival rate to set
+        models.with_arrival_rate(scenario, 0)
+    except ValueError as exc:
+        raise UsageError(f"--rates cannot apply: {exc}") from None
+    if args.penalty:
+        scenario = models.with_penalty(scenario, args.penalty)
+    penalty = models.penalty_kind(scenario.penalty)
+    _echo_config(args, {"resolved_rates": rates, "resolved_penalty": penalty})
     table = montecarlo.figure_experiment(
-        args.penalty, rates, args.T, args.n_traj, args.seed,
+        penalty, rates, args.T, args.n_traj, args.seed,
         policies=policies, base_scenario=scenario, warmup=args.warmup,
         threads=args.threads)
     table.to_csv(args.out)
@@ -156,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="Monte Carlo policy comparison -> CSV")
     sim.add_argument("--scenario", required=True)
     sim.add_argument("--policies", default="edf,llsp,lllp")
-    sim.add_argument("--penalty", default="linear", choices=["linear", "quadratic"])
+    sim.add_argument("--penalty", default=None, choices=["linear", "quadratic"],
+                     help="replace the scenario's penalty table")
     sim.add_argument("--rates", default="5:32",
                      help="arrival rates, inclusive lo:hi or comma list")
     sim.add_argument("--seed", type=int, required=True)

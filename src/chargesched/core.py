@@ -134,10 +134,6 @@ class ActionVector:
                     f"charger {idx}: cannot charge a vehicle with no remaining request")
 
 
-def idle_action(n: int) -> ActionVector:
-    return ActionVector((0,) * n)
-
-
 @dataclass(frozen=True)
 class SystemState:
     """All charger states plus the grid and demand state indices."""

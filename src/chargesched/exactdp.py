@@ -67,9 +67,6 @@ class EnumeratedMDP:
     def n_states(self) -> int:
         return len(self.states)
 
-    def action_of(self, state_idx: int, action_idx: int) -> ActionVector:
-        return self.actions[state_idx][action_idx]
-
 
 def lattice_size(scenario: ScenarioModel) -> int:
     per_charger = 1 + scenario.max_stay * (scenario.max_units + 1)
@@ -188,9 +185,6 @@ class DPSolution:
     converged: bool
     damping: float | None = None
 
-    def policy_action(self, mdp: EnumeratedMDP, state_idx: int) -> ActionVector:
-        return mdp.actions[state_idx][self.policy[state_idx]]
-
 
 def _flat_arrays(mdp: EnumeratedMDP):
     starts = np.zeros(mdp.n_states + 1, dtype=np.int64)
@@ -280,19 +274,20 @@ def _policy_matrix(mdp: EnumeratedMDP, policy: Sequence[int]) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(mdp.n_states, mdp.n_states))
 
 
-def recurrent_classes(mdp: EnumeratedMDP, policy: Sequence[int]) -> list[list[int]]:
-    mat = _policy_matrix(mdp, policy)
+def _closed_classes(mat: sp.spmatrix) -> list[list[int]]:
+    """Closed communicating classes of a chain: the strongly connected
+    components of its transition graph that no edge leaves."""
     n_comp, labels = connected_components(mat, directed=True, connection="strong")
-    has_exit = np.zeros(n_comp, dtype=bool)
     coo = mat.tocoo()
-    for r, c in zip(coo.row, coo.col):
-        if labels[r] != labels[c]:
-            has_exit[labels[r]] = True
-    classes = []
-    for comp in range(n_comp):
-        if not has_exit[comp]:
-            classes.append(np.flatnonzero(labels == comp).tolist())
-    return classes
+    exits = labels[coo.row] != labels[coo.col]
+    has_exit = np.zeros(n_comp, dtype=bool)
+    has_exit[labels[coo.row[exits]]] = True
+    return [np.flatnonzero(labels == comp).tolist()
+            for comp in range(n_comp) if not has_exit[comp]]
+
+
+def recurrent_classes(mdp: EnumeratedMDP, policy: Sequence[int]) -> list[list[int]]:
+    return _closed_classes(_policy_matrix(mdp, policy))
 
 
 def class_gain(mdp: EnumeratedMDP, policy: Sequence[int], cls: list[int],
@@ -470,10 +465,11 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP,
 
 def _exact_gain_on_class(mdp: EnumeratedMDP, policy_map: dict[int, int],
                          cls: list[int]) -> Fraction:
-    """Average cost on a closed communicating set; falls back to the terminal
-    strongly connected component containing the anchor if the set is not
-    irreducible (cannot happen under the unichain assumptions, but brute force
-    should not silently mis-evaluate if they are violated)."""
+    """Average cost on a closed set of states.  If the set is not one
+    communicating class (cannot happen under the unichain assumptions), the
+    cost of its single closed class is used; with several closed classes the
+    average depends on which one the chain enters, and ValueError is raised
+    rather than picking one."""
     pos = {s: k for k, s in enumerate(cls)}
     p = [[Fraction(0)] * len(cls) for _ in cls]
     g = []
@@ -484,70 +480,14 @@ def _exact_gain_on_class(mdp: EnumeratedMDP, policy_map: dict[int, int],
     try:
         return linalg.chain_average(p, g)
     except ValueError:
-        sub = _terminal_scc(p, pos[mdp.special_state] if mdp.special_state in pos else 0)
-        p2 = [[p[r][c] for c in sub] for r in sub]
-        g2 = [g[r] for r in sub]
-        return linalg.chain_average(p2, g2)
-
-
-def _terminal_scc(p: list[list[Fraction]], start: int) -> list[int]:
-    n = len(p)
-    # Iterative Tarjan over the tiny class graph.
-    index_of = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = [0]
-
-    def strongconnect(v0):
-        work = [(v0, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index_of[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            succs = [w for w in range(n) if p[v][w] > 0]
-            for k in range(pi, len(succs)):
-                w = succs[k]
-                if index_of[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                elif on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            if recurse:
-                continue
-            if low[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-            work.pop()
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-
-    for v in range(n):
-        if index_of[v] == -1:
-            strongconnect(v)
-    terminal = [comp for comp in sccs
-                if all(all(p[v][w] == 0 or w in set(comp) for w in range(n))
-                       for v in comp)]
-    if not terminal:
-        raise ValueError("no terminal component found")
-    for comp in terminal:
-        if start in comp:
-            return sorted(comp)
-    return sorted(terminal[0])
+        closed = _closed_classes(sp.csr_matrix([[x > 0 for x in row] for row in p]))
+        if len(closed) != 1:
+            raise ValueError(f"{len(closed)} closed classes are reachable from the "
+                             "anchor; the average cost depends on which one the "
+                             "chain enters") from None
+        sub = closed[0]
+        return linalg.chain_average([[p[r][c] for c in sub] for r in sub],
+                                    [g[r] for r in sub])
 
 
 # ---------------------------------------------------------------------------

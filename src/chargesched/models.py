@@ -10,7 +10,7 @@ rollouts sharing a seed can be coupled sample-path by sample-path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -350,8 +350,8 @@ def _period(p: list[list[Fraction]]) -> int:
 
 @dataclass(frozen=True)
 class ScenarioModel:
-    """Everything a rollout or DP needs: fleet geometry, grid, demand,
-    penalty, and the admission rule."""
+    """Everything a rollout or DP needs: fleet geometry, grid, demand and
+    penalty.  Arrivals always take the lowest-index empty chargers."""
     name: str
     num_chargers: int           # N
     max_stay: int               # B
@@ -359,7 +359,6 @@ class ScenarioModel:
     grid: GridModel
     demand: DemandModel
     penalty: PenaltyFunction
-    admission: str = "lowest-index"
     initial_grid: int | None = None
     initial_demand: int | None = None
 
@@ -368,8 +367,6 @@ class ScenarioModel:
             raise ValueError("grid kernel must cover aggregate actions 0..N")
         if self.penalty.max_units != self.max_units:
             raise ValueError("penalty table length must be E + 1")
-        if self.admission != "lowest-index":
-            raise ValueError(f"unknown admission rule {self.admission!r}")
 
     def validate_state(self, state: SystemState) -> None:
         if len(state.vehicles) != self.num_chargers:
@@ -386,9 +383,6 @@ class ScenarioModel:
 
     def empty_state(self, grid: int, demand: int) -> SystemState:
         return SystemState((EMPTY,) * self.num_chargers, grid, demand)
-
-    def grid_value(self, grid_index: int) -> int:
-        return self.grid.values[grid_index]
 
 
 # ---------------------------------------------------------------------------
@@ -543,17 +537,16 @@ def _resolve_penalty(penalty: str | PenaltyFunction, max_units: int) -> PenaltyF
 
 
 def with_arrival_rate(scenario: ScenarioModel, rate: int) -> ScenarioModel:
-    """Clone a fixed-count scenario with a different arrival rate."""
-    arrivals = tuple(
-        FixedCountArrivals(rate) if isinstance(law, FixedCountArrivals) else law
-        for law in scenario.demand.arrivals)
-    demand = DemandModel(kernel=scenario.demand.kernel, arrivals=arrivals)
-    return ScenarioModel(
-        name=scenario.name, num_chargers=scenario.num_chargers,
-        max_stay=scenario.max_stay, max_units=scenario.max_units,
-        grid=scenario.grid, demand=demand, penalty=scenario.penalty,
-        admission=scenario.admission, initial_grid=scenario.initial_grid,
-        initial_demand=scenario.initial_demand)
+    """Clone a fixed-count scenario with a different arrival rate; a scenario
+    with no fixed-count law has no rate to set and is refused."""
+    laws = scenario.demand.arrivals
+    if not any(isinstance(law, FixedCountArrivals) for law in laws):
+        raise ValueError(f"scenario {scenario.name!r} has no fixed-count arrival "
+                         "law, so it has no arrival rate to set")
+    arrivals = tuple(FixedCountArrivals(rate) if isinstance(law, FixedCountArrivals)
+                     else law for law in laws)
+    return replace(scenario, demand=DemandModel(kernel=scenario.demand.kernel,
+                                                arrivals=arrivals))
 
 
 def with_penalty(scenario: ScenarioModel, penalty: str | PenaltyFunction) -> ScenarioModel:
@@ -566,12 +559,20 @@ def with_penalty(scenario: ScenarioModel, penalty: str | PenaltyFunction) -> Sce
                             ceiling=Fraction(scenario.num_chargers) * q(scenario.max_units))
     grid = GridModel(values=scenario.grid.values, kernel=scenario.grid.kernel,
                      cost=cost, iid_uniform=scenario.grid.iid_uniform)
-    return ScenarioModel(
-        name=scenario.name, num_chargers=scenario.num_chargers,
-        max_stay=scenario.max_stay, max_units=scenario.max_units,
-        grid=grid, demand=scenario.demand, penalty=q,
-        admission=scenario.admission, initial_grid=scenario.initial_grid,
-        initial_demand=scenario.initial_demand)
+    return replace(scenario, grid=grid, penalty=q)
+
+
+def penalty_kind(penalty: PenaltyFunction) -> str:
+    """Classify a penalty table: "linear", "quadratic", another convex
+    "table", or "nonconvex"."""
+    q = penalty.values
+    if q == tuple(Fraction(n) for n in range(len(q))):
+        return "linear"
+    if q == tuple(Fraction(n * n) for n in range(len(q))):
+        return "quadratic"
+    steps = [b - a for a, b in zip(q, q[1:])]
+    convex = all(d >= 0 for d in steps) and all(a <= b for a, b in zip(steps, steps[1:]))
+    return "table" if convex else "nonconvex"
 
 
 # ---------------------------------------------------------------------------
@@ -601,18 +602,10 @@ def scenario_to_json(scenario: ScenarioModel) -> dict:
                 "outcomes": [{"prob": _frac_json(p), "vehicles": [[v.stay, v.need] for v in vs]}
                              for p, vs in law.outcomes]})
 
-    q = scenario.penalty.values
-    increments = [q[n] - q[n - 1] for n in range(1, len(q))]
-    convex = all(d >= 0 for d in increments) and all(
-        increments[k] >= increments[k - 1] for k in range(1, len(increments)))
-    if q == tuple(Fraction(n) for n in range(len(q))):
-        penalty = "linear"
-    elif q == tuple(Fraction(n * n) for n in range(len(q))):
-        penalty = "quadratic"
-    elif convex:
-        penalty = [_frac_json(v) for v in q]
-    else:
-        penalty = {"values": [_frac_json(v) for v in q], "allow_nonconvex": True}
+    kind = penalty_kind(scenario.penalty)
+    values = [_frac_json(v) for v in scenario.penalty.values]
+    penalty = {"table": values,
+               "nonconvex": {"values": values, "allow_nonconvex": True}}.get(kind, kind)
 
     out = {
         "name": scenario.name,

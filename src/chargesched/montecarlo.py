@@ -6,8 +6,12 @@ Two engines produce bit-identical results:
   exact rational stage costs, used by the dominance certifier, the DP
   consistency check, and anywhere clarity beats speed;
 * a vectorized engine that advances all Monte Carlo trajectories of a cell in
-  lock step with counting-sort policy evaluation, used by `monte_carlo` /
-  `figure_experiment` at benchmark scale.
+  lock step, each held as counts of vehicles per (stay, need) type, used by
+  `monte_carlo` / `figure_experiment` at benchmark scale.  The heuristics,
+  the costs and admission depend only on those counts, so the lumping is
+  exact; costs are summed as integers in units of 1/L, L the least common
+  denominator of the cost tables, which makes every per-trajectory average
+  equal to the scalar engine's for any rational table.
 
 Randomness is addressed by (seed, trajectory, stage, source), so runs couple
 across policies and arrival rates, and results do not depend on execution
@@ -17,6 +21,7 @@ order or thread count.
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -120,62 +125,114 @@ def run_trajectory(scenario: ScenarioModel, policy, stages: int, seed: int,
 # Vectorized engine
 # ---------------------------------------------------------------------------
 
-def _batch_supported(scenario: ScenarioModel, policy) -> bool:
-    if not isinstance(policy, HeuristicPolicy):
+_FLOAT_EXACT = 2 ** 53      # integers up to this convert to float64 exactly
+
+
+def _cost_unit(scenario: ScenarioModel, stages: int) -> int | None:
+    """The smallest L that makes every stage cost a whole number of 1/L
+    units, or None when a total over `stages` stages might reach 2**53 units
+    (or L itself might), past which the int64 sums stop converting to float
+    exactly."""
+    cost = scenario.grid.cost
+    if isinstance(cost, CapacityCost):
+        charges = (cost.ceiling,)
+    elif isinstance(cost, QuadraticLoadCost):
+        worst_load = scenario.num_chargers + max(map(abs, cost.base_loads))
+        charges = (Fraction(worst_load ** 2),)
+    elif isinstance(cost, TableCost):
+        charges = tuple(c for row in cost.table for c in row)
+    else:
+        return None
+    q = scenario.penalty.values
+    unit = math.lcm(*(v.denominator for v in charges + q))
+    worst = stages * (max(map(abs, charges), default=0)
+                      + scenario.num_chargers * max(map(abs, q)))
+    if unit >= _FLOAT_EXACT or worst * unit >= _FLOAT_EXACT:
+        return None
+    return unit
+
+
+def _batch_supported(scenario: ScenarioModel, policy, stages: int) -> bool:
+    """Whether the type-count engine reproduces `run_trajectory` exactly."""
+    if not (isinstance(policy, HeuristicPolicy)
+            and getattr(policy.budget, "budget_kind", None) == "capacity"):
         return False
-    if getattr(policy.budget, "budget_kind", None) != "capacity":
+    B, E = scenario.max_stay, scenario.max_units
+    # Two chargeable types tied on the key would be split by charger index.
+    keys = {policy.sort_key(s, g) for s in range(1, B + 1) for g in range(1, E + 1)}
+    if (len(keys) < B * E or scenario.num_chargers >= 2 ** 15
+            or min(scenario.grid.values) < 0 or _cost_unit(scenario, stages) is None):
         return False
+    # Every arrival must be a type (stay 1..B, need 0..E); fixed-count
+    # requests reach B.
     for law in scenario.demand.arrivals:
         if isinstance(law, FixedCountArrivals):
-            if law.count > streams.MAX_ARRIVALS_PER_STAGE:
+            if law.count > streams.MAX_ARRIVALS_PER_STAGE or (law.count and B > E):
                 return False
         elif not isinstance(law, TabulatedArrivals):
+            return False
+        elif not all(1 <= v.stay <= B and 0 <= v.need <= E
+                     for _, vs in law.outcomes for v in vs):
             return False
     return True
 
 
-class _BatchState:
+class _TypeCounts:
     """All trajectories of one Monte Carlo cell, advanced in lock step.
 
-    Charger columns are allocated lazily: lowest-index admission keeps the
-    occupied columns at the front, so the live width tracks the historical
-    occupancy peak instead of the full charger count.
+    The state is a count of vehicles per (stay, need) type and trajectory,
+    `counts[stay - 1, need, traj]`.  The heuristics rank vehicles by type and
+    break ties by charger index, and costs and admission see only how many
+    vehicles of each type are present, so which charger holds a vehicle never
+    changes a cost: charging the first m vehicles in priority order charges
+    the types in key order, the last one partly.  Costs are summed as int64
+    multiples of 1/unit.
     """
 
     def __init__(self, scenario: ScenarioModel, policy: HeuristicPolicy,
-                 n_traj: int, seed: int):
-        self.sc = scenario
-        self.policy = policy
+                 n_traj: int, seed: int, unit: int):
+        sc = self.sc = scenario
         self.n = n_traj
         self.key = streams.philox_key(seed)
-        self.B = scenario.max_stay
-        self.E = scenario.max_units
-        self.N = scenario.num_chargers
-        self.width = min(self.N, 8)
-        self.lam = np.zeros((n_traj, self.width), dtype=np.int16)
-        self.gam = np.zeros((n_traj, self.width), dtype=np.int16)
-        self.values = np.asarray(scenario.grid.values, dtype=np.int64)
-        cost = scenario.grid.cost
-        if isinstance(cost, TableCost):
-            self.cost_table = np.array([[float(c) for c in row] for row in cost.table])
-        q = [float(v) for v in scenario.penalty.values]
-        self._q_int = all(v.denominator == 1 for v in scenario.penalty.values)
-        self.q_arr = (np.array([int(v) for v in scenario.penalty.values], dtype=np.int64)
-                      if self._q_int else np.array(q))
-        # Priority bucket layout: theta shifted to 0.., combined with the
-        # policy-specific major key.  One extra bucket holds non-chargeable.
-        self.wt = self.B + self.E               # laxity range width
-        if policy.name == "edf":
-            self.nb = self.B * self.wt
-        else:
-            self.nb = self.wt * (self.E + 1)
-        self.nbc = self.nb + 1
-        self._init_exogenous()
-        self.charging = np.zeros(n_traj)
-        self.penalty = np.zeros(n_traj) if not self._q_int else np.zeros(n_traj, dtype=np.int64)
-        self.charging_tail = np.zeros(n_traj)
-        self.penalty_tail = np.zeros(n_traj) if not self._q_int else np.zeros(n_traj, dtype=np.int64)
+        B, E, N = sc.max_stay, sc.max_units, sc.num_chargers
+        self.B, self.width = B, E + 1
+        self.counts = np.zeros((B, E + 1, n_traj), dtype=np.int16)
+        # Work buffers; `charged` rows of need 0 stay zero.
+        self.charged = np.zeros((B * (E + 1), n_traj), dtype=np.int16)
+        self.after = np.empty_like(self.charged)
+        ranked = sorted(((s, g) for s in range(1, B + 1) for g in range(1, E + 1)),
+                        key=lambda sg: policy.sort_key(*sg))
+        self.order = np.array([(s - 1) * (E + 1) + g for s, g in ranked])
+        self.values = np.minimum(sc.grid.values, N).astype(np.int16)
+        self.q = np.array([int(v * unit) for v in sc.penalty.values], dtype=np.int64)
+        self.charge_cost = self._charge_cost_table(sc.grid.cost, N, unit)
+        self.total = np.zeros(n_traj, dtype=np.int64)
         self.rejected = np.zeros(n_traj, dtype=np.int64)
+        self.traj = np.arange(n_traj)
+        self.laws = [self._law_table(law) for law in sc.demand.arrivals]
+        self.batch_width = max(law if isinstance(law, int) else law[0].shape[1]
+                               for law in self.laws)
+        self._init_exogenous()
+
+    @staticmethod
+    def _charge_cost_table(cost, n_chargers: int, unit: int) -> np.ndarray:
+        """Charging cost in units, indexed [aggregate, grid state]."""
+        a = np.arange(n_chargers + 1)[:, None]
+        if isinstance(cost, CapacityCost):
+            return np.where(a <= np.asarray(cost.capacities), 0, int(cost.ceiling * unit))
+        if isinstance(cost, QuadraticLoadCost):
+            return (a + np.asarray(cost.base_loads)) ** 2 * unit
+        return np.array([[int(c * unit) for c in row] for row in cost.table], dtype=np.int64)
+
+    def _law_table(self, law):
+        """A fixed count, or (type rows per outcome, batch sizes, cdf)."""
+        if isinstance(law, FixedCountArrivals):
+            return law.count
+        sizes = np.array([len(vs) for _, vs in law.outcomes])
+        types = np.zeros((len(sizes), max(sizes.max(initial=0), 1)), dtype=np.int64)
+        for o, (_, vs) in enumerate(law.outcomes):
+            types[o, :len(vs)] = [(v.stay - 1) * self.width + v.need for v in vs]
+        return types, sizes, np.cumsum([float(p) for p, _ in law.outcomes])
 
     def _init_exogenous(self):
         sc, n = self.sc, self.n
@@ -187,206 +244,95 @@ class _BatchState:
                 self.s_idx = (u * sc.grid.state_count).astype(np.int64)
             else:
                 cdf = np.cumsum([float(p) for p in sc.grid.initial_distribution()])
-                self.s_idx = np.minimum((cdf[None, :] <= u[:, None]).sum(1),
-                                        sc.grid.state_count - 1)
+                self.s_idx = _inverse_cdf(cdf, u)
         if sc.initial_demand is not None:
             self.d_idx = np.full(n, sc.initial_demand, dtype=np.int64)
         else:
             u = streams.uniforms_batch(self.key, n, 0, streams.INIT_DEMAND, 1)[:, 0]
             cdf = np.cumsum([float(p) for p in sc.demand.initial_distribution()])
-            self.d_idx = np.minimum((cdf[None, :] <= u[:, None]).sum(1),
-                                    sc.demand.state_count - 1)
-        if not sc.grid.iid_uniform:
-            ns = sc.grid.state_count
-            self.grid_cdf = np.cumsum(
-                np.array([[[float(p) for p in row] for row in pa] for pa in sc.grid.kernel]),
-                axis=2)
+            self.d_idx = _inverse_cdf(cdf, u)
         if sc.demand.state_count > 1:
             self.demand_cdf = np.cumsum(
                 np.array([[float(p) for p in row] for row in sc.demand.kernel]), axis=1)
-        self._prep_arrival_tables()
 
-    def _prep_arrival_tables(self):
-        self.arr_tables = []
-        for law in self.sc.demand.arrivals:
-            if isinstance(law, TabulatedArrivals):
-                kmax = max((len(vs) for _, vs in law.outcomes), default=0)
-                stays = np.zeros((len(law.outcomes), max(kmax, 1)), dtype=np.int16)
-                reqs = np.zeros_like(stays)
-                lens = np.zeros(len(law.outcomes), dtype=np.int64)
-                for o, (_, vs) in enumerate(law.outcomes):
-                    lens[o] = len(vs)
-                    for k, v in enumerate(vs):
-                        stays[o, k] = v.stay
-                        reqs[o, k] = v.need
-                cdf = np.cumsum([float(p) for p, _ in law.outcomes])
-                self.arr_tables.append(("tab", stays, reqs, lens, cdf))
-            else:
-                self.arr_tables.append(("fixed", law.count))
-
-    def _grow(self, extra: int):
-        extra = min(extra, self.N - self.width)
-        if extra <= 0:
-            return
-        pad = np.zeros((self.n, extra), dtype=np.int16)
-        self.lam = np.concatenate([self.lam, pad], axis=1)
-        self.gam = np.concatenate([self.gam, pad], axis=1)
-        self.width += extra
-
-    def _decide(self):
-        """Ranked-heuristic decision for all trajectories at once.
-
-        Unconstrained trajectories (budget covers every unfinished vehicle)
-        just charge everything chargeable.  Only the trajectories where the
-        capacity binds go through the counting sort: bucket each chargeable
-        vehicle by its priority key, charge whole buckets in key order, and
-        break the boundary bucket by charger index.
-        """
-        lam, gam = self.lam, self.gam
-        chargeable = gam > 0
-        v_count = chargeable.sum(1, dtype=np.int32)
-        m = np.minimum(self.values[self.s_idx], v_count).astype(np.int32)
-        binding = np.flatnonzero(m < v_count)
-        if binding.size == 0:
-            return chargeable, m
-        action = chargeable.copy()
-        sub_l = lam[binding]
-        sub_g = gam[binding]
-        sub_c = chargeable[binding]
-        theta_s = (sub_l - sub_g).astype(np.int32) + (self.E - 1)
-        if self.policy.name == "edf":
-            code = (sub_l.astype(np.int32) - 1) * self.wt + theta_s
-        elif self.policy.name == "llsp":
-            code = theta_s * (self.E + 1) + sub_g
-        else:
-            code = theta_s * (self.E + 1) + (self.E - sub_g)
-        code = np.where(sub_c, code, self.nb).astype(np.int32)
-        nb_rows = binding.size
-        rowbase = (np.arange(nb_rows, dtype=np.int32) * self.nbc)[:, None]
-        counts = np.bincount((rowbase + code).ravel(), minlength=nb_rows * self.nbc)
-        cum = counts.reshape(nb_rows, self.nbc).cumsum(1, dtype=np.int32)
-        m_b = m[binding]
-        b_star = (cum[:, :self.nb] < m_b[:, None]).sum(1, dtype=np.int32)
-        before = np.where(b_star > 0,
-                          np.take_along_axis(cum, np.maximum(b_star - 1, 0)[:, None],
-                                             axis=1)[:, 0],
-                          0)
-        r = m_b - before
-        b_col = b_star[:, None]
-        full = sub_c & (code < b_col)
-        tb = sub_c & (code == b_col)
-        rank = tb.cumsum(1, dtype=np.int32)
-        action[binding] = full | (tb & (rank <= r[:, None]))
-        return action, m
-
-    def _stage_charging_cost(self, aggregate: np.ndarray) -> np.ndarray:
-        cost = self.sc.grid.cost
-        if isinstance(cost, CapacityCost):
-            return np.where(aggregate <= self.values[self.s_idx],
-                            0.0, float(cost.ceiling))
-        if isinstance(cost, QuadraticLoadCost):
-            load = aggregate + self.values[self.s_idx]
-            return (load * load).astype(np.float64)
-        if isinstance(cost, TableCost):
-            return self.cost_table[aggregate, self.s_idx]
-        raise NotImplementedError(f"no vectorized form for {type(cost).__name__}")
-
-    def step(self, t: int, accumulate_tail: bool):
-        action, aggregate = self._decide()
-        lam, gam = self.lam, self.gam
-        # Stage cost (paid for stage t).
-        c = self._stage_charging_cost(aggregate)
-        short = np.where(lam == 1, gam - action, 0)
-        p = self.q_arr[short].sum(1, dtype=self.penalty.dtype)
-        self.charging += c
-        self.penalty += p
-        if accumulate_tail:
-            self.charging_tail += c
-            self.penalty_tail += p
-        # Vehicle step.
-        gam -= action
-        lam -= lam > 0
-        gam *= lam > 0
-        # Arrivals for stage t+1.
+    def step(self, t: int):
+        flat = self.counts.reshape(-1, self.n)
+        # Decide: charge the first m chargeable vehicles in priority order;
+        # when m covers them all, there is nothing to rank.
+        ranked = flat[self.order]
+        unfinished = ranked.sum(0, dtype=np.int16)
+        aggregate = np.minimum(self.values[self.s_idx], unfinished)
+        if (aggregate < unfinished).any():
+            ranked = np.minimum(ranked.cumsum(0, dtype=np.int16), aggregate)
+            ranked[1:] -= ranked[:-1]
+        charged = self.charged
+        charged[self.order] = ranked
+        # A charged vehicle moves to the next lower need of its stay.
+        after = np.subtract(flat, charged, out=self.after)
+        after[:-1] += charged[1:]
+        after = after.reshape(self.counts.shape)
+        # Stage cost: charging plus the shortfall of the stay-1 vehicles.
+        self.total += self.charge_cost[aggregate, self.s_idx] + self.q @ after[0]
+        # Vehicle step: every stay drops by one and stay-1 vehicles depart.
+        self.counts[:-1] = after[1:]
+        self.counts[-1] = 0
         self._admit(t)
-        # Demand chain.
         if self.sc.demand.state_count > 1:
             u = streams.uniforms_batch(self.key, self.n, t, streams.DEMAND, 1)[:, 0]
-            rows = self.demand_cdf[self.d_idx]
-            self.d_idx = np.minimum((rows <= u[:, None]).sum(1),
-                                    self.sc.demand.state_count - 1)
-        # Grid chain given the realized aggregate.
+            self.d_idx = _inverse_cdf(self.demand_cdf[self.d_idx], u)
         u = streams.uniforms_batch(self.key, self.n, t, streams.GRID, 1)[:, 0]
         if self.sc.grid.iid_uniform:
             self.s_idx = (u * self.sc.grid.state_count).astype(np.int64)
         else:
-            rows = self.grid_cdf[self.s_idx, aggregate]
-            self.s_idx = np.minimum((rows <= u[:, None]).sum(1),
-                                    self.sc.grid.state_count - 1)
+            self.s_idx = _inverse_cdf(self.sc.grid._cdf[self.s_idx, aggregate], u)
+
+    def _arrivals(self, law, t: int):
+        """Type rows of each trajectory's arrival batch, in arrival order,
+        and the batch sizes; None when the law never brings a vehicle."""
+        if isinstance(law, int):
+            if law == 0:
+                return None
+            u_stay = streams.uniforms_batch(self.key, self.n, t, streams.STAY, law)
+            u_req = streams.uniforms_batch(self.key, self.n, t, streams.REQUEST, law)
+            stays = (u_stay * self.B).astype(np.int64) + 1
+            reqs = (u_req * stays).astype(np.int64) + 1
+            return (stays - 1) * self.width + reqs, np.full(self.n, law)
+        types, sizes, cdf = law
+        if sizes.max(initial=0) == 0:
+            return None
+        u = streams.uniforms_batch(self.key, self.n, t, streams.OUTCOME, 1)[:, 0]
+        outcome = _inverse_cdf(cdf, u)
+        return types[outcome], sizes[outcome]
 
     def _admit(self, t: int):
-        # Arrival batches per trajectory; demand may mix law kinds per state,
-        # but a single demand state (the common case) takes one in-place path.
-        if self.sc.demand.state_count == 1:
-            self._admit_for(t, None, self.arr_tables[0])
+        """Add the first min(batch size, free chargers) arrivals of every
+        trajectory; arrivals come from the law of its current demand state."""
+        if len(self.laws) == 1:
+            batch = self._arrivals(self.laws[0], t)
+            if batch is None:
+                return
+            types, want = batch
         else:
-            for d, table in enumerate(self.arr_tables):
+            types = np.zeros((self.n, self.batch_width), dtype=np.int64)
+            want = np.zeros(self.n, dtype=np.int64)
+            for d, law in enumerate(self.laws):
                 rows = np.flatnonzero(self.d_idx == d)
-                if rows.size:
-                    self._admit_for(t, rows, table)
+                batch = self._arrivals(law, t) if rows.size else None
+                if batch is not None:
+                    types[rows, :batch[0].shape[1]] = batch[0][rows]
+                    want[rows] = batch[1][rows]
+        flat = self.counts.reshape(-1, self.n)
+        placed = np.minimum(want, self.sc.num_chargers - flat.sum(0, dtype=np.int16))
+        self.rejected += want - placed
+        slots = np.arange(types.shape[1]) < placed[:, None]
+        cells = types * self.n + self.traj[:, None]
+        flat += np.bincount(cells[slots], minlength=flat.size
+                            ).reshape(flat.shape).astype(np.int16)
 
-    def _admit_for(self, t: int, rows: np.ndarray | None, table):
-        """Place this stage's arrivals for the given trajectories (all of
-        them when rows is None, which writes in place without copies)."""
-        n_rows = self.n if rows is None else rows.size
-        if table[0] == "fixed":
-            k = table[1]
-            if k == 0:
-                return
-            u_stay = streams.uniforms_batch(self.key, self.n, t, streams.STAY, k)
-            u_req = streams.uniforms_batch(self.key, self.n, t, streams.REQUEST, k)
-            if rows is not None:
-                u_stay, u_req = u_stay[rows], u_req[rows]
-            stays = (u_stay * self.B).astype(np.int16) + 1
-            reqs = (u_req * stays).astype(np.int16) + 1
-            want = np.full(n_rows, k, dtype=np.int64)
-        else:
-            _, tstays, treqs, lens, cdf = table
-            if lens.max(initial=0) == 0:
-                return
-            u = streams.uniforms_batch(self.key, self.n, t, streams.OUTCOME, 1)[:, 0]
-            if rows is not None:
-                u = u[rows]
-            out_idx = np.minimum((cdf[None, :] <= u[:, None]).sum(1), len(cdf) - 1)
-            stays = tstays[out_idx]
-            reqs = treqs[out_idx]
-            want = lens[out_idx]
-        kmax = stays.shape[1]
-        sub_lam = self.lam if rows is None else self.lam[rows]
-        sub_gam = self.gam if rows is None else self.gam[rows]
-        empty = sub_lam == 0
-        in_slice = empty.sum(1, dtype=np.int64)
-        total_empty = in_slice + (self.N - self.width)
-        kk = np.minimum(want, total_empty)
-        if rows is None:
-            self.rejected += want - kk
-        else:
-            self.rejected[rows] += want - kk
-        if (in_slice < kk).any():
-            deficit = int((kk - in_slice).max())
-            self._grow(max(deficit, 16))
-            sub_lam = self.lam if rows is None else self.lam[rows]
-            sub_gam = self.gam if rows is None else self.gam[rows]
-            empty = sub_lam == 0
-        cum_e = empty.cumsum(1, dtype=np.int32)
-        placed = empty & (cum_e <= kk[:, None])
-        slot = np.arange(kmax)[None, :] < kk[:, None]
-        flat = np.flatnonzero(placed)
-        sub_lam.ravel()[flat] = stays[slot]
-        sub_gam.ravel()[flat] = reqs[slot]
-        if rows is not None:
-            self.lam[rows] = sub_lam
-            self.gam[rows] = sub_gam
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise `sample_index`: the first index whose cdf entry exceeds u."""
+    return np.minimum((cdf <= u[:, None]).sum(-1), cdf.shape[-1] - 1)
 
 
 @dataclass(frozen=True)
@@ -402,20 +348,19 @@ class MonteCarloResult:
     rejected_mean: float
 
 
-def _batch_monte_carlo(scenario, policy, stages, n_traj, seed, warmup) -> MonteCarloResult:
-    warmup = min(warmup, stages - 1)
-    bs = _BatchState(scenario, policy, n_traj, seed)
+def _batch_averages(scenario, policy, stages, n_traj, seed, warmup):
+    """Per-trajectory warm-up-excluded and raw averages, and rejections.
+    Both sums are below 2**53 units (`_cost_unit`), so each average equals
+    the scalar engine's float(Fraction) / stages bit for bit."""
+    unit = _cost_unit(scenario, stages)
+    bs = _TypeCounts(scenario, policy, n_traj, seed, unit)
+    head = bs.total.copy()
     for t in range(stages):
-        bs.step(t, accumulate_tail=t >= warmup)
-    total = bs.charging.astype(np.float64) + bs.penalty.astype(np.float64)
-    tail = bs.charging_tail.astype(np.float64) + bs.penalty_tail.astype(np.float64)
-    per = tail / (stages - warmup)
-    mean = float(per.mean())
-    stderr = float(per.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else 0.0
-    return MonteCarloResult(mean=mean, stderr=stderr, per_traj=per,
-                            mean_raw=float((total / stages).mean()),
-                            n_traj=n_traj, stages=stages, warmup=warmup, seed=seed,
-                            rejected_mean=float(bs.rejected.mean()))
+        if t == warmup:
+            head = bs.total.copy()
+        bs.step(t)
+    return ((bs.total - head) / unit / (stages - warmup),
+            bs.total / unit / stages, bs.rejected)
 
 
 def monte_carlo(scenario: ScenarioModel, policy, stages: int, n_traj: int,
@@ -427,22 +372,21 @@ def monte_carlo(scenario: ScenarioModel, policy, stages: int, n_traj: int,
         raise ValueError("need at least one trajectory")
     if stages < 1:
         raise ValueError("need at least one stage")
-    if _batch_supported(scenario, policy):
-        return _batch_monte_carlo(scenario, policy, stages, n_traj, base_seed, warmup)
-    warmup_eff = min(warmup, stages - 1)
-    per = np.empty(n_traj)
-    raw = np.empty(n_traj)
-    rej = np.empty(n_traj)
-    for i in range(n_traj):
-        tr = run_trajectory(scenario, policy, stages, base_seed, traj=i,
-                            warmup=warmup, record_stages=False)
-        per[i] = tr.time_average
-        raw[i] = tr.time_average_raw
-        rej[i] = tr.rejected_arrivals
+    warmup = min(warmup, stages - 1)
+    if _batch_supported(scenario, policy, stages):
+        per, raw, rej = _batch_averages(scenario, policy, stages, n_traj,
+                                        base_seed, warmup)
+    else:
+        per, raw, rej = np.empty(n_traj), np.empty(n_traj), np.empty(n_traj)
+        for i in range(n_traj):
+            tr = run_trajectory(scenario, policy, stages, base_seed, traj=i,
+                                warmup=warmup, record_stages=False)
+            per[i], raw[i], rej[i] = (tr.time_average, tr.time_average_raw,
+                                      tr.rejected_arrivals)
     stderr = float(per.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else 0.0
     return MonteCarloResult(mean=float(per.mean()), stderr=stderr, per_traj=per,
                             mean_raw=float(raw.mean()), n_traj=n_traj,
-                            stages=stages, warmup=warmup_eff, seed=base_seed,
+                            stages=stages, warmup=warmup, seed=base_seed,
                             rejected_mean=float(rej.mean()))
 
 

@@ -44,6 +44,27 @@ def test_simulate_usage_errors(tmp_path):
                  "--seed", "1", "--out", out]) == 2
 
 
+def test_simulate_refuses_rates_without_fixed_count_law(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--scenario", TINY, "--rates", "1,9", "--seed", "1",
+                 "--T", "5", "--n-traj", "2", "--out", str(out)]) == 2
+    assert "no fixed-count arrival law" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_penalty_defaults_to_scenario_table(tmp_path):
+    args = ["simulate", "--scenario", CONCAVE, "--policies", "edf", "--rates", "30",
+            "--seed", "2", "--T", "30", "--n-traj", "4", "--warmup", "5"]
+    own, linear = tmp_path / "own.csv", tmp_path / "linear.csv"
+    assert main(args + ["--out", str(own)]) == 0
+    assert main(args + ["--penalty", "linear", "--out", str(linear)]) == 0
+    own_row = own.read_text().splitlines()[1].split(",")
+    linear_row = linear.read_text().splitlines()[1].split(",")
+    assert own_row[1] == "nonconvex"
+    assert linear_row[1] == "linear"
+    assert own_row[5] != linear_row[5]
+
+
 def test_verify_dominance_ok_and_report(tmp_path):
     out = tmp_path / "report.json"
     code = main(["verify-dominance", "--scenario", BENCHMARK, "--policy", "edf",

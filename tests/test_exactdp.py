@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from chargesched import linalg
-from chargesched.core import ActionVector, PenaltyFunction, VehicleState
-from chargesched.exactdp import (DPSolution, NonConvergenceError,
+from chargesched.core import (ActionVector, PenaltyFunction, SystemState,
+                              VehicleState)
+from chargesched.exactdp import (DPSolution, EnumeratedMDP, NonConvergenceError,
                                  ProjectionError, StateCeilingExceeded,
                                  TabularPolicy, brute_force_optimal_gain,
                                  compliance_violations, enumerate_mdp,
@@ -233,3 +234,18 @@ def test_export_schema(tiny_solution, tmp_path):
     assert set(doc) == {"gain", "h", "policy", "residual", "iterations"}
     assert len(doc["h"]) == mdp.n_states
     assert len(doc["policy"]) == mdp.n_states
+
+
+def test_brute_force_refuses_several_closed_classes():
+    # The anchor (state 0) moves to absorbing state 1 or 2 with equal
+    # probability, so its long-run cost is 1 or 2 depending on the path.
+    half = Fraction(1, 2)
+    idle = [ActionVector(())]
+    mdp = EnumeratedMDP(
+        scenario=None, states=[SystemState((), s, 0) for s in range(3)], index={},
+        actions=[idle, idle, idle],
+        costs=[[Fraction(0)], [Fraction(1)], [Fraction(2)]],
+        transitions=[[[(1, half), (2, half)]], [[(1, Fraction(1))]], [[(2, Fraction(1))]]],
+        special_state=0)
+    with pytest.raises(ValueError, match="2 closed classes"):
+        brute_force_optimal_gain(mdp)

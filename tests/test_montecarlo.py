@@ -3,7 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chargesched.models import capacity_scenario, two_charger_scenario
+from chargesched.core import PenaltyFunction, VehicleState
+from chargesched.models import (DemandModel, FixedCountArrivals, GridModel,
+                                ScenarioModel, TableCost, TabulatedArrivals,
+                                capacity_scenario, two_charger_scenario)
 from chargesched.montecarlo import (CSV_COLUMNS, figure_experiment, monte_carlo,
                                     run_trajectory)
 from chargesched.policies import make_policy
@@ -57,6 +60,46 @@ def test_batched_equals_scalar_with_tabulated_arrivals():
     for i in range(8):
         tr = run_trajectory(sc, pol, 40, seed=2, traj=i, record_stages=False)
         assert tr.time_average == pytest.approx(res.per_traj[i], abs=1e-12)
+
+
+def _two_demand_state_scenario():
+    """Fixed-count arrivals in one demand state, a tabulated batch in the
+    other; the grid tilts toward the expensive state as more vehicles charge
+    and charging costs thirds."""
+    n = 6
+    tilt = tuple((Fraction(n + 1 - a, n + 2), Fraction(a + 1, n + 2)) for a in range(n + 1))
+    grid = GridModel(values=(2, 4), kernel=(tilt, tilt),
+                     cost=TableCost(tuple((Fraction(0), Fraction(a, 3)) for a in range(n + 1))))
+    batch = (VehicleState(3, 2), VehicleState(1, 1), VehicleState(2, 3))
+    demand = DemandModel(
+        kernel=((Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 4), Fraction(3, 4))),
+        arrivals=(FixedCountArrivals(2),
+                  TabulatedArrivals(((Fraction(1, 3), ()), (Fraction(2, 3), batch)))))
+    return ScenarioModel(name="two-demand-states", num_chargers=n, max_stay=3,
+                         max_units=3, grid=grid, demand=demand,
+                         penalty=PenaltyFunction.quadratic(3))
+
+
+@pytest.mark.parametrize("scenario, stages, n_traj", [
+    (capacity_scenario(9, num_chargers=12, capacity_range=(1, 6)), 60, 20),
+    (two_charger_scenario(), 40, 8),
+    (capacity_scenario(6, PenaltyFunction([Fraction(n * n, 3) + Fraction(n, 7)
+                                           for n in range(11)]),
+                       num_chargers=30, capacity_range=(1, 8)), 60, 20),
+    (_two_demand_state_scenario(), 80, 30),
+], ids=["capacity", "two-charger", "fractional-penalty", "two-demand-states"])
+def test_batched_equals_scalar_bitwise(scenario, stages, n_traj):
+    for name in ("edf", "llsp", "lllp"):
+        pol = make_policy(name, scenario)
+        res = monte_carlo(scenario, pol, stages, n_traj, base_seed=3)
+        rejected = []
+        for i in range(n_traj):
+            tr = run_trajectory(scenario, pol, stages, seed=3, traj=i,
+                                record_stages=False)
+            assert (np.float64(tr.time_average).tobytes()
+                    == np.float64(res.per_traj[i]).tobytes()), (name, i)
+            rejected.append(tr.rejected_arrivals)
+        assert res.rejected_mean == np.mean(rejected)
 
 
 def test_single_trajectory_stderr_convention():
