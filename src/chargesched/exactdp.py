@@ -10,11 +10,15 @@ constant-gain checks across recurrent classes, an exhaustive brute force over
 stationary deterministic policies, and a projection that rewrites an optimal
 policy into one that never charges a vehicle while idling a strictly
 higher-priority one, checking at every swap that the swapped action still
-attains the Bellman minimum.
+attains the Bellman minimum.  The exact stationary solves use fraction-free
+integer elimination (`linalg.solve`); enumeration computes the joint law of
+arrivals and next grid and demand states once per (grid state, aggregate
+action, demand state).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -23,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from . import linalg
 from .core import (ActionVector, EMPTY, SystemState, VehicleState, stage_cost,
@@ -59,13 +63,36 @@ class EnumeratedMDP:
     index: dict[SystemState, int]
     actions: list[list[ActionVector]]                  # per state, lexicographic
     costs: list[list[Fraction]]                        # per (state, action)
-    transitions: list[list[list[tuple[int, Fraction]]]]  # per (state, action)
+    transitions: list[list[list[tuple[int, Fraction]]]]  # per (state, action): (target, p > 0)
     special_state: int
     assumption_notes: list[str] = field(default_factory=list)
 
     @property
     def n_states(self) -> int:
         return len(self.states)
+
+    @functools.cached_property
+    def _flat(self) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
+        """Float form for value iteration, built on first use: per-state
+        offsets into the state-action pairs, the pairs' stage costs, and the
+        pairs x states transition matrix."""
+        starts = np.zeros(self.n_states + 1, dtype=np.int64)
+        for k in range(self.n_states):
+            starts[k + 1] = starts[k] + len(self.actions[k])
+        n_pairs = int(starts[-1])
+        cost = np.empty(n_pairs)
+        rows, cols, vals = [], [], []
+        p = 0
+        for k in range(self.n_states):
+            for a in range(len(self.actions[k])):
+                cost[p] = float(self.costs[k][a])
+                for y, pr in self.transitions[k][a]:
+                    rows.append(p)
+                    cols.append(y)
+                    vals.append(float(pr))
+                p += 1
+        mat = sp.csr_matrix((vals, (rows, cols)), shape=(n_pairs, self.n_states))
+        return starts, cost, mat
 
 
 def lattice_size(scenario: ScenarioModel) -> int:
@@ -102,6 +129,28 @@ def _feasible_actions(vehicles: tuple[VehicleState, ...]) -> list[ActionVector]:
     return [ActionVector(bits) for bits in itertools.product(*choices)]
 
 
+def _exogenous_law(scenario: ScenarioModel, grid: int, aggregate: int,
+                   demand: int) -> tuple:
+    """Joint law of what the policy does not choose, from grid state `grid`
+    under aggregate action `aggregate` and demand state `demand`: for each
+    arrival batch of positive probability, the (s2 * D + d2, probability)
+    pairs of the next grid state s2 and demand state d2 (D demand states).
+    Raises ValueError unless the probabilities sum to 1."""
+    grid_row = scenario.grid.row(grid, aggregate)
+    demand_row = scenario.demand.kernel[demand]
+    law = []
+    for p_arr, arrivals in scenario.demand.arrivals[demand].outcomes:
+        if p_arr == 0:
+            continue
+        law.append((arrivals, tuple(
+            (s2 * len(demand_row) + d2, Fraction(p_arr * p_g * p_d))
+            for s2, p_g in enumerate(grid_row) if p_g != 0
+            for d2, p_d in enumerate(demand_row) if p_d != 0)))
+    if sum((p for _, moves in law for _, p in moves), Fraction(0)) != 1:
+        raise ValueError("transition row does not sum to 1")
+    return tuple(law)
+
+
 def enumerate_mdp(scenario: ScenarioModel,
                   ceiling: int = DEFAULT_STATE_CEILING) -> EnumeratedMDP:
     """Materialize the full state lattice with exact transition probabilities.
@@ -117,12 +166,13 @@ def enumerate_mdp(scenario: ScenarioModel,
         if not isinstance(law, TabulatedArrivals):
             raise ValueError("exact enumeration requires tabulated arrival laws")
 
-    per = _charger_states(scenario)
-    states: list[SystemState] = []
-    for vehicles in itertools.product(per, repeat=scenario.num_chargers):
-        for s in range(scenario.grid.state_count):
-            for d in range(scenario.demand.state_count):
-                states.append(SystemState(tuple(vehicles), s, d))
+    fleets = list(itertools.product(_charger_states(scenario),
+                                    repeat=scenario.num_chargers))
+    fleet_index = {v: k for k, v in enumerate(fleets)}
+    n_exo = scenario.grid.state_count * scenario.demand.state_count
+    states = [SystemState(v, s, d) for v in fleets
+              for s in range(scenario.grid.state_count)
+              for d in range(scenario.demand.state_count)]
     index = {x: k for k, x in enumerate(states)}
 
     sbar = scenario.grid.special_state()
@@ -134,6 +184,7 @@ def enumerate_mdp(scenario: ScenarioModel,
 
     cost_fn = scenario.grid.cost
     q = scenario.penalty
+    laws: dict[tuple[int, int, int], tuple] = {}
     actions: list[list[ActionVector]] = []
     costs: list[list[Fraction]] = []
     transitions: list[list[list[tuple[int, Fraction]]]] = []
@@ -144,25 +195,19 @@ def enumerate_mdp(scenario: ScenarioModel,
         t_row = []
         for a in acts:
             c_row.append(stage_cost(x, a, cost_fn, q))
+            key = (x.grid, a.aggregate, x.demand)
+            law = laws.get(key)
+            if law is None:
+                law = laws[key] = _exogenous_law(scenario, *key)
             stepped = step_vehicles(x.vehicles, a)
-            grid_row = scenario.grid.row(x.grid, a.aggregate)
-            demand_row = scenario.demand.kernel[x.demand]
             dist: dict[int, Fraction] = {}
-            for p_arr, arrivals in scenario.demand.arrivals[x.demand].outcomes:
-                if p_arr == 0:
-                    continue
-                admitted, _ = admit(stepped, arrivals)
-                for s2, p_g in enumerate(grid_row):
-                    if p_g == 0:
-                        continue
-                    for d2, p_d in enumerate(demand_row):
-                        if p_d == 0:
-                            continue
-                        y = index[SystemState(admitted, s2, d2)]
-                        dist[y] = dist.get(y, Fraction(0)) + p_arr * p_g * p_d
-            total = sum(dist.values(), Fraction(0))
-            if total != 1:
-                raise ValueError("transition row does not sum to 1")
+            for arrivals, moves in law:
+                # States are ordered fleet-major, then grid, then demand.
+                base = fleet_index[admit(stepped, arrivals)[0]] * n_exo
+                for offset, p in moves:
+                    y = base + offset
+                    prev = dist.get(y)
+                    dist[y] = p if prev is None else prev + p
             t_row.append(sorted(dist.items()))
         costs.append(c_row)
         transitions.append(t_row)
@@ -186,32 +231,12 @@ class DPSolution:
     damping: float | None = None
 
 
-def _flat_arrays(mdp: EnumeratedMDP):
-    starts = np.zeros(mdp.n_states + 1, dtype=np.int64)
-    for k in range(mdp.n_states):
-        starts[k + 1] = starts[k] + len(mdp.actions[k])
-    n_pairs = int(starts[-1])
-    cost = np.empty(n_pairs)
-    rows, cols, vals = [], [], []
-    p = 0
-    for k in range(mdp.n_states):
-        for a in range(len(mdp.actions[k])):
-            cost[p] = float(mdp.costs[k][a])
-            for y, pr in mdp.transitions[k][a]:
-                rows.append(p)
-                cols.append(y)
-                vals.append(float(pr))
-            p += 1
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n_pairs, mdp.n_states))
-    return starts, cost, mat
-
-
 def relative_value_iteration(mdp: EnumeratedMDP, tol: float = 1e-12,
                              max_iter: int = 200_000) -> DPSolution:
     """Anchored value iteration with span-seminorm stopping; a damped sweep
     (operator mixed with the identity) kicks in if plain sweeps have not
     converged after half the budget, which handles periodic chains."""
-    starts, cost, mat = _flat_arrays(mdp)
+    starts, cost, mat = mdp._flat
     seg = starts[:-1]
     anchor = mdp.special_state
     h = np.zeros(mdp.n_states)
@@ -264,14 +289,16 @@ def _greedy_from_q(q: np.ndarray, starts: np.ndarray, t_h: np.ndarray) -> np.nda
 # Policy evaluation (float and exact)
 # ---------------------------------------------------------------------------
 
-def _policy_matrix(mdp: EnumeratedMDP, policy: Sequence[int]) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    for k in range(mdp.n_states):
-        for y, pr in mdp.transitions[k][policy[k]]:
-            rows.append(k)
-            cols.append(y)
-            vals.append(float(pr))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(mdp.n_states, mdp.n_states))
+def _policy_graph(mdp: EnumeratedMDP, policy: Sequence[int]) -> sp.csr_matrix:
+    """Transition matrix of the chain `policy` induces: the rows of
+    `mdp._flat` it selects.  Its pattern lists exactly the transitions, so
+    the exact code reads reachability from it and never its float values."""
+    starts, _, mat = mdp._flat
+    return mat[starts[:-1] + np.asarray(policy)]
+
+
+def _reachable(graph: sp.spmatrix, start: int) -> list[int]:
+    return sorted(breadth_first_order(graph, start, return_predecessors=False).tolist())
 
 
 def _closed_classes(mat: sp.spmatrix) -> list[list[int]]:
@@ -287,20 +314,28 @@ def _closed_classes(mat: sp.spmatrix) -> list[list[int]]:
 
 
 def recurrent_classes(mdp: EnumeratedMDP, policy: Sequence[int]) -> list[list[int]]:
-    return _closed_classes(_policy_matrix(mdp, policy))
+    return _closed_classes(_policy_graph(mdp, policy))
+
+
+def _exact_chain(mdp: EnumeratedMDP, policy: Sequence[int] | dict[int, int],
+                 cls: list[int]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Exact transition matrix and stage costs of `policy` (action index by
+    state) on the closed set of states `cls`, in the order of `cls`."""
+    pos = {s: k for k, s in enumerate(cls)}
+    p = [[0] * len(cls) for _ in cls]
+    g = []
+    for k, s in enumerate(cls):
+        for y, pr in mdp.transitions[s][policy[s]]:
+            p[k][pos[y]] = pr   # the targets of one transition row are distinct
+        g.append(mdp.costs[s][policy[s]])
+    return p, g
 
 
 def class_gain(mdp: EnumeratedMDP, policy: Sequence[int], cls: list[int],
                exact: bool) -> Fraction | float:
-    pos = {s: k for k, s in enumerate(cls)}
     if exact:
-        p = [[Fraction(0)] * len(cls) for _ in cls]
-        g = []
-        for k, s in enumerate(cls):
-            for y, pr in mdp.transitions[s][policy[s]]:
-                p[k][pos[y]] += pr
-            g.append(mdp.costs[s][policy[s]])
-        return linalg.chain_average(p, g)
+        return linalg.chain_average(*_exact_chain(mdp, policy, cls))
+    pos = {s: k for k, s in enumerate(cls)}
     p = np.zeros((len(cls), len(cls)))
     g = np.zeros(len(cls))
     for k, s in enumerate(cls):
@@ -332,7 +367,7 @@ def verify_constant_gain(mdp: EnumeratedMDP, solution: DPSolution,
     """Check the Bellman residual everywhere and that the greedy policy's
     average cost is the same from every initial state (all recurrent classes
     of the induced chain share one gain)."""
-    starts, cost, mat = _flat_arrays(mdp)
+    starts, cost, mat = mdp._flat
     q = cost + mat @ solution.h
     t_h = np.minimum.reduceat(q, starts[:-1])
     residual = float(np.abs(solution.gain + solution.h - t_h).max())
@@ -349,15 +384,7 @@ def verify_constant_gain(mdp: EnumeratedMDP, solution: DPSolution,
 
 
 def policy_closure(mdp: EnumeratedMDP, policy: Sequence[int], start: int) -> list[int]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        s = frontier.pop()
-        for y, pr in mdp.transitions[s][policy[s]]:
-            if pr > 0 and y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return sorted(seen)
+    return _reachable(_policy_graph(mdp, policy), start)
 
 
 def exact_policy_gain(mdp: EnumeratedMDP, policy: Sequence[int]) -> Fraction:
@@ -373,16 +400,11 @@ def exact_policy_gain(mdp: EnumeratedMDP, policy: Sequence[int]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def reachable_closure(mdp: EnumeratedMDP, start: int) -> list[int]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        s = frontier.pop()
-        for a in range(len(mdp.actions[s])):
-            for y, pr in mdp.transitions[s][a]:
-                if pr > 0 and y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-    return sorted(seen)
+    starts, _, mat = mdp._flat
+    # Row k of the state graph joins the rows of state k's actions.
+    graph = sp.csr_matrix((mat.data, mat.indices, mat.indptr[starts]),
+                          shape=(mdp.n_states, mdp.n_states))
+    return _reachable(graph, start)
 
 
 @dataclass
@@ -401,8 +423,10 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP,
     Enumeration runs over the closure of the special state under all actions:
     the special state is recurrent under every policy, so every policy's
     recurrent class lies inside that closure and actions elsewhere cannot
-    change its gain.  Policies sharing (recurrent class, actions on it) are
-    evaluated once.
+    change its gain.  A depth-first search fixes actions only on the states
+    that the actions fixed so far reach, so each closed set with its actions
+    is evaluated once.  The policy returned is the first optimal one in
+    lexicographic order: action 0 wherever the optimal set does not reach.
     """
     reach = reachable_closure(mdp, mdp.special_state)
     pos = {s: k for k, s in enumerate(reach)}
@@ -424,43 +448,32 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP,
         if total > limit:
             raise StateCeilingExceeded(
                 f"policy space exceeds {limit}; instance too large for brute force")
-    start_bit = 1 << pos[mdp.special_state]
-    cache: dict[tuple, Fraction] = {}
-    best: Fraction | None = None
-    best_policy: tuple[int, ...] | None = None
-    for assignment in itertools.product(*(range(c) for c in counts)):
-        reach_mask = start_bit
-        while True:
-            nxt = reach_mask
-            m = reach_mask
-            while m:
-                low = m & -m
-                k = low.bit_length() - 1
-                nxt |= succ_masks[k][assignment[k]]
-                m ^= low
-            if nxt == reach_mask:
-                break
-            reach_mask = nxt
-        key_actions = []
-        m = reach_mask
-        while m:
-            low = m & -m
-            k = low.bit_length() - 1
-            key_actions.append((k, assignment[k]))
-            m ^= low
-        key = tuple(key_actions)
-        gain = cache.get(key)
-        if gain is None:
-            cls = [reach[k] for k, _ in key_actions]
-            policy_map = {reach[k]: a for k, a in key_actions}
-            gain = _exact_gain_on_class(mdp, policy_map, cls)
-            cache[key] = gain
-        if best is None or gain < best:
-            best = gain
-            best_policy = assignment
+    best: tuple[Fraction, list[int]] | None = None
+    n_evaluations = 0
+    # (fixed (position, action) pairs, positions reached, positions fixed)
+    stack = [((), 1 << pos[mdp.special_state], 0)]
+    while stack:
+        fixed, reached, fixed_mask = stack.pop()
+        open_mask = reached & ~fixed_mask
+        if open_mask:
+            k = (open_mask & -open_mask).bit_length() - 1
+            for a in range(counts[k]):
+                stack.append((fixed + ((k, a),), reached | succ_masks[k][a],
+                              fixed_mask | 1 << k))
+            continue
+        fixed = sorted(fixed)
+        gain = _exact_gain_on_class(mdp, {reach[k]: a for k, a in fixed},
+                                    [reach[k] for k, _ in fixed])
+        n_evaluations += 1
+        assignment = [0] * n
+        for k, a in fixed:
+            assignment[k] = a
+        if best is None or (gain, assignment) < best:
+            best = (gain, assignment)
+    gain, assignment = best
     return BruteForceResult(
-        gain=best, policy={s: a for s, a in zip(reach, best_policy)},
-        n_policies=total, n_evaluations=len(cache), reachable=reach)
+        gain=gain, policy={s: a for s, a in zip(reach, assignment)},
+        n_policies=total, n_evaluations=n_evaluations, reachable=reach)
 
 
 def _exact_gain_on_class(mdp: EnumeratedMDP, policy_map: dict[int, int],
@@ -470,13 +483,7 @@ def _exact_gain_on_class(mdp: EnumeratedMDP, policy_map: dict[int, int],
     cost of its single closed class is used; with several closed classes the
     average depends on which one the chain enters, and ValueError is raised
     rather than picking one."""
-    pos = {s: k for k, s in enumerate(cls)}
-    p = [[Fraction(0)] * len(cls) for _ in cls]
-    g = []
-    for k, s in enumerate(cls):
-        for y, pr in mdp.transitions[s][policy_map[s]]:
-            p[k][pos[y]] += pr
-        g.append(mdp.costs[s][policy_map[s]])
+    p, g = _exact_chain(mdp, policy_map, cls)
     try:
         return linalg.chain_average(p, g)
     except ValueError:
@@ -508,7 +515,7 @@ def lllp_projection(mdp: EnumeratedMDP, solution: DPSolution,
     and must keep the action Bellman-minimal within tol; the loop terminates
     because every swap strictly raises the priority rank of the charged set.
     """
-    starts, cost, mat = _flat_arrays(mdp)
+    starts, cost, mat = mdp._flat
     q = cost + mat @ solution.h
     horizon = mdp.scenario.max_stay
     policy = solution.policy.copy()

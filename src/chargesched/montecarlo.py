@@ -163,16 +163,13 @@ def _batch_supported(scenario: ScenarioModel, policy, stages: int) -> bool:
     if (len(keys) < B * E or scenario.num_chargers >= 2 ** 15
             or min(scenario.grid.values) < 0 or _cost_unit(scenario, stages) is None):
         return False
-    # Every arrival must be a type (stay 1..B, need 0..E); fixed-count
-    # requests reach B.
+    # ScenarioModel has checked that every arrival is a type (stay 1..B,
+    # need 0..E).
     for law in scenario.demand.arrivals:
         if isinstance(law, FixedCountArrivals):
-            if law.count > streams.MAX_ARRIVALS_PER_STAGE or (law.count and B > E):
+            if law.count > streams.MAX_ARRIVALS_PER_STAGE:
                 return False
         elif not isinstance(law, TabulatedArrivals):
-            return False
-        elif not all(1 <= v.stay <= B and 0 <= v.need <= E
-                     for _, vs in law.outcomes for v in vs):
             return False
     return True
 
@@ -243,13 +240,13 @@ class _TypeCounts:
             if sc.grid.iid_uniform:
                 self.s_idx = (u * sc.grid.state_count).astype(np.int64)
             else:
-                cdf = np.cumsum([float(p) for p in sc.grid.initial_distribution()])
+                cdf = np.cumsum([float(p) for p in sc.grid.initial_distribution])
                 self.s_idx = _inverse_cdf(cdf, u)
         if sc.initial_demand is not None:
             self.d_idx = np.full(n, sc.initial_demand, dtype=np.int64)
         else:
             u = streams.uniforms_batch(self.key, n, 0, streams.INIT_DEMAND, 1)[:, 0]
-            cdf = np.cumsum([float(p) for p in sc.demand.initial_distribution()])
+            cdf = np.cumsum([float(p) for p in sc.demand.initial_distribution])
             self.d_idx = _inverse_cdf(cdf, u)
         if sc.demand.state_count > 1:
             self.demand_cdf = np.cumsum(

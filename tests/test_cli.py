@@ -109,6 +109,20 @@ def test_solve_exact_too_large(tmp_path):
                  "--out", str(tmp_path / "s.json")]) == 2
 
 
+def test_arrival_outside_the_type_grid_exits_2(tmp_path, capsys):
+    with open(TINY) as fh:
+        doc = json.load(fh)
+    doc["arrival"]["per_state"][0]["outcomes"][1]["vehicles"] = [[5, 4]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(bad), "--seed", "1", "--T", "30",
+                 "--n-traj", "1", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "arrival (stay 5, need 4) is outside" in capsys.readouterr().err
+    assert main(["solve-exact", "--scenario", str(bad),
+                 "--out", str(tmp_path / "s.json")]) == 2
+    assert "arrival (stay 5, need 4) is outside" in capsys.readouterr().err
+
+
 def test_solve_exact_multichain(tmp_path):
     code = main(["solve-exact", "--scenario", MULTICHAIN, "--max-iter", "2000",
                  "--out", str(tmp_path / "s.json")])

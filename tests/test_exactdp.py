@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -249,3 +250,38 @@ def test_brute_force_refuses_several_closed_classes():
         special_state=0)
     with pytest.raises(ValueError, match="2 closed classes"):
         brute_force_optimal_gain(mdp)
+
+
+def _generated_scenario(num_chargers):
+    """B = E = 2, two grid states whose kernel tilts toward the expensive
+    state as more vehicles charge, and arrival batches of zero, one or two
+    vehicles."""
+    rows = []
+    for a in range(num_chargers + 1):
+        p_high = Fraction(1, 5) + Fraction(3, 5) * Fraction(a, num_chargers)
+        rows.append((1 - p_high, p_high))
+    cost = TableCost(tuple((Fraction(0), Fraction(a)) for a in range(num_chargers + 1)))
+    grid = GridModel(values=(0, 1), kernel=(tuple(rows), tuple(rows)), cost=cost)
+    arrivals = TabulatedArrivals((
+        (HALF, ()),
+        (Fraction(1, 4), (VehicleState(2, 1),)),
+        (Fraction(1, 4), (VehicleState(2, 2), VehicleState(1, 1))),
+    ))
+    return ScenarioModel(
+        name=f"generated-{num_chargers}", num_chargers=num_chargers, max_stay=2,
+        max_units=2, grid=grid, demand=DemandModel(kernel=((ONE,),), arrivals=(arrivals,)),
+        penalty=PenaltyFunction.quadratic(2), initial_grid=0, initial_demand=0)
+
+
+def test_generated_three_charger_pipeline_is_pinned():
+    # Reference figures: any change to the enumerated MDP or the exact gains
+    # of the value-iteration policy and its projection shows here.
+    mdp = enumerate_mdp(_generated_scenario(3))
+    assert mdp.n_states == 686
+    assert sum(len(acts) for acts in mdp.actions) == 2662
+    digest = hashlib.sha256(repr((mdp.costs, mdp.transitions)).encode()).hexdigest()
+    assert digest == "f45e77fae5e89747f0739dfec87a3e629b40994a66908560f0a13abf8da2a251"
+    sol = relative_value_iteration(mdp)
+    assert exact_policy_gain(mdp, sol.policy) == Fraction(544, 1729)
+    proj = lllp_projection(mdp, sol)
+    assert exact_policy_gain(mdp, proj.policy) == Fraction(544, 1729)

@@ -132,6 +132,26 @@ def test_scenario_cross_field_validation():
                       grid=sc.grid, demand=sc.demand, penalty=sc.penalty)
 
 
+@pytest.mark.parametrize("vehicle", [(5, 4), (3, 1), (2, 3), (0, 0), (1, -1)])
+def test_arrivals_outside_the_type_grid_are_rejected(vehicle):
+    doc = scenario_to_json(two_charger_scenario())   # B = E = 2
+    outcome = doc["arrival"]["per_state"][0]["outcomes"][1]
+    outcome["vehicles"] = [[1, 0], [2, 2]]
+    scenario_from_json(doc)
+    outcome["vehicles"] = [[2, 1], list(vehicle)]
+    with pytest.raises(ValueError, match="outside 1 <= stay <= B = 2"):
+        scenario_from_json(doc)
+
+
+def test_fixed_count_requests_beyond_e_are_rejected():
+    doc = scenario_to_json(capacity_scenario(5, num_chargers=4, max_stay=3))
+    doc["E"], doc["penalty"] = 2, "linear"
+    with pytest.raises(ValueError, match="up to B = 3 units, above E = 2"):
+        scenario_from_json(doc)
+    doc["arrival"]["per_state"][0]["count"] = 0
+    scenario_from_json(doc)
+
+
 def test_unichain_assumption_checks():
     assert validate_unichain_assumptions(two_charger_scenario()) == []
     notes = validate_unichain_assumptions(multichain_fixture())
