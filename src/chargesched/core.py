@@ -10,8 +10,11 @@ comparisons elsewhere in the package are tolerance-free.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt, itemgetter
 from typing import NamedTuple, Sequence
 
 
@@ -30,6 +33,7 @@ class VehicleState(NamedTuple):
 
 
 EMPTY = VehicleState(0, 0)
+_need = itemgetter(1)
 
 
 class InfeasibleActionError(ValueError):
@@ -111,6 +115,16 @@ class PenaltyFunction:
     def __call__(self, n: int) -> Fraction:
         return self.values[n]
 
+    @functools.cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """The table as integers over a common denominator: (q(n) * L for
+        n in 0..E, L), so a sum of penalties is one Fraction at the end."""
+        unit = math.lcm(*(v.denominator for v in self.values))
+        return tuple(int(v * unit) for v in self.values), unit
+
+
+_BITS = frozenset((0, 1))
+
 
 @dataclass(frozen=True)
 class ActionVector:
@@ -118,20 +132,20 @@ class ActionVector:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+        if not _BITS.issuperset(self.bits):
             raise ValueError("action bits must be 0 or 1")
 
-    @property
+    @functools.cached_property
     def aggregate(self) -> int:
         return sum(self.bits)
 
     def check_feasible(self, vehicles: Sequence[VehicleState]) -> None:
         if len(self.bits) != len(vehicles):
             raise ValueError("action length does not match charger count")
-        for idx, (b, v) in enumerate(zip(self.bits, vehicles)):
-            if b > v.need:
-                raise InfeasibleActionError(
-                    f"charger {idx}: cannot charge a vehicle with no remaining request")
+        if any(map(gt, self.bits, map(_need, vehicles))):
+            idx = next(k for k, (b, v) in enumerate(zip(self.bits, vehicles)) if b > v.need)
+            raise InfeasibleActionError(
+                f"charger {idx}: cannot charge a vehicle with no remaining request")
 
 
 @dataclass(frozen=True)
@@ -145,13 +159,47 @@ class SystemState:
     def present_count(self) -> int:
         return sum(1 for v in self.vehicles if v.present)
 
+    @functools.cached_property
+    def unfinished(self) -> tuple[int, ...]:
+        """Indices of the vehicles still owed charge, computed once per state."""
+        return tuple([i for i, (_, need) in enumerate(self.vehicles) if need > 0])
+
     @property
     def unfinished_count(self) -> int:
         """V(x): vehicles still owed charge (the only ones worth charging)."""
-        return sum(1 for v in self.vehicles if v.chargeable)
+        return len(self.unfinished)
 
     def chargeable_indices(self) -> list[int]:
-        return [i for i, v in enumerate(self.vehicles) if v.chargeable]
+        return list(self.unfinished)
+
+
+def settle_stage(state: SystemState, action: ActionVector, cost_fn,
+                 penalty: PenaltyFunction
+                 ) -> tuple[Fraction, Fraction, tuple[VehicleState, ...]]:
+    """The policy's part of one stage: check the action once, then return the
+    charging cost C(A, s), the penalty of the vehicles departing after this
+    stage (stay == 1) with unmet request, and the vehicles one stage later.
+    Exact rational arithmetic; ``cost_fn`` maps (aggregate count, grid
+    index) to a Fraction."""
+    action.check_feasible(state.vehicles)
+    return (*_charges(state, action, cost_fn, penalty),
+            _step(state.vehicles, action.bits))
+
+
+def _charges(state: SystemState, action: ActionVector, cost_fn,
+             penalty: PenaltyFunction) -> tuple[Fraction, Fraction]:
+    """(charging cost, departure penalty) of a feasible action.  The penalty
+    is summed over integers in units of 1/L and divided once."""
+    scaled, unit = penalty.scaled
+    shortfall = sum([scaled[need - a] for (stay, need), a in zip(state.vehicles, action.bits)
+                     if stay == 1])
+    return (Fraction(cost_fn(action.aggregate, state.grid)),
+            Fraction(shortfall) if unit == 1 else Fraction(shortfall, unit))
+
+
+def _step(vehicles: Sequence[VehicleState], bits: Sequence[int]) -> tuple[VehicleState, ...]:
+    return tuple([EMPTY if stay <= 1 else VehicleState(stay - 1, need - a)
+                  for (stay, need), a in zip(vehicles, bits)])
 
 
 def stage_cost(state: SystemState, action: ActionVector, cost_fn, penalty: PenaltyFunction) -> Fraction:
@@ -161,11 +209,8 @@ def stage_cost(state: SystemState, action: ActionVector, cost_fn, penalty: Penal
     ``cost_fn`` maps (aggregate count, grid index) to a Fraction.
     """
     action.check_feasible(state.vehicles)
-    total = Fraction(cost_fn(action.aggregate, state.grid))
-    for v, a in zip(state.vehicles, action.bits):
-        if v.stay == 1:
-            total += penalty(v.need - a)
-    return total
+    charging, pen = _charges(state, action, cost_fn, penalty)
+    return charging + pen
 
 
 def step_vehicles(vehicles: Sequence[VehicleState], action: ActionVector) -> tuple[VehicleState, ...]:
@@ -173,12 +218,4 @@ def step_vehicles(vehicles: Sequence[VehicleState], action: ActionVector) -> tup
     present loses one stage of stay, and vehicles reaching stay 0 depart
     (their charger resets to the empty sentinel)."""
     action.check_feasible(vehicles)
-    out = []
-    for v, a in zip(vehicles, action.bits):
-        if not v.present:
-            out.append(EMPTY)
-        elif v.stay == 1:
-            out.append(EMPTY)
-        else:
-            out.append(VehicleState(v.stay - 1, v.need - a))
-    return tuple(out)
+    return _step(vehicles, action.bits)

@@ -77,22 +77,27 @@ class EnumeratedMDP:
         offsets into the state-action pairs, the pairs' stage costs, and the
         pairs x states transition matrix."""
         starts = np.zeros(self.n_states + 1, dtype=np.int64)
-        for k in range(self.n_states):
-            starts[k + 1] = starts[k] + len(self.actions[k])
-        n_pairs = int(starts[-1])
-        cost = np.empty(n_pairs)
-        rows, cols, vals = [], [], []
-        p = 0
-        for k in range(self.n_states):
-            for a in range(len(self.actions[k])):
-                cost[p] = float(self.costs[k][a])
-                for y, pr in self.transitions[k][a]:
-                    rows.append(p)
-                    cols.append(y)
-                    vals.append(float(pr))
-                p += 1
-        mat = sp.csr_matrix((vals, (rows, cols)), shape=(n_pairs, self.n_states))
+        np.cumsum([len(acts) for acts in self.actions], out=starts[1:])
+        # One row per state-action pair; each row's targets are distinct and
+        # sorted, so the CSR arrays are filled directly.
+        pairs = [moves for per_action in self.transitions for moves in per_action]
+        indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
+        np.cumsum([len(moves) for moves in pairs], out=indptr[1:])
+        cols = [y for moves in pairs for y, _ in moves]
+        probs = _to_floats([pr for moves in pairs for _, pr in moves])
+        mat = sp.csr_matrix((probs, cols, indptr), shape=(len(pairs), self.n_states))
+        cost = np.array([float(c) for row in self.costs for c in row])
         return starts, cost, mat
+
+
+def _to_floats(values: list[Fraction]) -> list[float]:
+    """float() of each value, computed once per distinct object: enumeration
+    shares one Fraction among many transition entries (on the 4,802-state
+    instance some 2,600 objects fill 170k entries), and a lookup by id()
+    costs less than float() of a Fraction, or than its hash."""
+    floats = {id(v): v for v in values}
+    floats = {k: float(v) for k, v in floats.items()}
+    return [floats[id(v)] for v in values]
 
 
 def lattice_size(scenario: ScenarioModel) -> int:

@@ -24,7 +24,7 @@ from . import streams
 from .core import (ActionVector, PriorityOrdering, SystemState, VehicleState,
                    compare_priority)
 from .models import ScenarioModel, draw_initial
-from .montecarlo import advance_stage
+from .montecarlo import advance_stage, draw_stage
 from .policies import check_lllp_compliance
 
 
@@ -149,8 +149,10 @@ def coupled_rollout(scenario: ScenarioModel, base_policy, other,
         if win is not None:
             _record_shortfalls(x, a, win, stage, rho, "base")
             _record_shortfalls(xh, ah, win, stage, rho, "sw")
-        x, bill = advance_stage(scenario, x, a, stage, key, traj)
-        xh, bill_h = advance_stage(scenario, xh, ah, stage, key, traj)
+        # Equal aggregates from equal (grid, demand) states: one draw serves both.
+        draws = draw_stage(scenario, x, a.aggregate, stage, key, traj)
+        x, bill = advance_stage(scenario, x, a, stage, key, traj, draws)
+        xh, bill_h = advance_stage(scenario, xh, ah, stage, key, traj, draws)
         if (x.grid, x.demand) != (xh.grid, xh.demand):
             raise AggregateMismatchError(f"stage {stage}: exogenous paths diverged")
         base_costs.append(bill.charging + bill.penalty)
@@ -260,12 +262,13 @@ def certify_dominance(scenario: ScenarioModel, policy, n_cases: int, seed: int,
         state = draw_initial(scenario, key, case)
         found = None
         for t in range(max_scan):
+            action = policy.decide(state, t)
             if t >= min_stage:
-                pair = find_violation(policy, state, t, horizon_b)
+                # find_violation on the decision already made
+                pair = check_lllp_compliance(state, action, horizon_b)
                 if pair is not None:
                     found = (t, state, pair)
                     break
-            action = policy.decide(state, t)
             state, _ = advance_stage(scenario, state, action, t, key, case)
         if found is None:
             raise RuntimeError(

@@ -9,6 +9,7 @@ rollouts sharing a seed can be coupled sample-path by sample-path.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 from dataclasses import dataclass, field, replace
@@ -48,11 +49,14 @@ def _validate_row(row: Sequence[Fraction], what: str) -> tuple[Fraction, ...]:
 
 
 def sample_index(cdf_row: Sequence[float], u: float) -> int:
-    """Inverse-CDF draw using exactly one uniform."""
-    for i, c in enumerate(cdf_row):
-        if u < c:
-            return i
-    return len(cdf_row) - 1
+    """Inverse-CDF draw using exactly one uniform: the first index whose
+    (non-decreasing) cdf entry exceeds u, or the last index."""
+    return min(bisect.bisect_right(cdf_row, u), len(cdf_row) - 1)
+
+
+def _float_cdf(probabilities: Sequence[Fraction]) -> list[float]:
+    """Float CDF of an exact probability row, for `sample_index`."""
+    return np.cumsum([float(p) for p in probabilities]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +171,11 @@ class GridModel:
     def state_count(self) -> int:
         return len(self.values)
 
+    @functools.cached_property
+    def cdf_rows(self) -> list[list[list[float]]]:
+        """The float CDF of every kernel row, [s][A], for scalar draws."""
+        return self._cdf.tolist()
+
     def action_dim_covers(self, n_chargers: int) -> bool:
         if self.iid_uniform:
             return True
@@ -199,6 +208,10 @@ class GridModel:
         if pi is None:
             return tuple(Fraction(1, self.state_count) for _ in range(self.state_count))
         return pi
+
+    @functools.cached_property
+    def initial_cdf(self) -> list[float]:
+        return _float_cdf(self.initial_distribution)
 
 
 def _stationary_or_none(p: list[list[Fraction]]) -> tuple[Fraction, ...] | None:
@@ -272,10 +285,13 @@ class TabulatedArrivals:
     def zero_arrival_probability(self) -> Fraction:
         return sum((p for p, vs in self.outcomes if len(vs) == 0), Fraction(0))
 
+    @functools.cached_property
+    def cdf(self) -> list[float]:
+        return _float_cdf([p for p, _ in self.outcomes])
+
     def sample(self, key, traj: int, stage: int, max_stay: int) -> list[VehicleState]:
         u = streams.uniform(key, traj, stage, streams.OUTCOME)
-        cdf = np.cumsum([float(p) for p, _ in self.outcomes])
-        return list(self.outcomes[sample_index(cdf, u)][1])
+        return list(self.outcomes[sample_index(self.cdf, u)][1])
 
 
 ArrivalLaw = FixedCountArrivals | TabulatedArrivals
@@ -310,6 +326,14 @@ class DemandModel:
         if pi is None:
             return tuple(Fraction(1, self.state_count) for _ in range(self.state_count))
         return pi
+
+    @functools.cached_property
+    def initial_cdf(self) -> list[float]:
+        return _float_cdf(self.initial_distribution)
+
+    @functools.cached_property
+    def kernel_cdf(self) -> list[list[float]]:
+        return [_float_cdf(row) for row in self.kernel]
 
 
 def _period(p: list[list[Fraction]]) -> int:
@@ -381,7 +405,7 @@ def sample_grid(grid: GridModel, s: int, aggregate: int, key, traj: int, stage: 
     u = streams.uniform(key, traj, stage, streams.GRID)
     if grid.iid_uniform:
         return int(u * grid.state_count)
-    return sample_index(grid._cdf[s][aggregate], u)
+    return sample_index(grid.cdf_rows[s][aggregate], u)
 
 
 def sample_demand(demand: DemandModel, d: int, key, traj: int, stage: int,
@@ -394,8 +418,7 @@ def sample_demand(demand: DemandModel, d: int, key, traj: int, stage: int,
     """
     if demand.state_count > 1:
         u = streams.uniform(key, traj, stage, streams.DEMAND)
-        cdf = np.cumsum([float(p) for p in demand.kernel[d]])
-        d_next = sample_index(cdf, u)
+        d_next = sample_index(demand.kernel_cdf[d], u)
     else:
         d_next = d
     arrivals = demand.arrivals[d].sample(key, traj, stage, max_stay)
@@ -406,8 +429,11 @@ def admit(vehicles: Sequence[VehicleState], arrivals: Sequence[VehicleState]
           ) -> tuple[tuple[VehicleState, ...], int]:
     """Place arrivals on the lowest-index empty chargers in arrival order;
     count and drop the overflow."""
+    if not arrivals:
+        return tuple(vehicles), 0
     out = list(vehicles)
-    empties = [i for i, v in enumerate(out) if not v.present]
+    # Lazily, so the search stops at the last slot used.
+    empties = (i for i, (stay, _) in enumerate(out) if stay <= 0)
     placed = 0
     for slot, arrival in zip(empties, arrivals):
         out[slot] = arrival
@@ -425,14 +451,12 @@ def draw_initial(scenario: ScenarioModel, key, traj: int) -> SystemState:
         s0 = int(u * scenario.grid.state_count)
     else:
         u = streams.uniform(key, traj, 0, streams.INIT_GRID)
-        cdf = np.cumsum([float(p) for p in scenario.grid.initial_distribution])
-        s0 = sample_index(cdf, u)
+        s0 = sample_index(scenario.grid.initial_cdf, u)
     if scenario.initial_demand is not None:
         d0 = scenario.initial_demand
     else:
         u = streams.uniform(key, traj, 0, streams.INIT_DEMAND)
-        cdf = np.cumsum([float(p) for p in scenario.demand.initial_distribution])
-        d0 = sample_index(cdf, u)
+        d0 = sample_index(scenario.demand.initial_cdf, u)
     return scenario.empty_state(s0, d0)
 
 

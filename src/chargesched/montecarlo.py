@@ -4,7 +4,9 @@ Two engines produce bit-identical results:
 
 * a scalar reference engine (`run_trajectory`) that walks one trajectory with
   exact rational stage costs, used by the dominance certifier, the DP
-  consistency check, and anywhere clarity beats speed;
+  consistency check, and anywhere clarity beats speed.  A stage
+  (`advance_stage`) is the policy's part, `core.settle_stage`, plus the
+  exogenous draws, `draw_stage`, which coupled rollouts share;
 * a vectorized engine that advances all Monte Carlo trajectories of a cell in
   lock step, each held as counts of vehicles per (stay, need) type, used by
   `monte_carlo` / `figure_experiment` at benchmark scale.  The heuristics,
@@ -25,12 +27,12 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import streams
-from .core import ActionVector, SystemState, step_vehicles
+from .core import ActionVector, SystemState, VehicleState, settle_stage
 from .models import (CapacityCost, FixedCountArrivals, QuadraticLoadCost,
                      ScenarioModel, TabulatedArrivals, TableCost, admit,
                      capacity_scenario, draw_initial, sample_grid,
@@ -50,22 +52,46 @@ class StageBill:
     rejected: int
 
 
-def advance_stage(scenario: ScenarioModel, state: SystemState, action: ActionVector,
-                  stage: int, key, traj: int) -> tuple[SystemState, StageBill]:
-    """One stage-boundary step: pay the stage cost, process departures, then
-    admit the next stage's arrivals and move the grid/demand chains."""
-    action.check_feasible(state.vehicles)
-    charging = Fraction(scenario.grid.cost(action.aggregate, state.grid))
-    pen = Fraction(0)
-    for v, a in zip(state.vehicles, action.bits):
-        if v.stay == 1:
-            pen += scenario.penalty(v.need - a)
-    vehicles = step_vehicles(state.vehicles, action)
+class StageDraws(NamedTuple):
+    """The exogenous outcome of one stage: the arrival batch and the next
+    demand and grid states, drawn from (grid, demand) under `aggregate`."""
+    grid: int
+    demand: int
+    aggregate: int
+    arrivals: list[VehicleState]
+    next_grid: int
+    next_demand: int
+
+
+def draw_stage(scenario: ScenarioModel, state: SystemState, aggregate: int,
+               stage: int, key, traj: int) -> StageDraws:
+    """Everything a stage brings that the policy does not choose.  It depends
+    on the state only through (grid, demand) and on the action only through
+    its aggregate, so rollouts coupled on those can share it."""
     d_next, arrivals = sample_demand(scenario.demand, state.demand, key, traj,
                                      stage, scenario.max_stay)
-    vehicles, rejected = admit(vehicles, arrivals)
-    s_next = sample_grid(scenario.grid, state.grid, action.aggregate, key, traj, stage)
-    return (SystemState(vehicles, s_next, d_next),
+    s_next = sample_grid(scenario.grid, state.grid, aggregate, key, traj, stage)
+    return StageDraws(state.grid, state.demand, aggregate, arrivals, s_next, d_next)
+
+
+def advance_stage(scenario: ScenarioModel, state: SystemState, action: ActionVector,
+                  stage: int, key, traj: int,
+                  draws: StageDraws | None = None) -> tuple[SystemState, StageBill]:
+    """One stage-boundary step: pay the stage cost, process departures, then
+    admit the next stage's arrivals and move the grid/demand chains.
+
+    ``draws`` hands over this stage's `draw_stage` outcome when a coupled
+    rollout has already drawn it; by default the stage draws its own, from
+    the same addresses, so the result is the same either way."""
+    charging, pen, vehicles = settle_stage(state, action, scenario.grid.cost,
+                                           scenario.penalty)
+    if draws is None:
+        draws = draw_stage(scenario, state, action.aggregate, stage, key, traj)
+    elif draws[:3] != (state.grid, state.demand, action.aggregate):
+        raise ValueError("stage draws were made for another grid state, demand "
+                         "state or aggregate action")
+    vehicles, rejected = admit(vehicles, draws.arrivals)
+    return (SystemState(vehicles, draws.next_grid, draws.next_demand),
             StageBill(charging, pen, action.aggregate, rejected))
 
 
@@ -95,22 +121,23 @@ def run_trajectory(scenario: ScenarioModel, policy, stages: int, seed: int,
     state = draw_initial(scenario, key, traj)
     charging = Fraction(0)
     penalty = Fraction(0)
-    tail = Fraction(0)
+    head = Fraction(0)           # cost of the warm-up stages
     rejected = 0
     per_c: list[Fraction] = []
     per_p: list[Fraction] = []
     for t in range(stages):
+        if t == warmup:
+            head = charging + penalty
         action = policy.decide(state, t)
         state, bill = advance_stage(scenario, state, action, t, key, traj)
         charging += bill.charging
         penalty += bill.penalty
-        if t >= warmup:
-            tail += bill.charging + bill.penalty
         rejected += bill.rejected
         if record_stages:
             per_c.append(bill.charging)
             per_p.append(bill.penalty)
     total = charging + penalty
+    tail = total - head
     return TrajectoryResult(
         total_cost=total, stages=stages,
         time_average=float(tail) / (stages - warmup),
@@ -229,7 +256,7 @@ class _TypeCounts:
         types = np.zeros((len(sizes), max(sizes.max(initial=0), 1)), dtype=np.int64)
         for o, (_, vs) in enumerate(law.outcomes):
             types[o, :len(vs)] = [(v.stay - 1) * self.width + v.need for v in vs]
-        return types, sizes, np.cumsum([float(p) for p, _ in law.outcomes])
+        return types, sizes, np.array(law.cdf)
 
     def _init_exogenous(self):
         sc, n = self.sc, self.n
@@ -240,17 +267,14 @@ class _TypeCounts:
             if sc.grid.iid_uniform:
                 self.s_idx = (u * sc.grid.state_count).astype(np.int64)
             else:
-                cdf = np.cumsum([float(p) for p in sc.grid.initial_distribution])
-                self.s_idx = _inverse_cdf(cdf, u)
+                self.s_idx = _inverse_cdf(np.array(sc.grid.initial_cdf), u)
         if sc.initial_demand is not None:
             self.d_idx = np.full(n, sc.initial_demand, dtype=np.int64)
         else:
             u = streams.uniforms_batch(self.key, n, 0, streams.INIT_DEMAND, 1)[:, 0]
-            cdf = np.cumsum([float(p) for p in sc.demand.initial_distribution])
-            self.d_idx = _inverse_cdf(cdf, u)
+            self.d_idx = _inverse_cdf(np.array(sc.demand.initial_cdf), u)
         if sc.demand.state_count > 1:
-            self.demand_cdf = np.cumsum(
-                np.array([[float(p) for p in row] for row in sc.demand.kernel]), axis=1)
+            self.demand_cdf = np.array(sc.demand.kernel_cdf)
 
     def step(self, t: int):
         flat = self.counts.reshape(-1, self.n)
@@ -343,6 +367,7 @@ class MonteCarloResult:
     warmup: int
     seed: int
     rejected_mean: float
+    engine: str                   # "batch" (type counts) or "scalar" (run_trajectory)
 
 
 def _batch_averages(scenario, policy, stages, n_traj, seed, warmup):
@@ -364,13 +389,20 @@ def monte_carlo(scenario: ScenarioModel, policy, stages: int, n_traj: int,
                 base_seed: int, warmup: int = 20) -> MonteCarloResult:
     """Mean and standard error of warm-up-excluded time-averaged cost over
     n_traj independent trajectories; trajectory i draws from substreams
-    addressed by (base_seed, i)."""
+    addressed by (base_seed, i).
+
+    Both engines give the same numbers; ``engine`` on the result says which
+    one ran.  The type-count engine needs a `HeuristicPolicy` whose budget
+    carries ``budget_kind = "capacity"`` (see `_batch_supported`); anything
+    else runs `run_trajectory` once per trajectory, which at benchmark scale
+    is orders of magnitude slower."""
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
     if stages < 1:
         raise ValueError("need at least one stage")
     warmup = min(warmup, stages - 1)
-    if _batch_supported(scenario, policy, stages):
+    engine = "batch" if _batch_supported(scenario, policy, stages) else "scalar"
+    if engine == "batch":
         per, raw, rej = _batch_averages(scenario, policy, stages, n_traj,
                                         base_seed, warmup)
     else:
@@ -384,7 +416,7 @@ def monte_carlo(scenario: ScenarioModel, policy, stages: int, n_traj: int,
     return MonteCarloResult(mean=float(per.mean()), stderr=stderr, per_traj=per,
                             mean_raw=float(raw.mean()), n_traj=n_traj,
                             stages=stages, warmup=warmup, seed=base_seed,
-                            rejected_mean=float(rej.mean()))
+                            rejected_mean=float(rej.mean()), engine=engine)
 
 
 # ---------------------------------------------------------------------------

@@ -53,13 +53,15 @@ _KEYS = {"edf": _edf_key, "llsp": _llsp_key, "lllp": _lllp_key}
 
 def _rank_and_charge(state: SystemState, budget: ChargeBudgetRule, key) -> ActionVector:
     m = budget(state)
-    chargeable = state.chargeable_indices()
+    chargeable = state.unfinished
     if not 0 <= m <= len(chargeable):
         raise ValueError(f"budget {m} outside 0..V(x)={len(chargeable)}")
-    order = sorted(chargeable, key=lambda i: (*key(state.vehicles[i].stay,
-                                                   state.vehicles[i].need), i))
-    bits = [0] * len(state.vehicles)
-    for i in order[:m]:
+    vehicles = state.vehicles
+    # Nothing to rank when the budget covers every unfinished vehicle.
+    charged = chargeable if m == len(chargeable) else sorted(
+        chargeable, key=lambda i: (*key(*vehicles[i]), i))[:m]
+    bits = [0] * len(vehicles)
+    for i in charged:
         bits[i] = 1
     return ActionVector(tuple(bits))
 
@@ -109,7 +111,7 @@ def check_lllp_compliance(state: SystemState, action: ActionVector,
     """
     action.check_feasible(state.vehicles)
     charged = [i for i, b in enumerate(action.bits) if b == 1]
-    idle = [j for j in state.chargeable_indices() if action.bits[j] == 0]
+    idle = [j for j in state.unfinished if action.bits[j] == 0]
     for i in charged:
         for j in idle:
             if compare_priority(state.vehicles[i], state.vehicles[j],

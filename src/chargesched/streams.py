@@ -16,9 +16,19 @@ and each counter value yields a block of 4 uint64 outputs.  A batched driver can
 produce the draws for trajectories 0..n-1 of one (stage, source) cell with a
 single contiguous ``random_raw`` call, and a scalar driver recreates trajectory
 i's slice exactly by starting its counter at ``i * blocks_per_source``.
+
+Constructing a ``np.random.Philox`` costs several times more than the draw
+itself, so every thread keeps one generator (in a ``threading.local``) and
+each draw sets that generator's key and counter before reading from it.  The
+state it sets (key, counter, empty output buffer) is exactly the state of a
+freshly constructed ``Philox(key=key, counter=counter)``, so the outputs are
+the same bit for bit, and because no generator is shared between threads,
+concurrent draws never see each other's counters.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -54,9 +64,19 @@ def philox_key(seed: int) -> np.ndarray:
     return ss.generate_state(2, np.uint64)
 
 
+_local = threading.local()
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
+
+
 def _raw(key: np.ndarray, c0: int, stage: int, source: int, n_u64: int) -> np.ndarray:
-    counter = np.array([c0, stage, source, 0], dtype=np.uint64)
-    bg = np.random.Philox(key=key, counter=counter)
+    try:
+        bg = _local.philox
+    except AttributeError:
+        bg = _local.philox = np.random.Philox(0)   # keyed before every draw
+    bg.state = {"bit_generator": "Philox",
+                "state": {"counter": (c0, stage, source, 0), "key": key},
+                "buffer": _EMPTY_BUFFER, "buffer_pos": 4,
+                "has_uint32": 0, "uinteger": 0}
     return bg.random_raw(n_u64)
 
 
@@ -70,7 +90,9 @@ def uniforms(key: np.ndarray, traj: int, stage: int, source: int, n: int) -> np.
 
 
 def uniform(key: np.ndarray, traj: int, stage: int, source: int) -> float:
-    return float(uniforms(key, traj, stage, source, 1)[0])
+    """``uniforms(key, traj, stage, source, 1)[0]`` as a Python float."""
+    blocks = _BLOCKS[source]
+    return int(_raw(key, traj * blocks, stage, source, 1)[0]) * _U64_INV
 
 
 def uniforms_batch(key: np.ndarray, n_traj: int, stage: int, source: int,

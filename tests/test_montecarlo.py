@@ -178,3 +178,41 @@ def test_rate_monotonicity_under_shared_seeds():
                           base_seed=12)
         means.append(res.mean)
     assert all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
+
+
+def test_result_names_the_engine_that_ran():
+    from chargesched.policies import HeuristicPolicy
+    sc = capacity_scenario(4, num_chargers=25, capacity_range=(1, 6))
+    tagged = monte_carlo(sc, make_policy("lllp", sc), stages=30, n_traj=4, base_seed=3)
+    assert tagged.engine == "batch"
+    # The same rule without the budget_kind tag cannot be recognized.
+    untagged = HeuristicPolicy(
+        "lllp", lambda x: min(sc.grid.values[x.grid], x.unfinished_count))
+    res = monte_carlo(sc, untagged, stages=30, n_traj=4, base_seed=3)
+    assert res.engine == "scalar"
+    assert res.per_traj.tobytes() == tagged.per_traj.tobytes()
+    assert res.rejected_mean == tagged.rejected_mean
+
+
+def test_shared_stage_draws_match_own_draws_and_are_checked():
+    from chargesched import streams
+    from chargesched.core import ActionVector
+    from chargesched.models import draw_initial
+    from chargesched.montecarlo import advance_stage, draw_stage
+    sc = _two_demand_state_scenario()
+    pol = make_policy("lllp", sc)
+    key = streams.philox_key(8)
+    state = draw_initial(sc, key, 2)
+    mismatches = 0
+    for t in range(30):
+        action = pol.decide(state, t)
+        draws = draw_stage(sc, state, action.aggregate, t, key, 2)
+        shared = advance_stage(sc, state, action, t, key, 2, draws)
+        assert shared == advance_stage(sc, state, action, t, key, 2)
+        if action.aggregate:
+            idle = ActionVector((0,) * sc.num_chargers)
+            with pytest.raises(ValueError, match="another grid state"):
+                advance_stage(sc, state, idle, t, key, 2, draws)
+            mismatches += 1
+        state = shared[0]
+    assert mismatches > 0
