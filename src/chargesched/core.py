@@ -169,9 +169,6 @@ class SystemState:
         """V(x): vehicles still owed charge (the only ones worth charging)."""
         return len(self.unfinished)
 
-    def chargeable_indices(self) -> list[int]:
-        return list(self.unfinished)
-
 
 def settle_stage(state: SystemState, action: ActionVector, cost_fn,
                  penalty: PenaltyFunction
@@ -209,8 +206,7 @@ def stage_cost(state: SystemState, action: ActionVector, cost_fn, penalty: Penal
     ``cost_fn`` maps (aggregate count, grid index) to a Fraction.
     """
     action.check_feasible(state.vehicles)
-    charging, pen = _charges(state, action, cost_fn, penalty)
-    return charging + pen
+    return sum(_charges(state, action, cost_fn, penalty))
 
 
 def step_vehicles(vehicles: Sequence[VehicleState], action: ActionVector) -> tuple[VehicleState, ...]:

@@ -30,8 +30,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from . import linalg
-from .core import (ActionVector, EMPTY, SystemState, VehicleState, stage_cost,
-                   step_vehicles)
+from .core import ActionVector, EMPTY, SystemState, VehicleState, settle_stage
 from .models import ScenarioModel, TabulatedArrivals, admit
 from .policies import check_lllp_compliance
 
@@ -199,12 +198,12 @@ def enumerate_mdp(scenario: ScenarioModel,
         c_row = []
         t_row = []
         for a in acts:
-            c_row.append(stage_cost(x, a, cost_fn, q))
+            charging, pen, stepped = settle_stage(x, a, cost_fn, q)
+            c_row.append(charging + pen)
             key = (x.grid, a.aggregate, x.demand)
             law = laws.get(key)
             if law is None:
                 law = laws[key] = _exogenous_law(scenario, *key)
-            stepped = step_vehicles(x.vehicles, a)
             dist: dict[int, Fraction] = {}
             for arrivals, moves in law:
                 # States are ordered fleet-major, then grid, then demand.

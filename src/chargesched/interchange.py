@@ -24,7 +24,7 @@ from . import streams
 from .core import (ActionVector, PriorityOrdering, SystemState, VehicleState,
                    compare_priority)
 from .models import ScenarioModel, draw_initial
-from .montecarlo import advance_stage, draw_stage
+from .montecarlo import advance_stage
 from .policies import check_lllp_compliance
 
 
@@ -149,10 +149,8 @@ def coupled_rollout(scenario: ScenarioModel, base_policy, other,
         if win is not None:
             _record_shortfalls(x, a, win, stage, rho, "base")
             _record_shortfalls(xh, ah, win, stage, rho, "sw")
-        # Equal aggregates from equal (grid, demand) states: one draw serves both.
-        draws = draw_stage(scenario, x, a.aggregate, stage, key, traj)
-        x, bill = advance_stage(scenario, x, a, stage, key, traj, draws)
-        xh, bill_h = advance_stage(scenario, xh, ah, stage, key, traj, draws)
+        x, bill = advance_stage(scenario, x, a, stage, key, traj)
+        xh, bill_h = advance_stage(scenario, xh, ah, stage, key, traj)
         if (x.grid, x.demand) != (xh.grid, xh.demand):
             raise AggregateMismatchError(f"stage {stage}: exogenous paths diverged")
         base_costs.append(bill.charging + bill.penalty)

@@ -4,9 +4,7 @@ Two engines produce bit-identical results:
 
 * a scalar reference engine (`run_trajectory`) that walks one trajectory with
   exact rational stage costs, used by the dominance certifier, the DP
-  consistency check, and anywhere clarity beats speed.  A stage
-  (`advance_stage`) is the policy's part, `core.settle_stage`, plus the
-  exogenous draws, `draw_stage`, which coupled rollouts share;
+  consistency check, and anywhere clarity beats speed;
 * a vectorized engine that advances all Monte Carlo trajectories of a cell in
   lock step, each held as counts of vehicles per (stay, need) type, used by
   `monte_carlo` / `figure_experiment` at benchmark scale.  The heuristics,
@@ -27,12 +25,12 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import streams
-from .core import ActionVector, SystemState, VehicleState, settle_stage
+from .core import ActionVector, SystemState, settle_stage
 from .models import (CapacityCost, FixedCountArrivals, QuadraticLoadCost,
                      ScenarioModel, TabulatedArrivals, TableCost, admit,
                      capacity_scenario, draw_initial, sample_grid,
@@ -52,46 +50,17 @@ class StageBill:
     rejected: int
 
 
-class StageDraws(NamedTuple):
-    """The exogenous outcome of one stage: the arrival batch and the next
-    demand and grid states, drawn from (grid, demand) under `aggregate`."""
-    grid: int
-    demand: int
-    aggregate: int
-    arrivals: list[VehicleState]
-    next_grid: int
-    next_demand: int
-
-
-def draw_stage(scenario: ScenarioModel, state: SystemState, aggregate: int,
-               stage: int, key, traj: int) -> StageDraws:
-    """Everything a stage brings that the policy does not choose.  It depends
-    on the state only through (grid, demand) and on the action only through
-    its aggregate, so rollouts coupled on those can share it."""
-    d_next, arrivals = sample_demand(scenario.demand, state.demand, key, traj,
-                                     stage, scenario.max_stay)
-    s_next = sample_grid(scenario.grid, state.grid, aggregate, key, traj, stage)
-    return StageDraws(state.grid, state.demand, aggregate, arrivals, s_next, d_next)
-
-
 def advance_stage(scenario: ScenarioModel, state: SystemState, action: ActionVector,
-                  stage: int, key, traj: int,
-                  draws: StageDraws | None = None) -> tuple[SystemState, StageBill]:
+                  stage: int, key, traj: int) -> tuple[SystemState, StageBill]:
     """One stage-boundary step: pay the stage cost, process departures, then
-    admit the next stage's arrivals and move the grid/demand chains.
-
-    ``draws`` hands over this stage's `draw_stage` outcome when a coupled
-    rollout has already drawn it; by default the stage draws its own, from
-    the same addresses, so the result is the same either way."""
+    admit the next stage's arrivals and move the grid/demand chains."""
     charging, pen, vehicles = settle_stage(state, action, scenario.grid.cost,
                                            scenario.penalty)
-    if draws is None:
-        draws = draw_stage(scenario, state, action.aggregate, stage, key, traj)
-    elif draws[:3] != (state.grid, state.demand, action.aggregate):
-        raise ValueError("stage draws were made for another grid state, demand "
-                         "state or aggregate action")
-    vehicles, rejected = admit(vehicles, draws.arrivals)
-    return (SystemState(vehicles, draws.next_grid, draws.next_demand),
+    d_next, arrivals = sample_demand(scenario.demand, state.demand, key, traj,
+                                     stage, scenario.max_stay)
+    vehicles, rejected = admit(vehicles, arrivals)
+    s_next = sample_grid(scenario.grid, state.grid, action.aggregate, key, traj, stage)
+    return (SystemState(vehicles, s_next, d_next),
             StageBill(charging, pen, action.aggregate, rejected))
 
 

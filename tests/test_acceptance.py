@@ -283,7 +283,7 @@ def test_property_coupling_soundness():
 
         def decide(self, state, stage):
             k = min(stage, 3)
-            idxs = state.chargeable_indices()
+            idxs = state.unfinished
             chosen = (idxs[:k] if self.from_front else idxs[-k:]) if k else []
             bits = [0] * len(state.vehicles)
             for i in chosen:

@@ -138,7 +138,7 @@ class _ChargeEnds:
 
     def decide(self, state, stage):
         k = self.counts(stage)
-        idxs = state.chargeable_indices()
+        idxs = state.unfinished
         chosen = idxs[:k] if self.from_front else idxs[-k:] if k else []
         bits = [0] * len(state.vehicles)
         for i in chosen:
@@ -180,6 +180,26 @@ def test_aggregate_mismatch_is_hard_failure():
     state = draw_initial(sc, streams.philox_key(0), 0)
     with pytest.raises(AggregateMismatchError):
         coupled_rollout(sc, front, fewer, state, 10, seed=0)
+
+
+def test_diverged_exogenous_paths_are_hard_failure(monkeypatch):
+    # the swapped rollout draws trajectory 1's randomness instead of 0's
+    import chargesched.interchange as interchange
+    from chargesched.models import draw_initial
+    from chargesched import streams
+    real = interchange.advance_stage
+    calls = []
+
+    def skewed(scenario, state, action, stage, key, traj):
+        calls.append(stage)
+        return real(scenario, state, action, stage, key, traj + len(calls) % 2 - 1)
+
+    sc = capacity_scenario(5, num_chargers=4)
+    pol = make_policy("edf", sc)
+    state = draw_initial(sc, streams.philox_key(0), 1)
+    monkeypatch.setattr(interchange, "advance_stage", skewed)
+    with pytest.raises(AggregateMismatchError, match="diverged"):
+        coupled_rollout(sc, pol, pol, state, 40, seed=0, traj=1)
 
 
 def test_certify_dominance_small_runs():

@@ -193,26 +193,3 @@ def test_result_names_the_engine_that_ran():
     assert res.per_traj.tobytes() == tagged.per_traj.tobytes()
     assert res.rejected_mean == tagged.rejected_mean
 
-
-def test_shared_stage_draws_match_own_draws_and_are_checked():
-    from chargesched import streams
-    from chargesched.core import ActionVector
-    from chargesched.models import draw_initial
-    from chargesched.montecarlo import advance_stage, draw_stage
-    sc = _two_demand_state_scenario()
-    pol = make_policy("lllp", sc)
-    key = streams.philox_key(8)
-    state = draw_initial(sc, key, 2)
-    mismatches = 0
-    for t in range(30):
-        action = pol.decide(state, t)
-        draws = draw_stage(sc, state, action.aggregate, t, key, 2)
-        shared = advance_stage(sc, state, action, t, key, 2, draws)
-        assert shared == advance_stage(sc, state, action, t, key, 2)
-        if action.aggregate:
-            idle = ActionVector((0,) * sc.num_chargers)
-            with pytest.raises(ValueError, match="another grid state"):
-                advance_stage(sc, state, idle, t, key, 2, draws)
-            mismatches += 1
-        state = shared[0]
-    assert mismatches > 0
