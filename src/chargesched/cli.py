@@ -27,13 +27,16 @@ class UsageError(Exception):
 
 
 def _parse_rates(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise UsageError(f"empty rate range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(r) for r in text.split(",") if r != ""]
+    try:
+        if ":" in text:
+            lo, hi = map(int, text.split(":", 1))
+            if hi < lo:
+                raise UsageError(f"empty rate range {text!r}")
+            return list(range(lo, hi + 1))
+        return [int(r) for r in text.split(",") if r != ""]
+    except ValueError:
+        raise UsageError(f"bad --rates {text!r}: expected lo:hi or a comma list "
+                         "of integers") from None
 
 
 def _load_scenario(path: str) -> models.ScenarioModel:
@@ -58,6 +61,8 @@ def cmd_simulate(args) -> int:
         raise UsageError("--n-traj must be >= 1")
     if args.T < 1:
         raise UsageError("--T must be >= 1")
+    if args.warmup < 0:
+        raise UsageError("--warmup must be >= 0")
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     for p in policies:
         if p not in POLICY_NAMES:

@@ -11,9 +11,16 @@ stationary deterministic policies, and a projection that rewrites an optimal
 policy into one that never charges a vehicle while idling a strictly
 higher-priority one, checking at every swap that the swapped action still
 attains the Bellman minimum.  The exact stationary solves use fraction-free
-integer elimination (`linalg.solve`); enumeration computes the joint law of
-arrivals and next grid and demand states once per (grid state, aggregate
-action, demand state).
+integer elimination (`linalg.solve`).
+
+Enumeration runs fleet by fleet.  Each (fleet, action) is settled once by
+`core.settle_stage`, whose penalty and stepped fleet hold for all of the
+fleet's grid and demand states; only the charging cost depends on the grid
+state.  The joint law of arrivals and next grid and demand states is
+computed once per (grid state, aggregate action, demand state), `admit` runs
+once per (stepped fleet, arrival batch), and each transition row is built
+once per (stepped fleet, grid state, aggregate action, demand state) and
+shared by every state-action pair that leads to it.
 """
 
 from __future__ import annotations
@@ -57,6 +64,9 @@ class ProjectionError(RuntimeError):
 
 @dataclass
 class EnumeratedMDP:
+    # enumerate_mdp shares list objects between states (one action list per
+    # fleet, one cost row per fleet and grid state, one transition row per
+    # stepped fleet and exogenous law): read them, never mutate them.
     scenario: ScenarioModel
     states: list[SystemState]
     index: dict[SystemState, int]
@@ -77,23 +87,32 @@ class EnumeratedMDP:
         pairs x states transition matrix."""
         starts = np.zeros(self.n_states + 1, dtype=np.int64)
         np.cumsum([len(acts) for acts in self.actions], out=starts[1:])
-        # One row per state-action pair; each row's targets are distinct and
-        # sorted, so the CSR arrays are filled directly.
+        # One matrix row per state-action pair.  Enumeration shares row
+        # objects among pairs, so each distinct row is converted once and the
+        # pairs gather their entries from it; the targets of a row are
+        # distinct and sorted, so the CSR arrays are filled directly.
         pairs = [moves for per_action in self.transitions for moves in per_action]
+        distinct = {id(moves): moves for moves in pairs}
+        where = {key: k for k, key in enumerate(distinct)}
+        which = np.array([where[id(moves)] for moves in pairs], dtype=np.int64)
+        first = np.zeros(len(distinct) + 1, dtype=np.int64)
+        np.cumsum([len(moves) for moves in distinct.values()], out=first[1:])
+        lengths = np.diff(first)[which]
         indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
-        np.cumsum([len(moves) for moves in pairs], out=indptr[1:])
-        cols = [y for moves in pairs for y, _ in moves]
-        probs = _to_floats([pr for moves in pairs for _, pr in moves])
-        mat = sp.csr_matrix((probs, cols, indptr), shape=(len(pairs), self.n_states))
-        cost = np.array([float(c) for row in self.costs for c in row])
+        np.cumsum(lengths, out=indptr[1:])
+        gather = np.arange(indptr[-1]) + np.repeat(first[which] - indptr[:-1], lengths)
+        cols = np.array([y for moves in distinct.values() for y, _ in moves], dtype=np.int64)
+        probs = np.array(_to_floats([pr for moves in distinct.values() for _, pr in moves]))
+        mat = sp.csr_matrix((probs[gather], cols[gather], indptr),
+                            shape=(len(pairs), self.n_states))
+        cost = np.array(_to_floats([c for row in self.costs for c in row]))
         return starts, cost, mat
 
 
 def _to_floats(values: list[Fraction]) -> list[float]:
     """float() of each value, computed once per distinct object: enumeration
-    shares one Fraction among many transition entries (on the 4,802-state
-    instance some 2,600 objects fill 170k entries), and a lookup by id()
-    costs less than float() of a Fraction, or than its hash."""
+    shares Fraction objects among many costs and transition entries, and a
+    lookup by id() costs less than float() of a Fraction, or than its hash."""
     floats = {id(v): v for v in values}
     floats = {k: float(v) for k, v in floats.items()}
     return [floats[id(v)] for v in values]
@@ -160,7 +179,9 @@ def enumerate_mdp(scenario: ScenarioModel,
     """Materialize the full state lattice with exact transition probabilities.
 
     Requires tabulated arrival laws (exact probabilities); fails if the
-    lattice would exceed the ceiling.
+    lattice would exceed the ceiling.  Works fleet by fleet, sharing each
+    transition row among the state-action pairs that reach it (see the
+    module docstring).
     """
     n_lattice = lattice_size(scenario)
     if n_lattice > ceiling:
@@ -173,10 +194,9 @@ def enumerate_mdp(scenario: ScenarioModel,
     fleets = list(itertools.product(_charger_states(scenario),
                                     repeat=scenario.num_chargers))
     fleet_index = {v: k for k, v in enumerate(fleets)}
-    n_exo = scenario.grid.state_count * scenario.demand.state_count
+    n_grid, n_demand = scenario.grid.state_count, scenario.demand.state_count
     states = [SystemState(v, s, d) for v in fleets
-              for s in range(scenario.grid.state_count)
-              for d in range(scenario.demand.state_count)]
+              for s in range(n_grid) for d in range(n_demand)]
     index = {x: k for k, x in enumerate(states)}
 
     sbar = scenario.grid.special_state()
@@ -187,37 +207,70 @@ def enumerate_mdp(scenario: ScenarioModel,
                                         scenario.initial_demand or 0)]
 
     cost_fn = scenario.grid.cost
-    q = scenario.penalty
-    laws: dict[tuple[int, int, int], tuple] = {}
+    totals: dict[tuple[int, int, int], list[Fraction]] = {}
+    rows = _TransitionRows(scenario, fleets, fleet_index)
     actions: list[list[ActionVector]] = []
     costs: list[list[Fraction]] = []
     transitions: list[list[list[tuple[int, Fraction]]]] = []
-    for x in states:
-        acts = _feasible_actions(x.vehicles)
-        actions.append(acts)
-        c_row = []
-        t_row = []
+    by_pattern: dict[tuple[bool, ...], list[ActionVector]] = {}
+    for fleet in fleets:
+        pattern = tuple([need > 0 for _, need in fleet])
+        acts = by_pattern.get(pattern)
+        if acts is None:
+            acts = by_pattern[pattern] = _feasible_actions(fleet)
+        x = SystemState(fleet, 0, 0)    # only the penalty and the step are kept
+        settled = []    # (stepped fleet, aggregate, stage cost per grid state)
         for a in acts:
-            charging, pen, stepped = settle_stage(x, a, cost_fn, q)
-            c_row.append(charging + pen)
-            key = (x.grid, a.aggregate, x.demand)
-            law = laws.get(key)
-            if law is None:
-                law = laws[key] = _exogenous_law(scenario, *key)
-            dist: dict[int, Fraction] = {}
-            for arrivals, moves in law:
-                # States are ordered fleet-major, then grid, then demand.
-                base = fleet_index[admit(stepped, arrivals)[0]] * n_exo
-                for offset, p in moves:
-                    y = base + offset
-                    prev = dist.get(y)
-                    dist[y] = p if prev is None else prev + p
-            t_row.append(sorted(dist.items()))
-        costs.append(c_row)
-        transitions.append(t_row)
+            _, pen, stepped = settle_stage(x, a, cost_fn, scenario.penalty)
+            key = (a.aggregate, pen.numerator, pen.denominator)  # cheaper to hash than pen
+            if key not in totals:
+                totals[key] = [Fraction(cost_fn(a.aggregate, s)) + pen
+                               for s in range(n_grid)]
+            settled.append((fleet_index[stepped], a.aggregate, totals[key]))
+        for s in range(n_grid):
+            c_row = [by_grid[s] for _, _, by_grid in settled]
+            for d in range(n_demand):
+                actions.append(acts)
+                costs.append(c_row)
+                transitions.append([rows[y, s, agg, d] for y, agg, _ in settled])
     return EnumeratedMDP(scenario=scenario, states=states, index=index,
                          actions=actions, costs=costs, transitions=transitions,
                          special_state=anchor, assumption_notes=notes)
+
+
+class _TransitionRows(dict):
+    """Transition rows keyed by (stepped fleet index, grid state, aggregate,
+    demand state), each built on first use.  States are ordered fleet-major,
+    then grid, then demand, so a successor's index is its fleet's index times
+    G * D plus an offset; `admit` runs once per (stepped fleet, arrival
+    batch)."""
+
+    def __init__(self, scenario: ScenarioModel, fleets: list, fleet_index: dict):
+        super().__init__()
+        self.scenario = scenario
+        self.fleets = fleets
+        self.fleet_index = fleet_index
+        self.n_exo = scenario.grid.state_count * scenario.demand.state_count
+        self.laws: dict[tuple[int, int, int], tuple] = {}
+        self.bases: dict[tuple[int, tuple], int] = {}
+
+    def __missing__(self, key: tuple[int, int, int, int]) -> list[tuple[int, Fraction]]:
+        stepped, law_key = key[0], key[1:]
+        law = self.laws.get(law_key)
+        if law is None:
+            law = self.laws[law_key] = _exogenous_law(self.scenario, *law_key)
+        dist: dict[int, Fraction] = {}
+        for arrivals, moves in law:
+            base = self.bases.get((stepped, arrivals))
+            if base is None:
+                admitted = admit(self.fleets[stepped], arrivals)[0]
+                base = self.bases[stepped, arrivals] = self.fleet_index[admitted] * self.n_exo
+            for offset, p in moves:
+                y = base + offset
+                prev = dist.get(y)
+                dist[y] = p if prev is None else prev + p
+        row = self[key] = sorted(dist.items())
+        return row
 
 
 # ---------------------------------------------------------------------------

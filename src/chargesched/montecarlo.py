@@ -85,6 +85,8 @@ def run_trajectory(scenario: ScenarioModel, policy, stages: int, seed: int,
     (scenario, policy, stages, seed, traj)."""
     if stages < 1:
         raise ValueError("need at least one stage")
+    if warmup < 0:
+        raise ValueError("warm-up must be >= 0")
     warmup = min(warmup, stages - 1)
     key = streams.philox_key(seed)
     state = draw_initial(scenario, key, traj)
@@ -369,6 +371,8 @@ def monte_carlo(scenario: ScenarioModel, policy, stages: int, n_traj: int,
         raise ValueError("need at least one trajectory")
     if stages < 1:
         raise ValueError("need at least one stage")
+    if warmup < 0:
+        raise ValueError("warm-up must be >= 0")
     warmup = min(warmup, stages - 1)
     engine = "batch" if _batch_supported(scenario, policy, stages) else "scalar"
     if engine == "batch":

@@ -44,6 +44,19 @@ def test_simulate_usage_errors(tmp_path):
                  "--seed", "1", "--out", out]) == 2
 
 
+@pytest.mark.parametrize("extra, reason", [
+    (["--warmup", "-5"], "--warmup must be >= 0"),
+    (["--rates", "5:x"], "bad --rates '5:x'"),
+    (["--rates", "5,x"], "bad --rates '5,x'"),
+])
+def test_simulate_bad_option_exits_2(tmp_path, capsys, extra, reason):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--scenario", BENCHMARK, "--seed", "1", "--T", "5",
+                 "--n-traj", "2", "--out", str(out)] + extra) == 2
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_refuses_rates_without_fixed_count_law(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["simulate", "--scenario", TINY, "--rates", "1,9", "--seed", "1",

@@ -1,12 +1,16 @@
 import hashlib
+import itertools
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargesched import linalg
 from chargesched.core import (ActionVector, PenaltyFunction, SystemState,
-                              VehicleState)
+                              VehicleState, settle_stage)
 from chargesched.exactdp import (DPSolution, EnumeratedMDP, NonConvergenceError,
                                  ProjectionError, StateCeilingExceeded,
                                  TabularPolicy, brute_force_optimal_gain,
@@ -16,7 +20,7 @@ from chargesched.exactdp import (DPSolution, EnumeratedMDP, NonConvergenceError,
                                  recurrent_classes, relative_value_iteration,
                                  verify_constant_gain)
 from chargesched.models import (DemandModel, GridModel, ScenarioModel,
-                                TableCost, TabulatedArrivals,
+                                TableCost, TabulatedArrivals, admit,
                                 capacity_scenario, multichain_fixture,
                                 two_charger_scenario)
 
@@ -273,15 +277,117 @@ def _generated_scenario(num_chargers):
         penalty=PenaltyFunction.quadratic(2), initial_grid=0, initial_demand=0)
 
 
+def _digest(mdp):
+    return hashlib.sha256(repr((mdp.costs, mdp.transitions)).encode()).hexdigest()
+
+
 def test_generated_three_charger_pipeline_is_pinned():
     # Reference figures: any change to the enumerated MDP or the exact gains
     # of the value-iteration policy and its projection shows here.
     mdp = enumerate_mdp(_generated_scenario(3))
     assert mdp.n_states == 686
     assert sum(len(acts) for acts in mdp.actions) == 2662
-    digest = hashlib.sha256(repr((mdp.costs, mdp.transitions)).encode()).hexdigest()
-    assert digest == "f45e77fae5e89747f0739dfec87a3e629b40994a66908560f0a13abf8da2a251"
+    assert _digest(mdp) == "f45e77fae5e89747f0739dfec87a3e629b40994a66908560f0a13abf8da2a251"
     sol = relative_value_iteration(mdp)
     assert exact_policy_gain(mdp, sol.policy) == Fraction(544, 1729)
     proj = lllp_projection(mdp, sol)
     assert exact_policy_gain(mdp, proj.policy) == Fraction(544, 1729)
+
+
+def _two_demand_scenario():
+    """N = 2, B = E = 2: two grid states whose kernel and cost depend on the
+    aggregate action, and two demand states with different arrival laws; the
+    second law's three-vehicle batch overflows the two chargers."""
+    third = Fraction(1, 3)
+    grid = GridModel(
+        values=(0, 1),
+        kernel=(((Fraction(3, 4), Fraction(1, 4)), (HALF, HALF), (Fraction(1, 4), Fraction(3, 4))),
+                ((Fraction(2, 3), third), (third, Fraction(2, 3)), (Fraction(0), ONE))),
+        cost=TableCost(((Fraction(0), Fraction(0)), (ONE, Fraction(2)),
+                        (Fraction(5, 2), Fraction(5)))))
+    demand = DemandModel(
+        kernel=((Fraction(2, 3), third), (HALF, HALF)),
+        arrivals=(TabulatedArrivals(((HALF, ()), (HALF, (VehicleState(2, 1),)))),
+                  TabulatedArrivals(((third, ()),
+                                     (third, (VehicleState(1, 1), VehicleState(2, 2))),
+                                     (third, (VehicleState(2, 1), VehicleState(1, 2),
+                                              VehicleState(2, 2)))))))
+    return ScenarioModel(name="two-demand", num_chargers=2, max_stay=2, max_units=2,
+                         grid=grid, demand=demand, penalty=PenaltyFunction((0, 1, 3)),
+                         initial_grid=0, initial_demand=0)
+
+
+def test_two_grid_two_demand_enumeration_is_pinned():
+    # Every other pinned instance has one demand state; this one fixes the
+    # order of grid and demand states within a fleet, and an overflowing batch.
+    mdp = enumerate_mdp(_two_demand_scenario())
+    assert mdp.n_states == 196
+    assert sum(len(acts) for acts in mdp.actions) == 484
+    assert _digest(mdp) == "a4155639e0d868261bc9cca2178593300369938b7562862467bf6f5b5675a70a"
+    sol = relative_value_iteration(mdp)
+    assert exact_policy_gain(mdp, sol.policy) == Fraction(4354363, 5073930)
+    assert exact_policy_gain(mdp, lllp_projection(mdp, sol).policy) == Fraction(4354363, 5073930)
+
+
+def test_generated_four_charger_enumeration_is_pinned():
+    mdp = enumerate_mdp(_generated_scenario(4))
+    assert mdp.n_states == 4802
+    assert sum(len(acts) for acts in mdp.actions) == 29282
+    assert _digest(mdp) == "e4b976a18509a76a6cb450309839dbe9158e95ea525efc0170ae33788f32dc4c"
+
+
+@st.composite
+def _law_rows(draw, n):
+    """A probability row of length n, zeros allowed."""
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                   .filter(lambda w: sum(w) > 0))
+    return tuple(Fraction(w, sum(weights)) for w in weights)
+
+
+@st.composite
+def small_scenarios(draw):
+    n, b, e = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    n_grid, n_demand = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    increments = sorted(draw(st.lists(st.integers(0, 3), min_size=e, max_size=e)))
+    grid = GridModel(
+        values=tuple(range(n_grid)),
+        kernel=tuple(tuple(draw(_law_rows(n_grid)) for _ in range(n + 1))
+                     for _ in range(n_grid)),
+        cost=TableCost(tuple(tuple(Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 3)))
+                                   for _ in range(n_grid)) for _ in range(n + 1))))
+    vehicles = st.builds(VehicleState, st.integers(1, b), st.integers(0, e))
+    laws = []
+    for _ in range(n_demand):
+        batches = draw(st.lists(st.lists(vehicles, max_size=3).map(tuple),
+                                min_size=1, max_size=3))
+        laws.append(TabulatedArrivals(tuple(zip(draw(_law_rows(len(batches))), batches))))
+    demand = DemandModel(kernel=tuple(draw(_law_rows(n_demand)) for _ in range(n_demand)),
+                         arrivals=tuple(laws))
+    return ScenarioModel(
+        name="hypothesis", num_chargers=n, max_stay=b, max_units=e, grid=grid,
+        demand=demand, penalty=PenaltyFunction(list(itertools.accumulate([0] + increments))),
+        initial_grid=0, initial_demand=0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_scenarios())
+def test_enumeration_matches_direct_per_state_computation(sc):
+    mdp = enumerate_mdp(sc)
+    assert len(mdp.states) == lattice_size(sc)
+    assert all(mdp.index[x] == k for k, x in enumerate(mdp.states))
+    for k, x in enumerate(mdp.states):
+        choices = [(0, 1) if v.need > 0 else (0,) for v in x.vehicles]
+        assert mdp.actions[k] == [ActionVector(bits) for bits in itertools.product(*choices)]
+        for a, cost, row in zip(mdp.actions[k], mdp.costs[k], mdp.transitions[k], strict=True):
+            charging, penalty, stepped = settle_stage(x, a, sc.grid.cost, sc.penalty)
+            assert type(cost) is Fraction and cost == charging + penalty
+            dist = defaultdict(Fraction)
+            for p_arr, batch in sc.demand.arrivals[x.demand].outcomes:
+                fleet = admit(stepped, batch)[0]
+                for s2, p_grid in enumerate(sc.grid.row(x.grid, a.aggregate)):
+                    for d2, p_demand in enumerate(sc.demand.kernel[x.demand]):
+                        if p_arr * p_grid * p_demand:
+                            y = mdp.index[SystemState(fleet, s2, d2)]
+                            dist[y] += p_arr * p_grid * p_demand
+            assert row == sorted(dist.items())
+            assert all(type(y) is int and type(p) is Fraction for y, p in row)

@@ -114,6 +114,10 @@ def test_monte_carlo_input_validation():
         monte_carlo(sc, make_policy("edf", sc), stages=30, n_traj=0, base_seed=4)
     with pytest.raises(ValueError):
         monte_carlo(sc, make_policy("edf", sc), stages=0, n_traj=2, base_seed=4)
+    with pytest.raises(ValueError, match="warm-up"):
+        monte_carlo(sc, make_policy("edf", sc), stages=30, n_traj=2, base_seed=4, warmup=-5)
+    with pytest.raises(ValueError, match="warm-up"):
+        run_trajectory(sc, make_policy("edf", sc), stages=30, seed=4, warmup=-1)
 
 
 @pytest.fixture(scope="module")
