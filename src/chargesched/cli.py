@@ -10,6 +10,7 @@ output files byte for byte, because all randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -64,10 +65,14 @@ def cmd_simulate(args) -> int:
     if args.warmup < 0:
         raise UsageError("--warmup must be >= 0")
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    if not policies:
+        raise UsageError(f"--policies {args.policies!r} selects no policy")
     for p in policies:
         if p not in POLICY_NAMES:
             raise UsageError(f"unknown policy {p!r}; choose from {POLICY_NAMES}")
     rates = _parse_rates(args.rates)
+    if not rates:
+        raise UsageError(f"--rates {args.rates!r} selects no arrival rate")
     if any(r < 0 for r in rates):
         raise UsageError("arrival rates must be non-negative")
     try:    # refuses a scenario that has no arrival rate to set
@@ -109,16 +114,17 @@ def cmd_verify_dominance(args) -> int:
 
 def cmd_solve_exact(args) -> int:
     scenario = _load_scenario(args.scenario)
+    if args.max_iter < 1:
+        raise UsageError("--max-iter must be >= 1")
+    if not args.tol > 0:
+        raise UsageError("--tol must be > 0")
     _echo_config(args)
     try:
         mdp = exactdp.enumerate_mdp(scenario, ceiling=args.ceiling)
-    except exactdp.StateCeilingExceeded as exc:
+    except ValueError as exc:    # StateCeilingExceeded included
         raise UsageError(str(exc)) from None
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if mdp.assumption_notes:
-        for note in mdp.assumption_notes:
-            print(f"assumption warning: {note}", file=sys.stderr)
+    for note in mdp.assumption_notes:
+        print(f"assumption warning: {note}", file=sys.stderr)
     try:
         solution = exactdp.relative_value_iteration(mdp, tol=args.tol,
                                                     max_iter=args.max_iter)
@@ -135,10 +141,7 @@ def cmd_solve_exact(args) -> int:
         return EXIT_FAILURE
     projection = exactdp.lllp_projection(mdp, solution)
     exactdp.export_solution(mdp, solution, args.out)
-    compliant = exactdp.DPSolution(
-        gain=solution.gain, h=solution.h, policy=projection.policy,
-        residual=solution.residual, iterations=solution.iterations,
-        converged=solution.converged)
+    compliant = dataclasses.replace(solution, policy=projection.policy)
     root, ext = os.path.splitext(args.out)
     compliant_path = f"{root}.lllp{ext or '.json'}"
     exactdp.export_solution(mdp, compliant, compliant_path)
@@ -153,8 +156,7 @@ def _report_gain_classes(mdp, file) -> None:
     import numpy as np
     policy = np.zeros(mdp.n_states, dtype=np.int64)
     classes = exactdp.recurrent_classes(mdp, policy)
-    gains = [float(exactdp.class_gain(mdp, policy, cls, exact=False))
-             for cls in classes]
+    gains = [exactdp.class_gain(mdp, policy, cls) for cls in classes]
     print(f"  {len(classes)} recurrent classes with gains {gains}", file=file)
 
 

@@ -27,10 +27,6 @@ class VehicleState(NamedTuple):
     def present(self) -> bool:
         return self.stay > 0
 
-    @property
-    def chargeable(self) -> bool:
-        return self.need > 0
-
 
 EMPTY = VehicleState(0, 0)
 _need = itemgetter(1)
@@ -155,10 +151,6 @@ class SystemState:
     grid: int
     demand: int
 
-    @property
-    def present_count(self) -> int:
-        return sum(1 for v in self.vehicles if v.present)
-
     @functools.cached_property
     def unfinished(self) -> tuple[int, ...]:
         """Indices of the vehicles still owed charge, computed once per state."""
@@ -170,28 +162,23 @@ class SystemState:
         return len(self.unfinished)
 
 
-def settle_stage(state: SystemState, action: ActionVector, cost_fn,
-                 penalty: PenaltyFunction
-                 ) -> tuple[Fraction, Fraction, tuple[VehicleState, ...]]:
-    """The policy's part of one stage: check the action once, then return the
-    charging cost C(A, s), the penalty of the vehicles departing after this
-    stage (stay == 1) with unmet request, and the vehicles one stage later.
-    Exact rational arithmetic; ``cost_fn`` maps (aggregate count, grid
-    index) to a Fraction."""
+def settle_stage(state: SystemState, action: ActionVector, penalty: PenaltyFunction
+                 ) -> tuple[Fraction, tuple[VehicleState, ...]]:
+    """The part of one stage that the fleet alone decides: check the action
+    once, then return the penalty of the vehicles departing after this stage
+    (stay == 1) with unmet request, and the vehicles one stage later.  The
+    charging cost C(A, s) depends only on the aggregate and the grid state,
+    so callers price it themselves.  The penalty is summed over integers in
+    units of 1/L and divided once."""
     action.check_feasible(state.vehicles)
-    return (*_charges(state, action, cost_fn, penalty),
-            _step(state.vehicles, action.bits))
+    return _penalty(state, action, penalty), _step(state.vehicles, action.bits)
 
 
-def _charges(state: SystemState, action: ActionVector, cost_fn,
-             penalty: PenaltyFunction) -> tuple[Fraction, Fraction]:
-    """(charging cost, departure penalty) of a feasible action.  The penalty
-    is summed over integers in units of 1/L and divided once."""
+def _penalty(state: SystemState, action: ActionVector, penalty: PenaltyFunction) -> Fraction:
     scaled, unit = penalty.scaled
     shortfall = sum([scaled[need - a] for (stay, need), a in zip(state.vehicles, action.bits)
                      if stay == 1])
-    return (Fraction(cost_fn(action.aggregate, state.grid)),
-            Fraction(shortfall) if unit == 1 else Fraction(shortfall, unit))
+    return Fraction(shortfall) if unit == 1 else Fraction(shortfall, unit)
 
 
 def _step(vehicles: Sequence[VehicleState], bits: Sequence[int]) -> tuple[VehicleState, ...]:
@@ -206,7 +193,7 @@ def stage_cost(state: SystemState, action: ActionVector, cost_fn, penalty: Penal
     ``cost_fn`` maps (aggregate count, grid index) to a Fraction.
     """
     action.check_feasible(state.vehicles)
-    return sum(_charges(state, action, cost_fn, penalty))
+    return Fraction(cost_fn(action.aggregate, state.grid)) + _penalty(state, action, penalty)
 
 
 def step_vehicles(vehicles: Sequence[VehicleState], action: ActionVector) -> tuple[VehicleState, ...]:

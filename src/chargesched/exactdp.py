@@ -4,23 +4,28 @@ The state space is the full valid lattice for the scenario's geometry (every
 charger state with stay in 0..B and need in 0..E, the empty sentinel included,
 across all grid and demand states).  Relative value iteration anchored at the
 all-empty special state computes the optimal gain and differential costs in
-floating point; everything downstream of it can be re-verified in exact
-rational arithmetic: policy evaluation by stationary-distribution solves,
-constant-gain checks across recurrent classes, an exhaustive brute force over
+floating point; the constant-gain check across recurrent classes runs in
+floating point too.  Exact rational arithmetic re-verifies the rest: policy
+evaluation by stationary-distribution solves, an exhaustive brute force over
 stationary deterministic policies, and a projection that rewrites an optimal
 policy into one that never charges a vehicle while idling a strictly
 higher-priority one, checking at every swap that the swapped action still
-attains the Bellman minimum.  The exact stationary solves use fraction-free
-integer elimination (`linalg.solve`).
+attains the Bellman minimum.
+
+There is one float path and one exact path.  Everything in floating point
+reads `EnumeratedMDP._flat` (stage costs and a pairs x states sparse
+matrix); every exact gain solves the Fractions that `_exact_chain` selects
+with `linalg.chain_average` (fraction-free integer elimination).
 
 Enumeration runs fleet by fleet.  Each (fleet, action) is settled once by
 `core.settle_stage`, whose penalty and stepped fleet hold for all of the
-fleet's grid and demand states; only the charging cost depends on the grid
-state.  The joint law of arrivals and next grid and demand states is
-computed once per (grid state, aggregate action, demand state), `admit` runs
-once per (stepped fleet, arrival batch), and each transition row is built
-once per (stepped fleet, grid state, aggregate action, demand state) and
-shared by every state-action pair that leads to it.
+fleet's grid and demand states; the charging cost depends only on the
+aggregate and the grid state and is added per grid state.  The joint law of
+arrivals and next grid and demand states is computed once per (grid state,
+aggregate action, demand state), `admit` runs once per (stepped fleet,
+arrival batch), and each transition row is built once per (stepped fleet,
+grid state, aggregate action, demand state) and shared by every state-action
+pair that leads to it.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .models import ScenarioModel, TabulatedArrivals, admit
 from .policies import check_lllp_compliance
 
 DEFAULT_STATE_CEILING = 2_000_000
+BRUTE_FORCE_LIMIT = 5_000_000    # stationary deterministic policies
 
 
 class StateCeilingExceeded(ValueError):
@@ -88,23 +94,18 @@ class EnumeratedMDP:
         starts = np.zeros(self.n_states + 1, dtype=np.int64)
         np.cumsum([len(acts) for acts in self.actions], out=starts[1:])
         # One matrix row per state-action pair.  Enumeration shares row
-        # objects among pairs, so each distinct row is converted once and the
-        # pairs gather their entries from it; the targets of a row are
-        # distinct and sorted, so the CSR arrays are filled directly.
+        # objects among pairs, so the distinct rows are converted once, into
+        # a CSR matrix of their own (the targets of a row are distinct and
+        # sorted), and each pair selects its row from it.
         pairs = [moves for per_action in self.transitions for moves in per_action]
         distinct = {id(moves): moves for moves in pairs}
         where = {key: k for k, key in enumerate(distinct)}
-        which = np.array([where[id(moves)] for moves in pairs], dtype=np.int64)
-        first = np.zeros(len(distinct) + 1, dtype=np.int64)
-        np.cumsum([len(moves) for moves in distinct.values()], out=first[1:])
-        lengths = np.diff(first)[which]
-        indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        gather = np.arange(indptr[-1]) + np.repeat(first[which] - indptr[:-1], lengths)
-        cols = np.array([y for moves in distinct.values() for y, _ in moves], dtype=np.int64)
-        probs = np.array(_to_floats([pr for moves in distinct.values() for _, pr in moves]))
-        mat = sp.csr_matrix((probs[gather], cols[gather], indptr),
-                            shape=(len(pairs), self.n_states))
+        indptr = np.zeros(len(distinct) + 1, dtype=np.int64)
+        np.cumsum([len(moves) for moves in distinct.values()], out=indptr[1:])
+        cols = [y for moves in distinct.values() for y, _ in moves]
+        probs = _to_floats([pr for moves in distinct.values() for _, pr in moves])
+        rows = sp.csr_matrix((probs, cols, indptr), shape=(len(distinct), self.n_states))
+        mat = rows[[where[id(moves)] for moves in pairs]]
         cost = np.array(_to_floats([c for row in self.costs for c in row]))
         return starts, cost, mat
 
@@ -200,11 +201,10 @@ def enumerate_mdp(scenario: ScenarioModel,
     index = {x: k for k, x in enumerate(states)}
 
     sbar = scenario.grid.special_state()
+    if sbar is None:
+        sbar = scenario.initial_grid or 0
+    anchor = index[scenario.empty_state(sbar, scenario.initial_demand or 0)]
     notes = validate_unichain_assumptions(scenario)
-    if scenario.initial_grid is not None and sbar is None:
-        sbar = scenario.initial_grid
-    anchor = index[scenario.empty_state(sbar if sbar is not None else 0,
-                                        scenario.initial_demand or 0)]
 
     cost_fn = scenario.grid.cost
     totals: dict[tuple[int, int, int], list[Fraction]] = {}
@@ -218,10 +218,10 @@ def enumerate_mdp(scenario: ScenarioModel,
         acts = by_pattern.get(pattern)
         if acts is None:
             acts = by_pattern[pattern] = _feasible_actions(fleet)
-        x = SystemState(fleet, 0, 0)    # only the penalty and the step are kept
+        x = SystemState(fleet, 0, 0)    # the penalty and the step ignore the grid
         settled = []    # (stepped fleet, aggregate, stage cost per grid state)
         for a in acts:
-            _, pen, stepped = settle_stage(x, a, cost_fn, scenario.penalty)
+            pen, stepped = settle_stage(x, a, scenario.penalty)
             key = (a.aggregate, pen.numerator, pen.denominator)  # cheaper to hash than pen
             if key not in totals:
                 totals[key] = [Fraction(cost_fn(a.aggregate, s)) + pen
@@ -285,7 +285,6 @@ class DPSolution:
     residual: float
     iterations: int
     converged: bool
-    damping: float | None = None
 
 
 def relative_value_iteration(mdp: EnumeratedMDP, tol: float = 1e-12,
@@ -309,11 +308,10 @@ def relative_value_iteration(mdp: EnumeratedMDP, tol: float = 1e-12,
         new_h = t_h - t_h[anchor]
         if damping is not None:
             new_h = damping * new_h + (1 - damping) * h
+        h = new_h
         if span <= tol:
-            h = new_h
             converged = True
             break
-        h = new_h
         if damping is None and it == max_iter // 2:
             damping = 0.999
     q = cost + mat @ h
@@ -327,19 +325,17 @@ def relative_value_iteration(mdp: EnumeratedMDP, tol: float = 1e-12,
             f"(last residual {residual:.3g}); the instance may not have "
             "state-independent average cost")
     return DPSolution(gain=gain, h=h, policy=policy, residual=residual,
-                      iterations=iterations, converged=converged, damping=damping)
+                      iterations=iterations, converged=converged)
 
 
 def _greedy_from_q(q: np.ndarray, starts: np.ndarray, t_h: np.ndarray) -> np.ndarray:
     # First index attaining the per-state minimum = lexicographically smallest
     # minimizing action, because actions are enumerated in lexicographic order.
-    n = len(starts) - 1
-    policy = np.zeros(n, dtype=np.int64)
-    is_min = q <= np.repeat(t_h, np.diff(starts))
-    for k in range(n):
-        lo, hi = starts[k], starts[k + 1]
-        policy[k] = int(np.argmax(is_min[lo:hi]))
-    return policy
+    # Non-minimizing pairs get an index past the end, so the per-state minimum
+    # of the indices is the first minimizer.
+    pair = np.arange(len(q))
+    first = np.where(q <= np.repeat(t_h, np.diff(starts)), pair, len(q))
+    return np.minimum.reduceat(first, starts[:-1]) - starts[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -388,17 +384,13 @@ def _exact_chain(mdp: EnumeratedMDP, policy: Sequence[int] | dict[int, int],
     return p, g
 
 
-def class_gain(mdp: EnumeratedMDP, policy: Sequence[int], cls: list[int],
-               exact: bool) -> Fraction | float:
-    if exact:
-        return linalg.chain_average(*_exact_chain(mdp, policy, cls))
-    pos = {s: k for k, s in enumerate(cls)}
-    p = np.zeros((len(cls), len(cls)))
-    g = np.zeros(len(cls))
-    for k, s in enumerate(cls):
-        for y, pr in mdp.transitions[s][policy[s]]:
-            p[k, pos[y]] += float(pr)
-        g[k] = float(mdp.costs[s][policy[s]])
+def class_gain(mdp: EnumeratedMDP, policy: Sequence[int], cls: list[int]) -> float:
+    """Average cost of `policy` on the closed class `cls`, in floating point
+    from `mdp._flat`; `exact_policy_gain` is the exact counterpart."""
+    starts, cost, mat = mdp._flat
+    pairs = starts[cls] + np.asarray(policy)[cls]
+    p = mat[pairs][:, cls].toarray()
+    g = cost[pairs]
     a = np.vstack([p.T - np.eye(len(cls)), np.ones(len(cls))])
     b = np.zeros(len(cls) + 1)
     b[-1] = 1.0
@@ -420,7 +412,7 @@ class GainFindings:
 
 
 def verify_constant_gain(mdp: EnumeratedMDP, solution: DPSolution,
-                         tol: float = 1e-10, exact: bool = False) -> GainFindings:
+                         tol: float = 1e-10) -> GainFindings:
     """Check the Bellman residual everywhere and that the greedy policy's
     average cost is the same from every initial state (all recurrent classes
     of the induced chain share one gain)."""
@@ -429,12 +421,8 @@ def verify_constant_gain(mdp: EnumeratedMDP, solution: DPSolution,
     t_h = np.minimum.reduceat(q, starts[:-1])
     residual = float(np.abs(solution.gain + solution.h - t_h).max())
     classes = recurrent_classes(mdp, solution.policy)
-    gains = [class_gain(mdp, solution.policy, cls, exact) for cls in classes]
-    if exact:
-        constant = all(g == gains[0] for g in gains)
-    else:
-        spread = max(map(float, gains)) - min(map(float, gains))
-        constant = spread <= tol
+    gains = [class_gain(mdp, solution.policy, cls) for cls in classes]
+    constant = max(gains) - min(gains) <= tol
     return GainFindings(residual=residual, residual_ok=residual <= tol,
                         class_gains=gains, constant_gain=constant,
                         n_recurrent_classes=len(classes))
@@ -449,7 +437,7 @@ def exact_policy_gain(mdp: EnumeratedMDP, policy: Sequence[int]) -> Fraction:
     (under the unichain assumptions this is its gain from every state):
     stationary average over the closure of the special state."""
     cls = policy_closure(mdp, policy, mdp.special_state)
-    return class_gain(mdp, policy, cls, exact=True)
+    return linalg.chain_average(*_exact_chain(mdp, policy, cls))
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +461,7 @@ class BruteForceResult:
     reachable: list[int]
 
 
-def brute_force_optimal_gain(mdp: EnumeratedMDP,
-                             limit: int = 5_000_000) -> BruteForceResult:
+def brute_force_optimal_gain(mdp: EnumeratedMDP) -> BruteForceResult:
     """Exact minimum average cost over every stationary deterministic policy.
 
     Enumeration runs over the closure of the special state under all actions:
@@ -488,23 +475,16 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP,
     reach = reachable_closure(mdp, mdp.special_state)
     pos = {s: k for k, s in enumerate(reach)}
     n = len(reach)
-    succ_masks = []
-    for s in reach:
-        per_action = []
-        for a in range(len(mdp.actions[s])):
-            mask = 0
-            for y, pr in mdp.transitions[s][a]:
-                if pr > 0:
-                    mask |= 1 << pos[y]
-            per_action.append(mask)
-        succ_masks.append(per_action)
+    # Successor sets as bit masks; the targets of a row are distinct.
+    succ_masks = [[sum(1 << pos[y] for y, _ in row) for row in mdp.transitions[s]]
+                  for s in reach]
     counts = [len(mdp.actions[s]) for s in reach]
     total = 1
     for c in counts:
         total *= c
-        if total > limit:
-            raise StateCeilingExceeded(
-                f"policy space exceeds {limit}; instance too large for brute force")
+        if total > BRUTE_FORCE_LIMIT:
+            raise StateCeilingExceeded(f"policy space exceeds {BRUTE_FORCE_LIMIT}; "
+                                       "instance too large for brute force")
     best: tuple[Fraction, list[int]] | None = None
     n_evaluations = 0
     # (fixed (position, action) pairs, positions reached, positions fixed)
@@ -535,23 +515,18 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP,
 
 def _exact_gain_on_class(mdp: EnumeratedMDP, policy_map: dict[int, int],
                          cls: list[int]) -> Fraction:
-    """Average cost on a closed set of states.  If the set is not one
-    communicating class (cannot happen under the unichain assumptions), the
-    cost of its single closed class is used; with several closed classes the
-    average depends on which one the chain enters, and ValueError is raised
-    rather than picking one."""
+    """Average cost on a closed set of states.  The set may hold transient
+    states besides its one closed class (`linalg.chain_average` allows
+    that); with several closed classes the average depends on which one the
+    chain enters, and ValueError is raised rather than picking one."""
     p, g = _exact_chain(mdp, policy_map, cls)
     try:
         return linalg.chain_average(p, g)
     except ValueError:
         closed = _closed_classes(sp.csr_matrix([[x > 0 for x in row] for row in p]))
-        if len(closed) != 1:
-            raise ValueError(f"{len(closed)} closed classes are reachable from the "
-                             "anchor; the average cost depends on which one the "
-                             "chain enters") from None
-        sub = closed[0]
-        return linalg.chain_average([[p[r][c] for c in sub] for r in sub],
-                                    [g[r] for r in sub])
+        raise ValueError(f"{len(closed)} closed classes are reachable from the "
+                         "anchor; the average cost depends on which one the "
+                         "chain enters") from None
 
 
 # ---------------------------------------------------------------------------
@@ -577,12 +552,10 @@ def lllp_projection(mdp: EnumeratedMDP, solution: DPSolution,
     horizon = mdp.scenario.max_stay
     policy = solution.policy.copy()
     swaps = 0
-    touched = 0
     for k in range(mdp.n_states):
         act_list = mdp.actions[k]
         act_index = {a.bits: idx for idx, a in enumerate(act_list)}
         cur = act_list[policy[k]]
-        changed = False
         guard = 0
         while True:
             pair = check_lllp_compliance(mdp.states[k], cur, horizon)
@@ -605,9 +578,9 @@ def lllp_projection(mdp: EnumeratedMDP, solution: DPSolution,
             policy[k] = new_idx
             cur = act_list[new_idx]
             swaps += 1
-            changed = True
-        if changed:
-            touched += 1
+    # A swap never restores the action it started from, so the states
+    # touched are those whose action changed.
+    touched = int((policy != solution.policy).sum())
     return ProjectionResult(policy=policy, swaps=swaps, states_touched=touched)
 
 

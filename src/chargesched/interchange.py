@@ -27,6 +27,11 @@ from .models import ScenarioModel, draw_initial
 from .montecarlo import advance_stage
 from .policies import check_lllp_compliance
 
+# `certify_dominance` looks for a case's violation from stage MIN_STAGE on,
+# and gives up after MAX_SCAN stages.
+MIN_STAGE = 3
+MAX_SCAN = 400
+
 
 def find_violation(policy, state: SystemState, stage: int,
                    horizon: int) -> Optional[tuple[int, int]]:
@@ -59,7 +64,6 @@ class InterchangePolicy:
     """The wrapper's decision rule, expressed as an action map over the base
     policy's realized decisions (the direct transcription of the definition;
     it also sidesteps any ambiguity for history-dependent base policies)."""
-    base: object
     window: InterchangeWindow
 
     def map_action(self, base_action: ActionVector, stage: int,
@@ -86,7 +90,7 @@ def wrap_interchange(policy, state: SystemState, i: int, j: int, stage: int,
     si, sj = state.vehicles[i].stay, state.vehicles[j].stay
     win = InterchangeWindow(i=i, j=j, t0=stage, length=max(si, sj) - 1,
                             depart_i=stage + si, depart_j=stage + sj)
-    return InterchangePolicy(base=policy, window=win)
+    return InterchangePolicy(window=win)
 
 
 class AggregateMismatchError(AssertionError):
@@ -130,7 +134,7 @@ def coupled_rollout(scenario: ScenarioModel, base_policy, other,
     base_costs: list[Fraction] = []
     sw_costs: list[Fraction] = []
     aggs: list[int] = []
-    rho = {"base_i": None, "base_j": None, "sw_i": None, "sw_j": None}
+    rho_base, rho_sw = [None, None], [None, None]   # (i, j) shortfalls at departure
 
     for k in range(horizon + 1):
         stage = stage_offset + k
@@ -147,8 +151,8 @@ def coupled_rollout(scenario: ScenarioModel, base_policy, other,
             raise AggregateMismatchError(
                 f"stage {stage}: aggregates differ ({a.aggregate} vs {ah.aggregate})")
         if win is not None:
-            _record_shortfalls(x, a, win, stage, rho, "base")
-            _record_shortfalls(xh, ah, win, stage, rho, "sw")
+            _record_shortfalls(x, a, win, stage, rho_base)
+            _record_shortfalls(xh, ah, win, stage, rho_sw)
         x, bill = advance_stage(scenario, x, a, stage, key, traj)
         xh, bill_h = advance_stage(scenario, xh, ah, stage, key, traj)
         if (x.grid, x.demand) != (xh.grid, xh.demand):
@@ -168,26 +172,19 @@ def coupled_rollout(scenario: ScenarioModel, base_policy, other,
         swapped_total=sum(sw_costs, Fraction(0)),
         base_stage_costs=tuple(base_costs), swapped_stage_costs=tuple(sw_costs),
         aggregates=tuple(aggs),
-        base_shortfalls=_shortfall_pair(rho, "base"),
-        swapped_shortfalls=_shortfall_pair(rho, "sw"))
+        base_shortfalls=None if None in rho_base else ShortfallPair(*rho_base),
+        swapped_shortfalls=None if None in rho_sw else ShortfallPair(*rho_sw))
 
 
 def _record_shortfalls(state: SystemState, action: ActionVector,
-                       win: InterchangeWindow, stage: int, rho: dict, tag: str):
-    for name, idx, depart in (("i", win.i, win.depart_i), ("j", win.j, win.depart_j)):
+                       win: InterchangeWindow, stage: int, rho: list):
+    for k, (idx, depart) in enumerate(((win.i, win.depart_i), (win.j, win.depart_j))):
         if stage == depart - 1:
             v = state.vehicles[idx]
             if v.stay != 1:
                 raise AggregateMismatchError(
                     f"stage {stage}: vehicle {idx} not departing when expected")
-            rho[f"{tag}_{name}"] = v.need - action.bits[idx]
-
-
-def _shortfall_pair(rho: dict, tag: str) -> Optional[ShortfallPair]:
-    ri, rj = rho[f"{tag}_i"], rho[f"{tag}_j"]
-    if ri is None or rj is None:
-        return None
-    return ShortfallPair(rho_i=ri, rho_j=rj)
+            rho[k] = v.need - action.bits[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +238,8 @@ def _bundle(case: int, seed: int, stage: int, state: SystemState,
     }
 
 
-def certify_dominance(scenario: ScenarioModel, policy, n_cases: int, seed: int,
-                      min_stage: int = 3, max_scan: int = 400) -> DominanceReport:
+def certify_dominance(scenario: ScenarioModel, policy, n_cases: int,
+                      seed: int) -> DominanceReport:
     """Sample reachable violation states by rolling the scenario forward under
     the policy, wrap each violation, and check in exact arithmetic that the
     interchange never costs more on the shared sample path.
@@ -259,9 +256,9 @@ def certify_dominance(scenario: ScenarioModel, policy, n_cases: int, seed: int,
     for case in range(n_cases):
         state = draw_initial(scenario, key, case)
         found = None
-        for t in range(max_scan):
+        for t in range(MAX_SCAN):
             action = policy.decide(state, t)
-            if t >= min_stage:
+            if t >= MIN_STAGE:
                 # find_violation on the decision already made
                 pair = check_lllp_compliance(state, action, horizon_b)
                 if pair is not None:
@@ -270,7 +267,7 @@ def certify_dominance(scenario: ScenarioModel, policy, n_cases: int, seed: int,
             state, _ = advance_stage(scenario, state, action, t, key, case)
         if found is None:
             raise RuntimeError(
-                f"case {case}: no violation reachable within {max_scan} stages; "
+                f"case {case}: no violation reachable within {MAX_SCAN} stages; "
                 "the policy may already satisfy the priority rule here")
         t0, x0, (i, j) = found
         wrapped = wrap_interchange(policy, x0, i, j, t0, horizon_b)

@@ -51,8 +51,10 @@ def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fracti
 
 
 def stationary_distribution(p: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
-    """Stationary distribution pi of an irreducible stochastic matrix:
-    pi (P - I) = 0 with the last balance equation replaced by sum(pi) = 1."""
+    """Stationary distribution pi of a stochastic matrix with one closed
+    class: pi (P - I) = 0 with the last balance equation replaced by
+    sum(pi) = 1.  That system is nonsingular exactly when there is one
+    closed class; pi is zero on the transient states."""
     n = len(p)
     a = [[p[r][c] - 1 if r == c else p[r][c] for r in range(n)] for c in range(n - 1)]
     a.append([1] * n)
@@ -63,6 +65,7 @@ def stationary_distribution(p: Sequence[Sequence[Fraction]]) -> tuple[Fraction, 
 
 
 def chain_average(p: Sequence[Sequence[Fraction]], cost: Sequence[Fraction]) -> Fraction:
-    """Long-run average cost of an irreducible chain with per-state costs."""
+    """Long-run average cost of a chain with one closed class (transient
+    states allowed) and per-state costs; ValueError with several."""
     pi = stationary_distribution(p)
     return sum((pi[i] * cost[i] for i in range(len(cost))), Fraction(0))

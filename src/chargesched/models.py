@@ -66,8 +66,6 @@ def _float_cdf(probabilities: Sequence[Fraction]) -> list[float]:
 class ChargingCost:
     """Maps (aggregate charge count A, grid state index) to an exact cost."""
 
-    kind = "table"
-
     def __call__(self, aggregate: int, grid_index: int) -> Fraction:
         raise NotImplementedError
 
@@ -83,8 +81,6 @@ class CapacityCost(ChargingCost):
     capacities: tuple[int, ...]
     ceiling: Fraction
 
-    kind = "capacity"
-
     def __call__(self, aggregate: int, grid_index: int) -> Fraction:
         if aggregate <= self.capacities[grid_index]:
             return Fraction(0)
@@ -99,8 +95,6 @@ class QuadraticLoadCost(ChargingCost):
     """Generation cost (A + s_value)^2 of the total net load."""
     base_loads: tuple[int, ...]
 
-    kind = "quadratic"
-
     def __call__(self, aggregate: int, grid_index: int) -> Fraction:
         return Fraction((aggregate + self.base_loads[grid_index]) ** 2)
 
@@ -112,8 +106,6 @@ class QuadraticLoadCost(ChargingCost):
 class TableCost(ChargingCost):
     """Explicit cost table indexed [A][grid state index]."""
     table: tuple[tuple[Fraction, ...], ...]
-
-    kind = "table"
 
     def __call__(self, aggregate: int, grid_index: int) -> Fraction:
         return self.table[aggregate][grid_index]
@@ -202,22 +194,17 @@ class GridModel:
         irreducible, else uniform.  Used to draw the starting grid state."""
         if self.iid_uniform:
             return tuple(Fraction(1, self.state_count) for _ in range(self.state_count))
-        p0 = [[self.kernel[s][0][s2] for s2 in range(self.state_count)]
-              for s in range(self.state_count)]
-        pi = _stationary_or_none(p0)
-        if pi is None:
-            return tuple(Fraction(1, self.state_count) for _ in range(self.state_count))
-        return pi
+        return _stationary_or_uniform([per_action[0] for per_action in self.kernel])
 
     @functools.cached_property
     def initial_cdf(self) -> list[float]:
         return _float_cdf(self.initial_distribution)
 
 
-def _stationary_or_none(p: list[list[Fraction]]) -> tuple[Fraction, ...] | None:
-    """Exact stationary distribution of an irreducible chain, None otherwise."""
+def _stationary_or_uniform(p: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
+    """Exact stationary distribution of an irreducible chain, uniform otherwise."""
     if not _irreducible(p):
-        return None
+        return tuple(Fraction(1, len(p)) for _ in p)
     from .linalg import stationary_distribution
     return stationary_distribution(p)
 
@@ -251,8 +238,6 @@ class FixedCountArrivals:
     draws a stay uniform on {1..B} and a request uniform on {1..stay}."""
     count: int
 
-    kind = "fixed_count"
-
     def zero_arrival_probability(self) -> Fraction:
         return Fraction(1) if self.count == 0 else Fraction(0)
 
@@ -273,8 +258,6 @@ class TabulatedArrivals:
     """Explicit joint distribution over whole arrival batches; exact
     probabilities make this the form the DP enumerator requires."""
     outcomes: tuple[tuple[Fraction, tuple[VehicleState, ...]], ...]
-
-    kind = "tabulated"
 
     def __post_init__(self):
         probs = _validate_row([p for p, _ in self.outcomes], "arrival outcomes")
@@ -306,6 +289,9 @@ class DemandModel:
 
     def __post_init__(self):
         n = len(self.kernel)
+        for d, row in enumerate(self.kernel):
+            if len(row) != n:
+                raise ValueError(f"demand kernel row {d} has {len(row)} entries, not D = {n}")
         rows = tuple(_validate_row(r, f"demand kernel row {d}") for d, r in enumerate(self.kernel))
         object.__setattr__(self, "kernel", rows)
         if len(self.arrivals) != n:
@@ -322,10 +308,7 @@ class DemandModel:
 
     @functools.cached_property
     def initial_distribution(self) -> tuple[Fraction, ...]:
-        pi = _stationary_or_none([list(r) for r in self.kernel])
-        if pi is None:
-            return tuple(Fraction(1, self.state_count) for _ in range(self.state_count))
-        return pi
+        return _stationary_or_uniform(self.kernel)
 
     @functools.cached_property
     def initial_cdf(self) -> list[float]:
@@ -378,6 +361,15 @@ class ScenarioModel:
             raise ValueError("grid kernel must cover aggregate actions 0..N")
         if self.penalty.max_units != self.max_units:
             raise ValueError("penalty table length must be E + 1")
+        n_grid, cost = self.grid.state_count, self.grid.cost
+        if isinstance(cost, TableCost) and (len(cost.table) != self.num_chargers + 1
+                                            or any(len(row) != n_grid for row in cost.table)):
+            raise ValueError(f"cost table must have N + 1 = {self.num_chargers + 1} "
+                             f"rows of G = {n_grid} entries")
+        for what, s0, count in (("grid", self.initial_grid, n_grid),
+                                ("demand", self.initial_demand, self.demand.state_count)):
+            if s0 is not None and not 0 <= s0 < count:
+                raise ValueError(f"initial {what} state {s0} is outside 0..{count - 1}")
         # Every arrival must fit the (stay, need) grid the penalty covers.
         for law in self.demand.arrivals:
             if isinstance(law, FixedCountArrivals):

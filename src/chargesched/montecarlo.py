@@ -46,7 +46,6 @@ from .policies import HeuristicPolicy, make_policy
 class StageBill:
     charging: Fraction
     penalty: Fraction
-    aggregate: int
     rejected: int
 
 
@@ -54,14 +53,14 @@ def advance_stage(scenario: ScenarioModel, state: SystemState, action: ActionVec
                   stage: int, key, traj: int) -> tuple[SystemState, StageBill]:
     """One stage-boundary step: pay the stage cost, process departures, then
     admit the next stage's arrivals and move the grid/demand chains."""
-    charging, pen, vehicles = settle_stage(state, action, scenario.grid.cost,
-                                           scenario.penalty)
+    pen, vehicles = settle_stage(state, action, scenario.penalty)
+    charging = Fraction(scenario.grid.cost(action.aggregate, state.grid))
     d_next, arrivals = sample_demand(scenario.demand, state.demand, key, traj,
                                      stage, scenario.max_stay)
     vehicles, rejected = admit(vehicles, arrivals)
     s_next = sample_grid(scenario.grid, state.grid, action.aggregate, key, traj, stage)
     return (SystemState(vehicles, s_next, d_next),
-            StageBill(charging, pen, action.aggregate, rejected))
+            StageBill(charging, pen, rejected))
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,8 @@ def test_simulate_usage_errors(tmp_path):
     (["--warmup", "-5"], "--warmup must be >= 0"),
     (["--rates", "5:x"], "bad --rates '5:x'"),
     (["--rates", "5,x"], "bad --rates '5,x'"),
+    (["--rates", ","], "--rates ',' selects no arrival rate"),
+    (["--policies", ","], "--policies ',' selects no policy"),
 ])
 def test_simulate_bad_option_exits_2(tmp_path, capsys, extra, reason):
     out = tmp_path / "x.csv"
@@ -117,6 +119,20 @@ def test_solve_exact_tiny(tmp_path):
     assert compliant.exists()
 
 
+@pytest.mark.parametrize("extra, reason", [
+    (["--max-iter", "0"], "--max-iter must be >= 1"),
+    (["--max-iter", "-3"], "--max-iter must be >= 1"),
+    (["--tol", "0"], "--tol must be > 0"),
+    (["--tol=-1e-12"], "--tol must be > 0"),
+    (["--tol", "nan"], "--tol must be > 0"),
+])
+def test_solve_exact_bad_option_exits_2(tmp_path, capsys, extra, reason):
+    out = tmp_path / "s.json"
+    assert main(["solve-exact", "--scenario", TINY, "--out", str(out)] + extra) == 2
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_exact_too_large(tmp_path):
     assert main(["solve-exact", "--scenario", BENCHMARK,
                  "--out", str(tmp_path / "s.json")]) == 2
@@ -134,6 +150,25 @@ def test_arrival_outside_the_type_grid_exits_2(tmp_path, capsys):
     assert main(["solve-exact", "--scenario", str(bad),
                  "--out", str(tmp_path / "s.json")]) == 2
     assert "arrival (stay 5, need 4) is outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    (("initial", "grid"), 5, "initial grid state 5 is outside 0..1"),
+    (("grid", "cost"), [[0, 0], [0, 1]], "cost table must have N + 1 = 3 rows of G = 2"),
+    (("grid", "cost"), [[0], [0], [0]], "cost table must have N + 1 = 3 rows of G = 2"),
+    (("demand", "kernel"), [["1/2", "1/2"]], "demand kernel row 0 has 2 entries, not D = 1"),
+])
+def test_scenario_shape_errors_exit_2(tmp_path, capsys, key, value, reason):
+    with open(TINY) as fh:
+        doc = json.load(fh)
+    doc[key[0]][key[1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    for command in (["solve-exact"], ["verify-dominance", "--cases", "2", "--seed", "1"]):
+        assert main(command + ["--scenario", str(bad), "--out", str(out)]) == 2
+        assert reason in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_exact_multichain(tmp_path):

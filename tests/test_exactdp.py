@@ -13,7 +13,8 @@ from chargesched.core import (ActionVector, PenaltyFunction, SystemState,
                               VehicleState, settle_stage)
 from chargesched.exactdp import (DPSolution, EnumeratedMDP, NonConvergenceError,
                                  ProjectionError, StateCeilingExceeded,
-                                 TabularPolicy, brute_force_optimal_gain,
+                                 TabularPolicy, _greedy_from_q,
+                                 brute_force_optimal_gain,
                                  compliance_violations, enumerate_mdp,
                                  exact_policy_gain, export_solution,
                                  lattice_size, lllp_projection,
@@ -256,6 +257,18 @@ def test_brute_force_refuses_several_closed_classes():
         brute_force_optimal_gain(mdp)
 
 
+@given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=5), min_size=1, max_size=8))
+def test_greedy_from_q_matches_a_per_state_loop(segments):
+    # The tie rule: the lowest minimizing action index.  No state of the
+    # pinned instances has two actions with equal Q values, so their policy
+    # pins cannot see it; small integer Q values tie in most states here.
+    q = np.array([v for seg in segments for v in seg], dtype=float)
+    starts = np.cumsum([0] + [len(seg) for seg in segments])
+    t_h = np.minimum.reduceat(q, starts[:-1])
+    expected = [int(np.argmin(seg)) for seg in segments]   # first minimizer
+    assert _greedy_from_q(q, starts, t_h).tolist() == expected
+
+
 def _generated_scenario(num_chargers):
     """B = E = 2, two grid states whose kernel tilts toward the expensive
     state as more vehicles charge, and arrival batches of zero, one or two
@@ -281,6 +294,12 @@ def _digest(mdp):
     return hashlib.sha256(repr((mdp.costs, mdp.transitions)).encode()).hexdigest()
 
 
+def _policy_digest(sol):
+    # Pins the greedy policy vector itself: the gain pins would not notice
+    # another optimal policy.
+    return hashlib.sha256(sol.policy.tobytes()).hexdigest()
+
+
 def test_generated_three_charger_pipeline_is_pinned():
     # Reference figures: any change to the enumerated MDP or the exact gains
     # of the value-iteration policy and its projection shows here.
@@ -289,6 +308,7 @@ def test_generated_three_charger_pipeline_is_pinned():
     assert sum(len(acts) for acts in mdp.actions) == 2662
     assert _digest(mdp) == "f45e77fae5e89747f0739dfec87a3e629b40994a66908560f0a13abf8da2a251"
     sol = relative_value_iteration(mdp)
+    assert _policy_digest(sol) == "44d5ed03d4efa6320eb7336a3539d3e86bec0c21634743afc53c48af2a791f91"
     assert exact_policy_gain(mdp, sol.policy) == Fraction(544, 1729)
     proj = lllp_projection(mdp, sol)
     assert exact_policy_gain(mdp, proj.policy) == Fraction(544, 1729)
@@ -334,6 +354,8 @@ def test_generated_four_charger_enumeration_is_pinned():
     assert mdp.n_states == 4802
     assert sum(len(acts) for acts in mdp.actions) == 29282
     assert _digest(mdp) == "e4b976a18509a76a6cb450309839dbe9158e95ea525efc0170ae33788f32dc4c"
+    sol = relative_value_iteration(mdp)
+    assert _policy_digest(sol) == "1fd30926209ff5d4f6a8bc9165b77417eecb2c3f541eeb6eae785fab6e1447c5"
 
 
 @st.composite
@@ -379,8 +401,8 @@ def test_enumeration_matches_direct_per_state_computation(sc):
         choices = [(0, 1) if v.need > 0 else (0,) for v in x.vehicles]
         assert mdp.actions[k] == [ActionVector(bits) for bits in itertools.product(*choices)]
         for a, cost, row in zip(mdp.actions[k], mdp.costs[k], mdp.transitions[k], strict=True):
-            charging, penalty, stepped = settle_stage(x, a, sc.grid.cost, sc.penalty)
-            assert type(cost) is Fraction and cost == charging + penalty
+            penalty, stepped = settle_stage(x, a, sc.penalty)
+            assert type(cost) is Fraction and cost == sc.grid.cost(a.aggregate, x.grid) + penalty
             dist = defaultdict(Fraction)
             for p_arr, batch in sc.demand.arrivals[x.demand].outcomes:
                 fleet = admit(stepped, batch)[0]

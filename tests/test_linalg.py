@@ -57,10 +57,10 @@ def test_solve_refuses_dependent_rows(system, data):
 
 
 @st.composite
-def irreducible_chains(draw):
+def irreducible_chains(draw, max_n=5):
     """Integer weights with a cycle 0 -> 1 -> ... -> 0 kept positive,
     normalized row by row."""
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, max_n))
     p = []
     for r in range(n):
         weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
@@ -77,3 +77,45 @@ def test_stationary_distribution_is_stationary(p):
     assert all(x >= 0 for x in pi)
     assert sum(pi) == 1
     assert [sum(pi[r] * p[r][c] for r in range(n)) for c in range(n)] == list(pi)
+
+
+@st.composite
+def chains_with_closed_classes(draw, n_classes):
+    """A chain of `n_classes` closed classes plus transient states, its states
+    shuffled: (P, costs, the closed classes as lists of states).  Each
+    transient state has a positive weight towards a closed class or an
+    earlier transient state, so every transient state leaves for good."""
+    blocks = [draw(irreducible_chains(3)) for _ in range(n_classes)]
+    n_transient = draw(st.integers(0 if n_classes > 1 else 1, 3))
+    n = sum(map(len, blocks)) + n_transient
+    rows, classes = [], []
+    for block in blocks:
+        lo = len(rows)
+        rows += [[0] * lo + row + [0] * (n - lo - len(row)) for row in block]
+        classes.append(list(range(lo, len(rows))))
+    for r in range(len(rows), n):
+        weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        weights[draw(st.integers(0, r - 1))] += 1
+        rows.append([Fraction(w, sum(weights)) for w in weights])
+    order = draw(st.permutations(range(n)))    # order[k]: the state at position k
+    at = {s: k for k, s in enumerate(order)}
+    p = [[Fraction(rows[s][c]) for c in order] for s in order]
+    costs = [draw(rationals) for _ in range(n)]
+    return p, costs, [sorted(at[s] for s in cls) for cls in classes]
+
+
+@settings(deadline=None)
+@given(chains_with_closed_classes(1))
+def test_chain_average_ignores_transient_states(chain):
+    p, costs, (cls,) = chain
+    alone = linalg.chain_average([[p[r][c] for c in cls] for r in cls],
+                                 [costs[r] for r in cls])
+    assert linalg.chain_average(p, costs) == alone
+
+
+@settings(deadline=None)
+@given(st.integers(2, 3).flatmap(chains_with_closed_classes))
+def test_chain_average_refuses_several_closed_classes(chain):
+    p, costs, _ = chain
+    with pytest.raises(ValueError):
+        linalg.chain_average(p, costs)

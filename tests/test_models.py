@@ -152,6 +152,36 @@ def test_fixed_count_requests_beyond_e_are_rejected():
     scenario_from_json(doc)
 
 
+@pytest.mark.parametrize("what, value", [("grid", 2), ("grid", -1), ("demand", 1)])
+def test_initial_state_outside_its_chain_is_rejected(what, value):
+    doc = scenario_to_json(two_charger_scenario())   # G = 2, D = 1
+    doc["initial"] = {"grid": 1, "demand": 0}
+    scenario_from_json(doc)
+    doc["initial"][what] = value
+    with pytest.raises(ValueError, match=f"initial {what} state {value} is outside"):
+        scenario_from_json(doc)
+
+
+def test_cost_table_needs_n_plus_one_rows_of_g_entries():
+    doc = scenario_to_json(two_charger_scenario())   # N = 2, G = 2
+    table = doc["grid"]["cost"]
+    for bad in (table[:2], [row[:1] for row in table], table + [[0, 3]],
+                table[:2] + [[0, 2, 4]]):
+        doc["grid"]["cost"] = bad
+        with pytest.raises(ValueError, match=r"N \+ 1 = 3 rows of G = 2 entries"):
+            scenario_from_json(doc)
+
+
+def test_demand_kernel_rows_need_d_entries():
+    doc = scenario_to_json(two_charger_scenario())   # D = 1
+    doc["demand"]["kernel"] = [["1/2", "1/2"]]
+    with pytest.raises(ValueError, match="demand kernel row 0 has 2 entries, not D = 1"):
+        scenario_from_json(doc)
+    law = TabulatedArrivals(((ONE, ()),))
+    with pytest.raises(ValueError, match="demand kernel row 1 has 1 entries, not D = 2"):
+        DemandModel(kernel=((Fraction(1, 2), Fraction(1, 2)), (ONE,)), arrivals=(law, law))
+
+
 def test_unichain_assumption_checks():
     assert validate_unichain_assumptions(two_charger_scenario()) == []
     notes = validate_unichain_assumptions(multichain_fixture())
