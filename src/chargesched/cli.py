@@ -45,7 +45,7 @@ def _load_scenario(path: str) -> models.ScenarioModel:
         raise UsageError(f"scenario file not found: {path}")
     try:
         return models.load_scenario(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad scenario file {path}: {exc}") from None
 
 

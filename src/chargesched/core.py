@@ -4,7 +4,8 @@ A charger is either empty, written ``VehicleState(0, 0)``, or holds a vehicle
 described by ``stay`` (stages remaining until its departure) and ``need``
 (charge units still requested).  All costs are exact: penalty tables are
 rationals and ``stage_cost`` never touches floating point, so sample-path cost
-comparisons elsewhere in the package are tolerance-free.
+comparisons elsewhere in the package are tolerance-free.  The stage step
+never visits the empty sentinel: it walks ``SystemState.occupied`` only.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import gt, itemgetter
 from typing import NamedTuple, Sequence
 
@@ -29,7 +31,9 @@ class VehicleState(NamedTuple):
 
 
 EMPTY = VehicleState(0, 0)
-_need = itemgetter(1)
+_stay, _need = itemgetter(0), itemgetter(1)
+# vehicle_type(stay, need): one shared VehicleState per type, at most B * (E + 1).
+vehicle_type = functools.cache(VehicleState)
 
 
 class InfeasibleActionError(ValueError):
@@ -152,9 +156,15 @@ class SystemState:
     demand: int
 
     @functools.cached_property
+    def occupied(self) -> tuple[int, ...]:
+        """Indices of the chargers holding a vehicle, computed once per state."""
+        return tuple(compress(range(len(self.vehicles)), map(_stay, self.vehicles)))
+
+    @functools.cached_property
     def unfinished(self) -> tuple[int, ...]:
         """Indices of the vehicles still owed charge, computed once per state."""
-        return tuple([i for i, (_, need) in enumerate(self.vehicles) if need > 0])
+        vehicles = self.vehicles
+        return tuple([i for i in self.occupied if vehicles[i].need])
 
     @property
     def unfinished_count(self) -> int:
@@ -164,26 +174,33 @@ class SystemState:
 
 def settle_stage(state: SystemState, action: ActionVector, penalty: PenaltyFunction
                  ) -> tuple[Fraction, tuple[VehicleState, ...]]:
-    """The part of one stage that the fleet alone decides: check the action
-    once, then return the penalty of the vehicles departing after this stage
-    (stay == 1) with unmet request, and the vehicles one stage later.  The
-    charging cost C(A, s) depends only on the aggregate and the grid state,
-    so callers price it themselves.  The penalty is summed over integers in
-    units of 1/L and divided once."""
-    action.check_feasible(state.vehicles)
-    return _penalty(state, action, penalty), _step(state.vehicles, action.bits)
-
-
-def _penalty(state: SystemState, action: ActionVector, penalty: PenaltyFunction) -> Fraction:
+    """The part of one stage that the fleet alone decides, in one pass over
+    the occupied chargers: check the action, then return the penalty of the
+    vehicles departing after this stage (stay == 1) with unmet request, and
+    the vehicles one stage later.  Callers price the charging cost C(A, s),
+    which depends only on the aggregate and the grid state.  The penalty is
+    summed in units of 1/L and divided once.  Bits are 0/1, so none sits on an
+    empty charger exactly when the occupied ones charged sum to the aggregate."""
+    vehicles, bits = state.vehicles, action.bits
+    if len(bits) != len(vehicles):
+        action.check_feasible(vehicles)     # raises the length error
     scaled, unit = penalty.scaled
-    shortfall = sum([scaled[need - a] for (stay, need), a in zip(state.vehicles, action.bits)
-                     if stay == 1])
-    return Fraction(shortfall) if unit == 1 else Fraction(shortfall, unit)
-
-
-def _step(vehicles: Sequence[VehicleState], bits: Sequence[int]) -> tuple[VehicleState, ...]:
-    return tuple([EMPTY if stay <= 1 else VehicleState(stay - 1, need - a)
-                  for (stay, need), a in zip(vehicles, bits)])
+    out = list(vehicles)
+    shortfall = charged = 0
+    for i in state.occupied:
+        stay, need = vehicles[i]
+        if bits[i] and need:    # a bit on need 0 goes uncounted, refused below
+            need -= 1
+            charged += 1
+        if stay == 1:
+            shortfall += scaled[need]
+            out[i] = EMPTY
+        else:
+            out[i] = vehicle_type(stay - 1, need)
+    if charged != action.aggregate:
+        action.check_feasible(vehicles)     # names the charger at fault
+    pen = Fraction(shortfall) if unit == 1 else Fraction(shortfall, unit)
+    return pen, tuple(out)
 
 
 def stage_cost(state: SystemState, action: ActionVector, cost_fn, penalty: PenaltyFunction) -> Fraction:
@@ -192,13 +209,13 @@ def stage_cost(state: SystemState, action: ActionVector, cost_fn, penalty: Penal
 
     ``cost_fn`` maps (aggregate count, grid index) to a Fraction.
     """
-    action.check_feasible(state.vehicles)
-    return Fraction(cost_fn(action.aggregate, state.grid)) + _penalty(state, action, penalty)
+    pen, _ = settle_stage(state, action, penalty)
+    return Fraction(cost_fn(action.aggregate, state.grid)) + pen
 
 
 def step_vehicles(vehicles: Sequence[VehicleState], action: ActionVector) -> tuple[VehicleState, ...]:
     """Advance one stage: charged vehicles lose one unit of need, everyone
     present loses one stage of stay, and vehicles reaching stay 0 depart
     (their charger resets to the empty sentinel)."""
-    action.check_feasible(vehicles)
-    return _step(vehicles, action.bits)
+    zero = PenaltyFunction([0] * (1 + max(map(_need, vehicles), default=0)))
+    return settle_stage(SystemState(tuple(vehicles), 0, 0), action, zero)[1]

@@ -14,12 +14,14 @@ import functools
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import compress, count
+from operator import itemgetter, not_
 from typing import Sequence
 
 import numpy as np
 
 from . import streams
-from .core import EMPTY, PenaltyFunction, SystemState, VehicleState
+from .core import EMPTY, PenaltyFunction, SystemState, VehicleState, vehicle_type
 
 ROW_SUM_TOL = 1e-12
 
@@ -250,7 +252,7 @@ class FixedCountArrivals:
         u_req = streams.uniforms(key, traj, stage, streams.REQUEST, self.count)
         stays = (u_stay * max_stay).astype(np.int64) + 1
         reqs = (u_req * stays).astype(np.int64) + 1
-        return [VehicleState(int(s), int(r)) for s, r in zip(stays, reqs)]
+        return list(map(vehicle_type, stays.tolist(), reqs.tolist()))
 
 
 @dataclass(frozen=True)
@@ -425,7 +427,7 @@ def admit(vehicles: Sequence[VehicleState], arrivals: Sequence[VehicleState]
         return tuple(vehicles), 0
     out = list(vehicles)
     # Lazily, so the search stops at the last slot used.
-    empties = (i for i, (stay, _) in enumerate(out) if stay <= 0)
+    empties = compress(count(), map(not_, map(itemgetter(0), out)))
     placed = 0
     for slot, arrival in zip(empties, arrivals):
         out[slot] = arrival

@@ -107,11 +107,12 @@ def check_lllp_compliance(state: SystemState, action: ActionVector,
     the priority order; None when the action honours the priority rule.
 
     Only chargeable pairs can witness a violation: an idle vehicle with no
-    remaining request is never above a charged one.
+    remaining request is never above a charged one, and once the action is
+    feasible every charged vehicle is still owed charge.
     """
     action.check_feasible(state.vehicles)
-    charged = [i for i, b in enumerate(action.bits) if b == 1]
-    idle = [j for j in state.unfinished if action.bits[j] == 0]
+    charged = [i for i in state.unfinished if action.bits[i]]
+    idle = [j for j in state.unfinished if not action.bits[j]]
     for i in charged:
         for j in idle:
             if compare_priority(state.vehicles[i], state.vehicles[j],

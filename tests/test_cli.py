@@ -157,6 +157,9 @@ def test_arrival_outside_the_type_grid_exits_2(tmp_path, capsys):
     (("grid", "cost"), [[0, 0], [0, 1]], "cost table must have N + 1 = 3 rows of G = 2"),
     (("grid", "cost"), [[0], [0], [0]], "cost table must have N + 1 = 3 rows of G = 2"),
     (("demand", "kernel"), [["1/2", "1/2"]], "demand kernel row 0 has 2 entries, not D = 1"),
+    # Wrong value types: the TypeError's own message is the reason.
+    (("initial", "grid"), "0", "'<=' not supported between instances of 'int' and 'str'"),
+    (("grid", "kernel"), 5, "'int' object is not iterable"),
 ])
 def test_scenario_shape_errors_exit_2(tmp_path, capsys, key, value, reason):
     with open(TINY) as fh:

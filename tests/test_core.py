@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargesched.core import (ActionVector, EMPTY, InfeasibleActionError,
                               PenaltyFunction, PriorityOrdering, SystemState,
                               VehicleState, compare_priority, laxity,
-                              stage_cost, step_vehicles)
+                              settle_stage, stage_cost, step_vehicles)
 
 
 def test_laxity_values():
@@ -188,3 +190,58 @@ def test_action_vector_validation():
         ActionVector((0, 2))
     act = ActionVector((1, 0, 1))
     assert act.aggregate == 2
+
+
+def _settle_full_walk(state, action, penalty):
+    """Reference stage: a comprehension over every slot, empty ones too."""
+    action.check_feasible(state.vehicles)
+    scaled, unit = penalty.scaled
+    pairs = list(zip(state.vehicles, action.bits))
+    shortfall = sum([scaled[need - a] for (stay, need), a in pairs if stay == 1])
+    stepped = tuple([EMPTY if stay <= 1 else VehicleState(stay - 1, need - a)
+                     for (stay, need), a in pairs])
+    return Fraction(shortfall, unit), stepped
+
+
+def _outcome(settle, state, action, penalty):
+    try:
+        return settle(state, action, penalty)
+    except ValueError as exc:    # InfeasibleActionError is one
+        return type(exc), str(exc)
+
+
+_B, _E = 4, 3
+_TABLES = (PenaltyFunction.linear(_E), PenaltyFunction.quadratic(_E),
+           PenaltyFunction([0, Fraction(1, 3), Fraction(5, 6), Fraction(3, 2)]))
+_SLOTS = st.one_of(st.just(EMPTY),
+                   st.builds(VehicleState, st.integers(1, _B), st.integers(0, _E)))
+
+
+@st.composite
+def _stages(draw):
+    """A fleet with empty slots, need-0 vehicles and stay-1 departures, and
+    a feasible action, or one with a single fault."""
+    vehicles = draw(st.lists(_SLOTS, min_size=1, max_size=12))
+    bits = [draw(st.integers(0, 1)) if v.need else 0 for v in vehicles]
+    fault = draw(st.sampled_from((None, "empty slot", "need 0", "length")))
+    k = draw(st.integers(0, len(vehicles)))
+    if fault == "empty slot":
+        vehicles.insert(k, EMPTY)
+        bits.insert(k, 1)
+    elif fault == "need 0":
+        vehicles.insert(k, VehicleState(draw(st.integers(1, _B)), 0))
+        bits.insert(k, 1)
+    elif fault == "length":
+        bits = bits[:-1] if draw(st.booleans()) else bits + [0]
+    return SystemState(tuple(vehicles), 0, 0), ActionVector(tuple(bits))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_stages(), st.sampled_from(_TABLES))
+def test_settle_stage_matches_a_full_walk(stage, penalty):
+    state, action = stage
+    vehicles = state.vehicles
+    assert state.occupied == tuple(i for i, v in enumerate(vehicles) if v.stay > 0)
+    assert state.unfinished == tuple(i for i, v in enumerate(vehicles) if v.need > 0)
+    assert (_outcome(settle_stage, state, action, penalty)
+            == _outcome(_settle_full_walk, state, action, penalty))

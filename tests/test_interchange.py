@@ -1,10 +1,12 @@
 import itertools
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from chargesched.core import (ActionVector, PenaltyFunction, SystemState,
-                              VehicleState)
+                              VehicleState, vehicle_type)
 from chargesched.interchange import (AggregateMismatchError, ScriptedPolicy,
                                      certify_dominance, coupled_rollout,
                                      find_violation,
@@ -221,6 +223,33 @@ def test_certify_quadratic_classifies_cases():
     assert rep.strict + rep.equal == 60
     # strict improvements only ever come from the no-swap-back branch
     assert rep.strict <= rep.g_empty_cases
+
+
+def test_certify_from_threads_matches_single_thread():
+    """Threads share the `vehicle_type` cache; a report must not depend on
+    how they interleave while filling it."""
+    sc = capacity_scenario(20, "linear")
+    pol = make_policy("llsp", sc)
+    vehicle_type.cache_clear()
+    expected = certify_dominance(sc, pol, 20, 5).to_json()
+    vehicle_type.cache_clear()
+    reports = [None] * 4
+
+    def run(k):
+        reports[k] = certify_dominance(sc, pol, 20, 5).to_json()
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert reports == [expected] * 4
 
 
 def test_negative_control_search():
