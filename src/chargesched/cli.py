@@ -87,6 +87,10 @@ def cmd_simulate(args) -> int:
         penalty, rates, args.T, args.n_traj, args.seed,
         policies=policies, base_scenario=scenario, warmup=args.warmup,
         threads=args.threads)
+    for policy in table.policies:
+        for rate in table.rates:
+            print(f"cell policy={policy} rate={rate} "
+                  f"engine={table.cells[(policy, rate)].engine}", file=sys.stderr)
     table.to_csv(args.out)
     print(f"wrote {len(policies) * len(rates)} rows to {args.out}")
     return EXIT_OK

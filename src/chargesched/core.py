@@ -3,9 +3,11 @@
 A charger is either empty, written ``VehicleState(0, 0)``, or holds a vehicle
 described by ``stay`` (stages remaining until its departure) and ``need``
 (charge units still requested).  All costs are exact: penalty tables are
-rationals and ``stage_cost`` never touches floating point, so sample-path cost
-comparisons elsewhere in the package are tolerance-free.  The stage step
-never visits the empty sentinel: it walks ``SystemState.occupied`` only.
+rationals, and ``settle_stage`` sums a stage's penalty as an integer in the
+units of ``PenaltyFunction.scaled``, so callers add integers and divide once,
+and sample-path cost comparisons elsewhere in the package are tolerance-free.
+The stage step never visits the empty sentinel: it walks
+``SystemState.occupied`` only.
 """
 
 from __future__ import annotations
@@ -173,18 +175,19 @@ class SystemState:
 
 
 def settle_stage(state: SystemState, action: ActionVector, penalty: PenaltyFunction
-                 ) -> tuple[Fraction, tuple[VehicleState, ...]]:
+                 ) -> tuple[int, tuple[VehicleState, ...]]:
     """The part of one stage that the fleet alone decides, in one pass over
     the occupied chargers: check the action, then return the penalty of the
-    vehicles departing after this stage (stay == 1) with unmet request, and
-    the vehicles one stage later.  Callers price the charging cost C(A, s),
-    which depends only on the aggregate and the grid state.  The penalty is
-    summed in units of 1/L and divided once.  Bits are 0/1, so none sits on an
-    empty charger exactly when the occupied ones charged sum to the aggregate."""
+    vehicles departing after this stage (stay == 1) with unmet request, as an
+    int in units of 1/L for ``penalty.scaled == (q * L, L)``, and the vehicles
+    one stage later.  Callers price the charging cost C(A, s), which depends
+    only on the aggregate and the grid state.  Bits are 0/1, so none sits on
+    an empty charger exactly when the occupied ones charged sum to the
+    aggregate."""
     vehicles, bits = state.vehicles, action.bits
     if len(bits) != len(vehicles):
         action.check_feasible(vehicles)     # raises the length error
-    scaled, unit = penalty.scaled
+    scaled = penalty.scaled[0]
     out = list(vehicles)
     shortfall = charged = 0
     for i in state.occupied:
@@ -199,8 +202,7 @@ def settle_stage(state: SystemState, action: ActionVector, penalty: PenaltyFunct
             out[i] = vehicle_type(stay - 1, need)
     if charged != action.aggregate:
         action.check_feasible(vehicles)     # names the charger at fault
-    pen = Fraction(shortfall) if unit == 1 else Fraction(shortfall, unit)
-    return pen, tuple(out)
+    return shortfall, tuple(out)
 
 
 def stage_cost(state: SystemState, action: ActionVector, cost_fn, penalty: PenaltyFunction) -> Fraction:
@@ -209,8 +211,8 @@ def stage_cost(state: SystemState, action: ActionVector, cost_fn, penalty: Penal
 
     ``cost_fn`` maps (aggregate count, grid index) to a Fraction.
     """
-    pen, _ = settle_stage(state, action, penalty)
-    return Fraction(cost_fn(action.aggregate, state.grid)) + pen
+    shortfall, _ = settle_stage(state, action, penalty)
+    return Fraction(cost_fn(action.aggregate, state.grid)) + Fraction(shortfall, penalty.scaled[1])
 
 
 def step_vehicles(vehicles: Sequence[VehicleState], action: ActionVector) -> tuple[VehicleState, ...]:

@@ -18,9 +18,10 @@ matrix); every exact gain solves the Fractions that `_exact_chain` selects
 with `linalg.chain_average` (fraction-free integer elimination).
 
 Enumeration runs fleet by fleet.  Each (fleet, action) is settled once by
-`core.settle_stage`, whose penalty and stepped fleet hold for all of the
-fleet's grid and demand states; the charging cost depends only on the
-aggregate and the grid state and is added per grid state.  The joint law of
+`core.settle_stage`, whose integer penalty and stepped fleet hold for all
+of the fleet's grid and demand states; the charging cost depends only on the
+aggregate and the grid state, so the row of stage costs over the grid states
+is built once per (aggregate, penalty).  The joint law of
 arrivals and next grid and demand states is computed once per (grid state,
 aggregate action, demand state), `admit` runs once per (stepped fleet,
 arrival batch), and each transition row is built once per (stepped fleet,
@@ -207,7 +208,8 @@ def enumerate_mdp(scenario: ScenarioModel,
     notes = validate_unichain_assumptions(scenario)
 
     cost_fn = scenario.grid.cost
-    totals: dict[tuple[int, int, int], list[Fraction]] = {}
+    pen_unit = scenario.penalty.scaled[1]
+    totals: dict[tuple[int, int], list[Fraction]] = {}
     rows = _TransitionRows(scenario, fleets, fleet_index)
     actions: list[list[ActionVector]] = []
     costs: list[list[Fraction]] = []
@@ -221,9 +223,10 @@ def enumerate_mdp(scenario: ScenarioModel,
         x = SystemState(fleet, 0, 0)    # the penalty and the step ignore the grid
         settled = []    # (stepped fleet, aggregate, stage cost per grid state)
         for a in acts:
-            pen, stepped = settle_stage(x, a, scenario.penalty)
-            key = (a.aggregate, pen.numerator, pen.denominator)  # cheaper to hash than pen
+            shortfall, stepped = settle_stage(x, a, scenario.penalty)
+            key = (a.aggregate, shortfall)
             if key not in totals:
+                pen = Fraction(shortfall, pen_unit)
                 totals[key] = [Fraction(cost_fn(a.aggregate, s)) + pen
                                for s in range(n_grid)]
             settled.append((fleet_index[stepped], a.aggregate, totals[key]))

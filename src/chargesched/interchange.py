@@ -24,7 +24,7 @@ from . import streams
 from .core import (ActionVector, PriorityOrdering, SystemState, VehicleState,
                    compare_priority)
 from .models import ScenarioModel, draw_initial
-from .montecarlo import advance_stage
+from .montecarlo import advance_stage, as_fractions
 from .policies import check_lllp_compliance
 
 # `certify_dominance` looks for a case's violation from stage MIN_STAGE on,
@@ -119,7 +119,8 @@ def coupled_rollout(scenario: ScenarioModel, base_policy, other,
     ``other`` may be an InterchangePolicy (driven in lock step against the
     base rollout, per its action map) or any plain policy; either way the two
     rollouts must charge equal aggregate counts at every stage, which makes
-    their grid and demand paths coincide.  Stage costs are exact rationals.
+    their grid and demand paths coincide.  Stage costs are summed as ints
+    in units of 1/L and returned as exact rationals.
     """
     win = other.window if isinstance(other, InterchangePolicy) else None
     if win is not None:
@@ -131,8 +132,8 @@ def coupled_rollout(scenario: ScenarioModel, base_policy, other,
     x = state0
     xh = state0
     swap_back_at: Optional[int] = None
-    base_costs: list[Fraction] = []
-    sw_costs: list[Fraction] = []
+    base_costs: list[int] = []      # units of 1/L
+    sw_costs: list[int] = []
     aggs: list[int] = []
     rho_base, rho_sw = [None, None], [None, None]   # (i, j) shortfalls at departure
 
@@ -166,11 +167,13 @@ def coupled_rollout(scenario: ScenarioModel, base_policy, other,
         g_empty = swap_back_at is None
         if x != xh:
             raise AggregateMismatchError("states failed to reconcile after the window")
+    unit = scenario.prices.unit
     return CoupledRollout(
         window=win, swap_back_at=swap_back_at, g_empty=g_empty,
-        base_total=sum(base_costs, Fraction(0)),
-        swapped_total=sum(sw_costs, Fraction(0)),
-        base_stage_costs=tuple(base_costs), swapped_stage_costs=tuple(sw_costs),
+        base_total=Fraction(sum(base_costs), unit),
+        swapped_total=Fraction(sum(sw_costs), unit),
+        base_stage_costs=as_fractions(base_costs, unit),
+        swapped_stage_costs=as_fractions(sw_costs, unit),
         aggregates=tuple(aggs),
         base_shortfalls=None if None in rho_base else ShortfallPair(*rho_base),
         swapped_shortfalls=None if None in rho_sw else ShortfallPair(*rho_sw))

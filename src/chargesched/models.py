@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import functools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress, count
@@ -344,6 +345,46 @@ def _period(p: list[list[Fraction]]) -> int:
 # Scenario bundle
 # ---------------------------------------------------------------------------
 
+def charge_bounds(scenario: "ScenarioModel") -> tuple[Fraction, ...] | None:
+    """Charging costs whose denominators cover every entry's and whose largest
+    magnitude bounds every entry's: the capacity ceiling, the worst quadratic
+    load or the whole table.  None for any other cost form."""
+    cost = scenario.grid.cost
+    if isinstance(cost, CapacityCost):
+        return (cost.ceiling,)
+    if isinstance(cost, QuadraticLoadCost):
+        return (Fraction((scenario.num_chargers + max(map(abs, cost.base_loads))) ** 2),)
+    if isinstance(cost, TableCost):
+        return tuple(c for row in cost.table for c in row)
+    return None
+
+
+class StagePrices(dict):
+    """A scenario's stage costs as integers in units of 1/L, where L
+    (``unit``) is the least common denominator of the penalty table and the
+    charging costs.  Keys are (aggregate, grid state) and values the charging
+    cost, each priced on first use: the capacity benchmark has
+    (N + 1) x G = 48,521 of them.  ``penalty`` turns `settle_stage`'s
+    shortfall units into units of 1/L.  Sums of these stay Python ints, so
+    no total wraps."""
+
+    def __init__(self, scenario: "ScenarioModel"):
+        super().__init__()
+        cost = self.cost = scenario.grid.cost
+        charges = charge_bounds(scenario)
+        if charges is None:             # any other form: every entry
+            charges = [Fraction(cost(a, s)) for a in range(scenario.num_chargers + 1)
+                       for s in range(scenario.grid.state_count)]
+        q_unit = scenario.penalty.scaled[1]
+        self.unit = math.lcm(q_unit, *(c.denominator for c in charges))
+        self.penalty = self.unit // q_unit
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        c = Fraction(self.cost(*key))
+        units = self[key] = c.numerator * (self.unit // c.denominator)
+        return units
+
+
 @dataclass(frozen=True)
 class ScenarioModel:
     """Everything a rollout or DP needs: fleet geometry, grid, demand and
@@ -388,6 +429,11 @@ class ScenarioModel:
 
     def empty_state(self, grid: int, demand: int) -> SystemState:
         return SystemState((EMPTY,) * self.num_chargers, grid, demand)
+
+    @functools.cached_property
+    def prices(self) -> StagePrices:
+        """Stage costs in integer units of 1/L, the one place L is chosen."""
+        return StagePrices(self)
 
 
 # ---------------------------------------------------------------------------

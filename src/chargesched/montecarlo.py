@@ -2,39 +2,45 @@
 
 Two engines produce bit-identical results:
 
-* a scalar reference engine (`run_trajectory`) that walks one trajectory with
-  exact rational stage costs, used by the dominance certifier, the DP
-  consistency check, and anywhere clarity beats speed;
-* a vectorized engine that advances all Monte Carlo trajectories of a cell in
-  lock step, each held as counts of vehicles per (stay, need) type, used by
-  `monte_carlo` / `figure_experiment` at benchmark scale.  The heuristics,
-  the costs and admission depend only on those counts, so the lumping is
-  exact; costs are summed as integers in units of 1/L, L the least common
-  denominator of the cost tables, which makes every per-trajectory average
-  equal to the scalar engine's for any rational table.
+* a scalar reference engine (`run_trajectory`) that walks one trajectory
+  state by state, used by the dominance certifier, the DP consistency check,
+  and anywhere clarity beats speed;
+* a vectorized engine that advances the Monte Carlo trajectories of a cell in
+  lock step, in blocks of at most `TRAJ_BLOCK`, each held as counts of
+  vehicles per (stay, need) type, used by `monte_carlo` / `figure_experiment`
+  at benchmark scale.  The heuristics, the costs and admission depend only on
+  those counts, so the lumping is exact.
+
+Both sum stage costs as integers in units of 1/L, L the least common
+denominator of the cost tables (`ScenarioModel.prices`), and divide once at
+the end: the scalar engine in Python ints, which never wrap, and the
+vectorized one in int64 where `_cost_unit` shows the totals stay below 2**53.
+So every per-trajectory average is the same exact rational in both, for any
+rational table.
 
 Randomness is addressed by (seed, trajectory, stage, source), so runs couple
 across policies and arrival rates, and results do not depend on execution
-order or thread count.
+order, thread count or block size.  `run_trajectory` knows its horizon, so it
+opens a `streams.stage_window` and takes its per-stage draws from vectorized
+stage blocks.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import streams
 from .core import ActionVector, SystemState, settle_stage
 from .models import (CapacityCost, FixedCountArrivals, QuadraticLoadCost,
-                     ScenarioModel, TabulatedArrivals, TableCost, admit,
-                     capacity_scenario, draw_initial, sample_grid,
-                     sample_demand, with_arrival_rate)
+                     ScenarioModel, TabulatedArrivals, admit, capacity_scenario,
+                     charge_bounds, draw_initial, sample_grid, sample_demand,
+                     with_arrival_rate)
 from .policies import HeuristicPolicy, make_policy
 
 
@@ -42,10 +48,10 @@ from .policies import HeuristicPolicy, make_policy
 # Scalar engine
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StageBill:
-    charging: Fraction
-    penalty: Fraction
+class StageBill(NamedTuple):
+    """One stage's costs in integer units of 1/L (`ScenarioModel.prices`)."""
+    charging: int
+    penalty: int
     rejected: int
 
 
@@ -53,14 +59,21 @@ def advance_stage(scenario: ScenarioModel, state: SystemState, action: ActionVec
                   stage: int, key, traj: int) -> tuple[SystemState, StageBill]:
     """One stage-boundary step: pay the stage cost, process departures, then
     admit the next stage's arrivals and move the grid/demand chains."""
-    pen, vehicles = settle_stage(state, action, scenario.penalty)
-    charging = Fraction(scenario.grid.cost(action.aggregate, state.grid))
+    shortfall, vehicles = settle_stage(state, action, scenario.penalty)
+    prices = scenario.prices
+    charging = prices[action.aggregate, state.grid]
     d_next, arrivals = sample_demand(scenario.demand, state.demand, key, traj,
                                      stage, scenario.max_stay)
     vehicles, rejected = admit(vehicles, arrivals)
     s_next = sample_grid(scenario.grid, state.grid, action.aggregate, key, traj, stage)
     return (SystemState(vehicles, s_next, d_next),
-            StageBill(charging, pen, rejected))
+            StageBill(charging, shortfall * prices.penalty, rejected))
+
+
+def as_fractions(units: Sequence[int], unit: int) -> tuple[Fraction, ...]:
+    """Integer costs in units of 1/unit as Fractions, one per distinct value."""
+    exact = {c: Fraction(c, unit) for c in set(units)}
+    return tuple(map(exact.__getitem__, units))
 
 
 @dataclass(frozen=True)
@@ -81,7 +94,8 @@ def run_trajectory(scenario: ScenarioModel, policy, stages: int, seed: int,
                    traj: int = 0, warmup: int = 20,
                    record_stages: bool = True) -> TrajectoryResult:
     """Simulate one trajectory from the all-empty state.  Deterministic in
-    (scenario, policy, stages, seed, traj)."""
+    (scenario, policy, stages, seed, traj).  Costs are summed as Python ints
+    in units of 1/L and made Fractions once, at the end."""
     if stages < 1:
         raise ValueError("need at least one stage")
     if warmup < 0:
@@ -89,33 +103,32 @@ def run_trajectory(scenario: ScenarioModel, policy, stages: int, seed: int,
     warmup = min(warmup, stages - 1)
     key = streams.philox_key(seed)
     state = draw_initial(scenario, key, traj)
-    charging = Fraction(0)
-    penalty = Fraction(0)
-    head = Fraction(0)           # cost of the warm-up stages
-    rejected = 0
-    per_c: list[Fraction] = []
-    per_p: list[Fraction] = []
-    for t in range(stages):
-        if t == warmup:
-            head = charging + penalty
-        action = policy.decide(state, t)
-        state, bill = advance_stage(scenario, state, action, t, key, traj)
-        charging += bill.charging
-        penalty += bill.penalty
-        rejected += bill.rejected
-        if record_stages:
-            per_c.append(bill.charging)
-            per_p.append(bill.penalty)
+    charging = penalty = rejected = 0
+    head = 0                     # cost of the warm-up stages
+    per_c: list[int] = []
+    per_p: list[int] = []
+    with streams.stage_window(key, traj, stages):
+        for t in range(stages):
+            if t == warmup:
+                head = charging + penalty
+            action = policy.decide(state, t)
+            state, bill = advance_stage(scenario, state, action, t, key, traj)
+            charging += bill.charging
+            penalty += bill.penalty
+            rejected += bill.rejected
+            if record_stages:
+                per_c.append(bill.charging)
+                per_p.append(bill.penalty)
+    unit = scenario.prices.unit
     total = charging + penalty
-    tail = total - head
     return TrajectoryResult(
-        total_cost=total, stages=stages,
-        time_average=float(tail) / (stages - warmup),
-        time_average_raw=float(total) / stages,
-        warmup=warmup, charging_total=charging, penalty_total=penalty,
-        rejected_arrivals=rejected,
-        stage_charging=tuple(per_c) if record_stages else None,
-        stage_penalty=tuple(per_p) if record_stages else None)
+        total_cost=Fraction(total, unit), stages=stages,
+        time_average=float(Fraction(total - head, unit)) / (stages - warmup),
+        time_average_raw=float(Fraction(total, unit)) / stages,
+        warmup=warmup, charging_total=Fraction(charging, unit),
+        penalty_total=Fraction(penalty, unit), rejected_arrivals=rejected,
+        stage_charging=as_fractions(per_c, unit) if record_stages else None,
+        stage_penalty=as_fractions(per_p, unit) if record_stages else None)
 
 
 # ---------------------------------------------------------------------------
@@ -126,24 +139,16 @@ _FLOAT_EXACT = 2 ** 53      # integers up to this convert to float64 exactly
 
 
 def _cost_unit(scenario: ScenarioModel, stages: int) -> int | None:
-    """The smallest L that makes every stage cost a whole number of 1/L
-    units, or None when a total over `stages` stages might reach 2**53 units
-    (or L itself might), past which the int64 sums stop converting to float
-    exactly."""
-    cost = scenario.grid.cost
-    if isinstance(cost, CapacityCost):
-        charges = (cost.ceiling,)
-    elif isinstance(cost, QuadraticLoadCost):
-        worst_load = scenario.num_chargers + max(map(abs, cost.base_loads))
-        charges = (Fraction(worst_load ** 2),)
-    elif isinstance(cost, TableCost):
-        charges = tuple(c for row in cost.table for c in row)
-    else:
+    """L of `ScenarioModel.prices`, or None when the vectorized engine cannot
+    price the cost form, or when a total over `stages` stages might reach
+    2**53 units (or L itself might), past which its int64 sums stop
+    converting to float exactly."""
+    charges = charge_bounds(scenario)
+    if charges is None:
         return None
-    q = scenario.penalty.values
-    unit = math.lcm(*(v.denominator for v in charges + q))
+    unit = scenario.prices.unit
     worst = stages * (max(map(abs, charges), default=0)
-                      + scenario.num_chargers * max(map(abs, q)))
+                      + scenario.num_chargers * max(map(abs, scenario.penalty.values)))
     if unit >= _FLOAT_EXACT or worst * unit >= _FLOAT_EXACT:
         return None
     return unit
@@ -172,7 +177,8 @@ def _batch_supported(scenario: ScenarioModel, policy, stages: int) -> bool:
 
 
 class _TypeCounts:
-    """All trajectories of one Monte Carlo cell, advanced in lock step.
+    """Trajectories start..start + n_traj - 1 of one Monte Carlo cell,
+    advanced in lock step.
 
     The state is a count of vehicles per (stay, need) type and trajectory,
     `counts[stay - 1, need, traj]`.  The heuristics rank vehicles by type and
@@ -184,9 +190,9 @@ class _TypeCounts:
     """
 
     def __init__(self, scenario: ScenarioModel, policy: HeuristicPolicy,
-                 n_traj: int, seed: int, unit: int):
+                 n_traj: int, seed: int, unit: int, start: int):
         sc = self.sc = scenario
-        self.n = n_traj
+        self.n, self.start = n_traj, start
         self.key = streams.philox_key(seed)
         B, E, N = sc.max_stay, sc.max_units, sc.num_chargers
         self.B, self.width = B, E + 1
@@ -228,12 +234,16 @@ class _TypeCounts:
             types[o, :len(vs)] = [(v.stay - 1) * self.width + v.need for v in vs]
         return types, sizes, np.array(law.cdf)
 
+    def _uniforms(self, t: int, source: int, n_per: int = 1) -> np.ndarray:
+        """This block's (trajectory, n_per) draws of one (stage, source) cell."""
+        return streams.uniforms_batch(self.key, self.n, t, source, n_per, self.start)
+
     def _init_exogenous(self):
         sc, n = self.sc, self.n
         if sc.initial_grid is not None:
             self.s_idx = np.full(n, sc.initial_grid, dtype=np.int64)
         else:
-            u = streams.uniforms_batch(self.key, n, 0, streams.INIT_GRID, 1)[:, 0]
+            u = self._uniforms(0, streams.INIT_GRID)[:, 0]
             if sc.grid.iid_uniform:
                 self.s_idx = (u * sc.grid.state_count).astype(np.int64)
             else:
@@ -241,7 +251,7 @@ class _TypeCounts:
         if sc.initial_demand is not None:
             self.d_idx = np.full(n, sc.initial_demand, dtype=np.int64)
         else:
-            u = streams.uniforms_batch(self.key, n, 0, streams.INIT_DEMAND, 1)[:, 0]
+            u = self._uniforms(0, streams.INIT_DEMAND)[:, 0]
             self.d_idx = _inverse_cdf(np.array(sc.demand.initial_cdf), u)
         if sc.demand.state_count > 1:
             self.demand_cdf = np.array(sc.demand.kernel_cdf)
@@ -269,9 +279,9 @@ class _TypeCounts:
         self.counts[-1] = 0
         self._admit(t)
         if self.sc.demand.state_count > 1:
-            u = streams.uniforms_batch(self.key, self.n, t, streams.DEMAND, 1)[:, 0]
+            u = self._uniforms(t, streams.DEMAND)[:, 0]
             self.d_idx = _inverse_cdf(self.demand_cdf[self.d_idx], u)
-        u = streams.uniforms_batch(self.key, self.n, t, streams.GRID, 1)[:, 0]
+        u = self._uniforms(t, streams.GRID)[:, 0]
         if self.sc.grid.iid_uniform:
             self.s_idx = (u * self.sc.grid.state_count).astype(np.int64)
         else:
@@ -283,15 +293,15 @@ class _TypeCounts:
         if isinstance(law, int):
             if law == 0:
                 return None
-            u_stay = streams.uniforms_batch(self.key, self.n, t, streams.STAY, law)
-            u_req = streams.uniforms_batch(self.key, self.n, t, streams.REQUEST, law)
+            u_stay = self._uniforms(t, streams.STAY, law)
+            u_req = self._uniforms(t, streams.REQUEST, law)
             stays = (u_stay * self.B).astype(np.int64) + 1
             reqs = (u_req * stays).astype(np.int64) + 1
             return (stays - 1) * self.width + reqs, np.full(self.n, law)
         types, sizes, cdf = law
         if sizes.max(initial=0) == 0:
             return None
-        u = streams.uniforms_batch(self.key, self.n, t, streams.OUTCOME, 1)[:, 0]
+        u = self._uniforms(t, streams.OUTCOME)[:, 0]
         outcome = _inverse_cdf(cdf, u)
         return types[outcome], sizes[outcome]
 
@@ -340,19 +350,30 @@ class MonteCarloResult:
     engine: str                   # "batch" (type counts) or "scalar" (run_trajectory)
 
 
+# Trajectories per `_TypeCounts` block: at 10,000 a rate-30 cell is memory
+# bound, and blocks of this size ran it about 15% faster.
+TRAJ_BLOCK = 2000
+
+
 def _batch_averages(scenario, policy, stages, n_traj, seed, warmup):
-    """Per-trajectory warm-up-excluded and raw averages, and rejections.
-    Both sums are below 2**53 units (`_cost_unit`), so each average equals
-    the scalar engine's float(Fraction) / stages bit for bit."""
+    """Per-trajectory warm-up-excluded and raw averages, and rejections, in
+    blocks of at most `TRAJ_BLOCK` trajectories; every trajectory draws from
+    its own substreams, so the blocking changes no value.  Both sums are
+    below 2**53 units (`_cost_unit`), so each average equals the scalar
+    engine's float(Fraction) / stages bit for bit."""
     unit = _cost_unit(scenario, stages)
-    bs = _TypeCounts(scenario, policy, n_traj, seed, unit)
-    head = bs.total.copy()
-    for t in range(stages):
-        if t == warmup:
-            head = bs.total.copy()
-        bs.step(t)
-    return ((bs.total - head) / unit / (stages - warmup),
-            bs.total / unit / stages, bs.rejected)
+    blocks = []
+    for start in range(0, n_traj, TRAJ_BLOCK):
+        bs = _TypeCounts(scenario, policy, min(TRAJ_BLOCK, n_traj - start), seed,
+                         unit, start)
+        head = bs.total.copy()
+        for t in range(stages):
+            if t == warmup:
+                head = bs.total.copy()
+            bs.step(t)
+        blocks.append(((bs.total - head) / unit / (stages - warmup),
+                       bs.total / unit / stages, bs.rejected))
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def monte_carlo(scenario: ScenarioModel, policy, stages: int, n_traj: int,

@@ -17,18 +17,27 @@ produce the draws for trajectories 0..n-1 of one (stage, source) cell with a
 single contiguous ``random_raw`` call, and a scalar driver recreates trajectory
 i's slice exactly by starting its counter at ``i * blocks_per_source``.
 
-Constructing a ``np.random.Philox`` costs several times more than the draw
-itself, so every thread keeps one generator (in a ``threading.local``) and
-each draw sets that generator's key and counter before reading from it.  The
-state it sets (key, counter, empty output buffer) is exactly the state of a
-freshly constructed ``Philox(key=key, counter=counter)``, so the outputs are
-the same bit for bit, and because no generator is shared between threads,
-concurrent draws never see each other's counters.
+Draws come from two places, with the same bits:
+
+* the C generator.  Constructing a ``np.random.Philox`` costs several times
+  more than a draw, so every thread keeps one (in a ``threading.local``) and
+  sets its key and counter before each draw, from one reused state dict.  The
+  state it sets (key, counter, empty output buffer) is exactly the state of a
+  freshly constructed ``Philox(key=key, counter=counter)``, and no generator
+  is shared between threads.
+* stage blocks.  A rollout of known length opens a `stage_window` for its
+  (key, trajectory); while it is open, `uniform` serves that trajectory's
+  GRID, DEMAND and OUTCOME draws from blocks of up to `BLOCK_STAGES` stages,
+  each one vectorized Philox4x64-10 pass over the stage counters (Salmon et
+  al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  A pass
+  costs about as much as 100 single draws, so a horizon shorter than
+  `MIN_WINDOW_STAGES` opens no window.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -64,20 +73,30 @@ def philox_key(seed: int) -> np.ndarray:
     return ss.generate_state(2, np.uint64)
 
 
-_local = threading.local()
-_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
+class _Local(threading.local):
+    philox = None       # this thread's generator, keyed before every draw
+    state = None        # the state dict it is keyed from
+    window = None       # the open `stage_window`, if any
 
 
-def _raw(key: np.ndarray, c0: int, stage: int, source: int, n_u64: int) -> np.ndarray:
-    try:
-        bg = _local.philox
-    except AttributeError:
-        bg = _local.philox = np.random.Philox(0)   # keyed before every draw
-    bg.state = {"bit_generator": "Philox",
-                "state": {"counter": (c0, stage, source, 0), "key": key},
-                "buffer": _EMPTY_BUFFER, "buffer_pos": 4,
-                "has_uint32": 0, "uinteger": 0}
-    return bg.random_raw(n_u64)
+_local = _Local()
+
+
+def _keyed(key: np.ndarray, c0: int, stage: int, source: int) -> np.random.Philox:
+    """This thread's generator, in the state of a fresh
+    ``Philox(key=key, counter=(c0, stage, source, 0))``."""
+    local = _local
+    if local.philox is None:
+        local.philox = np.random.Philox(0)
+        local.state = {"bit_generator": "Philox", "state": {},
+                       "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
+    state = local.state
+    address = state["state"]
+    address["counter"] = (c0, stage, source, 0)
+    address["key"] = key
+    local.philox.state = state
+    return local.philox
 
 
 def uniforms(key: np.ndarray, traj: int, stage: int, source: int, n: int) -> np.ndarray:
@@ -85,22 +104,113 @@ def uniforms(key: np.ndarray, traj: int, stage: int, source: int, n: int) -> np.
     blocks = _BLOCKS[source]
     if n > 4 * blocks:
         raise ValueError(f"source {source} supports at most {4 * blocks} draws per stage")
-    raw = _raw(key, traj * blocks, stage, source, 4 * blocks)
+    raw = _keyed(key, traj * blocks, stage, source).random_raw(4 * blocks)
     return raw[:n].astype(np.float64) * _U64_INV
 
 
 def uniform(key: np.ndarray, traj: int, stage: int, source: int) -> float:
     """``uniforms(key, traj, stage, source, 1)[0]`` as a Python float."""
-    blocks = _BLOCKS[source]
-    return int(_raw(key, traj * blocks, stage, source, 1)[0]) * _U64_INV
+    win = _local.window
+    if win is not None and key is win.key and traj == win.traj:
+        block = win.blocks.get(source)
+        if block is not None and 0 <= stage < win.stages:
+            i = stage - block[0]
+            return block[1][i] if 0 <= i < len(block[1]) else win.fill(source, stage)
+    return _keyed(key, traj * _BLOCKS[source], stage, source).random_raw() * _U64_INV
 
 
 def uniforms_batch(key: np.ndarray, n_traj: int, stage: int, source: int,
-                   n_per: int) -> np.ndarray:
-    """(n_traj, n_per) uniforms; row i equals the scalar draws for trajectory i."""
+                   n_per: int, start: int = 0) -> np.ndarray:
+    """(n_traj, n_per) uniforms; row i equals the scalar draws for trajectory
+    start + i."""
     blocks = _BLOCKS[source]
     if n_per > 4 * blocks:
         raise ValueError(f"source {source} supports at most {4 * blocks} draws per stage")
-    raw = _raw(key, 0, stage, source, 4 * blocks * n_traj)
+    raw = _keyed(key, start * blocks, stage, source).random_raw(4 * blocks * n_traj)
     out = raw.reshape(n_traj, 4 * blocks)[:, :n_per]
     return out.astype(np.float64) * _U64_INV
+
+
+# ---------------------------------------------------------------------------
+# Stage blocks
+# ---------------------------------------------------------------------------
+
+BLOCK_STAGES = 4096
+MIN_WINDOW_STAGES = 128
+_M64 = (1 << 64) - 1
+_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)     # key increments per round
+_LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_HALVES = tuple((np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF), np.uint64(m))
+                for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))   # round multipliers
+
+
+def _mulhilo(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) 64-bit words of round multiplier k times x, the high word
+    from 32-bit halves."""
+    mh, ml, m = _HALVES[k]
+    xh, xl = x >> _32, x & _LO32
+    t = xl * mh + ((xl * ml) >> _32)
+    u = xh * ml + (t & _LO32)
+    return xh * mh + (t >> _32) + (u >> _32), x * m
+
+
+def _stage_words(key: np.ndarray, traj: int, source: int, start: int, n: int) -> np.ndarray:
+    """The uint64 behind ``uniform(key, traj, t, source)`` for t in
+    start..start+n-1, from one vectorized Philox4x64-10 pass over the stage
+    counters.  The C generator adds one to the counter before it computes a
+    block, and `uniform` reads word 0 of that block.  Counter words that do
+    not depend on the stage start as one-element arrays and broadcast."""
+    c = traj * _BLOCKS[source] + 1
+    x0, x2, x3 = (np.array([w], dtype=np.uint64) for w in (c & _M64, source, 0))
+    x1 = np.arange(start, start + n, dtype=np.uint64) + np.uint64(c >> 64)
+    k0, k1 = int(key[0]), int(key[1])
+    for _ in range(9):
+        hi0, lo0 = _mulhilo(0, x0)
+        hi1, lo1 = _mulhilo(1, x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ np.uint64(k1), lo0
+        k0, k1 = (k0 + _WEYL[0]) & _M64, (k1 + _WEYL[1]) & _M64
+    return _mulhilo(1, x2)[0] ^ x1 ^ np.uint64(k0)     # the last round, word 0 only
+
+
+def stage_block(key: np.ndarray, traj: int, source: int, start: int, n: int) -> list[float]:
+    """``[uniform(key, traj, t, source) for t in range(start, start + n)]``
+    in one pass."""
+    return (_stage_words(key, traj, source, start, n).astype(np.float64)
+            * _U64_INV).tolist()
+
+
+_STAGED = (GRID, DEMAND, OUTCOME)
+
+
+class _Window:
+    """One trajectory's staged draws, a block per source at a time."""
+    __slots__ = ("key", "traj", "stages", "blocks")
+
+    def __init__(self, key: np.ndarray, traj: int, stages: int):
+        self.key, self.traj, self.stages = key, traj, stages
+        self.blocks = {s: (0, ()) for s in _STAGED}   # source -> (first stage, uniforms)
+
+    def fill(self, source: int, stage: int) -> float:
+        start = stage - stage % BLOCK_STAGES
+        block = stage_block(self.key, self.traj, source, start,
+                            min(BLOCK_STAGES, self.stages - start))
+        self.blocks[source] = start, block
+        return block[stage - start]
+
+
+@contextmanager
+def stage_window(key: np.ndarray, traj: int, stages: int):
+    """While open, `uniform` serves this thread's GRID, DEMAND and OUTCOME
+    draws for (key, traj) at stages 0..stages-1 from stage blocks, when
+    there are at least `MIN_WINDOW_STAGES` of them.  Only this very `key`
+    object selects the window; every other draw, and every draw of another
+    thread, takes the generator."""
+    if stages < MIN_WINDOW_STAGES:
+        yield
+        return
+    prev = _local.window
+    _local.window = _Window(key, traj, stages)
+    try:
+        yield
+    finally:
+        _local.window = prev

@@ -18,10 +18,16 @@ def test_simulate_row_count_and_reproducibility(tmp_path, capsys):
             "--penalty", "linear", "--rates", "5:32", "--seed", "7",
             "--T", "6", "--n-traj", "2", "--warmup", "2"]
     assert main(args + ["--out", str(out1)]) == 0
+    err = capsys.readouterr().err
     assert main(args + ["--out", str(out2)]) == 0
     lines = out1.read_text().splitlines()
     assert len(lines) == 1 + 3 * 28
     assert out1.read_bytes() == out2.read_bytes()
+    # One engine line per cell, in CSV row order, on stderr only.
+    cells = [line for line in err.splitlines() if line.startswith("cell ")]
+    assert cells == [f"cell policy={p} rate={r} engine=batch"
+                     for p in ("edf", "llsp", "lllp") for r in range(5, 33)]
+    assert "engine" not in out1.read_text()
 
 
 def test_simulate_single_trajectory_smoke(tmp_path):

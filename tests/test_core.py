@@ -193,14 +193,18 @@ def test_action_vector_validation():
 
 
 def _settle_full_walk(state, action, penalty):
-    """Reference stage: a comprehension over every slot, empty ones too."""
+    """Reference stage: a comprehension over every slot, empty ones too.
+    The penalty is summed as Fractions of the table, then given in units of
+    1/L for ``penalty.scaled[1] == L``, as `settle_stage` returns it."""
     action.check_feasible(state.vehicles)
-    scaled, unit = penalty.scaled
+    unit = penalty.scaled[1]
     pairs = list(zip(state.vehicles, action.bits))
-    shortfall = sum([scaled[need - a] for (stay, need), a in pairs if stay == 1])
+    shortfall = sum([penalty(need - a) for (stay, need), a in pairs if stay == 1],
+                    Fraction(0)) * unit
+    assert shortfall.denominator == 1
     stepped = tuple([EMPTY if stay <= 1 else VehicleState(stay - 1, need - a)
                      for (stay, need), a in pairs])
-    return Fraction(shortfall, unit), stepped
+    return int(shortfall), stepped
 
 
 def _outcome(settle, state, action, penalty):

@@ -401,7 +401,8 @@ def test_enumeration_matches_direct_per_state_computation(sc):
         choices = [(0, 1) if v.need > 0 else (0,) for v in x.vehicles]
         assert mdp.actions[k] == [ActionVector(bits) for bits in itertools.product(*choices)]
         for a, cost, row in zip(mdp.actions[k], mdp.costs[k], mdp.transitions[k], strict=True):
-            penalty, stepped = settle_stage(x, a, sc.penalty)
+            shortfall, stepped = settle_stage(x, a, sc.penalty)
+            penalty = Fraction(shortfall, sc.penalty.scaled[1])
             assert type(cost) is Fraction and cost == sc.grid.cost(a.aggregate, x.grid) + penalty
             dist = defaultdict(Fraction)
             for p_arr, batch in sc.demand.arrivals[x.demand].outcomes:

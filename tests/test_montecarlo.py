@@ -1,15 +1,18 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from chargesched import montecarlo, streams
 from chargesched.core import PenaltyFunction, VehicleState
+from chargesched.interchange import coupled_rollout, wrap_interchange
 from chargesched.models import (DemandModel, FixedCountArrivals, GridModel,
                                 ScenarioModel, TableCost, TabulatedArrivals,
-                                capacity_scenario, two_charger_scenario)
-from chargesched.montecarlo import (CSV_COLUMNS, figure_experiment, monte_carlo,
-                                    run_trajectory)
-from chargesched.policies import make_policy
+                                capacity_scenario, draw_initial, two_charger_scenario)
+from chargesched.montecarlo import (CSV_COLUMNS, advance_stage, figure_experiment,
+                                    monte_carlo, run_trajectory)
+from chargesched.policies import check_lllp_compliance, make_policy
 
 
 def test_zero_arrivals_zero_cost():
@@ -62,22 +65,22 @@ def test_batched_equals_scalar_with_tabulated_arrivals():
         assert tr.time_average == pytest.approx(res.per_traj[i], abs=1e-12)
 
 
-def _two_demand_state_scenario():
+def _two_demand_state_scenario(cost=lambda a: (Fraction(0), Fraction(a, 3)),
+                               penalty=PenaltyFunction.quadratic(3)):
     """Fixed-count arrivals in one demand state, a tabulated batch in the
     other; the grid tilts toward the expensive state as more vehicles charge
     and charging costs thirds."""
     n = 6
     tilt = tuple((Fraction(n + 1 - a, n + 2), Fraction(a + 1, n + 2)) for a in range(n + 1))
     grid = GridModel(values=(2, 4), kernel=(tilt, tilt),
-                     cost=TableCost(tuple((Fraction(0), Fraction(a, 3)) for a in range(n + 1))))
+                     cost=TableCost(tuple(cost(a) for a in range(n + 1))))
     batch = (VehicleState(3, 2), VehicleState(1, 1), VehicleState(2, 3))
     demand = DemandModel(
         kernel=((Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 4), Fraction(3, 4))),
         arrivals=(FixedCountArrivals(2),
                   TabulatedArrivals(((Fraction(1, 3), ()), (Fraction(2, 3), batch)))))
     return ScenarioModel(name="two-demand-states", num_chargers=n, max_stay=3,
-                         max_units=3, grid=grid, demand=demand,
-                         penalty=PenaltyFunction.quadratic(3))
+                         max_units=3, grid=grid, demand=demand, penalty=penalty)
 
 
 @pytest.mark.parametrize("scenario, stages, n_traj", [
@@ -100,6 +103,120 @@ def test_batched_equals_scalar_bitwise(scenario, stages, n_traj):
                     == np.float64(res.per_traj[i]).tobytes()), (name, i)
             rejected.append(tr.rejected_arrivals)
         assert res.rejected_mean == np.mean(rejected)
+
+
+@pytest.mark.parametrize("scenario", [
+    capacity_scenario(9, num_chargers=12, capacity_range=(1, 6)),
+    _two_demand_state_scenario(),
+], ids=["capacity", "two-demand-states"])
+def test_trajectory_blocks_change_no_value(scenario, monkeypatch):
+    pol = make_policy("lllp", scenario)
+    whole = monte_carlo(scenario, pol, 40, 23, base_seed=6)
+    monkeypatch.setattr(montecarlo, "TRAJ_BLOCK", 5)    # blocks of 5, 5, 5, 5 and 3
+    blocked = monte_carlo(scenario, pol, 40, 23, base_seed=6)
+    assert blocked.engine == whole.engine == "batch"
+    assert blocked.per_traj.tobytes() == whole.per_traj.tobytes()
+    assert (blocked.mean, blocked.stderr, blocked.mean_raw, blocked.rejected_mean) == (
+        whole.mean, whole.stderr, whole.mean_raw, whole.rejected_mean)
+    for i in (5, 22):
+        tr = run_trajectory(scenario, pol, 40, seed=6, traj=i, record_stages=False)
+        assert tr.time_average == blocked.per_traj[i]
+
+
+def _rational_scenario(scale):
+    """Charging costs in sevenths and thirds times `scale`, and a penalty in
+    sixths: L = 42 units per cost unit."""
+    return _two_demand_state_scenario(
+        cost=lambda a: (Fraction(a * scale, 7), Fraction((a + 1) * scale, 3)),
+        penalty=PenaltyFunction([0, Fraction(1, 3), Fraction(5, 6), Fraction(3, 2)]))
+
+
+def _fraction_costs(sc, state, action):
+    """One stage's charging cost and penalty, summed as Fractions of the tables."""
+    departing = [sc.penalty(v.need - b) for v, b in zip(state.vehicles, action.bits)
+                 if v.stay == 1]
+    return Fraction(sc.grid.cost(action.aggregate, state.grid)), sum(departing, Fraction(0))
+
+
+def _fraction_walk(sc, decide, state, stages, seed, traj, offset=0):
+    """Stage costs of a rollout replayed outside `run_trajectory`, each priced
+    with `_fraction_costs`; ``decide(state, stage)`` picks the action."""
+    key = streams.philox_key(seed)
+    costs = []
+    for t in range(offset, offset + stages):
+        action = decide(state, t)
+        costs.append(_fraction_costs(sc, state, action))
+        state, _ = advance_stage(sc, state, action, t, key, traj)
+    return costs
+
+
+@pytest.mark.parametrize("scale", [1, 2 ** 62], ids=["L=42", "past-2**63"])
+def test_integer_cost_units_match_a_fraction_sum(scale):
+    sc = _rational_scenario(scale)
+    assert sc.prices.unit == 42
+    stages, warmup = 150, 20        # long enough to open a stage window
+    for name in ("edf", "lllp"):
+        pol = make_policy(name, sc)
+        costs = _fraction_walk(sc, pol.decide, draw_initial(sc, streams.philox_key(5), 2),
+                               stages, seed=5, traj=2)
+        charging, penalty = (list(c) for c in zip(*costs))
+        tr = run_trajectory(sc, pol, stages, seed=5, traj=2, warmup=warmup)
+        assert tr.stage_charging == tuple(charging) and tr.stage_penalty == tuple(penalty)
+        assert all(type(c) is Fraction for c in tr.stage_charging + tr.stage_penalty)
+        assert tr.charging_total == sum(charging) and tr.penalty_total == sum(penalty)
+        assert tr.total_cost == sum(charging) + sum(penalty)
+        tail = sum(charging[warmup:]) + sum(penalty[warmup:])
+        assert tr.time_average == float(tail) / (stages - warmup)
+        assert tr.time_average_raw == float(tr.total_cost) / stages
+        bare = run_trajectory(sc, pol, stages, seed=5, traj=2, warmup=warmup,
+                              record_stages=False)
+        assert bare == dataclasses.replace(tr, stage_charging=None, stage_penalty=None)
+        if scale > 1:       # the sum in units of 1/L is past any int64
+            assert tr.charging_total * sc.prices.unit > 2 ** 63
+            res = monte_carlo(sc, pol, stages, 2, base_seed=5, warmup=warmup)
+            assert res.engine == "scalar"
+            assert res.per_traj[0] == run_trajectory(sc, pol, stages, seed=5, traj=0,
+                                                     warmup=warmup).time_average
+
+
+@pytest.mark.parametrize("scale", [1, 2 ** 62], ids=["L=42", "past-2**63"])
+def test_coupled_rollout_totals_match_a_fraction_sum(scale):
+    sc = _rational_scenario(scale)
+    pol = make_policy("edf", sc)
+    key, found = streams.philox_key(8), 0
+    for case in range(40):
+        state = draw_initial(sc, key, case)
+        for t in range(60):
+            action = pol.decide(state, t)
+            pair = check_lllp_compliance(state, action, sc.max_stay) if t >= 3 else None
+            if pair is not None:
+                break
+            state, _ = advance_stage(sc, state, action, t, key, case)
+        if pair is None:
+            continue
+        found += 1
+        wrapped = wrap_interchange(pol, state, *pair, t, sc.max_stay)
+        horizon = wrapped.window.length
+        roll = coupled_rollout(sc, pol, wrapped, state, horizon, seed=8, traj=case,
+                               stage_offset=t)
+        base_actions = {}
+
+        def base(x, stage):
+            base_actions[stage] = pol.decide(x, stage)
+            return base_actions[stage]
+
+        def swapped(x, stage):
+            return wrapped.map_action(base_actions[stage], stage, roll.swap_back_at)
+
+        for decide, stage_costs, total in ((base, roll.base_stage_costs, roll.base_total),
+                                           (swapped, roll.swapped_stage_costs,
+                                            roll.swapped_total)):
+            want = [c + p for c, p in _fraction_walk(sc, decide, state, horizon + 1,
+                                                     seed=8, traj=case, offset=t)]
+            assert stage_costs == tuple(want)
+            assert all(type(c) is Fraction for c in stage_costs)
+            assert type(total) is Fraction and total == sum(want)
+    assert found >= 5
 
 
 def test_single_trajectory_stderr_convention():

@@ -75,8 +75,16 @@ def test_scalar_draws_from_concurrent_threads():
 
     def draw(key):
         start.wait(timeout=60)
-        return [[streams.uniforms(key, *cell, 4 * streams._BLOCKS[cell[2]]).tobytes()
-                 for cell in cells] for _ in range(20)]
+        reps = []
+        for _ in range(20):
+            # A window per repetition, open in every thread at once: the staged
+            # draws of trajectory 1 come from newly filled blocks, the rest
+            # from the thread's generator.
+            with streams.stage_window(key, 1, streams.MIN_WINDOW_STAGES):
+                reps.append([(streams.uniforms(key, *cell, 4 * streams._BLOCKS[cell[2]]
+                                               ).tobytes(),
+                              streams.uniform(key, *cell)) for cell in cells])
+        return reps
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)           # switch threads as often as possible
@@ -86,5 +94,79 @@ def test_scalar_draws_from_concurrent_threads():
     finally:
         sys.setswitchinterval(interval)
     for k in range(len(keys)):
+        expected = [(raw, np.frombuffer(raw)[0]) for raw in want[k]]
         for rep in got[k]:
-            assert rep == want[k]
+            assert rep == expected
+
+
+STAGED = (streams.GRID, streams.DEMAND, streams.OUTCOME)
+
+
+def test_stage_blocks_equal_a_fresh_generator():
+    key = streams.philox_key(11)
+    B = streams.BLOCK_STAGES
+    for traj in (0, 7, 40_000):
+        for source in STAGED:
+            for start, n in ((0, 1), (5, 37), (B - 3, 7), (B, 1), (2 * B - 1, 1)):
+                stages = range(start, start + n)
+                words = streams._stage_words(key, traj, source, start, n)
+                want = [np.random.Philox(key=key, counter=np.array(
+                            [traj, t, source, 0], dtype=np.uint64)).random_raw(1)[0]
+                        for t in stages]
+                assert words.dtype == np.uint64 and words.tolist() == want
+                assert (streams.stage_block(key, traj, source, start, n)
+                        == [_fresh_draws(key, traj, t, source)[0] for t in stages])
+
+
+def test_stage_window_serves_blocks_and_nothing_else(monkeypatch):
+    """Inside a window, staged draws of its (key, traj) come from blocks;
+    draws for other keys, trajectories, sources or stages past the horizon
+    go to the generator, and every draw equals a fresh generator's."""
+    key, other = streams.philox_key(21), streams.philox_key(22)
+    same_value = key.copy()               # equal bits, but not the window's key
+    B = streams.BLOCK_STAGES
+    real, per_call = streams._keyed, []
+
+    def counting(*args):
+        per_call.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(streams, "_keyed", counting)
+    for horizon in (B + 1, B + 904):      # last block of length 1, and not a multiple
+        with streams.stage_window(key, 3, horizon):
+            draws = []
+            for t in [0, 1, B - 1, B, horizon - 1, 2, B + 1 if horizon > B + 1 else 0]:
+                for source in STAGED:     # interleave sources, keys and trajectories
+                    draws.append((key, 3, t, source, True))
+                    draws.append((other, 3, t, source, False))
+                    draws.append((key, 4, t, source, False))
+                    draws.append((same_value, 3, t, source, False))
+                draws.append((key, 3, t, streams.STAY, False))
+            draws.append((key, 3, horizon, streams.GRID, False))   # past the horizon
+            for k, traj, t, source, blocked in draws:
+                per_call.clear()
+                u = streams.uniform(k, traj, t, source)
+                assert u == _fresh_draws(k, traj, t, source)[0], (traj, t, source)
+                assert (per_call == []) == blocked, (traj, t, source)
+        assert streams._local.window is None
+    with streams.stage_window(key, 3, streams.MIN_WINDOW_STAGES - 1):
+        assert streams._local.window is None  # too short to pay for a block
+
+
+def test_stage_windows_nest():
+    key = streams.philox_key(23)
+    with streams.stage_window(key, 0, 200):
+        outer = streams._local.window
+        with streams.stage_window(key, 1, 300):
+            assert streams.uniform(key, 1, 250, streams.GRID) == _fresh_draws(key, 1, 250, 0)[0]
+            assert streams.uniform(key, 0, 150, streams.GRID) == _fresh_draws(key, 0, 150, 0)[0]
+        assert streams._local.window is outer
+        assert streams.uniform(key, 0, 150, streams.GRID) == _fresh_draws(key, 0, 150, 0)[0]
+
+
+def test_batch_start_offsets_the_trajectories():
+    key = streams.philox_key(9)
+    whole = streams.uniforms_batch(key, 10, 4, streams.STAY, 5)
+    part = streams.uniforms_batch(key, 4, 4, streams.STAY, 5, 6)
+    assert part.tobytes() == whole[6:].tobytes()
+    assert part[0].tobytes() == streams.uniforms(key, 6, 4, streams.STAY, 5).tobytes()
