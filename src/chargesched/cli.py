@@ -89,8 +89,10 @@ def cmd_simulate(args) -> int:
         threads=args.threads)
     for policy in table.policies:
         for rate in table.rates:
-            print(f"cell policy={policy} rate={rate} "
-                  f"engine={table.cells[(policy, rate)].engine}", file=sys.stderr)
+            cell = table.cells[(policy, rate)]
+            why = f" reason={cell.fallback}" if cell.fallback else ""
+            print(f"cell policy={policy} rate={rate} engine={cell.engine}{why}",
+                  file=sys.stderr)
     table.to_csv(args.out)
     print(f"wrote {len(policies) * len(rates)} rows to {args.out}")
     return EXIT_OK

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress, count
 from operator import itemgetter, not_
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -345,17 +345,34 @@ def _period(p: list[list[Fraction]]) -> int:
 # Scenario bundle
 # ---------------------------------------------------------------------------
 
-def charge_bounds(scenario: "ScenarioModel") -> tuple[Fraction, ...] | None:
-    """Charging costs whose denominators cover every entry's and whose largest
-    magnitude bounds every entry's: the capacity ceiling, the worst quadratic
-    load or the whole table.  None for any other cost form."""
+class ChargeForm(NamedTuple):
+    """How one charging-cost form is priced in integer units.
+
+    ``bounds`` are charges whose denominators cover every entry's and whose
+    largest magnitude bounds every entry's (`StagePrices` takes L from them);
+    ``table(unit)`` is every entry in units of 1/unit as int64, indexed
+    [aggregate, grid state] (the batch engine's copy of `StagePrices`)."""
+    bounds: tuple[Fraction, ...]
+    table: Callable[[int], np.ndarray]
+
+
+def charge_form(scenario: "ScenarioModel") -> ChargeForm | None:
+    """The one dispatch over the charging-cost forms: the capacity ceiling,
+    the worst quadratic load or the whole table as bounds, and each form's
+    table in units.  None for any other cost form."""
     cost = scenario.grid.cost
+    a = np.arange(scenario.num_chargers + 1)[:, None]
     if isinstance(cost, CapacityCost):
-        return (cost.ceiling,)
+        return ChargeForm((cost.ceiling,), lambda unit: np.where(
+            a <= np.asarray(cost.capacities), 0, int(cost.ceiling * unit)))
     if isinstance(cost, QuadraticLoadCost):
-        return (Fraction((scenario.num_chargers + max(map(abs, cost.base_loads))) ** 2),)
+        worst = (scenario.num_chargers + max(map(abs, cost.base_loads))) ** 2
+        return ChargeForm((Fraction(worst),),
+                          lambda unit: (a + np.asarray(cost.base_loads)) ** 2 * unit)
     if isinstance(cost, TableCost):
-        return tuple(c for row in cost.table for c in row)
+        return ChargeForm(tuple(c for row in cost.table for c in row),
+                          lambda unit: np.array([[int(c * unit) for c in row]
+                                                 for row in cost.table], dtype=np.int64))
     return None
 
 
@@ -371,10 +388,12 @@ class StagePrices(dict):
     def __init__(self, scenario: "ScenarioModel"):
         super().__init__()
         cost = self.cost = scenario.grid.cost
-        charges = charge_bounds(scenario)
-        if charges is None:             # any other form: every entry
+        form = charge_form(scenario)
+        if form is None:                # any other form: every entry
             charges = [Fraction(cost(a, s)) for a in range(scenario.num_chargers + 1)
                        for s in range(scenario.grid.state_count)]
+        else:
+            charges = form.bounds
         q_unit = scenario.penalty.scaled[1]
         self.unit = math.lcm(q_unit, *(c.denominator for c in charges))
         self.penalty = self.unit // q_unit

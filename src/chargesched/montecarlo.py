@@ -9,12 +9,15 @@ Two engines produce bit-identical results:
   lock step, in blocks of at most `TRAJ_BLOCK`, each held as counts of
   vehicles per (stay, need) type, used by `monte_carlo` / `figure_experiment`
   at benchmark scale.  The heuristics, the costs and admission depend only on
-  those counts, so the lumping is exact.
+  those counts, so the lumping is exact.  A stage is a few whole-block numpy
+  passes: a log-step prefix scan over the ranked types splits the charge, a
+  fixed shift steps the vehicles, and a scatter-add admits the arrivals.
 
 Both sum stage costs as integers in units of 1/L, L the least common
 denominator of the cost tables (`ScenarioModel.prices`), and divide once at
 the end: the scalar engine in Python ints, which never wrap, and the
-vectorized one in int64 where `_cost_unit` shows the totals stay below 2**53.
+vectorized one in int64 where `_batch_supported` shows the totals stay below
+2**53.
 So every per-trajectory average is the same exact rational in both, for any
 rational table.
 
@@ -37,10 +40,9 @@ import numpy as np
 
 from . import streams
 from .core import ActionVector, SystemState, settle_stage
-from .models import (CapacityCost, FixedCountArrivals, QuadraticLoadCost,
-                     ScenarioModel, TabulatedArrivals, admit, capacity_scenario,
-                     charge_bounds, draw_initial, sample_grid, sample_demand,
-                     with_arrival_rate)
+from .models import (FixedCountArrivals, ScenarioModel, TabulatedArrivals, admit,
+                     capacity_scenario, charge_form, draw_initial, sample_grid,
+                     sample_demand, with_arrival_rate)
 from .policies import HeuristicPolicy, make_policy
 
 
@@ -138,42 +140,40 @@ def run_trajectory(scenario: ScenarioModel, policy, stages: int, seed: int,
 _FLOAT_EXACT = 2 ** 53      # integers up to this convert to float64 exactly
 
 
-def _cost_unit(scenario: ScenarioModel, stages: int) -> int | None:
-    """L of `ScenarioModel.prices`, or None when the vectorized engine cannot
-    price the cost form, or when a total over `stages` stages might reach
-    2**53 units (or L itself might), past which its int64 sums stop
-    converting to float exactly."""
-    charges = charge_bounds(scenario)
-    if charges is None:
-        return None
-    unit = scenario.prices.unit
-    worst = stages * (max(map(abs, charges), default=0)
-                      + scenario.num_chargers * max(map(abs, scenario.penalty.values)))
-    if unit >= _FLOAT_EXACT or worst * unit >= _FLOAT_EXACT:
-        return None
-    return unit
-
-
-def _batch_supported(scenario: ScenarioModel, policy, stages: int) -> bool:
-    """Whether the type-count engine reproduces `run_trajectory` exactly."""
+def _batch_supported(scenario: ScenarioModel, policy, stages: int) -> str | None:
+    """Why the type-count engine cannot reproduce `run_trajectory` exactly,
+    or None when it can."""
     if not (isinstance(policy, HeuristicPolicy)
             and getattr(policy.budget, "budget_kind", None) == "capacity"):
-        return False
-    B, E = scenario.max_stay, scenario.max_units
+        return "the policy is not a heuristic with the capacity budget"
+    B, E, N = scenario.max_stay, scenario.max_units, scenario.num_chargers
     # Two chargeable types tied on the key would be split by charger index.
     keys = {policy.sort_key(s, g) for s in range(1, B + 1) for g in range(1, E + 1)}
-    if (len(keys) < B * E or scenario.num_chargers >= 2 ** 15
-            or min(scenario.grid.values) < 0 or _cost_unit(scenario, stages) is None):
-        return False
+    if len(keys) < B * E:
+        return "two vehicle types tie on the policy's sort key"
+    if N >= 2 ** 15:
+        return f"{N} chargers overflow the int16 type counts"
+    if min(scenario.grid.values) < 0:
+        return "a grid value is negative"
+    form = charge_form(scenario)
+    if form is None:
+        return f"no batch table for the {type(scenario.grid.cost).__name__} cost form"
+    # Past 2**53 units the int64 sums stop converting to float exactly.
+    unit = scenario.prices.unit
+    worst = stages * (max(map(abs, form.bounds), default=0)
+                      + N * max(map(abs, scenario.penalty.values)))
+    if unit >= _FLOAT_EXACT or worst * unit >= _FLOAT_EXACT:
+        return f"costs over {stages} stages could reach 2**53 units of 1/{unit}"
     # ScenarioModel has checked that every arrival is a type (stay 1..B,
     # need 0..E).
     for law in scenario.demand.arrivals:
         if isinstance(law, FixedCountArrivals):
             if law.count > streams.MAX_ARRIVALS_PER_STAGE:
-                return False
+                return (f"{law.count} arrivals a stage exceed the "
+                        f"{streams.MAX_ARRIVALS_PER_STAGE} the streams address")
         elif not isinstance(law, TabulatedArrivals):
-            return False
-    return True
+            return f"no batch sampler for {type(law).__name__}"
+    return None
 
 
 class _TypeCounts:
@@ -185,8 +185,10 @@ class _TypeCounts:
     break ties by charger index, and costs and admission see only how many
     vehicles of each type are present, so which charger holds a vehicle never
     changes a cost: charging the first m vehicles in priority order charges
-    the types in key order, the last one partly.  Costs are summed as int64
-    multiples of 1/unit.
+    the types in key order, the last one partly (`_charge_split`, a log-step
+    prefix scan down the ranked types).  Arrivals are scatter-added into
+    their cells with `np.add.at`.  Costs are summed as int64 multiples of
+    1/unit.
     """
 
     def __init__(self, scenario: ScenarioModel, policy: HeuristicPolicy,
@@ -200,12 +202,13 @@ class _TypeCounts:
         # Work buffers; `charged` rows of need 0 stay zero.
         self.charged = np.zeros((B * (E + 1), n_traj), dtype=np.int16)
         self.after = np.empty_like(self.charged)
+        self.scan = np.empty((B * E, n_traj), dtype=np.int16)
         ranked = sorted(((s, g) for s in range(1, B + 1) for g in range(1, E + 1)),
                         key=lambda sg: policy.sort_key(*sg))
         self.order = np.array([(s - 1) * (E + 1) + g for s, g in ranked])
         self.values = np.minimum(sc.grid.values, N).astype(np.int16)
         self.q = np.array([int(v * unit) for v in sc.penalty.values], dtype=np.int64)
-        self.charge_cost = self._charge_cost_table(sc.grid.cost, N, unit)
+        self.charge_cost = charge_form(sc).table(unit)
         self.total = np.zeros(n_traj, dtype=np.int64)
         self.rejected = np.zeros(n_traj, dtype=np.int64)
         self.traj = np.arange(n_traj)
@@ -213,16 +216,6 @@ class _TypeCounts:
         self.batch_width = max(law if isinstance(law, int) else law[0].shape[1]
                                for law in self.laws)
         self._init_exogenous()
-
-    @staticmethod
-    def _charge_cost_table(cost, n_chargers: int, unit: int) -> np.ndarray:
-        """Charging cost in units, indexed [aggregate, grid state]."""
-        a = np.arange(n_chargers + 1)[:, None]
-        if isinstance(cost, CapacityCost):
-            return np.where(a <= np.asarray(cost.capacities), 0, int(cost.ceiling * unit))
-        if isinstance(cost, QuadraticLoadCost):
-            return (a + np.asarray(cost.base_loads)) ** 2 * unit
-        return np.array([[int(c * unit) for c in row] for row in cost.table], dtype=np.int64)
 
     def _law_table(self, law):
         """A fixed count, or (type rows per outcome, batch sizes, cdf)."""
@@ -258,16 +251,12 @@ class _TypeCounts:
 
     def step(self, t: int):
         flat = self.counts.reshape(-1, self.n)
-        # Decide: charge the first m chargeable vehicles in priority order;
-        # when m covers them all, there is nothing to rank.
+        # Decide: charge the first m chargeable vehicles in priority order.
         ranked = flat[self.order]
         unfinished = ranked.sum(0, dtype=np.int16)
         aggregate = np.minimum(self.values[self.s_idx], unfinished)
-        if (aggregate < unfinished).any():
-            ranked = np.minimum(ranked.cumsum(0, dtype=np.int16), aggregate)
-            ranked[1:] -= ranked[:-1]
         charged = self.charged
-        charged[self.order] = ranked
+        charged[self.order] = _charge_split(ranked, aggregate, unfinished, self.scan)
         # A charged vehicle moves to the next lower need of its stay.
         after = np.subtract(flat, charged, out=self.after)
         after[:-1] += charged[1:]
@@ -289,15 +278,22 @@ class _TypeCounts:
 
     def _arrivals(self, law, t: int):
         """Type rows of each trajectory's arrival batch, in arrival order,
-        and the batch sizes; None when the law never brings a vehicle."""
+        and the batch sizes; None when the law never brings a vehicle.  The
+        rows are a new array, which the caller may overwrite."""
         if isinstance(law, int):
             if law == 0:
                 return None
             u_stay = self._uniforms(t, streams.STAY, law)
             u_req = self._uniforms(t, streams.REQUEST, law)
-            stays = (u_stay * self.B).astype(np.int64) + 1
-            reqs = (u_req * stays).astype(np.int64) + 1
-            return (stays - 1) * self.width + reqs, np.full(self.n, law)
+            u_stay *= self.B
+            stays = u_stay.astype(np.int64)
+            stays += 1
+            u_req *= stays
+            rows = u_req.astype(np.int64)       # need - 1
+            stays *= self.width
+            rows += stays
+            rows -= self.width - 1              # (stay - 1) * width + need
+            return rows, np.full(self.n, law)
         types, sizes, cdf = law
         if sizes.max(initial=0) == 0:
             return None
@@ -312,23 +308,50 @@ class _TypeCounts:
             batch = self._arrivals(self.laws[0], t)
             if batch is None:
                 return
-            types, want = batch
+            cells, want = batch
         else:
-            types = np.zeros((self.n, self.batch_width), dtype=np.int64)
+            cells = np.zeros((self.n, self.batch_width), dtype=np.int64)
             want = np.zeros(self.n, dtype=np.int64)
             for d, law in enumerate(self.laws):
                 rows = np.flatnonzero(self.d_idx == d)
                 batch = self._arrivals(law, t) if rows.size else None
                 if batch is not None:
-                    types[rows, :batch[0].shape[1]] = batch[0][rows]
+                    cells[rows, :batch[0].shape[1]] = batch[0][rows]
                     want[rows] = batch[1][rows]
-        flat = self.counts.reshape(-1, self.n)
-        placed = np.minimum(want, self.sc.num_chargers - flat.sum(0, dtype=np.int16))
+        placed = np.minimum(want, self.sc.num_chargers
+                            - self.counts.reshape(-1, self.n).sum(0, dtype=np.int16))
         self.rejected += want - placed
-        slots = np.arange(types.shape[1]) < placed[:, None]
-        cells = types * self.n + self.traj[:, None]
-        flat += np.bincount(cells[slots], minlength=flat.size
-                            ).reshape(flat.shape).astype(np.int16)
+        cells *= self.n
+        cells += self.traj[:, None]
+        # Drop the slots left empty; building the mask costs more than the
+        # scatter-add itself, so skip it when every slot is placed.
+        if placed.min() < cells.shape[1]:
+            cells = cells[np.arange(cells.shape[1]) < placed[:, None]]
+        np.add.at(self.counts.reshape(-1), cells.ravel(), np.int16(1))
+
+
+def _charge_split(ranked: np.ndarray, budget: np.ndarray, unfinished: np.ndarray,
+                  spare: np.ndarray) -> np.ndarray:
+    """Vehicles charged per rank (row) and trajectory (column) when each
+    column charges its first budget[j] <= unfinished[j] vehicles in rank
+    order: the inclusive prefix sum down the ranks, clipped at the budget and
+    differenced.  Overwrites `ranked` and `spare` (same shape and dtype) and
+    returns one of them.
+
+    The prefix sum takes log2(ranks) shifted adds (Hillis & Steele, "Data
+    parallel algorithms", CACM 1986), each pass from one buffer into the
+    other: numpy's axis-0 cumsum does not vectorize across columns, and an
+    in-place shifted add first copies its overlapping operand."""
+    if not (budget < unfinished).any():
+        return ranked                   # every chargeable vehicle charges
+    a, b, span = ranked, spare, 1
+    while span < len(a):
+        np.add(a[span:], a[:-span], out=b[span:])
+        b[:span] = a[:span]
+        a, b, span = b, a, 2 * span
+    np.minimum(a, budget, out=a)
+    a[1:] -= a[:-1]
+    return a
 
 
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -348,20 +371,22 @@ class MonteCarloResult:
     seed: int
     rejected_mean: float
     engine: str                   # "batch" (type counts) or "scalar" (run_trajectory)
+    fallback: str | None          # why the scalar engine ran; None for "batch"
 
 
-# Trajectories per `_TypeCounts` block: at 10,000 a rate-30 cell is memory
-# bound, and blocks of this size ran it about 15% faster.
-TRAJ_BLOCK = 2000
+# Trajectories per `_TypeCounts` block.  A stage's temporaries grow with the
+# block; a rate-30 10k x 200 cell took a median 3.65, 4.00, 4.78 and 5.12 s of
+# CPU at blocks of 1,000, 2,000, 5,000 and 10,000 (2-core host, 5 runs each).
+TRAJ_BLOCK = 1000
 
 
 def _batch_averages(scenario, policy, stages, n_traj, seed, warmup):
     """Per-trajectory warm-up-excluded and raw averages, and rejections, in
     blocks of at most `TRAJ_BLOCK` trajectories; every trajectory draws from
     its own substreams, so the blocking changes no value.  Both sums are
-    below 2**53 units (`_cost_unit`), so each average equals the scalar
+    below 2**53 units (`_batch_supported`), so each average equals the scalar
     engine's float(Fraction) / stages bit for bit."""
-    unit = _cost_unit(scenario, stages)
+    unit = scenario.prices.unit
     blocks = []
     for start in range(0, n_traj, TRAJ_BLOCK):
         bs = _TypeCounts(scenario, policy, min(TRAJ_BLOCK, n_traj - start), seed,
@@ -383,10 +408,11 @@ def monte_carlo(scenario: ScenarioModel, policy, stages: int, n_traj: int,
     addressed by (base_seed, i).
 
     Both engines give the same numbers; ``engine`` on the result says which
-    one ran.  The type-count engine needs a `HeuristicPolicy` whose budget
-    carries ``budget_kind = "capacity"`` (see `_batch_supported`); anything
-    else runs `run_trajectory` once per trajectory, which at benchmark scale
-    is orders of magnitude slower."""
+    one ran, and ``fallback`` why it was the scalar one.  The type-count
+    engine needs a `HeuristicPolicy` whose budget carries
+    ``budget_kind = "capacity"`` (see `_batch_supported`); anything else runs
+    `run_trajectory` once per trajectory, which at benchmark scale is orders
+    of magnitude slower."""
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
     if stages < 1:
@@ -394,7 +420,8 @@ def monte_carlo(scenario: ScenarioModel, policy, stages: int, n_traj: int,
     if warmup < 0:
         raise ValueError("warm-up must be >= 0")
     warmup = min(warmup, stages - 1)
-    engine = "batch" if _batch_supported(scenario, policy, stages) else "scalar"
+    fallback = _batch_supported(scenario, policy, stages)
+    engine = "scalar" if fallback else "batch"
     if engine == "batch":
         per, raw, rej = _batch_averages(scenario, policy, stages, n_traj,
                                         base_seed, warmup)
@@ -409,7 +436,8 @@ def monte_carlo(scenario: ScenarioModel, policy, stages: int, n_traj: int,
     return MonteCarloResult(mean=float(per.mean()), stderr=stderr, per_traj=per,
                             mean_raw=float(raw.mean()), n_traj=n_traj,
                             stages=stages, warmup=warmup, seed=base_seed,
-                            rejected_mean=float(rej.mean()), engine=engine)
+                            rejected_mean=float(rej.mean()), engine=engine,
+                            fallback=fallback)
 
 
 # ---------------------------------------------------------------------------

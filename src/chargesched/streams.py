@@ -127,8 +127,9 @@ def uniforms_batch(key: np.ndarray, n_traj: int, stage: int, source: int,
     if n_per > 4 * blocks:
         raise ValueError(f"source {source} supports at most {4 * blocks} draws per stage")
     raw = _keyed(key, start * blocks, stage, source).random_raw(4 * blocks * n_traj)
-    out = raw.reshape(n_traj, 4 * blocks)[:, :n_per]
-    return out.astype(np.float64) * _U64_INV
+    words = raw.reshape(n_traj, 4 * blocks)[:, :n_per]
+    # One pass: the same cast to float64, then the same single rounding.
+    return np.multiply(words, _U64_INV, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

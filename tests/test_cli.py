@@ -30,6 +30,26 @@ def test_simulate_row_count_and_reproducibility(tmp_path, capsys):
     assert "engine" not in out1.read_text()
 
 
+def test_simulate_names_why_a_cell_fell_back(tmp_path, capsys):
+    # Penalties near 2**51 could carry the cost totals past 2**53, where the
+    # batch engine's int64 sums stop converting to float exactly.
+    doc = {"name": "huge-penalty", "N": 2, "B": 2, "E": 2,
+           "grid": {"iid_uniform": [1, 2], "cost": "capacity"},
+           "demand": {"states": 1, "kernel": [[1]]},
+           "arrival": {"per_state": [{"kind": "fixed_count", "count": 1}]},
+           "penalty": [0, 2 ** 50, 2 ** 51]}
+    scenario, out = tmp_path / "huge.json", tmp_path / "x.csv"
+    scenario.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(scenario), "--policies", "edf,lllp",
+                 "--rates", "1", "--seed", "1", "--T", "5", "--n-traj", "2",
+                 "--out", str(out)]) == 0
+    cells = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("cell ")]
+    assert cells == [f"cell policy={p} rate=1 engine=scalar reason=costs over 5 "
+                     "stages could reach 2**53 units of 1/1" for p in ("edf", "lllp")]
+    assert len(out.read_text().splitlines()) == 3
+
+
 def test_simulate_single_trajectory_smoke(tmp_path):
     out = tmp_path / "smoke.csv"
     code = main(["simulate", "--scenario", BENCHMARK, "--rates", "10",

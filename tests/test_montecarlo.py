@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargesched import montecarlo, streams
 from chargesched.core import PenaltyFunction, VehicleState
 from chargesched.interchange import coupled_rollout, wrap_interchange
-from chargesched.models import (DemandModel, FixedCountArrivals, GridModel,
-                                ScenarioModel, TableCost, TabulatedArrivals,
-                                capacity_scenario, draw_initial, two_charger_scenario)
+from chargesched.models import (ChargingCost, DemandModel, FixedCountArrivals,
+                                GridModel, QuadraticLoadCost, ScenarioModel, TableCost,
+                                TabulatedArrivals, capacity_scenario, charge_form,
+                                draw_initial, two_charger_scenario)
 from chargesched.montecarlo import (CSV_COLUMNS, advance_stage, figure_experiment,
                                     monte_carlo, run_trajectory)
 from chargesched.policies import check_lllp_compliance, make_policy
@@ -90,7 +93,9 @@ def _two_demand_state_scenario(cost=lambda a: (Fraction(0), Fraction(a, 3)),
                                            for n in range(11)]),
                        num_chargers=30, capacity_range=(1, 8)), 60, 20),
     (_two_demand_state_scenario(), 80, 30),
-], ids=["capacity", "two-charger", "fractional-penalty", "two-demand-states"])
+    (capacity_scenario(30, num_chargers=12, capacity_range=(1, 6)), 60, 20),
+], ids=["capacity", "two-charger", "fractional-penalty", "two-demand-states",
+        "chargers-full"])
 def test_batched_equals_scalar_bitwise(scenario, stages, n_traj):
     for name in ("edf", "llsp", "lllp"):
         pol = make_policy(name, scenario)
@@ -121,6 +126,39 @@ def test_trajectory_blocks_change_no_value(scenario, monkeypatch):
     for i in (5, 22):
         tr = run_trajectory(scenario, pol, 40, seed=6, traj=i, record_stages=False)
         assert tr.time_average == blocked.per_traj[i]
+
+
+@st.composite
+def _ranked_budgets(draw):
+    """Type counts per rank (outer) and trajectory, with all-zero columns,
+    and a budget per trajectory in 0..unfinished that often ties a prefix
+    boundary; sometimes every budget covers every vehicle."""
+    ranks, cols = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    counts = [[0] * ranks if draw(st.booleans()) else
+              draw(st.lists(st.integers(0, 40), min_size=ranks, max_size=ranks))
+              for _ in range(cols)]
+    if draw(st.booleans()):
+        return counts, [sum(c) for c in counts]
+    budgets = []
+    for c in counts:
+        prefixes = [sum(c[:k]) for k in range(ranks + 1)]
+        budgets.append(draw(st.sampled_from(prefixes) | st.integers(0, sum(c))))
+    return counts, budgets
+
+
+@settings(deadline=None, max_examples=300)
+@given(_ranked_budgets())
+def test_charge_split_charges_the_first_vehicles_in_rank_order(case):
+    counts, budgets = case
+    ranked = np.array(counts, dtype=np.int16).T.copy()
+    split = montecarlo._charge_split(ranked, np.array(budgets, dtype=np.int16),
+                                     ranked.sum(0, dtype=np.int16), np.empty_like(ranked))
+    for j, (column, m) in enumerate(zip(counts, budgets)):
+        greedy = []
+        for c in column:
+            greedy.append(min(c, m))
+            m -= greedy[-1]
+        assert split[:, j].tolist() == greedy, j
 
 
 def _rational_scenario(scale):
@@ -219,6 +257,26 @@ def test_coupled_rollout_totals_match_a_fraction_sum(scale):
     assert found >= 5
 
 
+def _quadratic_scenario():
+    sc = capacity_scenario(3, num_chargers=12, capacity_range=(1, 6))
+    cost = QuadraticLoadCost(base_loads=(-3, 0, 2, 5, 1, 4))
+    return dataclasses.replace(sc, grid=dataclasses.replace(sc.grid, cost=cost))
+
+
+@pytest.mark.parametrize("scenario", [
+    capacity_scenario(3, num_chargers=12, capacity_range=(1, 6)),
+    _quadratic_scenario(),
+    _rational_scenario(1),
+], ids=["capacity", "quadratic", "table"])
+def test_charge_table_equals_stage_prices(scenario):
+    prices = scenario.prices
+    table = charge_form(scenario).table(prices.unit)
+    assert table.shape == (scenario.num_chargers + 1, scenario.grid.state_count)
+    for a in range(scenario.num_chargers + 1):
+        for s in range(scenario.grid.state_count):
+            assert table[a, s] == prices[a, s], (a, s)
+
+
 def test_single_trajectory_stderr_convention():
     sc = capacity_scenario(3, num_chargers=12)
     res = monte_carlo(sc, make_policy("edf", sc), stages=30, n_traj=1, base_seed=4)
@@ -305,12 +363,29 @@ def test_result_names_the_engine_that_ran():
     from chargesched.policies import HeuristicPolicy
     sc = capacity_scenario(4, num_chargers=25, capacity_range=(1, 6))
     tagged = monte_carlo(sc, make_policy("lllp", sc), stages=30, n_traj=4, base_seed=3)
-    assert tagged.engine == "batch"
+    assert tagged.engine == "batch" and tagged.fallback is None
     # The same rule without the budget_kind tag cannot be recognized.
     untagged = HeuristicPolicy(
         "lllp", lambda x: min(sc.grid.values[x.grid], x.unfinished_count))
     res = monte_carlo(sc, untagged, stages=30, n_traj=4, base_seed=3)
     assert res.engine == "scalar"
+    assert res.fallback == "the policy is not a heuristic with the capacity budget"
     assert res.per_traj.tobytes() == tagged.per_traj.tobytes()
     assert res.rejected_mean == tagged.rejected_mean
 
+
+class _StepCost(ChargingCost):
+    """A charging-cost form the batch engine has no table for."""
+
+    def __call__(self, aggregate, grid_index):
+        return Fraction(aggregate > 2)
+
+
+def test_unknown_cost_form_runs_scalar_and_says_why():
+    sc = capacity_scenario(4, num_chargers=5, max_stay=2, capacity_range=(1, 3))
+    sc = dataclasses.replace(sc, grid=dataclasses.replace(sc.grid, cost=_StepCost()))
+    pol = make_policy("edf", sc)
+    res = monte_carlo(sc, pol, stages=30, n_traj=3, base_seed=4)
+    assert (res.engine, res.fallback) == (
+        "scalar", "no batch table for the _StepCost cost form")
+    assert res.per_traj[2] == run_trajectory(sc, pol, 30, seed=4, traj=2).time_average
