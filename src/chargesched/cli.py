@@ -73,10 +73,9 @@ def cmd_simulate(args) -> int:
     rates = _parse_rates(args.rates)
     if not rates:
         raise UsageError(f"--rates {args.rates!r} selects no arrival rate")
-    if any(r < 0 for r in rates):
-        raise UsageError("arrival rates must be non-negative")
-    try:    # refuses a scenario that has no arrival rate to set
-        models.with_arrival_rate(scenario, 0)
+    try:    # refuses a scenario with no arrival rate to set, and a count out of range
+        for rate in {min(rates), max(rates)}:
+            models.with_arrival_rate(scenario, rate)
     except ValueError as exc:
         raise UsageError(f"--rates cannot apply: {exc}") from None
     if args.penalty:

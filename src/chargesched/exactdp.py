@@ -6,16 +6,17 @@ across all grid and demand states).  Relative value iteration anchored at the
 all-empty special state computes the optimal gain and differential costs in
 floating point; the constant-gain check across recurrent classes runs in
 floating point too.  Exact rational arithmetic re-verifies the rest: policy
-evaluation by stationary-distribution solves, an exhaustive brute force over
-stationary deterministic policies, and a projection that rewrites an optimal
-policy into one that never charges a vehicle while idling a strictly
-higher-priority one, checking at every swap that the swapped action still
-attains the Bellman minimum.
+evaluation by the average-cost evaluation equations, an exhaustive brute
+force over stationary deterministic policies, and a projection that rewrites
+an optimal policy into one that never charges a vehicle while idling a
+strictly higher-priority one, checking at every swap that the swapped action
+still attains the Bellman minimum.
 
 There is one float path and one exact path.  Everything in floating point
 reads `EnumeratedMDP._flat` (stage costs and a pairs x states sparse
-matrix); every exact gain solves the Fractions that `_exact_chain` selects
-with `linalg.chain_average` (fraction-free integer elimination).
+matrix); every exact gain is `linalg.chain_average` (a forward fraction-free
+integer sweep) of the rows `_integer_row` scales to integers, each
+(state, action) once per call.
 
 Enumeration runs fleet by fleet.  Each (fleet, action) is settled once by
 `core.settle_stage`, whose integer penalty and stepped fleet hold for all
@@ -36,6 +37,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -373,18 +375,13 @@ def recurrent_classes(mdp: EnumeratedMDP, policy: Sequence[int]) -> list[list[in
     return _closed_classes(_policy_graph(mdp, policy))
 
 
-def _exact_chain(mdp: EnumeratedMDP, policy: Sequence[int] | dict[int, int],
-                 cls: list[int]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact transition matrix and stage costs of `policy` (action index by
-    state) on the closed set of states `cls`, in the order of `cls`."""
-    pos = {s: k for k, s in enumerate(cls)}
-    p = [[0] * len(cls) for _ in cls]
-    g = []
-    for k, s in enumerate(cls):
-        for y, pr in mdp.transitions[s][policy[s]]:
-            p[k][pos[y]] = pr   # the targets of one transition row are distinct
-        g.append(mdp.costs[s][policy[s]])
-    return p, g
+def _integer_row(mdp: EnumeratedMDP, s: int, a: int) -> linalg.IntegerRow:
+    """State s under action index a as `linalg.chain_average` reads it:
+    (scale, [(target, weight)], scaled cost), every value over one scale."""
+    moves, cost = mdp.transitions[s][a], mdp.costs[s][a]
+    scale = lcm(cost.denominator, *(p.denominator for _, p in moves))
+    return (scale, [(y, p.numerator * (scale // p.denominator)) for y, p in moves],
+            cost.numerator * (scale // cost.denominator))
 
 
 def class_gain(mdp: EnumeratedMDP, policy: Sequence[int], cls: list[int]) -> float:
@@ -438,9 +435,9 @@ def policy_closure(mdp: EnumeratedMDP, policy: Sequence[int], start: int) -> lis
 def exact_policy_gain(mdp: EnumeratedMDP, policy: Sequence[int]) -> Fraction:
     """Exact average cost of a stationary policy started at the special state
     (under the unichain assumptions this is its gain from every state):
-    stationary average over the closure of the special state."""
+    the average over the closure of the special state."""
     cls = policy_closure(mdp, policy, mdp.special_state)
-    return linalg.chain_average(*_exact_chain(mdp, policy, cls))
+    return _exact_gain({s: _integer_row(mdp, s, policy[s]) for s in cls})
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +479,7 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP) -> BruteForceResult:
     succ_masks = [[sum(1 << pos[y] for y, _ in row) for row in mdp.transitions[s]]
                   for s in reach]
     counts = [len(mdp.actions[s]) for s in reach]
+    rows = [[_integer_row(mdp, s, a) for a in range(c)] for s, c in zip(reach, counts)]
     total = 1
     for c in counts:
         total *= c
@@ -502,8 +500,7 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP) -> BruteForceResult:
                               fixed_mask | 1 << k))
             continue
         fixed = sorted(fixed)
-        gain = _exact_gain_on_class(mdp, {reach[k]: a for k, a in fixed},
-                                    [reach[k] for k, _ in fixed])
+        gain = _exact_gain({reach[k]: rows[k][a] for k, a in fixed})
         n_evaluations += 1
         assignment = [0] * n
         for k, a in fixed:
@@ -516,20 +513,22 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP) -> BruteForceResult:
         n_policies=total, n_evaluations=n_evaluations, reachable=reach)
 
 
-def _exact_gain_on_class(mdp: EnumeratedMDP, policy_map: dict[int, int],
-                         cls: list[int]) -> Fraction:
-    """Average cost on a closed set of states.  The set may hold transient
-    states besides its one closed class (`linalg.chain_average` allows
-    that); with several closed classes the average depends on which one the
-    chain enters, and ValueError is raised rather than picking one."""
-    p, g = _exact_chain(mdp, policy_map, cls)
+def _exact_gain(rows: dict[int, linalg.IntegerRow]) -> Fraction:
+    """Average cost on a closed set of states, in `linalg.chain_average`'s row
+    form.  The set may hold transient states besides its one closed class;
+    with several closed classes the average depends on which one the chain
+    enters, and ValueError is raised rather than picking one."""
     try:
-        return linalg.chain_average(p, g)
+        return linalg.chain_average(rows)
     except ValueError:
-        closed = _closed_classes(sp.csr_matrix([[x > 0 for x in row] for row in p]))
-        raise ValueError(f"{len(closed)} closed classes are reachable from the "
-                         "anchor; the average cost depends on which one the "
-                         "chain enters") from None
+        pos = {s: k for k, s in enumerate(rows)}
+        edges = [(pos[s], pos[y]) for s, (_, moves, _) in rows.items()
+                 for y, _ in moves]
+        graph = sp.csr_matrix(([1] * len(edges), tuple(zip(*edges))),
+                              shape=(len(rows), len(rows)))
+        raise ValueError(f"{len(_closed_classes(graph))} closed classes are reachable "
+                         "from the anchor; the average cost depends on which one "
+                         "the chain enters") from None
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,9 @@ class GridModel:
 
     def __post_init__(self):
         n = len(self.values)
+        if min(self.values, default=0) < 0:
+            raise ValueError(f"grid value {min(self.values)} is negative; "
+                             "a grid value is a charging capacity")
         if self.iid_uniform:
             object.__setattr__(self, "kernel", None)
             object.__setattr__(self, "_cdf", None)
@@ -241,14 +244,18 @@ class FixedCountArrivals:
     draws a stay uniform on {1..B} and a request uniform on {1..stay}."""
     count: int
 
+    def __post_init__(self):
+        if not 0 <= self.count <= streams.MAX_ARRIVALS_PER_STAGE:
+            raise ValueError(f"arrival count {self.count} is outside "
+                             f"0..{streams.MAX_ARRIVALS_PER_STAGE}, the arrivals "
+                             "per stage the random streams address")
+
     def zero_arrival_probability(self) -> Fraction:
         return Fraction(1) if self.count == 0 else Fraction(0)
 
     def sample(self, key, traj: int, stage: int, max_stay: int) -> list[VehicleState]:
         if self.count == 0:
             return []
-        if self.count > streams.MAX_ARRIVALS_PER_STAGE:
-            raise ValueError("arrival count exceeds the per-stage stream capacity")
         u_stay = streams.uniforms(key, traj, stage, streams.STAY, self.count)
         u_req = streams.uniforms(key, traj, stage, streams.REQUEST, self.count)
         stays = (u_stay * max_stay).astype(np.int64) + 1
@@ -529,8 +536,6 @@ def capacity_scenario(arrival_rate: int, penalty: str | PenaltyFunction = "linea
     """The capacity-limited benchmark: iid uniform charging capacity, zero
     charging cost up to capacity and a fleet-wide penalty ceiling beyond it,
     a constant arrival count per stage with uniform stays and requests."""
-    if arrival_rate < 0:
-        raise ValueError("arrival rate must be non-negative")
     max_units = max_stay
     q = _resolve_penalty(penalty, max_units)
     lo, hi = capacity_range

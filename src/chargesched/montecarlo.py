@@ -153,8 +153,6 @@ def _batch_supported(scenario: ScenarioModel, policy, stages: int) -> str | None
         return "two vehicle types tie on the policy's sort key"
     if N >= 2 ** 15:
         return f"{N} chargers overflow the int16 type counts"
-    if min(scenario.grid.values) < 0:
-        return "a grid value is negative"
     form = charge_form(scenario)
     if form is None:
         return f"no batch table for the {type(scenario.grid.cost).__name__} cost form"
@@ -165,13 +163,10 @@ def _batch_supported(scenario: ScenarioModel, policy, stages: int) -> str | None
     if unit >= _FLOAT_EXACT or worst * unit >= _FLOAT_EXACT:
         return f"costs over {stages} stages could reach 2**53 units of 1/{unit}"
     # ScenarioModel has checked that every arrival is a type (stay 1..B,
-    # need 0..E).
+    # need 0..E), and FixedCountArrivals that its count is one the streams
+    # address.
     for law in scenario.demand.arrivals:
-        if isinstance(law, FixedCountArrivals):
-            if law.count > streams.MAX_ARRIVALS_PER_STAGE:
-                return (f"{law.count} arrivals a stage exceed the "
-                        f"{streams.MAX_ARRIVALS_PER_STAGE} the streams address")
-        elif not isinstance(law, TabulatedArrivals):
+        if not isinstance(law, (FixedCountArrivals, TabulatedArrivals)):
             return f"no batch sampler for {type(law).__name__}"
     return None
 

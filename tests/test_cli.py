@@ -76,6 +76,8 @@ def test_simulate_usage_errors(tmp_path):
     (["--rates", "5,x"], "bad --rates '5,x'"),
     (["--rates", ","], "--rates ',' selects no arrival rate"),
     (["--policies", ","], "--policies ',' selects no policy"),
+    # More arrivals a stage than the random streams address.
+    (["--rates", "5,40"], "arrival count 40 is outside 0..32"),
 ])
 def test_simulate_bad_option_exits_2(tmp_path, capsys, extra, reason):
     out = tmp_path / "x.csv"
@@ -186,6 +188,7 @@ def test_arrival_outside_the_type_grid_exits_2(tmp_path, capsys):
     # Wrong value types: the TypeError's own message is the reason.
     (("initial", "grid"), "0", "'<=' not supported between instances of 'int' and 'str'"),
     (("grid", "kernel"), 5, "'int' object is not iterable"),
+    (("grid", "states"), [-1, 1], "grid value -1 is negative"),
 ])
 def test_scenario_shape_errors_exit_2(tmp_path, capsys, key, value, reason):
     with open(TINY) as fh:

@@ -141,6 +141,12 @@ def test_exact_gain_matches_brute_force(tiny_solution):
     assert bf.gain == exact
     assert abs(float(exact) - sol.gain) < 1e-10
     assert bf.n_policies == 65536
+    # Reference figures: the search visits the same closed sets and keeps the
+    # first optimal policy in lexicographic order.
+    assert bf.gain == Fraction(35, 104)
+    assert bf.n_evaluations == 1096
+    digest = hashlib.sha256(repr(sorted(bf.policy.items())).encode()).hexdigest()
+    assert digest == "c4a5953bd2cf48347daec767ff4529e13b48107ac97ba66205d479dedf31d255"
 
 
 def test_multichain_fixture_fails_checks():

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -104,13 +104,36 @@ def chains_with_closed_classes(draw, n_classes):
     return p, costs, [sorted(at[s] for s in cls) for cls in classes]
 
 
+def _rows(p, costs):
+    """`chain_average`'s form of a dense chain: each state's row and cost as
+    integers over the lcm of their denominators."""
+    rows = {}
+    for r, (row, c) in enumerate(zip(p, costs)):
+        scale = lcm(c.denominator, *(x.denominator for x in row))
+        rows[r] = (scale, [(y, x.numerator * (scale // x.denominator))
+                           for y, x in enumerate(row) if x],
+                   c.numerator * (scale // c.denominator))
+    return rows
+
+
+@settings(deadline=None)
+@given(chains_with_closed_classes(1))
+def test_chain_average_is_the_stationary_average(chain):
+    p, costs, _ = chain
+    pi = linalg.stationary_distribution(p)
+    expected = sum((x * c for x, c in zip(pi, costs)), Fraction(0))
+    gain = linalg.chain_average(_rows(p, costs))
+    assert type(gain) is Fraction
+    assert gain == expected
+
+
 @settings(deadline=None)
 @given(chains_with_closed_classes(1))
 def test_chain_average_ignores_transient_states(chain):
     p, costs, (cls,) = chain
-    alone = linalg.chain_average([[p[r][c] for c in cls] for r in cls],
-                                 [costs[r] for r in cls])
-    assert linalg.chain_average(p, costs) == alone
+    alone = linalg.chain_average(_rows([[p[r][c] for c in cls] for r in cls],
+                                       [costs[r] for r in cls]))
+    assert linalg.chain_average(_rows(p, costs)) == alone
 
 
 @settings(deadline=None)
@@ -118,4 +141,4 @@ def test_chain_average_ignores_transient_states(chain):
 def test_chain_average_refuses_several_closed_classes(chain):
     p, costs, _ = chain
     with pytest.raises(ValueError):
-        linalg.chain_average(p, costs)
+        linalg.chain_average(_rows(p, costs))
