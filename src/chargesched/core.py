@@ -6,8 +6,8 @@ described by ``stay`` (stages remaining until its departure) and ``need``
 rationals, and ``settle_stage`` sums a stage's penalty as an integer in the
 units of ``PenaltyFunction.scaled``, so callers add integers and divide once,
 and sample-path cost comparisons elsewhere in the package are tolerance-free.
-The stage step never visits the empty sentinel: it walks
-``SystemState.occupied`` only.
+The stage step walks ``SystemState.occupied`` only and reports the chargers
+that keep a vehicle, so a rollout's next state need not scan for them.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from operator import gt, itemgetter
@@ -125,21 +125,17 @@ class PenaltyFunction:
         return tuple(int(v * unit) for v in self.values), unit
 
 
-_BITS = frozenset((0, 1))
-
-
 @dataclass(frozen=True)
 class ActionVector:
-    """Binary charge/idle decision per charger."""
+    """Binary charge/idle decision per charger; ``aggregate`` counts the 1s."""
     bits: tuple[int, ...]
+    aggregate: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not _BITS.issuperset(self.bits):
+        ones = self.bits.count(1)       # one C-level pass each, not per bit
+        if ones + self.bits.count(0) != len(self.bits):
             raise ValueError("action bits must be 0 or 1")
-
-    @functools.cached_property
-    def aggregate(self) -> int:
-        return sum(self.bits)
+        object.__setattr__(self, "aggregate", ones)
 
     def check_feasible(self, vehicles: Sequence[VehicleState]) -> None:
         if len(self.bits) != len(vehicles):
@@ -162,6 +158,13 @@ class SystemState:
         """Indices of the chargers holding a vehicle, computed once per state."""
         return tuple(compress(range(len(self.vehicles)), map(_stay, self.vehicles)))
 
+    @classmethod
+    def successor(cls, vehicles: tuple, grid: int, demand: int, occupied: tuple) -> "SystemState":
+        """A state whose occupied chargers the caller already knows."""
+        state = cls(vehicles, grid, demand)
+        state.__dict__["occupied"] = occupied
+        return state
+
     @functools.cached_property
     def unfinished(self) -> tuple[int, ...]:
         """Indices of the vehicles still owed charge, computed once per state."""
@@ -181,14 +184,23 @@ def settle_stage(state: SystemState, action: ActionVector, penalty: PenaltyFunct
     vehicles departing after this stage (stay == 1) with unmet request, as an
     int in units of 1/L for ``penalty.scaled == (q * L, L)``, and the vehicles
     one stage later.  Callers price the charging cost C(A, s), which depends
-    only on the aggregate and the grid state.  Bits are 0/1, so none sits on
-    an empty charger exactly when the occupied ones charged sum to the
+    only on the aggregate and the grid state."""
+    shortfall, out, _ = _settle(state, action, penalty)
+    return shortfall, tuple(out)
+
+
+def _settle(state: SystemState, action: ActionVector, penalty: PenaltyFunction
+            ) -> tuple[int, list[VehicleState], list[int]]:
+    """`settle_stage` with the vehicles as a list, plus the chargers that
+    keep a vehicle (stay > 1), in index order.  Bits are 0/1, so none sits
+    on an empty charger exactly when the occupied ones charged sum to the
     aggregate."""
     vehicles, bits = state.vehicles, action.bits
     if len(bits) != len(vehicles):
         action.check_feasible(vehicles)     # raises the length error
     scaled = penalty.scaled[0]
     out = list(vehicles)
+    kept = []
     shortfall = charged = 0
     for i in state.occupied:
         stay, need = vehicles[i]
@@ -200,9 +212,10 @@ def settle_stage(state: SystemState, action: ActionVector, penalty: PenaltyFunct
             out[i] = EMPTY
         else:
             out[i] = vehicle_type(stay - 1, need)
+            kept.append(i)
     if charged != action.aggregate:
         action.check_feasible(vehicles)     # names the charger at fault
-    return shortfall, tuple(out)
+    return shortfall, out, kept
 
 
 def stage_cost(state: SystemState, action: ActionVector, cost_fn, penalty: PenaltyFunction) -> Fraction:

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress, count, islice
 from operator import itemgetter, not_
 from typing import Callable, NamedTuple, Sequence
 
@@ -215,16 +215,21 @@ def _stationary_or_uniform(p: Sequence[Sequence[Fraction]]) -> tuple[Fraction, .
     return stationary_distribution(p)
 
 
-def _reachable(p: Sequence[Sequence[Fraction]], start: int,
-               backward: bool = False) -> set[int]:
-    """States reachable from `start` along the positive entries of p, or
-    along them reversed when `backward`."""
+def _positive_graph(p: Sequence[Sequence[Fraction]]):
+    """The positive entries of p as a sparse 0/1 adjacency matrix."""
     # Imported on first use: importing scipy.sparse at the top of this module
     # raised the peak resident set of a Monte Carlo run by about 1.6 MB
     # (Python 3.11, scipy 1.17).
     import scipy.sparse as sp
+    return sp.csr_matrix([[q > 0 for q in row] for row in p])
+
+
+def _reachable(p: Sequence[Sequence[Fraction]], start: int,
+               backward: bool = False) -> set[int]:
+    """States reachable from `start` along the positive entries of p, or
+    along them reversed when `backward`."""
     from scipy.sparse.csgraph import breadth_first_order
-    graph = sp.csr_matrix([[q > 0 for q in row] for row in p])
+    graph = _positive_graph(p)
     return set(breadth_first_order(graph.T if backward else graph, start,
                                    return_predecessors=False).tolist())
 
@@ -330,22 +335,17 @@ class DemandModel:
 
 
 def _period(p: list[list[Fraction]]) -> int:
-    """Period of an irreducible chain via BFS level differences."""
-    import math
-    n = len(p)
-    level = {0: 0}
-    queue = [0]
-    g = 0
-    while queue:
-        s = queue.pop(0)
-        for s2, q in enumerate(p[s]):
-            if q > 0:
-                if s2 in level:
-                    g = math.gcd(g, level[s] + 1 - level[s2])
-                else:
-                    level[s2] = level[s] + 1
-                    queue.append(s2)
-    return abs(g) if g else n
+    """Period of an irreducible chain: the gcd of level[s] + 1 - level[s2]
+    over its positive entries (s, s2), level being the BFS depth from 0."""
+    # Not csgraph.shortest_path, whose first call adds about 0.5 MB of RSS.
+    from scipy.sparse.csgraph import breadth_first_order
+    graph = _positive_graph(p)
+    order, parent = breadth_first_order(graph, 0)
+    level = np.zeros(len(p), dtype=np.int64)
+    for s in order[1:]:
+        level[s] = level[parent[s]] + 1
+    rows, cols = graph.nonzero()
+    return int(np.gcd.reduce(level[rows] + 1 - level[cols])) or len(p)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +387,8 @@ class StagePrices(dict):
     """A scenario's stage costs as integers in units of 1/L, where L
     (``unit``) is the least common denominator of the penalty table and the
     charging costs.  Keys are (aggregate, grid state) and values the charging
-    cost, each priced on first use: the capacity benchmark has
-    (N + 1) x G = 48,521 of them.  ``penalty`` turns `settle_stage`'s
+    cost, each priced on first use and kept, except a capacity price (0 or
+    ``ceiling``), which is never stored.  ``penalty`` turns `settle_stage`'s
     shortfall units into units of 1/L.  Sums of these stay Python ints, so
     no total wraps."""
 
@@ -404,8 +404,11 @@ class StagePrices(dict):
         q_unit = scenario.penalty.scaled[1]
         self.unit = math.lcm(q_unit, *(c.denominator for c in charges))
         self.penalty = self.unit // q_unit
+        self.ceiling = int(cost.ceiling * self.unit) if isinstance(cost, CapacityCost) else None
 
     def __missing__(self, key: tuple[int, int]) -> int:
+        if self.ceiling is not None:
+            return 0 if key[0] <= self.cost.capacities[key[1]] else self.ceiling
         c = Fraction(self.cost(*key))
         units = self[key] = c.numerator * (self.unit // c.denominator)
         return units
@@ -495,16 +498,21 @@ def admit(vehicles: Sequence[VehicleState], arrivals: Sequence[VehicleState]
           ) -> tuple[tuple[VehicleState, ...], int]:
     """Place arrivals on the lowest-index empty chargers in arrival order;
     count and drop the overflow."""
-    if not arrivals:
-        return tuple(vehicles), 0
     out = list(vehicles)
+    filled = _admit(out, arrivals)
+    return tuple(out), len(arrivals) - len(filled)
+
+
+def _admit(out: list[VehicleState], arrivals: Sequence[VehicleState]) -> list[int]:
+    """`admit` in place on ``out``; returns the chargers filled, in order."""
+    if not arrivals:
+        return []
     # Lazily, so the search stops at the last slot used.
     empties = compress(count(), map(not_, map(itemgetter(0), out)))
-    placed = 0
-    for slot, arrival in zip(empties, arrivals):
+    filled = list(islice(empties, len(arrivals)))
+    for slot, arrival in zip(filled, arrivals):
         out[slot] = arrival
-        placed += 1
-    return tuple(out), len(arrivals) - placed
+    return filled
 
 
 def draw_initial(scenario: ScenarioModel, key, traj: int) -> SystemState:

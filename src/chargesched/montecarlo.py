@@ -39,8 +39,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import streams
-from .core import ActionVector, SystemState, settle_stage
-from .models import (FixedCountArrivals, ScenarioModel, TabulatedArrivals, admit,
+from .core import ActionVector, SystemState, _settle
+from .models import (FixedCountArrivals, ScenarioModel, TabulatedArrivals, _admit,
                      capacity_scenario, charge_form, draw_initial, sample_grid,
                      sample_demand, with_arrival_rate)
 from .policies import HeuristicPolicy, make_policy
@@ -60,16 +60,18 @@ class StageBill(NamedTuple):
 def advance_stage(scenario: ScenarioModel, state: SystemState, action: ActionVector,
                   stage: int, key, traj: int) -> tuple[SystemState, StageBill]:
     """One stage-boundary step: pay the stage cost, process departures, then
-    admit the next stage's arrivals and move the grid/demand chains."""
-    shortfall, vehicles = settle_stage(state, action, scenario.penalty)
+    admit the next stage's arrivals and move the grid/demand chains.  The
+    next state inherits its occupied chargers: those kept plus those filled."""
+    shortfall, vehicles, kept = _settle(state, action, scenario.penalty)
     prices = scenario.prices
     charging = prices[action.aggregate, state.grid]
     d_next, arrivals = sample_demand(scenario.demand, state.demand, key, traj,
                                      stage, scenario.max_stay)
-    vehicles, rejected = admit(vehicles, arrivals)
+    filled = _admit(vehicles, arrivals)
     s_next = sample_grid(scenario.grid, state.grid, action.aggregate, key, traj, stage)
-    return (SystemState(vehicles, s_next, d_next),
-            StageBill(charging, shortfall * prices.penalty, rejected))
+    occupied = tuple(sorted(kept + filled) if filled else kept)
+    return (SystemState.successor(tuple(vehicles), s_next, d_next, occupied),
+            StageBill(charging, shortfall * prices.penalty, len(arrivals) - len(filled)))
 
 
 def as_fractions(units: Sequence[int], unit: int) -> tuple[Fraction, ...]:
@@ -504,22 +506,19 @@ def figure_experiment(penalty: str, rates: Sequence[int], stages: int,
     table = ComparisonTable(penalty=penalty, stages=stages, n_traj=n_traj,
                             seed=seed, policies=tuple(policies), rates=rates)
 
-    def cell(policy_name: str, rate: int):
-        if base_scenario is None:
-            sc = capacity_scenario(rate, penalty)
-        else:
-            sc = with_arrival_rate(base_scenario, rate)
-        pol = make_policy(policy_name, sc)
-        return (policy_name, rate), monte_carlo(sc, pol, stages, n_traj, seed,
-                                                warmup=warmup)
+    # Build, and so check, every rate's scenario and policy before any cell.
+    scenarios = {r: capacity_scenario(r, penalty) if base_scenario is None
+                 else with_arrival_rate(base_scenario, r) for r in rates}
+    jobs = [((p, r), scenarios[r], make_policy(p, scenarios[r]))
+            for p in table.policies for r in rates]
 
-    jobs = [(p, r) for p in table.policies for r in rates]
+    def cell(job):
+        key, sc, pol = job
+        return key, monte_carlo(sc, pol, stages, n_traj, seed, warmup=warmup)
+
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            for key, res in ex.map(lambda pr: cell(*pr), jobs):
-                table.cells[key] = res
+            table.cells.update(ex.map(cell, jobs))
     else:
-        for p, r in jobs:
-            key, res = cell(p, r)
-            table.cells[key] = res
+        table.cells.update(map(cell, jobs))
     return table

@@ -108,11 +108,16 @@ def check_lllp_compliance(state: SystemState, action: ActionVector,
 
     Only chargeable pairs can witness a violation: an idle vehicle with no
     remaining request is never above a charged one, and once the action is
-    feasible every charged vehicle is still owed charge.
+    feasible every charged vehicle is still owed charge.  It is feasible when
+    the bits on unfinished vehicles sum to the aggregate, as bits are 0/1.
     """
-    action.check_feasible(state.vehicles)
-    charged = [i for i in state.unfinished if action.bits[i]]
-    idle = [j for j in state.unfinished if not action.bits[j]]
+    bits = action.bits
+    if len(bits) != len(state.vehicles):
+        action.check_feasible(state.vehicles)   # raises the length error
+    charged = [i for i in state.unfinished if bits[i]]
+    if len(charged) != action.aggregate:
+        action.check_feasible(state.vehicles)   # names the charger at fault
+    idle = [j for j in state.unfinished if not bits[j]]
     for i in charged:
         for j in idle:
             if compare_priority(state.vehicles[i], state.vehicles[j],

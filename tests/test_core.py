@@ -186,10 +186,15 @@ def test_step_vehicles():
 
 
 def test_action_vector_validation():
-    with pytest.raises(ValueError):
-        ActionVector((0, 2))
-    act = ActionVector((1, 0, 1))
-    assert act.aggregate == 2
+    for bits in ((0, 2), (2,), (0, 1, -1), (0.5,), ("1",), (None,)):
+        with pytest.raises(ValueError, match="action bits must be 0 or 1"):
+            ActionVector(bits)
+    for bits, aggregate in (((1, 0, 1), 2), ((), 0), ((True, False, True), 2),
+                            ((np.int64(1), np.int8(0), 1), 2)):
+        act = ActionVector(bits)
+        assert act.aggregate == aggregate and type(act.aggregate) is int
+        assert act == ActionVector(tuple(map(int, bits)))
+    assert repr(ActionVector((1, 0))) == "ActionVector(bits=(1, 0))"
 
 
 def _settle_full_walk(state, action, penalty):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chargesched import streams
+from chargesched import models, streams
 from chargesched.core import PenaltyFunction, VehicleState
 from chargesched.models import (DemandModel, FixedCountArrivals, GridModel,
                                 ScenarioModel, TableCost, TabulatedArrivals,
@@ -194,6 +194,35 @@ def test_unichain_assumption_checks():
                         max_units=2, grid=sc.grid, demand=no_idle,
                         penalty=sc.penalty)
     assert any("zero-arrival" in n for n in validate_unichain_assumptions(bad))
+
+
+def _cycle(n, extra=()):
+    """Kernel of the n-cycle 0 -> 1 -> ... -> n - 1 -> 0, with each (s, s2)
+    in ``extra`` sharing row s's mass."""
+    rows = []
+    for s in range(n):
+        targets = [(s + 1) % n] + [b for a, b in extra if a == s]
+        rows.append(tuple(Fraction(targets.count(t), len(targets)) for t in range(n)))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("kernel, period", [
+    (_cycle(1), 1),
+    (_cycle(3, extra=[(0, 0)]), 1),                 # a self-loop breaks the cycle
+    (_cycle(5, extra=[(2, 0)]), 1),                 # cycles of 3 and 5
+    (_cycle(2), 2),
+    (_cycle(4, extra=[(3, 2), (1, 0)]), 2),         # cycles of 2 and 4
+    (_cycle(3), 3),
+    (_cycle(6, extra=[(2, 0)]), 3),                 # cycles of 3 and 6
+    (((ONE, Fraction(0)), (Fraction(1, 2), Fraction(1, 2))), None),   # reducible
+    (((Fraction(0), ONE), (Fraction(0), ONE)), None),                 # 0 is transient
+])
+def test_demand_ergodicity_pins_the_period(kernel, period):
+    law = TabulatedArrivals(((ONE, ()),))
+    demand = DemandModel(kernel=kernel, arrivals=(law,) * len(kernel))
+    assert demand.is_ergodic() == (period == 1)
+    if period is not None:
+        assert models._period([list(r) for r in kernel]) == period
 
 
 def test_json_roundtrip(tmp_path):

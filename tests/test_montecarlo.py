@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargesched import montecarlo, streams
-from chargesched.core import PenaltyFunction, VehicleState
+from chargesched.core import (EMPTY, ActionVector, PenaltyFunction, SystemState,
+                              VehicleState, settle_stage)
 from chargesched.interchange import coupled_rollout, wrap_interchange
 from chargesched.models import (ChargingCost, DemandModel, FixedCountArrivals,
                                 GridModel, QuadraticLoadCost, ScenarioModel, TableCost,
-                                TabulatedArrivals, capacity_scenario, charge_form,
-                                draw_initial, two_charger_scenario)
+                                TabulatedArrivals, admit, capacity_scenario,
+                                charge_form, draw_initial, sample_demand,
+                                two_charger_scenario)
 from chargesched.montecarlo import (CSV_COLUMNS, advance_stage, figure_experiment,
                                     monte_carlo, run_trajectory)
 from chargesched.policies import check_lllp_compliance, make_policy
@@ -293,6 +295,53 @@ def test_monte_carlo_input_validation():
         monte_carlo(sc, make_policy("edf", sc), stages=30, n_traj=2, base_seed=4, warmup=-5)
     with pytest.raises(ValueError, match="warm-up"):
         run_trajectory(sc, make_policy("edf", sc), stages=30, seed=4, warmup=-1)
+
+
+_TYPES = st.builds(VehicleState, st.integers(1, 3), st.integers(0, 3))
+
+
+@st.composite
+def _fleets_and_laws(draw):
+    """A scenario on at most 8 chargers with one tabulated arrival law, whose
+    batches hold need-0 vehicles and can overflow the free chargers, and a
+    starting fleet with empty slots and need-0 vehicles."""
+    n = draw(st.integers(1, 8))
+    batches = draw(st.lists(st.lists(_TYPES, max_size=n + 3), min_size=1, max_size=3))
+    law = TabulatedArrivals(tuple((Fraction(1, len(batches)), tuple(b)) for b in batches))
+    base = capacity_scenario(0, num_chargers=n, max_stay=3, capacity_range=(0, n))
+    sc = dataclasses.replace(base, demand=DemandModel(kernel=((Fraction(1),),),
+                                                      arrivals=(law,)))
+    fleet = draw(st.lists(st.one_of(st.just(EMPTY), _TYPES), min_size=n, max_size=n))
+    return sc, SystemState(tuple(fleet), 0, 0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_fleets_and_laws(), st.integers(0, 2 ** 32), st.data())
+def test_advance_stage_carries_the_occupied_chargers(case, seed, data):
+    sc, x = case
+    key = streams.philox_key(seed)
+    for t in range(10):
+        bits = tuple(data.draw(st.integers(0, 1)) if v.need else 0 for v in x.vehicles)
+        a = ActionVector(bits)
+        _, arrivals = sample_demand(sc.demand, x.demand, key, 0, t, sc.max_stay)
+        vehicles, rejected = admit(settle_stage(x, a, sc.penalty)[1], arrivals)
+        x, bill = advance_stage(sc, x, a, t, key, 0)
+        assert (x.vehicles, bill.rejected) == (vehicles, rejected)
+        assert x.occupied == SystemState(x.vehicles, x.grid, x.demand).occupied
+
+
+@pytest.mark.parametrize("base", [None, capacity_scenario(2, num_chargers=30,
+                                                          capacity_range=(1, 5))])
+def test_figure_experiment_refuses_before_any_cell(base, monkeypatch):
+    calls = []
+    monkeypatch.setattr(montecarlo, "monte_carlo", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match="arrival count 40 is outside 0..32"):
+        figure_experiment("linear", rates=(30, 40), stages=30, n_traj=5, seed=0,
+                          policies=("edf",), base_scenario=base)
+    with pytest.raises(ValueError, match="unknown policy 'lifo'"):
+        figure_experiment("linear", rates=(3,), stages=30, n_traj=5, seed=0,
+                          policies=("edf", "lifo"), base_scenario=base)
+    assert calls == []
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chargesched.core import SystemState, VehicleState
+from chargesched.core import ActionVector, InfeasibleActionError, SystemState, VehicleState
 from chargesched.models import capacity_scenario
 from chargesched.policies import (capacity_budget, check_lllp_compliance, edf,
                                   llsp, lllp, make_policy)
@@ -111,6 +111,19 @@ def test_lllp_compliance_randomized():
         m = int(rng.integers(0, n + 1))
         act = lllp(state, budget_of(m))
         assert check_lllp_compliance(state, act, 10) is None
+
+
+def test_compliance_refuses_infeasible_actions():
+    state = _state(VehicleState(3, 2), VehicleState(2, 0), E)
+    for bits, charger in (((1, 1, 0), 1), ((0, 0, 1), 2)):
+        with pytest.raises(InfeasibleActionError,
+                           match=f"^charger {charger}: cannot charge a vehicle "
+                                 "with no remaining request$"):
+            check_lllp_compliance(state, ActionVector(bits), 10)
+    for bits in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="^action length does not match charger count$") as exc:
+            check_lllp_compliance(state, ActionVector(bits), 10)
+        assert exc.type is ValueError
 
 
 def test_make_policy_validates_name():
