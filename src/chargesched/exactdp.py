@@ -37,16 +37,15 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import connected_components
 
 from . import linalg
 from .core import ActionVector, EMPTY, SystemState, VehicleState, settle_stage
-from .models import ScenarioModel, TabulatedArrivals, admit
+from .models import ScenarioModel, TabulatedArrivals, _reachable, admit
 from .policies import check_lllp_compliance
 
 DEFAULT_STATE_CEILING = 2_000_000
@@ -289,7 +288,6 @@ class DPSolution:
     policy: np.ndarray          # action index per state
     residual: float
     iterations: int
-    converged: bool
 
 
 def relative_value_iteration(mdp: EnumeratedMDP, tol: float = 1e-12,
@@ -330,7 +328,7 @@ def relative_value_iteration(mdp: EnumeratedMDP, tol: float = 1e-12,
             f"(last residual {residual:.3g}); the instance may not have "
             "state-independent average cost")
     return DPSolution(gain=gain, h=h, policy=policy, residual=residual,
-                      iterations=iterations, converged=converged)
+                      iterations=iterations)
 
 
 def _greedy_from_q(q: np.ndarray, starts: np.ndarray, t_h: np.ndarray) -> np.ndarray:
@@ -355,10 +353,6 @@ def _policy_graph(mdp: EnumeratedMDP, policy: Sequence[int]) -> sp.csr_matrix:
     return mat[starts[:-1] + np.asarray(policy)]
 
 
-def _reachable(graph: sp.spmatrix, start: int) -> list[int]:
-    return sorted(breadth_first_order(graph, start, return_predecessors=False).tolist())
-
-
 def _closed_classes(mat: sp.spmatrix) -> list[list[int]]:
     """Closed communicating classes of a chain: the strongly connected
     components of its transition graph that no edge leaves."""
@@ -376,12 +370,7 @@ def recurrent_classes(mdp: EnumeratedMDP, policy: Sequence[int]) -> list[list[in
 
 
 def _integer_row(mdp: EnumeratedMDP, s: int, a: int) -> linalg.IntegerRow:
-    """State s under action index a as `linalg.chain_average` reads it:
-    (scale, [(target, weight)], scaled cost), every value over one scale."""
-    moves, cost = mdp.transitions[s][a], mdp.costs[s][a]
-    scale = lcm(cost.denominator, *(p.denominator for _, p in moves))
-    return (scale, [(y, p.numerator * (scale // p.denominator)) for y, p in moves],
-            cost.numerator * (scale // cost.denominator))
+    return linalg.integer_row(mdp.transitions[s][a], mdp.costs[s][a])
 
 
 def class_gain(mdp: EnumeratedMDP, policy: Sequence[int], cls: list[int]) -> float:
@@ -458,7 +447,6 @@ class BruteForceResult:
     policy: dict[int, int]     # action index per reachable state
     n_policies: int
     n_evaluations: int
-    reachable: list[int]
 
 
 def brute_force_optimal_gain(mdp: EnumeratedMDP) -> BruteForceResult:
@@ -510,7 +498,7 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP) -> BruteForceResult:
     gain, assignment = best
     return BruteForceResult(
         gain=gain, policy={s: a for s, a in zip(reach, assignment)},
-        n_policies=total, n_evaluations=n_evaluations, reachable=reach)
+        n_policies=total, n_evaluations=n_evaluations)
 
 
 def _exact_gain(rows: dict[int, linalg.IntegerRow]) -> Fraction:
@@ -539,7 +527,6 @@ def _exact_gain(rows: dict[int, linalg.IntegerRow]) -> Fraction:
 class ProjectionResult:
     policy: np.ndarray
     swaps: int
-    states_touched: int
 
 
 def lllp_projection(mdp: EnumeratedMDP, solution: DPSolution,
@@ -580,10 +567,7 @@ def lllp_projection(mdp: EnumeratedMDP, solution: DPSolution,
             policy[k] = new_idx
             cur = act_list[new_idx]
             swaps += 1
-    # A swap never restores the action it started from, so the states
-    # touched are those whose action changed.
-    touched = int((policy != solution.policy).sum())
-    return ProjectionResult(policy=policy, swaps=swaps, states_touched=touched)
+    return ProjectionResult(policy=policy, swaps=swaps)
 
 
 def compliance_violations(mdp: EnumeratedMDP, policy: Sequence[int]) -> int:

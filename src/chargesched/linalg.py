@@ -1,13 +1,14 @@
 """Small exact-rational linear algebra: just enough to evaluate Markov chains
 without floating error.
 
-Systems are solved fraction-free: each row is scaled to integers, and the
-elimination runs on Python ints, dividing every update exactly by the previous
-pivot (Bareiss, "Sylvester's identity and multistep integer-preserving
-Gaussian elimination", Math. Comp. 1968).  Fractions are built only for the
-results.  `solve` eliminates in both directions for every unknown;
-`chain_average` takes its rows as integers already and sweeps forward only,
-because it reads one unknown, the gain.
+One solver, `chain_average`, gives the long-run average cost of a chain.  Its
+system is solved fraction-free: each row is scaled to integers
+(`integer_row`), and a forward sweep runs on Python ints, dividing every
+update exactly by the previous pivot (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 1968).  Only
+the gain becomes a Fraction.  A stationary distribution needs no solver of
+its own: on an irreducible chain, pi(i) is the average of the cost that is 1
+in state i and 0 elsewhere.
 """
 
 from __future__ import annotations
@@ -20,53 +21,12 @@ from typing import Mapping, Sequence
 IntegerRow = tuple[int, list[tuple[int, int]], int]
 
 
-def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a x = b exactly for rational (Fraction or int) entries, by
-    fraction-free Gauss-Jordan elimination with nonzero pivoting.
-
-    Raises ValueError on a singular system.
-    """
-    n = len(a)
-    rows = []
-    for row, rhs in zip(a, b):
-        row = [*row, rhs]
-        scale = lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (scale // v.denominator) for v in row])
-    # Step k eliminates column k from every other row.  Each row keeps only the
-    # columns k.. it still needs; afterwards every entry is a (k+1)-minor of
-    # the scaled system, so the division by the previous pivot is exact.
-    prev = 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if rows[r][0]), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        rows[k], rows[pivot] = rows[pivot], rows[k]
-        pk, *tail = rows[k]
-        for r in range(n):
-            f, *rest = rows[r]
-            if r == k:
-                rows[r] = rest
-            elif f:
-                rows[r] = [(pk * v - f * w) // prev for v, w in zip(rest, tail)]
-            else:
-                rows[r] = [pk * v // prev for v in rest]
-        prev = pk
-    # Now prev * x = the right-hand column.
-    return [Fraction(row[0], prev) for row in rows]
-
-
-def stationary_distribution(p: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
-    """Stationary distribution pi of a stochastic matrix with one closed
-    class: pi (P - I) = 0 with the last balance equation replaced by
-    sum(pi) = 1.  That system is nonsingular exactly when there is one
-    closed class; pi is zero on the transient states."""
-    n = len(p)
-    a = [[p[r][c] - 1 if r == c else p[r][c] for r in range(n)] for c in range(n - 1)]
-    a.append([1] * n)
-    pi = solve(a, [0] * (n - 1) + [1])
-    if any(x < 0 for x in pi):
-        raise ValueError("stationary solve produced negatives; chain not irreducible?")
-    return tuple(pi)
+def integer_row(moves: Sequence[tuple[int, Fraction]], cost: Fraction | int) -> IntegerRow:
+    """A state's moves [(target, probability)] and stage cost as
+    `chain_average` reads them: every value over the lcm of their denominators."""
+    scale = lcm(cost.denominator, *(p.denominator for _, p in moves))
+    return (scale, [(y, p.numerator * (scale // p.denominator)) for y, p in moves],
+            cost.numerator * (scale // cost.denominator))
 
 
 def chain_average(rows: Mapping[int, IntegerRow]) -> Fraction:

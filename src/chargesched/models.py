@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import streams
+from . import linalg, streams
 from .core import EMPTY, PenaltyFunction, SystemState, VehicleState, vehicle_type
 
 ROW_SUM_TOL = 1e-12
@@ -140,7 +140,9 @@ class GridModel:
 
     def __post_init__(self):
         n = len(self.values)
-        if min(self.values, default=0) < 0:
+        if not n:
+            raise ValueError("the grid has no states")
+        if min(self.values) < 0:
             raise ValueError(f"grid value {min(self.values)} is negative; "
                              "a grid value is a charging capacity")
         if self.iid_uniform:
@@ -190,8 +192,9 @@ class GridModel:
         state, if one exists: the anchor the constant-gain argument needs."""
         if self.iid_uniform:
             return 0
-        p0 = [self.kernel[s][0] for s in range(self.state_count)]
-        common = set.intersection(*(_reachable(p0, s0) for s0 in range(self.state_count)))
+        graph = _positive_graph([per_action[0] for per_action in self.kernel])
+        common = set.intersection(*(set(_reachable(graph, s0))
+                                    for s0 in range(self.state_count)))
         return min(common) if common else None
 
     @functools.cached_property
@@ -208,11 +211,15 @@ class GridModel:
 
 
 def _stationary_or_uniform(p: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
-    """Exact stationary distribution of an irreducible chain, uniform otherwise."""
+    """Exact stationary distribution of an irreducible chain, uniform otherwise.
+    pi(i) is the long-run average of the cost that is 1 in state i and 0
+    elsewhere, so `linalg.chain_average` is the one solver."""
     if not _irreducible(p):
         return tuple(Fraction(1, len(p)) for _ in p)
-    from .linalg import stationary_distribution
-    return stationary_distribution(p)
+    moves = [[(y, q) for y, q in enumerate(row) if q] for row in p]
+    return tuple(linalg.chain_average({s: linalg.integer_row(m, int(s == i))
+                                       for s, m in enumerate(moves)})
+                 for i in range(len(p)))
 
 
 def _positive_graph(p: Sequence[Sequence[Fraction]]):
@@ -224,19 +231,16 @@ def _positive_graph(p: Sequence[Sequence[Fraction]]):
     return sp.csr_matrix([[q > 0 for q in row] for row in p])
 
 
-def _reachable(p: Sequence[Sequence[Fraction]], start: int,
-               backward: bool = False) -> set[int]:
-    """States reachable from `start` along the positive entries of p, or
-    along them reversed when `backward`."""
+def _reachable(graph, start: int) -> list[int]:
+    """The states a sparse transition graph reaches from `start`, in order."""
     from scipy.sparse.csgraph import breadth_first_order
-    graph = _positive_graph(p)
-    return set(breadth_first_order(graph.T if backward else graph, start,
-                                   return_predecessors=False).tolist())
+    return sorted(breadth_first_order(graph, start, return_predecessors=False).tolist())
 
 
 def _irreducible(p: Sequence[Sequence[Fraction]]) -> bool:
-    """Every state reachable from state 0 in both directions."""
-    return len(_reachable(p, 0)) == len(_reachable(p, 0, backward=True)) == len(p)
+    """Every state reaches every other along the positive entries of p."""
+    from scipy.sparse.csgraph import connected_components
+    return connected_components(_positive_graph(p), connection="strong")[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +433,9 @@ class ScenarioModel:
     initial_demand: int | None = None
 
     def __post_init__(self):
+        if self.num_chargers < 0 or self.max_stay < 1:
+            raise ValueError(f"N = {self.num_chargers}, B = {self.max_stay}: a scenario "
+                             "needs N >= 0 chargers and stays of B >= 1 stages")
         if not self.grid.action_dim_covers(self.num_chargers):
             raise ValueError("grid kernel must cover aggregate actions 0..N")
         if self.penalty.max_units != self.max_units:

@@ -203,6 +203,31 @@ def test_scenario_shape_errors_exit_2(tmp_path, capsys, key, value, reason):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("path, section, change", [
+    (BENCHMARK, None, {"N": -1}),
+    (BENCHMARK, None, {"B": 0}),
+    (BENCHMARK, None, {"B": -1}),
+    (BENCHMARK, None, {"B": -2}),
+    (BENCHMARK, "grid", {"iid_uniform": [5, 4]}),
+    (TINY, "grid", {"states": [], "kernel": []}),
+], ids=["N=-1", "B=0", "B=-1", "B=-2", "iid-grid-5..4", "empty-grid"])
+def test_scenario_sizes_out_of_range_exit_2(tmp_path, capsys, path, section, change):
+    with open(path) as fh:
+        doc = json.load(fh)
+    (doc if section is None else doc[section]).update(change)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    reason = ("the grid has no states" if section else
+              "a scenario needs N >= 0 chargers and stays of B >= 1 stages")
+    out = tmp_path / "out"
+    for command in (["simulate", "--T", "5", "--n-traj", "1"],
+                    ["verify-dominance", "--cases", "2"]):
+        assert main(command + ["--scenario", str(bad), "--seed", "1",
+                               "--out", str(out)]) == 2
+        assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_exact_multichain(tmp_path):
     code = main(["solve-exact", "--scenario", MULTICHAIN, "--max-iter", "2000",
                  "--out", str(tmp_path / "s.json")])

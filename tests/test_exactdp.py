@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargesched import linalg
 from chargesched.core import (ActionVector, PenaltyFunction, SystemState,
                               VehicleState, settle_stage)
 from chargesched.exactdp import (DPSolution, EnumeratedMDP, NonConvergenceError,
@@ -112,8 +111,8 @@ def test_rvi_zero_arrivals_gain_matches_stationary_average():
                        grid=grid, demand=demand, penalty=PenaltyFunction.linear(2),
                        initial_grid=0, initial_demand=0)
     sol = relative_value_iteration(enumerate_mdp(sc))
-    p0 = [[Fraction(1, 4), Fraction(3, 4)], [Fraction(2, 3), Fraction(1, 3)]]
-    pi = linalg.stationary_distribution(p0)
+    # pi P = pi for P = [[1/4, 3/4], [2/3, 1/3]]
+    pi = (Fraction(8, 17), Fraction(9, 17))
     expected = float(pi[1] * 6)
     assert abs(sol.gain - expected) < 1e-10
 
@@ -157,7 +156,7 @@ def test_multichain_fixture_fails_checks():
     classes = recurrent_classes(mdp, policy)
     assert len(classes) == 2
     fake = DPSolution(gain=0.0, h=np.zeros(mdp.n_states), policy=policy,
-                      residual=0.0, iterations=0, converged=False)
+                      residual=0.0, iterations=0)
     findings = verify_constant_gain(mdp, fake, tol=1e-10)
     assert not findings.constant_gain
     assert sorted(float(g) for g in findings.class_gains) == [0.0, 1.0]
@@ -185,8 +184,7 @@ def test_projection_repairs_tampered_policy(tiny_solution):
                 break
     assert flipped, "expected at least one violating action in the lattice"
     fake = DPSolution(gain=sol.gain, h=sol.h, policy=tampered,
-                      residual=sol.residual, iterations=sol.iterations,
-                      converged=True)
+                      residual=sol.residual, iterations=sol.iterations)
     proj = lllp_projection(mdp, fake, tol=np.inf)
     assert proj.swaps >= len(flipped)
     assert compliance_violations(mdp, proj.policy) == 0
@@ -206,8 +204,7 @@ def test_projection_swap_never_raises_q(tiny_solution):
                 tampered[k] = a_idx
                 break
     fake = DPSolution(gain=sol.gain, h=sol.h, policy=tampered,
-                      residual=sol.residual, iterations=sol.iterations,
-                      converged=True)
+                      residual=sol.residual, iterations=sol.iterations)
     proj = lllp_projection(mdp, fake, tol=1e-9)
     assert compliance_violations(mdp, proj.policy) == 0
 

@@ -1,59 +1,16 @@
 from fractions import Fraction
-from itertools import permutations
-from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargesched import linalg
+from chargesched.models import DemandModel, FixedCountArrivals
 
 # Small rationals, zero about half the time, so sparse systems are common.
 rationals = st.one_of(
     st.just(Fraction(0)),
     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)))
-
-
-@st.composite
-def systems(draw):
-    n = draw(st.integers(1, 5))
-    a = [draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(n)]
-    b = draw(st.lists(rationals, min_size=n, max_size=n))
-    return a, b
-
-
-def _det(a):
-    """Leibniz formula: an elimination-free reference."""
-    n = len(a)
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        total += (-1) ** inversions * prod((a[i][perm[i]] for i in range(n)), start=Fraction(1))
-    return total
-
-
-@settings(deadline=None)
-@given(systems())
-def test_solve_is_exact_or_refuses_singular(system):
-    a, b = system
-    if _det(a) == 0:
-        with pytest.raises(ValueError, match="singular"):
-            linalg.solve(a, b)
-    else:
-        x = linalg.solve(a, b)
-        assert all(type(v) is Fraction for v in x)
-        assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
-
-
-@settings(deadline=None)
-@given(systems(), st.data())
-def test_solve_refuses_dependent_rows(system, data):
-    a, b = system
-    n = len(a)
-    coef = data.draw(st.lists(rationals, min_size=n - 1, max_size=n - 1))
-    a[-1] = [sum((c * row[j] for c, row in zip(coef, a)), Fraction(0)) for j in range(n)]
-    with pytest.raises(ValueError, match="singular"):
-        linalg.solve(a, b)
 
 
 @st.composite
@@ -69,14 +26,33 @@ def irreducible_chains(draw, max_n=5):
     return p
 
 
+def _initial_distribution(p):
+    """The exact pi a demand chain with kernel p draws its first state from."""
+    return DemandModel(kernel=tuple(map(tuple, p)),
+                       arrivals=(FixedCountArrivals(0),) * len(p)).initial_distribution
+
+
+def _is_stationary(pi, p):
+    """sum(pi) = 1 and pi P = pi, checked exactly with no elimination: on an
+    irreducible chain they hold for its stationary distribution alone."""
+    n = len(p)
+    return sum(pi) == 1 and [sum(pi[r] * p[r][c] for r in range(n))
+                             for c in range(n)] == list(pi)
+
+
 @settings(deadline=None)
 @given(irreducible_chains())
 def test_stationary_distribution_is_stationary(p):
-    pi = linalg.stationary_distribution(p)
-    n = len(p)
-    assert all(x >= 0 for x in pi)
-    assert sum(pi) == 1
-    assert [sum(pi[r] * p[r][c] for r in range(n)) for c in range(n)] == list(pi)
+    pi = _initial_distribution(p)
+    assert all(type(x) is Fraction and x >= 0 for x in pi)
+    assert _is_stationary(pi, p)
+
+
+def test_reducible_chain_starts_uniform():
+    # State 0 is transient: pi = (0, 1) is stationary, but the chain is not
+    # irreducible, so the initial distribution is uniform.
+    half = Fraction(1, 2)
+    assert _initial_distribution([[half, half], [0, 1]]) == (half, half)
 
 
 @st.composite
@@ -105,22 +81,17 @@ def chains_with_closed_classes(draw, n_classes):
 
 
 def _rows(p, costs):
-    """`chain_average`'s form of a dense chain: each state's row and cost as
-    integers over the lcm of their denominators."""
-    rows = {}
-    for r, (row, c) in enumerate(zip(p, costs)):
-        scale = lcm(c.denominator, *(x.denominator for x in row))
-        rows[r] = (scale, [(y, x.numerator * (scale // x.denominator))
-                           for y, x in enumerate(row) if x],
-                   c.numerator * (scale // c.denominator))
-    return rows
+    """`chain_average`'s form of a dense chain."""
+    return {r: linalg.integer_row([(y, x) for y, x in enumerate(row) if x], c)
+            for r, (row, c) in enumerate(zip(p, costs))}
 
 
 @settings(deadline=None)
-@given(chains_with_closed_classes(1))
-def test_chain_average_is_the_stationary_average(chain):
-    p, costs, _ = chain
-    pi = linalg.stationary_distribution(p)
+@given(irreducible_chains(), st.data())
+def test_chain_average_is_the_stationary_average(p, data):
+    costs = data.draw(st.lists(rationals, min_size=len(p), max_size=len(p)))
+    pi = _initial_distribution(p)
+    assert _is_stationary(pi, p)
     expected = sum((x * c for x, c in zip(pi, costs)), Fraction(0))
     gain = linalg.chain_average(_rows(p, costs))
     assert type(gain) is Fraction

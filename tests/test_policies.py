@@ -3,8 +3,8 @@ import pytest
 
 from chargesched.core import ActionVector, InfeasibleActionError, SystemState, VehicleState
 from chargesched.models import capacity_scenario
-from chargesched.policies import (capacity_budget, check_lllp_compliance, edf,
-                                  llsp, lllp, make_policy)
+from chargesched.policies import (_KEYS, capacity_budget, check_lllp_compliance,
+                                  edf, llsp, lllp, make_policy)
 
 E = VehicleState(0, 0)
 
@@ -130,3 +130,12 @@ def test_make_policy_validates_name():
     sc = capacity_scenario(5)
     with pytest.raises(ValueError):
         make_policy("lifo", sc)
+
+
+def test_every_heuristic_key_is_injective():
+    # The batch engine ranks vehicle types by key alone, so two types tied on
+    # a key would need the charger index that type counts do not keep.
+    # Injective on the largest box means injective on every B, E <= 12.
+    types = [(s, g) for s in range(1, 13) for g in range(1, 13)]
+    for name, key in _KEYS.items():
+        assert len({key(s, g) for s, g in types}) == len(types), name
