@@ -3,9 +3,11 @@
 A charger is either empty, written ``VehicleState(0, 0)``, or holds a vehicle
 described by ``stay`` (stages remaining until its departure) and ``need``
 (charge units still requested).  All costs are exact: penalty tables are
-rationals, and ``settle_stage`` sums a stage's penalty as an integer in the
-units of ``PenaltyFunction.scaled``, so callers add integers and divide once,
-and sample-path cost comparisons elsewhere in the package are tolerance-free.
+rationals, and ``settle_stage`` sums whatever table its caller hands it,
+indexed by unmet need: ``PenaltyFunction.values`` for a Fraction sum, or the
+integer table ``ScenarioModel.prices.q`` in units of 1/L, where L, chosen in
+``models.StagePrices`` alone, covers every penalty and charging cost.  So
+sample-path cost comparisons elsewhere in the package are tolerance-free.
 The stage step walks ``SystemState.occupied`` only and reports the chargers
 that keep a vehicle, so a rollout's next state need not scan for them.
 """
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
@@ -117,13 +118,6 @@ class PenaltyFunction:
     def __call__(self, n: int) -> Fraction:
         return self.values[n]
 
-    @functools.cached_property
-    def scaled(self) -> tuple[tuple[int, ...], int]:
-        """The table as integers over a common denominator: (q(n) * L for
-        n in 0..E, L), so a sum of penalties is one Fraction at the end."""
-        unit = math.lcm(*(v.denominator for v in self.values))
-        return tuple(int(v * unit) for v in self.values), unit
-
 
 @dataclass(frozen=True)
 class ActionVector:
@@ -177,20 +171,20 @@ class SystemState:
         return len(self.unfinished)
 
 
-def settle_stage(state: SystemState, action: ActionVector, penalty: PenaltyFunction
-                 ) -> tuple[int, tuple[VehicleState, ...]]:
+def settle_stage(state: SystemState, action: ActionVector, q: Sequence
+                 ) -> tuple[int | Fraction, tuple[VehicleState, ...]]:
     """The part of one stage that the fleet alone decides, in one pass over
-    the occupied chargers: check the action, then return the penalty of the
-    vehicles departing after this stage (stay == 1) with unmet request, as an
-    int in units of 1/L for ``penalty.scaled == (q * L, L)``, and the vehicles
-    one stage later.  Callers price the charging cost C(A, s), which depends
-    only on the aggregate and the grid state."""
-    shortfall, out, _ = _settle(state, action, penalty)
+    the occupied chargers: check the action, then return the sum of q[need]
+    over the vehicles departing after this stage (stay == 1), ``q`` being a
+    penalty table indexed by unmet need, and the vehicles one stage later.
+    Callers price the charging cost C(A, s), which depends only on the
+    aggregate and the grid state."""
+    shortfall, out, _ = _settle(state, action, q)
     return shortfall, tuple(out)
 
 
-def _settle(state: SystemState, action: ActionVector, penalty: PenaltyFunction
-            ) -> tuple[int, list[VehicleState], list[int]]:
+def _settle(state: SystemState, action: ActionVector, q: Sequence
+            ) -> tuple[int | Fraction, list[VehicleState], list[int]]:
     """`settle_stage` with the vehicles as a list, plus the chargers that
     keep a vehicle (stay > 1), in index order.  Bits are 0/1, so none sits
     on an empty charger exactly when the occupied ones charged sum to the
@@ -198,7 +192,6 @@ def _settle(state: SystemState, action: ActionVector, penalty: PenaltyFunction
     vehicles, bits = state.vehicles, action.bits
     if len(bits) != len(vehicles):
         action.check_feasible(vehicles)     # raises the length error
-    scaled = penalty.scaled[0]
     out = list(vehicles)
     kept = []
     shortfall = charged = 0
@@ -208,7 +201,7 @@ def _settle(state: SystemState, action: ActionVector, penalty: PenaltyFunction
             need -= 1
             charged += 1
         if stay == 1:
-            shortfall += scaled[need]
+            shortfall += q[need]
             out[i] = EMPTY
         else:
             out[i] = vehicle_type(stay - 1, need)
@@ -224,13 +217,13 @@ def stage_cost(state: SystemState, action: ActionVector, cost_fn, penalty: Penal
 
     ``cost_fn`` maps (aggregate count, grid index) to a Fraction.
     """
-    shortfall, _ = settle_stage(state, action, penalty)
-    return Fraction(cost_fn(action.aggregate, state.grid)) + Fraction(shortfall, penalty.scaled[1])
+    shortfall, _ = settle_stage(state, action, penalty.values)
+    return Fraction(cost_fn(action.aggregate, state.grid)) + shortfall
 
 
 def step_vehicles(vehicles: Sequence[VehicleState], action: ActionVector) -> tuple[VehicleState, ...]:
     """Advance one stage: charged vehicles lose one unit of need, everyone
     present loses one stage of stay, and vehicles reaching stay 0 depart
     (their charger resets to the empty sentinel)."""
-    zero = PenaltyFunction([0] * (1 + max(map(_need, vehicles), default=0)))
+    zero = (0,) * (1 + max(map(_need, vehicles), default=0))
     return settle_stage(SystemState(tuple(vehicles), 0, 0), action, zero)[1]

@@ -19,10 +19,11 @@ integer sweep) of the rows `_integer_row` scales to integers, each
 (state, action) once per call.
 
 Enumeration runs fleet by fleet.  Each (fleet, action) is settled once by
-`core.settle_stage`, whose integer penalty and stepped fleet hold for all
-of the fleet's grid and demand states; the charging cost depends only on the
+`core.settle_stage`, whose penalty and stepped fleet hold for all of the
+fleet's grid and demand states; the charging cost depends only on the
 aggregate and the grid state, so the row of stage costs over the grid states
-is built once per (aggregate, penalty).  The joint law of
+is built once per (aggregate, penalty), each cost one Fraction of the
+integers `ScenarioModel.prices` gives in units of 1/L.  The joint law of
 arrivals and next grid and demand states is computed once per (grid state,
 aggregate action, demand state), `admit` runs once per (stepped fleet,
 arrival batch), and each transition row is built once per (stepped fleet,
@@ -208,8 +209,7 @@ def enumerate_mdp(scenario: ScenarioModel,
     anchor = index[scenario.empty_state(sbar, scenario.initial_demand or 0)]
     notes = validate_unichain_assumptions(scenario)
 
-    cost_fn = scenario.grid.cost
-    pen_unit = scenario.penalty.scaled[1]
+    prices = scenario.prices
     totals: dict[tuple[int, int], list[Fraction]] = {}
     rows = _TransitionRows(scenario, fleets, fleet_index)
     actions: list[list[ActionVector]] = []
@@ -224,11 +224,10 @@ def enumerate_mdp(scenario: ScenarioModel,
         x = SystemState(fleet, 0, 0)    # the penalty and the step ignore the grid
         settled = []    # (stepped fleet, aggregate, stage cost per grid state)
         for a in acts:
-            shortfall, stepped = settle_stage(x, a, scenario.penalty)
+            shortfall, stepped = settle_stage(x, a, prices.q)
             key = (a.aggregate, shortfall)
             if key not in totals:
-                pen = Fraction(shortfall, pen_unit)
-                totals[key] = [Fraction(cost_fn(a.aggregate, s)) + pen
+                totals[key] = [Fraction(prices[a.aggregate, s] + shortfall, prices.unit)
                                for s in range(n_grid)]
             settled.append((fleet_index[stepped], a.aggregate, totals[key]))
         for s in range(n_grid):

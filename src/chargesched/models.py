@@ -5,6 +5,8 @@ Kernels and tabulated arrival probabilities are stored as exact Fractions
 (decimal input is validated to 1e-12 row sums and converted); every sampler
 consumes a fixed, documented number of uniforms from its own substream so that
 rollouts sharing a seed can be coupled sample-path by sample-path.
+`StagePrices` (``ScenarioModel.prices``) alone chooses L and prices every
+stage, for all three engines, in integer units of 1/L.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress, count, islice
 from operator import itemgetter, not_
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -356,59 +358,32 @@ def _period(p: list[list[Fraction]]) -> int:
 # Scenario bundle
 # ---------------------------------------------------------------------------
 
-class ChargeForm(NamedTuple):
-    """How one charging-cost form is priced in integer units.
-
-    ``bounds`` are charges whose denominators cover every entry's and whose
-    largest magnitude bounds every entry's (`StagePrices` takes L from them);
-    ``table(unit)`` is every entry in units of 1/unit as int64, indexed
-    [aggregate, grid state] (the batch engine's copy of `StagePrices`)."""
-    bounds: tuple[Fraction, ...]
-    table: Callable[[int], np.ndarray]
-
-
-def charge_form(scenario: "ScenarioModel") -> ChargeForm | None:
-    """The one dispatch over the charging-cost forms: the capacity ceiling,
-    the worst quadratic load or the whole table as bounds, and each form's
-    table in units.  None for any other cost form."""
-    cost = scenario.grid.cost
-    a = np.arange(scenario.num_chargers + 1)[:, None]
-    if isinstance(cost, CapacityCost):
-        return ChargeForm((cost.ceiling,), lambda unit: np.where(
-            a <= np.asarray(cost.capacities), 0, int(cost.ceiling * unit)))
-    if isinstance(cost, QuadraticLoadCost):
-        worst = (scenario.num_chargers + max(map(abs, cost.base_loads))) ** 2
-        return ChargeForm((Fraction(worst),),
-                          lambda unit: (a + np.asarray(cost.base_loads)) ** 2 * unit)
-    if isinstance(cost, TableCost):
-        return ChargeForm(tuple(c for row in cost.table for c in row),
-                          lambda unit: np.array([[int(c * unit) for c in row]
-                                                 for row in cost.table], dtype=np.int64))
-    return None
-
-
 class StagePrices(dict):
     """A scenario's stage costs as integers in units of 1/L, where L
     (``unit``) is the least common denominator of the penalty table and the
     charging costs.  Keys are (aggregate, grid state) and values the charging
     cost, each priced on first use and kept, except a capacity price (0 or
-    ``ceiling``), which is never stored.  ``penalty`` turns `settle_stage`'s
-    shortfall units into units of 1/L.  Sums of these stay Python ints, so
-    no total wraps."""
+    ``ceiling``), which is never stored.  ``q`` is the penalty table and
+    ``bound`` the largest charge magnitude, in units.  Sums of these stay
+    Python ints, so no total wraps."""
 
     def __init__(self, scenario: "ScenarioModel"):
         super().__init__()
         cost = self.cost = scenario.grid.cost
-        form = charge_form(scenario)
-        if form is None:                # any other form: every entry
-            charges = [Fraction(cost(a, s)) for a in range(scenario.num_chargers + 1)
-                       for s in range(scenario.grid.state_count)]
+        self.shape = (scenario.num_chargers + 1, scenario.grid.state_count)
+        # Charges that cover every entry's denominator and bound its magnitude.
+        if isinstance(cost, CapacityCost):
+            charges = [cost.ceiling]
+        elif isinstance(cost, QuadraticLoadCost):
+            charges = [Fraction((scenario.num_chargers + max(map(abs, cost.base_loads))) ** 2)]
         else:
-            charges = form.bounds
-        q_unit = scenario.penalty.scaled[1]
-        self.unit = math.lcm(q_unit, *(c.denominator for c in charges))
-        self.penalty = self.unit // q_unit
-        self.ceiling = int(cost.ceiling * self.unit) if isinstance(cost, CapacityCost) else None
+            charges = [Fraction(cost(a, s)) for a in range(self.shape[0])
+                       for s in range(self.shape[1])]
+        q = scenario.penalty.values
+        unit = self.unit = math.lcm(*(c.denominator for c in (*q, *charges)))
+        self.q = tuple(int(v * unit) for v in q)
+        self.bound = int(max(map(abs, charges)) * unit)
+        self.ceiling = int(cost.ceiling * unit) if isinstance(cost, CapacityCost) else None
 
     def __missing__(self, key: tuple[int, int]) -> int:
         if self.ceiling is not None:
@@ -416,6 +391,17 @@ class StagePrices(dict):
         c = Fraction(self.cost(*key))
         units = self[key] = c.numerator * (self.unit // c.denominator)
         return units
+
+    def table(self) -> np.ndarray:
+        """Every charging cost in units as int64, indexed [aggregate, grid
+        state]: the batch engine's copy."""
+        a = np.arange(self.shape[0])[:, None]
+        if self.ceiling is not None:
+            return np.where(a <= np.asarray(self.cost.capacities), 0, self.ceiling)
+        if isinstance(self.cost, QuadraticLoadCost):
+            return (a + np.asarray(self.cost.base_loads)) ** 2 * self.unit
+        return np.array([[self[k, s] for s in range(self.shape[1])]
+                         for k in range(self.shape[0])], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -457,6 +443,9 @@ class ScenarioModel:
                         f"fixed-count arrivals request up to B = {self.max_stay} "
                         f"units, above E = {self.max_units}")
                 continue
+            if not isinstance(law, TabulatedArrivals):
+                raise ValueError(f"arrival law {type(law).__name__} is neither "
+                                 "FixedCountArrivals nor TabulatedArrivals")
             for v in (v for _, vehicles in law.outcomes for v in vehicles):
                 if not (1 <= v.stay <= self.max_stay and 0 <= v.need <= self.max_units):
                     raise ValueError(
@@ -468,7 +457,7 @@ class ScenarioModel:
 
     @functools.cached_property
     def prices(self) -> StagePrices:
-        """Stage costs in integer units of 1/L, the one place L is chosen."""
+        """Stage costs and the penalty table in integer units of 1/L."""
         return StagePrices(self)
 
 
@@ -647,9 +636,7 @@ def with_penalty(scenario: ScenarioModel, penalty: str | PenaltyFunction) -> Sce
     if isinstance(cost, CapacityCost):
         cost = CapacityCost(capacities=cost.capacities,
                             ceiling=Fraction(scenario.num_chargers) * q(scenario.max_units))
-    grid = GridModel(values=scenario.grid.values, kernel=scenario.grid.kernel,
-                     cost=cost, iid_uniform=scenario.grid.iid_uniform)
-    return replace(scenario, grid=grid, penalty=q)
+    return replace(scenario, grid=replace(scenario.grid, cost=cost), penalty=q)
 
 
 def penalty_kind(penalty: PenaltyFunction) -> str:

@@ -13,13 +13,13 @@ Two engines produce bit-identical results:
   passes: a log-step prefix scan over the ranked types splits the charge, a
   fixed shift steps the vehicles, and a scatter-add admits the arrivals.
 
-Both sum stage costs as integers in units of 1/L, L the least common
-denominator of the cost tables (`ScenarioModel.prices`), and divide once at
-the end: the scalar engine in Python ints, which never wrap, and the
+Both sum stage costs as integers in units of 1/L, L chosen only in
+`ScenarioModel.prices`, and divide once at the end: its penalty table ``q``
+goes to `core.settle_stage` or the vectorized sum as is, and its charging
+costs are read per stage or as one [aggregate, grid state] table, for any
+cost form.  The scalar engine sums in Python ints, which never wrap, and the
 vectorized one in int64 where `_batch_supported` shows the totals stay below
-2**53.
-So every per-trajectory average is the same exact rational in both, for any
-rational table.
+2**53.  So every per-trajectory average is the same exact rational in both.
 
 Randomness is addressed by (seed, trajectory, stage, source), so runs couple
 across policies and arrival rates, and results do not depend on execution
@@ -40,9 +40,8 @@ import numpy as np
 
 from . import streams
 from .core import ActionVector, SystemState, _settle
-from .models import (FixedCountArrivals, ScenarioModel, TabulatedArrivals, _admit,
-                     capacity_scenario, charge_form, draw_initial, sample_grid,
-                     sample_demand, with_arrival_rate)
+from .models import (FixedCountArrivals, ScenarioModel, _admit, capacity_scenario,
+                     draw_initial, sample_grid, sample_demand, with_arrival_rate)
 from .policies import HeuristicPolicy, make_policy
 
 
@@ -62,8 +61,8 @@ def advance_stage(scenario: ScenarioModel, state: SystemState, action: ActionVec
     """One stage-boundary step: pay the stage cost, process departures, then
     admit the next stage's arrivals and move the grid/demand chains.  The
     next state inherits its occupied chargers: those kept plus those filled."""
-    shortfall, vehicles, kept = _settle(state, action, scenario.penalty)
     prices = scenario.prices
+    shortfall, vehicles, kept = _settle(state, action, prices.q)
     charging = prices[action.aggregate, state.grid]
     d_next, arrivals = sample_demand(scenario.demand, state.demand, key, traj,
                                      stage, scenario.max_stay)
@@ -71,7 +70,7 @@ def advance_stage(scenario: ScenarioModel, state: SystemState, action: ActionVec
     s_next = sample_grid(scenario.grid, state.grid, action.aggregate, key, traj, stage)
     occupied = tuple(sorted(kept + filled) if filled else kept)
     return (SystemState.successor(tuple(vehicles), s_next, d_next, occupied),
-            StageBill(charging, shortfall * prices.penalty, len(arrivals) - len(filled)))
+            StageBill(charging, shortfall, len(arrivals) - len(filled)))
 
 
 def as_fractions(units: Sequence[int], unit: int) -> tuple[Fraction, ...]:
@@ -153,21 +152,14 @@ def _batch_supported(scenario: ScenarioModel, policy, stages: int) -> str | None
     N = scenario.num_chargers
     if N >= 2 ** 15:
         return f"{N} chargers overflow the int16 type counts"
-    form = charge_form(scenario)
-    if form is None:
-        return f"no batch table for the {type(scenario.grid.cost).__name__} cost form"
     # Past 2**53 units the int64 sums stop converting to float exactly.
-    unit = scenario.prices.unit
-    worst = stages * (max(map(abs, form.bounds), default=0)
-                      + N * max(map(abs, scenario.penalty.values)))
-    if unit >= _FLOAT_EXACT or worst * unit >= _FLOAT_EXACT:
-        return f"costs over {stages} stages could reach 2**53 units of 1/{unit}"
-    # ScenarioModel has checked that every arrival is a type (stay 1..B,
-    # need 0..E), and FixedCountArrivals that its count is one the streams
-    # address.
-    for law in scenario.demand.arrivals:
-        if not isinstance(law, (FixedCountArrivals, TabulatedArrivals)):
-            return f"no batch sampler for {type(law).__name__}"
+    prices = scenario.prices
+    worst = stages * (prices.bound + N * max(map(abs, prices.q)))
+    if prices.unit >= _FLOAT_EXACT or worst >= _FLOAT_EXACT:
+        return f"costs over {stages} stages could reach 2**53 units of 1/{prices.unit}"
+    # ScenarioModel has checked that every arrival law is one the batch
+    # engine samples and every arrival a type (stay 1..B, need 0..E), and
+    # FixedCountArrivals that its count is one the streams address.
     return None
 
 
@@ -183,11 +175,11 @@ class _TypeCounts:
     the types in key order, the last one partly (`_charge_split`, a log-step
     prefix scan down the ranked types).  Arrivals are scatter-added into
     their cells with `np.add.at`.  Costs are summed as int64 multiples of
-    1/unit.
+    1/L, from the tables of `ScenarioModel.prices`.
     """
 
     def __init__(self, scenario: ScenarioModel, policy: HeuristicPolicy,
-                 n_traj: int, seed: int, unit: int, start: int):
+                 n_traj: int, seed: int, start: int):
         sc = self.sc = scenario
         self.n, self.start = n_traj, start
         self.key = streams.philox_key(seed)
@@ -202,8 +194,8 @@ class _TypeCounts:
                         key=lambda sg: policy.sort_key(*sg))
         self.order = np.array([(s - 1) * (E + 1) + g for s, g in ranked])
         self.values = np.minimum(sc.grid.values, N).astype(np.int16)
-        self.q = np.array([int(v * unit) for v in sc.penalty.values], dtype=np.int64)
-        self.charge_cost = charge_form(sc).table(unit)
+        self.q = np.array(sc.prices.q, dtype=np.int64)
+        self.charge_cost = sc.prices.table()
         self.total = np.zeros(n_traj, dtype=np.int64)
         self.rejected = np.zeros(n_traj, dtype=np.int64)
         self.traj = np.arange(n_traj)
@@ -384,8 +376,7 @@ def _batch_averages(scenario, policy, stages, n_traj, seed, warmup):
     unit = scenario.prices.unit
     blocks = []
     for start in range(0, n_traj, TRAJ_BLOCK):
-        bs = _TypeCounts(scenario, policy, min(TRAJ_BLOCK, n_traj - start), seed,
-                         unit, start)
+        bs = _TypeCounts(scenario, policy, min(TRAJ_BLOCK, n_traj - start), seed, start)
         head = bs.total.copy()
         for t in range(stages):
             if t == warmup:

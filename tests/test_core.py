@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -199,17 +200,14 @@ def test_action_vector_validation():
 
 def _settle_full_walk(state, action, penalty):
     """Reference stage: a comprehension over every slot, empty ones too.
-    The penalty is summed as Fractions of the table, then given in units of
-    1/L for ``penalty.scaled[1] == L``, as `settle_stage` returns it."""
+    The penalty is summed as Fractions of the table."""
     action.check_feasible(state.vehicles)
-    unit = penalty.scaled[1]
     pairs = list(zip(state.vehicles, action.bits))
     shortfall = sum([penalty(need - a) for (stay, need), a in pairs if stay == 1],
-                    Fraction(0)) * unit
-    assert shortfall.denominator == 1
+                    Fraction(0))
     stepped = tuple([EMPTY if stay <= 1 else VehicleState(stay - 1, need - a)
                      for (stay, need), a in pairs])
-    return int(shortfall), stepped
+    return shortfall, stepped
 
 
 def _outcome(settle, state, action, penalty):
@@ -252,5 +250,14 @@ def test_settle_stage_matches_a_full_walk(stage, penalty):
     vehicles = state.vehicles
     assert state.occupied == tuple(i for i, v in enumerate(vehicles) if v.stay > 0)
     assert state.unfinished == tuple(i for i, v in enumerate(vehicles) if v.need > 0)
-    assert (_outcome(settle_stage, state, action, penalty)
-            == _outcome(_settle_full_walk, state, action, penalty))
+    want = _outcome(_settle_full_walk, state, action, penalty)
+    assert _outcome(settle_stage, state, action, penalty.values) == want
+    # The same table as integers over its common denominator L, as the
+    # engines sum it: each shortfall is the Fraction sum times L.
+    unit = math.lcm(*(v.denominator for v in penalty.values))
+    got = _outcome(settle_stage, state, action, [int(v * unit) for v in penalty.values])
+    if isinstance(want[0], Fraction):
+        assert type(got[0]) is int and got[0] == want[0] * unit
+        assert got[1] == want[1]
+    else:
+        assert got == want

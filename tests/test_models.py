@@ -131,6 +131,16 @@ def test_scenario_cross_field_validation():
         ScenarioModel(name="bad", num_chargers=2, max_stay=2, max_units=3,
                       grid=sc.grid, demand=sc.demand, penalty=sc.penalty)
 
+    class PoissonArrivals:      # an arrival law of neither supported type
+        def sample(self, key, traj, stage, max_stay):
+            return []
+
+    demand = DemandModel(kernel=((ONE,),), arrivals=(PoissonArrivals(),))
+    with pytest.raises(ValueError, match="arrival law PoissonArrivals is neither "
+                                         "FixedCountArrivals nor TabulatedArrivals"):
+        ScenarioModel(name="bad", num_chargers=2, max_stay=2, max_units=2,
+                      grid=sc.grid, demand=demand, penalty=sc.penalty)
+
 
 @pytest.mark.parametrize("vehicle", [(5, 4), (3, 1), (2, 3), (0, 0), (1, -1)])
 def test_arrivals_outside_the_type_grid_are_rejected(vehicle):

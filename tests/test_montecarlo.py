@@ -13,8 +13,7 @@ from chargesched.interchange import coupled_rollout, wrap_interchange
 from chargesched.models import (ChargingCost, DemandModel, FixedCountArrivals,
                                 GridModel, QuadraticLoadCost, ScenarioModel, TableCost,
                                 TabulatedArrivals, admit, capacity_scenario,
-                                charge_form, draw_initial, sample_demand,
-                                two_charger_scenario)
+                                draw_initial, sample_demand, two_charger_scenario)
 from chargesched.montecarlo import (CSV_COLUMNS, advance_stage, figure_experiment,
                                     monte_carlo, run_trajectory)
 from chargesched.policies import check_lllp_compliance, make_policy
@@ -265,14 +264,27 @@ def _quadratic_scenario():
     return dataclasses.replace(sc, grid=dataclasses.replace(sc.grid, cost=cost))
 
 
+class _StepCost(ChargingCost):
+    """A charging-cost form other than the three named ones."""
+
+    def __call__(self, aggregate, grid_index):
+        return Fraction(aggregate > 2)
+
+
+def _step_cost_scenario():
+    sc = capacity_scenario(4, num_chargers=5, max_stay=2, capacity_range=(1, 3))
+    return dataclasses.replace(sc, grid=dataclasses.replace(sc.grid, cost=_StepCost()))
+
+
 @pytest.mark.parametrize("scenario", [
     capacity_scenario(3, num_chargers=12, capacity_range=(1, 6)),
     _quadratic_scenario(),
     _rational_scenario(1),
-], ids=["capacity", "quadratic", "table"])
+    _step_cost_scenario(),
+], ids=["capacity", "quadratic", "table", "step"])
 def test_charge_table_equals_stage_prices(scenario):
     prices = scenario.prices
-    table = charge_form(scenario).table(prices.unit)
+    table = prices.table()
     assert table.shape == (scenario.num_chargers + 1, scenario.grid.state_count)
     for a in range(scenario.num_chargers + 1):
         for s in range(scenario.grid.state_count):
@@ -324,7 +336,7 @@ def test_advance_stage_carries_the_occupied_chargers(case, seed, data):
         bits = tuple(data.draw(st.integers(0, 1)) if v.need else 0 for v in x.vehicles)
         a = ActionVector(bits)
         _, arrivals = sample_demand(sc.demand, x.demand, key, 0, t, sc.max_stay)
-        vehicles, rejected = admit(settle_stage(x, a, sc.penalty)[1], arrivals)
+        vehicles, rejected = admit(settle_stage(x, a, sc.penalty.values)[1], arrivals)
         x, bill = advance_stage(sc, x, a, t, key, 0)
         assert (x.vehicles, bill.rejected) == (vehicles, rejected)
         assert x.occupied == SystemState(x.vehicles, x.grid, x.demand).occupied
@@ -423,18 +435,10 @@ def test_result_names_the_engine_that_ran():
     assert res.rejected_mean == tagged.rejected_mean
 
 
-class _StepCost(ChargingCost):
-    """A charging-cost form the batch engine has no table for."""
-
-    def __call__(self, aggregate, grid_index):
-        return Fraction(aggregate > 2)
-
-
-def test_unknown_cost_form_runs_scalar_and_says_why():
-    sc = capacity_scenario(4, num_chargers=5, max_stay=2, capacity_range=(1, 3))
-    sc = dataclasses.replace(sc, grid=dataclasses.replace(sc.grid, cost=_StepCost()))
+def test_unknown_cost_form_runs_on_the_batch_engine():
+    sc = _step_cost_scenario()
     pol = make_policy("edf", sc)
     res = monte_carlo(sc, pol, stages=30, n_traj=3, base_seed=4)
-    assert (res.engine, res.fallback) == (
-        "scalar", "no batch table for the _StepCost cost form")
-    assert res.per_traj[2] == run_trajectory(sc, pol, 30, seed=4, traj=2).time_average
+    assert (res.engine, res.fallback) == ("batch", None)
+    scalar = [run_trajectory(sc, pol, 30, seed=4, traj=i).time_average for i in range(3)]
+    assert res.per_traj.tobytes() == np.array(scalar).tobytes()
