@@ -8,11 +8,9 @@ time.  Run this script to see how EDF, LLSP and LLLP rank the same fleet
 differently, and where EDF breaks the priority partial order.
 """
 
-from chargesched import (SystemState, VehicleState, compare_priority, laxity,
-                         check_lllp_compliance)
+from chargesched import (SystemState, VehicleState, check_lllp_compliance,
+                         laxity, outranks)
 from chargesched.policies import edf, llsp, lllp
-
-B = 10  # longest possible stay in this example
 
 fleet = [
     VehicleState(2, 1),   # leaves soon, one unit to go        (laxity 1)
@@ -25,14 +23,19 @@ fleet = [
 
 print("fleet:")
 for i, v in enumerate(fleet):
-    tag = "empty" if not v.present else f"laxity {laxity(v, B):+d}"
+    tag = "empty" if not v.present else f"laxity {laxity(v):+d}"
     print(f"  charger {i}: stay={v.stay} need={v.need}  ({tag})")
 
 print("\npairwise priority (laxity no larger, remaining work no smaller):")
 pairs = [(0, 1), (0, 2), (1, 2), (3, 1)]
 for i, j in pairs:
-    rel = compare_priority(fleet[i], fleet[j], B)
-    print(f"  charger {i} vs {j}: {rel.value}")
+    if outranks(fleet[j], fleet[i]):
+        rel = "j over i"
+    elif outranks(fleet[i], fleet[j]):
+        rel = "i over j"
+    else:
+        rel = "neither"
+    print(f"  charger {i} vs {j}: {rel}")
 
 state = SystemState(tuple(fleet), grid=0, demand=0)
 budget = lambda x: min(2, x.unfinished_count)   # capacity for two charges
@@ -41,7 +44,7 @@ print("\ndecisions with a budget of 2 charges:")
 for name, rule in (("edf", edf), ("llsp", llsp), ("lllp", lllp)):
     action = rule(state, budget)
     chosen = [i for i, b in enumerate(action.bits) if b]
-    verdict = check_lllp_compliance(state, action, B)
+    verdict = check_lllp_compliance(state, action)
     note = "ok" if verdict is None else f"violates priority: charges {verdict[0]} over {verdict[1]}"
     print(f"  {name:4s} charges chargers {chosen}   [{note}]")
 

@@ -26,8 +26,8 @@ q = PenaltyFunction.quadratic(10)
 sc = pure_penalty_scenario(q)
 x0 = SystemState((VehicleState(1, 1), VehicleState(2, 3)), 0, 0)
 base = ScriptedPolicy({0: (1, 0), 1: (0, 1)})
-wrapped = wrap_interchange(base, x0, i=0, j=1, stage=0, horizon=sc.max_stay)
-roll = coupled_rollout(sc, base, wrapped, x0, wrapped.window.length, seed=0)
+wrapped = wrap_interchange(base, x0, i=0, j=1, stage=0)
+roll = coupled_rollout(sc, base, wrapped, x0, wrapped.length, seed=0)
 
 print("hand-worked instance (quadratic penalty, zero charging cost):")
 print(f"  base order   : shortfalls {roll.base_shortfalls}  total {roll.base_total}")

@@ -19,8 +19,8 @@ The package provides:
 """
 
 from .core import (ActionVector, EMPTY, InfeasibleActionError, PenaltyFunction,
-                   PriorityOrdering, SystemState, VehicleState, compare_priority,
-                   laxity, stage_cost, step_vehicles)
+                   SystemState, VehicleState, laxity, outranks, stage_cost,
+                   step_vehicles)
 from .models import (CapacityCost, DemandModel, FixedCountArrivals, GridModel,
                      QuadraticLoadCost, ScenarioModel, TableCost,
                      TabulatedArrivals, admit, capacity_scenario, load_scenario,
@@ -31,10 +31,9 @@ from .policies import (capacity_budget, check_lllp_compliance, edf, llsp, lllp,
                        make_policy)
 from .montecarlo import (ComparisonTable, MonteCarloResult, TrajectoryResult,
                          figure_experiment, monte_carlo, run_trajectory)
-from .interchange import (CoupledRollout, DominanceReport, InterchangePolicy,
-                          InterchangeWindow, ScriptedPolicy, ShortfallPair,
-                          certify_dominance, coupled_rollout, find_violation,
-                          pure_penalty_scenario,
+from .interchange import (CoupledRollout, DominanceReport, InterchangeWindow,
+                          ScriptedPolicy, ShortfallPair, certify_dominance,
+                          coupled_rollout, find_violation, pure_penalty_scenario,
                           search_two_vehicle_counterexamples, wrap_interchange)
 from .exactdp import (DPSolution, EnumeratedMDP, TabularPolicy,
                       brute_force_optimal_gain, enumerate_mdp, exact_policy_gain,

@@ -14,7 +14,6 @@ that keep a vehicle, so a rollout's next state need not scan for them.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,40 +42,21 @@ class InfeasibleActionError(ValueError):
     """Raised when an action charges a charger whose vehicle owes nothing."""
 
 
-def laxity(v: VehicleState, horizon: int) -> int:
-    """Slack before charging must run uninterrupted: stay - need, or the
-    horizon bound when the vehicle owes nothing (fully charged vehicles sort
-    behind everything that still needs work)."""
-    if v.need > 0:
-        return v.stay - v.need
-    return horizon
+def laxity(v: VehicleState) -> int:
+    """Slack before charging must run uninterrupted: stay - need."""
+    return v.stay - v.need
 
 
-class PriorityOrdering(enum.Enum):
-    J_OVER_I = "j_over_i"
-    I_OVER_J = "i_over_j"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
-
-
-def compare_priority(vi: VehicleState, vj: VehicleState, horizon: int) -> PriorityOrdering:
-    """Partial order on present vehicles: j dominates i when j has no more
-    laxity and no less remaining work, with at least one strict.
-
-    Identical (laxity, need) pairs compare EQUAL; crossed inequalities are
-    INCOMPARABLE (which vehicle deserves priority then depends on the future).
-    """
-    if not vi.present or not vj.present:
+def outranks(vj: VehicleState, vi: VehicleState) -> bool:
+    """The priority rule, a strict partial order on present vehicles: j is
+    above i when j has no more laxity and no less remaining work, with at
+    least one strict.  Crossed inequalities leave the pair incomparable
+    (which vehicle deserves priority then depends on the future)."""
+    sj, gj = vj
+    si, gi = vi
+    if sj < 1 or si < 1:
         raise ValueError("priority comparison requires both vehicles present (stay >= 1)")
-    ti, tj = laxity(vi, horizon), laxity(vj, horizon)
-    gi, gj = vi.need, vj.need
-    if ti == tj and gi == gj:
-        return PriorityOrdering.EQUAL
-    if ti >= tj and gi <= gj:
-        return PriorityOrdering.J_OVER_I
-    if tj >= ti and gj <= gi:
-        return PriorityOrdering.I_OVER_J
-    return PriorityOrdering.INCOMPARABLE
+    return gj >= gi and sj - gj <= si - gi and (sj != si or gj != gi)
 
 
 @dataclass(frozen=True)
@@ -172,22 +152,15 @@ class SystemState:
 
 
 def settle_stage(state: SystemState, action: ActionVector, q: Sequence
-                 ) -> tuple[int | Fraction, tuple[VehicleState, ...]]:
+                 ) -> tuple[int | Fraction, list[VehicleState], list[int]]:
     """The part of one stage that the fleet alone decides, in one pass over
     the occupied chargers: check the action, then return the sum of q[need]
     over the vehicles departing after this stage (stay == 1), ``q`` being a
-    penalty table indexed by unmet need, and the vehicles one stage later.
-    Callers price the charging cost C(A, s), which depends only on the
-    aggregate and the grid state."""
-    shortfall, out, _ = _settle(state, action, q)
-    return shortfall, tuple(out)
-
-
-def _settle(state: SystemState, action: ActionVector, q: Sequence
-            ) -> tuple[int | Fraction, list[VehicleState], list[int]]:
-    """`settle_stage` with the vehicles as a list, plus the chargers that
-    keep a vehicle (stay > 1), in index order.  Bits are 0/1, so none sits
-    on an empty charger exactly when the occupied ones charged sum to the
+    penalty table indexed by unmet need, the vehicles one stage later as a
+    new list, and the chargers that keep a vehicle (stay > 1), in index
+    order.  Callers price the charging cost C(A, s), which depends only on
+    the aggregate and the grid state.  Bits are 0/1, so none sits on an
+    empty charger exactly when the occupied ones charged sum to the
     aggregate."""
     vehicles, bits = state.vehicles, action.bits
     if len(bits) != len(vehicles):
@@ -217,7 +190,7 @@ def stage_cost(state: SystemState, action: ActionVector, cost_fn, penalty: Penal
 
     ``cost_fn`` maps (aggregate count, grid index) to a Fraction.
     """
-    shortfall, _ = settle_stage(state, action, penalty.values)
+    shortfall = settle_stage(state, action, penalty.values)[0]
     return Fraction(cost_fn(action.aggregate, state.grid)) + shortfall
 
 
@@ -226,4 +199,4 @@ def step_vehicles(vehicles: Sequence[VehicleState], action: ActionVector) -> tup
     present loses one stage of stay, and vehicles reaching stay 0 depart
     (their charger resets to the empty sentinel)."""
     zero = (0,) * (1 + max(map(_need, vehicles), default=0))
-    return settle_stage(SystemState(tuple(vehicles), 0, 0), action, zero)[1]
+    return tuple(settle_stage(SystemState(tuple(vehicles), 0, 0), action, zero)[1])

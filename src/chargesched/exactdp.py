@@ -224,12 +224,12 @@ def enumerate_mdp(scenario: ScenarioModel,
         x = SystemState(fleet, 0, 0)    # the penalty and the step ignore the grid
         settled = []    # (stepped fleet, aggregate, stage cost per grid state)
         for a in acts:
-            shortfall, stepped = settle_stage(x, a, prices.q)
+            shortfall, stepped, _ = settle_stage(x, a, prices.q)
             key = (a.aggregate, shortfall)
             if key not in totals:
                 totals[key] = [Fraction(prices[a.aggregate, s] + shortfall, prices.unit)
                                for s in range(n_grid)]
-            settled.append((fleet_index[stepped], a.aggregate, totals[key]))
+            settled.append((fleet_index[tuple(stepped)], a.aggregate, totals[key]))
         for s in range(n_grid):
             c_row = [by_grid[s] for _, _, by_grid in settled]
             for d in range(n_demand):
@@ -266,8 +266,10 @@ class _TransitionRows(dict):
         for arrivals, moves in law:
             base = self.bases.get((stepped, arrivals))
             if base is None:
-                admitted = admit(self.fleets[stepped], arrivals)[0]
-                base = self.bases[stepped, arrivals] = self.fleet_index[admitted] * self.n_exo
+                admitted = list(self.fleets[stepped])
+                admit(admitted, arrivals)
+                base = self.bases[stepped, arrivals] = (
+                    self.fleet_index[tuple(admitted)] * self.n_exo)
             for offset, p in moves:
                 y = base + offset
                 prev = dist.get(y)
@@ -537,7 +539,6 @@ def lllp_projection(mdp: EnumeratedMDP, solution: DPSolution,
     """
     starts, cost, mat = mdp._flat
     q = cost + mat @ solution.h
-    horizon = mdp.scenario.max_stay
     policy = solution.policy.copy()
     swaps = 0
     for k in range(mdp.n_states):
@@ -546,7 +547,7 @@ def lllp_projection(mdp: EnumeratedMDP, solution: DPSolution,
         cur = act_list[policy[k]]
         guard = 0
         while True:
-            pair = check_lllp_compliance(mdp.states[k], cur, horizon)
+            pair = check_lllp_compliance(mdp.states[k], cur)
             if pair is None:
                 break
             guard += 1
@@ -570,11 +571,9 @@ def lllp_projection(mdp: EnumeratedMDP, solution: DPSolution,
 
 
 def compliance_violations(mdp: EnumeratedMDP, policy: Sequence[int]) -> int:
-    horizon = mdp.scenario.max_stay
     return sum(
         1 for k in range(mdp.n_states)
-        if check_lllp_compliance(mdp.states[k], mdp.actions[k][policy[k]], horizon)
-        is not None)
+        if check_lllp_compliance(mdp.states[k], mdp.actions[k][policy[k]]) is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import streams
-from .core import (ActionVector, PriorityOrdering, SystemState, VehicleState,
-                   compare_priority)
+from .core import ActionVector, SystemState, VehicleState, outranks
 from .models import ScenarioModel, draw_initial
 from .montecarlo import advance_stage, as_fractions
 from .policies import check_lllp_compliance
@@ -33,24 +32,36 @@ MIN_STAGE = 3
 MAX_SCAN = 400
 
 
-def find_violation(policy, state: SystemState, stage: int,
-                   horizon: int) -> Optional[tuple[int, int]]:
+def find_violation(policy, state: SystemState,
+                   stage: int) -> Optional[tuple[int, int]]:
     """Lexicographically smallest (i, j) such that the policy's decision at
     this state charges i, idles j, and j has priority over i."""
-    return check_lllp_compliance(state, policy.decide(state, stage), horizon)
+    return check_lllp_compliance(state, policy.decide(state, stage))
 
 
 @dataclass(frozen=True)
 class InterchangeWindow:
-    """Bookkeeping for one interchange: swap (i -> j) at stage t0, watch for
-    the first stage w where the base policy charges j but not i before either
-    departs, and guarantee agreement after t0 + length."""
+    """One interchange: swap (i -> j) at stage t0, watch for the first stage
+    w where the base policy charges j but not i before either departs, and
+    guarantee agreement after t0 + length.  `map_action` is the wrapper's
+    decision rule, expressed over the base policy's realized decisions (the
+    direct transcription of the definition; it also sidesteps any ambiguity
+    for history-dependent base policies)."""
     i: int
     j: int
     t0: int
     length: int      # W = max(stay_i, stay_j) - 1, stages t0+1 .. t0+length
     depart_i: int    # absolute stage at which i departs (beta_i)
     depart_j: int
+
+    def map_action(self, base_action: ActionVector, stage: int,
+                   swap_back_at: Optional[int]) -> ActionVector:
+        bits = list(base_action.bits)
+        if stage == self.t0:
+            bits[self.i], bits[self.j] = 0, 1
+        elif swap_back_at is not None and stage == swap_back_at:
+            bits[self.i], bits[self.j] = 1, 0
+        return ActionVector(tuple(bits))
 
 
 @dataclass(frozen=True)
@@ -59,38 +70,18 @@ class ShortfallPair:
     rho_j: int
 
 
-@dataclass(frozen=True)
-class InterchangePolicy:
-    """The wrapper's decision rule, expressed as an action map over the base
-    policy's realized decisions (the direct transcription of the definition;
-    it also sidesteps any ambiguity for history-dependent base policies)."""
-    window: InterchangeWindow
-
-    def map_action(self, base_action: ActionVector, stage: int,
-                   swap_back_at: Optional[int]) -> ActionVector:
-        w = self.window
-        bits = list(base_action.bits)
-        if stage == w.t0:
-            bits[w.i], bits[w.j] = 0, 1
-        elif swap_back_at is not None and stage == swap_back_at:
-            bits[w.i], bits[w.j] = 1, 0
-        return ActionVector(tuple(bits))
-
-
-def wrap_interchange(policy, state: SystemState, i: int, j: int, stage: int,
-                     horizon: int) -> InterchangePolicy:
-    """Build the interchange wrapper for a verified violation (i, j) of the
-    policy at this state."""
+def wrap_interchange(policy, state: SystemState, i: int, j: int,
+                     stage: int) -> InterchangeWindow:
+    """Build the interchange window for a verified violation (i, j) of the
+    policy at this state; its `map_action` is the wrapper's decision rule."""
     action = policy.decide(state, stage)
     if not (action.bits[i] == 1 and action.bits[j] == 0):
         raise ValueError("(i, j) is not a violation: policy does not charge i and idle j")
-    if compare_priority(state.vehicles[i], state.vehicles[j],
-                        horizon) is not PriorityOrdering.J_OVER_I:
+    if not outranks(state.vehicles[j], state.vehicles[i]):
         raise ValueError("(i, j) is not a violation: j lacks priority over i")
     si, sj = state.vehicles[i].stay, state.vehicles[j].stay
-    win = InterchangeWindow(i=i, j=j, t0=stage, length=max(si, sj) - 1,
-                            depart_i=stage + si, depart_j=stage + sj)
-    return InterchangePolicy(window=win)
+    return InterchangeWindow(i=i, j=j, t0=stage, length=max(si, sj) - 1,
+                             depart_i=stage + si, depart_j=stage + sj)
 
 
 class AggregateMismatchError(AssertionError):
@@ -116,13 +107,13 @@ def coupled_rollout(scenario: ScenarioModel, base_policy, other,
                     traj: int = 0, stage_offset: int = 0) -> CoupledRollout:
     """Run two policies from the same state over the same random substreams.
 
-    ``other`` may be an InterchangePolicy (driven in lock step against the
+    ``other`` may be an InterchangeWindow (driven in lock step against the
     base rollout, per its action map) or any plain policy; either way the two
     rollouts must charge equal aggregate counts at every stage, which makes
     their grid and demand paths coincide.  Stage costs are summed as ints
     in units of 1/L and returned as exact rationals.
     """
-    win = other.window if isinstance(other, InterchangePolicy) else None
+    win = other if isinstance(other, InterchangeWindow) else None
     if win is not None:
         if horizon < win.length:
             raise ValueError("horizon must cover the interchange window")
@@ -255,7 +246,6 @@ def certify_dominance(scenario: ScenarioModel, policy, n_cases: int,
     report = DominanceReport(policy=getattr(policy, "name", repr(policy)),
                              scenario=scenario.name, n_cases=n_cases, seed=seed)
     key = streams.philox_key(seed)
-    horizon_b = scenario.max_stay
     for case in range(n_cases):
         state = draw_initial(scenario, key, case)
         found = None
@@ -263,7 +253,7 @@ def certify_dominance(scenario: ScenarioModel, policy, n_cases: int,
             action = policy.decide(state, t)
             if t >= MIN_STAGE:
                 # find_violation on the decision already made
-                pair = check_lllp_compliance(state, action, horizon_b)
+                pair = check_lllp_compliance(state, action)
                 if pair is not None:
                     found = (t, state, pair)
                     break
@@ -273,10 +263,9 @@ def certify_dominance(scenario: ScenarioModel, policy, n_cases: int,
                 f"case {case}: no violation reachable within {MAX_SCAN} stages; "
                 "the policy may already satisfy the priority rule here")
         t0, x0, (i, j) = found
-        wrapped = wrap_interchange(policy, x0, i, j, t0, horizon_b)
-        roll = coupled_rollout(scenario, policy, wrapped, x0,
-                               wrapped.window.length, seed, traj=case,
-                               stage_offset=t0)
+        wrapped = wrap_interchange(policy, x0, i, j, t0)
+        roll = coupled_rollout(scenario, policy, wrapped, x0, wrapped.length,
+                               seed, traj=case, stage_offset=t0)
         delta = roll.base_total - roll.swapped_total
         if delta < 0:
             report.counterexamples.append(_bundle(case, seed, t0, x0, (i, j), roll))
@@ -349,24 +338,24 @@ def pure_penalty_scenario(penalty, num_chargers: int = 2) -> ScenarioModel:
                          initial_grid=0, initial_demand=0)
 
 
-def search_two_vehicle_counterexamples(penalty, n_instances: int, seed: int,
-                                       stop_at_first: bool = True) -> list[dict]:
-    """Randomized search over two-vehicle instances for sample paths where the
-    interchange strictly increases cost.  Under a convex penalty this must
-    come back empty; the non-convex negative control expects hits."""
+def search_two_vehicle_counterexamples(penalty, n_instances: int,
+                                       seed: int) -> list[dict]:
+    """Randomized search over two-vehicle instances for a sample path where
+    the interchange strictly increases cost; returns the first one found, or
+    nothing.  Under a convex penalty this must come back empty; the
+    non-convex negative control expects a hit."""
     import numpy as np
     sc = pure_penalty_scenario(penalty)
     e = penalty.max_units
     b = sc.max_stay
     rng = np.random.default_rng(seed)
-    hits: list[dict] = []
     for case in range(n_instances):
         li = int(rng.integers(1, b + 1))
         gi = int(rng.integers(1, e + 1))
         lj = int(rng.integers(1, b + 1))
         gj = int(rng.integers(1, e + 1))
         vi, vj = VehicleState(li, gi), VehicleState(lj, gj)
-        if compare_priority(vi, vj, b) is not PriorityOrdering.J_OVER_I:
+        if not outranks(vj, vi):
             continue
         state = SystemState((vi, vj), 0, 0)
         w_len = max(li, lj) - 1
@@ -375,10 +364,8 @@ def search_two_vehicle_counterexamples(penalty, n_instances: int, seed: int,
         for k in range(1, w_len + 1):
             script[k] = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
         policy = ScriptedPolicy(script)
-        wrapped = wrap_interchange(policy, state, 0, 1, 0, b)
+        wrapped = wrap_interchange(policy, state, 0, 1, 0)
         roll = coupled_rollout(sc, policy, wrapped, state, w_len, seed + case)
         if roll.swapped_total > roll.base_total:
-            hits.append(_bundle(case, seed, 0, state, (0, 1), roll))
-            if stop_at_first:
-                return hits
-    return hits
+            return [_bundle(case, seed, 0, state, (0, 1), roll)]
+    return []

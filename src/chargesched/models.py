@@ -490,17 +490,10 @@ def sample_demand(demand: DemandModel, d: int, key, traj: int, stage: int,
     return d_next, arrivals
 
 
-def admit(vehicles: Sequence[VehicleState], arrivals: Sequence[VehicleState]
-          ) -> tuple[tuple[VehicleState, ...], int]:
-    """Place arrivals on the lowest-index empty chargers in arrival order;
-    count and drop the overflow."""
-    out = list(vehicles)
-    filled = _admit(out, arrivals)
-    return tuple(out), len(arrivals) - len(filled)
-
-
-def _admit(out: list[VehicleState], arrivals: Sequence[VehicleState]) -> list[int]:
-    """`admit` in place on ``out``; returns the chargers filled, in order."""
+def admit(out: list[VehicleState], arrivals: Sequence[VehicleState]) -> list[int]:
+    """Place arrivals on the lowest-index empty chargers of ``out``, in place
+    and in arrival order; return the chargers filled, in order.  The overflow
+    is dropped: ``len(arrivals) - len(filled)`` were turned away."""
     if not arrivals:
         return []
     # Lazily, so the search stops at the last slot used.
@@ -716,14 +709,14 @@ def scenario_from_json(doc: dict) -> ScenarioModel:
     except KeyError as exc:
         raise ValueError(f"scenario JSON missing key {exc}") from None
 
-    if isinstance(pdoc, str):
-        penalty = _resolve_penalty(pdoc, max_units)
-    elif isinstance(pdoc, dict):
+    if isinstance(pdoc, dict):
         # Explicit opt-in for negative-control fixtures with non-convex tables.
-        penalty = PenaltyFunction([_to_fraction(v) for v in pdoc["values"]],
-                                  require_convex=not pdoc.get("allow_nonconvex", False))
-    else:
-        penalty = PenaltyFunction([_to_fraction(v) for v in pdoc])
+        pdoc = PenaltyFunction([_to_fraction(v) for v in pdoc["values"]],
+                               require_convex=not pdoc.get("allow_nonconvex", False))
+    elif not isinstance(pdoc, str):
+        pdoc = PenaltyFunction([_to_fraction(v) for v in pdoc])
+    # Checked before the capacity ceiling below reads q(E).
+    penalty = _resolve_penalty(pdoc, max_units)
 
     iid = False
     if "iid_uniform" in gdoc:
@@ -749,6 +742,9 @@ def scenario_from_json(doc: dict) -> ScenarioModel:
     grid = GridModel(values=values, kernel=kernel, cost=cost, iid_uniform=iid)
 
     dkernel = tuple(tuple(_to_fraction(p) for p in row) for row in ddoc["kernel"])
+    if "states" in ddoc and int(ddoc["states"]) != len(dkernel):
+        raise ValueError(f"demand states = {ddoc['states']}, but the demand kernel "
+                         f"has {len(dkernel)} rows")
     laws = []
     for law in adoc["per_state"]:
         if law["kind"] == "fixed_count":

@@ -39,8 +39,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import streams
-from .core import ActionVector, SystemState, _settle
-from .models import (FixedCountArrivals, ScenarioModel, _admit, capacity_scenario,
+from .core import ActionVector, SystemState, settle_stage
+from .models import (FixedCountArrivals, ScenarioModel, admit, capacity_scenario,
                      draw_initial, sample_grid, sample_demand, with_arrival_rate)
 from .policies import HeuristicPolicy, make_policy
 
@@ -62,11 +62,11 @@ def advance_stage(scenario: ScenarioModel, state: SystemState, action: ActionVec
     admit the next stage's arrivals and move the grid/demand chains.  The
     next state inherits its occupied chargers: those kept plus those filled."""
     prices = scenario.prices
-    shortfall, vehicles, kept = _settle(state, action, prices.q)
+    shortfall, vehicles, kept = settle_stage(state, action, prices.q)
     charging = prices[action.aggregate, state.grid]
     d_next, arrivals = sample_demand(scenario.demand, state.demand, key, traj,
                                      stage, scenario.max_stay)
-    filled = _admit(vehicles, arrivals)
+    filled = admit(vehicles, arrivals)
     s_next = sample_grid(scenario.grid, state.grid, action.aggregate, key, traj, stage)
     occupied = tuple(sorted(kept + filled) if filled else kept)
     return (SystemState.successor(tuple(vehicles), s_next, d_next, occupied),

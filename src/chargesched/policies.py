@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import ActionVector, PriorityOrdering, SystemState, compare_priority
+from .core import ActionVector, SystemState, outranks
 from .models import ScenarioModel
 
 ChargeBudgetRule = Callable[[SystemState], int]
@@ -101,8 +101,8 @@ def make_policy(name: str, scenario: ScenarioModel,
     return HeuristicPolicy(name, budget or capacity_budget(scenario))
 
 
-def check_lllp_compliance(state: SystemState, action: ActionVector,
-                          horizon: int) -> Optional[tuple[int, int]]:
+def check_lllp_compliance(state: SystemState,
+                          action: ActionVector) -> Optional[tuple[int, int]]:
     """Return a pair (i, j) with i charged, j idle, and j strictly above i in
     the priority order; None when the action honours the priority rule.
 
@@ -111,16 +111,15 @@ def check_lllp_compliance(state: SystemState, action: ActionVector,
     feasible every charged vehicle is still owed charge.  It is feasible when
     the bits on unfinished vehicles sum to the aggregate, as bits are 0/1.
     """
-    bits = action.bits
-    if len(bits) != len(state.vehicles):
-        action.check_feasible(state.vehicles)   # raises the length error
+    vehicles, bits = state.vehicles, action.bits
+    if len(bits) != len(vehicles):
+        action.check_feasible(vehicles)   # raises the length error
     charged = [i for i in state.unfinished if bits[i]]
     if len(charged) != action.aggregate:
-        action.check_feasible(state.vehicles)   # names the charger at fault
+        action.check_feasible(vehicles)   # names the charger at fault
     idle = [j for j in state.unfinished if not bits[j]]
     for i in charged:
         for j in idle:
-            if compare_priority(state.vehicles[i], state.vehicles[j],
-                                horizon) is PriorityOrdering.J_OVER_I:
+            if outranks(vehicles[j], vehicles[i]):
                 return (i, j)
     return None

@@ -189,6 +189,7 @@ def test_arrival_outside_the_type_grid_exits_2(tmp_path, capsys):
     (("initial", "grid"), "0", "'<=' not supported between instances of 'int' and 'str'"),
     (("grid", "kernel"), 5, "'int' object is not iterable"),
     (("grid", "states"), [-1, 1], "grid value -1 is negative"),
+    (("demand", "states"), 3, "demand states = 3, but the demand kernel has 1 rows"),
 ])
 def test_scenario_shape_errors_exit_2(tmp_path, capsys, key, value, reason):
     with open(TINY) as fh:
@@ -210,15 +211,22 @@ def test_scenario_shape_errors_exit_2(tmp_path, capsys, key, value, reason):
     (BENCHMARK, None, {"B": -2}),
     (BENCHMARK, "grid", {"iid_uniform": [5, 4]}),
     (TINY, "grid", {"states": [], "kernel": []}),
-], ids=["N=-1", "B=0", "B=-1", "B=-2", "iid-grid-5..4", "empty-grid"])
+    (BENCHMARK, None, {"penalty": [0, 1]}),
+    (BENCHMARK, None, {"penalty": {"values": [0, 1]}}),
+], ids=["N=-1", "B=0", "B=-1", "B=-2", "iid-grid-5..4", "empty-grid",
+        "penalty-list-short", "penalty-values-short"])
 def test_scenario_sizes_out_of_range_exit_2(tmp_path, capsys, path, section, change):
     with open(path) as fh:
         doc = json.load(fh)
     (doc if section is None else doc[section]).update(change)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    reason = ("the grid has no states" if section else
-              "a scenario needs N >= 0 chargers and stays of B >= 1 stages")
+    if section:
+        reason = "the grid has no states"
+    elif "penalty" in change:
+        reason = "penalty table length must be E + 1"
+    else:
+        reason = "a scenario needs N >= 0 chargers and stays of B >= 1 stages"
     out = tmp_path / "out"
     for command in (["simulate", "--T", "5", "--n-traj", "1"],
                     ["verify-dominance", "--cases", "2"]):

@@ -7,26 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargesched.core import (ActionVector, EMPTY, InfeasibleActionError,
-                              PenaltyFunction, PriorityOrdering, SystemState,
-                              VehicleState, compare_priority, laxity,
-                              settle_stage, stage_cost, step_vehicles)
+                              PenaltyFunction, SystemState, VehicleState, laxity,
+                              outranks, settle_stage, stage_cost, step_vehicles)
 
 
 def test_laxity_values():
-    assert laxity(VehicleState(8, 5), 10) == 3
-    assert laxity(VehicleState(2, 0), 10) == 10
-    assert laxity(VehicleState(1, 3), 10) == -2
+    assert laxity(VehicleState(8, 5)) == 3
+    assert laxity(VehicleState(2, 0)) == 2
+    assert laxity(VehicleState(1, 3)) == -2
 
 
 def test_laxity_range_over_lattice():
     B, E = 10, 10
     for stay in range(1, B + 1):
         for need in range(E + 1):
-            th = laxity(VehicleState(stay, need), B)
+            th = laxity(VehicleState(stay, need))
             if need > 0:
                 assert 1 - E <= th <= B - 1
             else:
-                assert th == B
+                assert th == stay
 
 
 def test_laxity_monotonicity_under_idle_and_charge():
@@ -35,25 +34,31 @@ def test_laxity_monotonicity_under_idle_and_charge():
         for need in range(1, stay + 1):
             v = VehicleState(stay, need)
             idled = VehicleState(stay - 1, need)
-            assert laxity(idled, B) == laxity(v, B) - 1
+            assert laxity(idled) == laxity(v) - 1
             if need >= 2:  # still chargeable next stage
                 charged = VehicleState(stay - 1, need - 1)
-                assert laxity(charged, B) == laxity(v, B)
+                assert laxity(charged) == laxity(v)
 
 
 def test_priority_examples():
-    assert compare_priority(VehicleState(2, 1), VehicleState(3, 2), 10) \
-        is PriorityOrdering.J_OVER_I
-    assert compare_priority(VehicleState(3, 2), VehicleState(3, 2), 10) \
-        is PriorityOrdering.EQUAL
+    assert outranks(VehicleState(3, 2), VehicleState(2, 1))
+    assert not outranks(VehicleState(2, 1), VehicleState(3, 2))
+    # Identical (laxity, need) pairs: neither is above the other.
+    assert not outranks(VehicleState(3, 2), VehicleState(3, 2))
     # laxity 1 / need 2 against laxity 2 / need 3: the two criteria disagree
-    assert compare_priority(VehicleState(3, 2), VehicleState(5, 3), 10) \
-        is PriorityOrdering.INCOMPARABLE
+    assert not outranks(VehicleState(5, 3), VehicleState(3, 2))
+    assert not outranks(VehicleState(3, 2), VehicleState(5, 3))
+    # A vehicle that owes nothing has laxity = stay: (1, 1) has laxity 0 and
+    # more work than (2, 0), whose laxity is 2.
+    assert outranks(VehicleState(1, 1), VehicleState(2, 0))
+    assert not outranks(VehicleState(2, 0), VehicleState(1, 1))
 
 
 def test_priority_rejects_absent_vehicles():
     with pytest.raises(ValueError):
-        compare_priority(EMPTY, VehicleState(2, 1), 10)
+        outranks(EMPTY, VehicleState(2, 1))
+    with pytest.raises(ValueError):
+        outranks(VehicleState(2, 1), EMPTY)
 
 
 def _lattice_arrays(B, E):
@@ -64,8 +69,7 @@ def _lattice_arrays(B, E):
             needs.append(need)
     stays = np.array(stays)
     needs = np.array(needs)
-    theta = np.where(needs > 0, stays - needs, B)
-    return stays, needs, theta
+    return stays, needs, stays - needs
 
 
 def test_partial_order_laws_exhaustive():
@@ -85,19 +89,11 @@ def test_partial_order_laws_exhaustive():
     above = j_over_i
     composed = (above.astype(np.int64) @ above.astype(np.int64)) > 0
     assert not (composed & ~above & ~equal_key).any()
-    # Agreement with compare_priority on a sample of pairs.
-    idx = np.random.default_rng(0).integers(0, len(stays), size=(300, 2))
-    for a, b in idx:
-        got = compare_priority(VehicleState(int(stays[a]), int(needs[a])),
-                               VehicleState(int(stays[b]), int(needs[b])), B)
-        if equal_key[a, b]:
-            assert got is PriorityOrdering.EQUAL
-        elif j_over_i[a, b]:
-            assert got is PriorityOrdering.J_OVER_I
-        elif i_over_j[a, b]:
-            assert got is PriorityOrdering.I_OVER_J
-        else:
-            assert got is PriorityOrdering.INCOMPARABLE
+    # Agreement with outranks on every pair of the lattice.
+    fleet = [VehicleState(int(s), int(g)) for s, g in zip(stays, needs)]
+    got = np.array([[outranks(vj, vi) for vj in fleet] for vi in fleet])
+    assert got.shape == (len(fleet),) * 2 == ((B * (E + 1)),) * 2
+    assert (got == j_over_i).all()
 
 
 def test_less_laxity_later_deadline_implies_priority():
@@ -107,13 +103,11 @@ def test_less_laxity_later_deadline_implies_priority():
             for sj in range(1, B + 1):
                 for gj in range(E + 1):
                     vi, vj = VehicleState(si, gi), VehicleState(sj, gj)
-                    if laxity(vi, B) >= laxity(vj, B) and si <= sj:
-                        got = compare_priority(vi, vj, B)
-                        assert got in (PriorityOrdering.J_OVER_I,
-                                       PriorityOrdering.EQUAL)
-                        if got is PriorityOrdering.EQUAL:
-                            # only identical (laxity, need) pairs compare Equal
-                            assert laxity(vi, B) == laxity(vj, B) and gi == gj
+                    if laxity(vi) >= laxity(vj) and si <= sj:
+                        # j has no more laxity and no less remaining work, so
+                        # it is above i unless the two are identical.
+                        assert outranks(vj, vi) is (vi != vj)
+                        assert not outranks(vi, vj)
 
 
 def test_penalty_construction():
@@ -200,14 +194,16 @@ def test_action_vector_validation():
 
 def _settle_full_walk(state, action, penalty):
     """Reference stage: a comprehension over every slot, empty ones too.
-    The penalty is summed as Fractions of the table."""
+    The penalty is summed as Fractions of the table; the kept chargers are
+    those whose vehicle stays past this stage."""
     action.check_feasible(state.vehicles)
     pairs = list(zip(state.vehicles, action.bits))
     shortfall = sum([penalty(need - a) for (stay, need), a in pairs if stay == 1],
                     Fraction(0))
-    stepped = tuple([EMPTY if stay <= 1 else VehicleState(stay - 1, need - a)
-                     for (stay, need), a in pairs])
-    return shortfall, stepped
+    stepped = [EMPTY if stay <= 1 else VehicleState(stay - 1, need - a)
+               for (stay, need), a in pairs]
+    kept = [i for i, (stay, _) in enumerate(state.vehicles) if stay > 1]
+    return shortfall, stepped, kept
 
 
 def _outcome(settle, state, action, penalty):
@@ -258,6 +254,6 @@ def test_settle_stage_matches_a_full_walk(stage, penalty):
     got = _outcome(settle_stage, state, action, [int(v * unit) for v in penalty.values])
     if isinstance(want[0], Fraction):
         assert type(got[0]) is int and got[0] == want[0] * unit
-        assert got[1] == want[1]
+        assert got[1:] == want[1:]
     else:
         assert got == want

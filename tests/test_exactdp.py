@@ -177,8 +177,7 @@ def test_projection_repairs_tampered_policy(tiny_solution):
     for k in range(mdp.n_states):
         for a_idx, act in enumerate(mdp.actions[k]):
             from chargesched.policies import check_lllp_compliance
-            if check_lllp_compliance(mdp.states[k], act,
-                                     mdp.scenario.max_stay) is not None:
+            if check_lllp_compliance(mdp.states[k], act) is not None:
                 tampered[k] = a_idx
                 flipped.append(k)
                 break
@@ -199,8 +198,7 @@ def test_projection_swap_never_raises_q(tiny_solution):
     from chargesched.policies import check_lllp_compliance
     for k in range(mdp.n_states):
         for a_idx, act in enumerate(mdp.actions[k]):
-            if check_lllp_compliance(mdp.states[k], act,
-                                     mdp.scenario.max_stay) is not None:
+            if check_lllp_compliance(mdp.states[k], act) is not None:
                 tampered[k] = a_idx
                 break
     fake = DPSolution(gain=sol.gain, h=sol.h, policy=tampered,
@@ -404,11 +402,13 @@ def test_enumeration_matches_direct_per_state_computation(sc):
         choices = [(0, 1) if v.need > 0 else (0,) for v in x.vehicles]
         assert mdp.actions[k] == [ActionVector(bits) for bits in itertools.product(*choices)]
         for a, cost, row in zip(mdp.actions[k], mdp.costs[k], mdp.transitions[k], strict=True):
-            penalty, stepped = settle_stage(x, a, sc.penalty.values)
+            penalty, stepped, _ = settle_stage(x, a, sc.penalty.values)
             assert type(cost) is Fraction and cost == sc.grid.cost(a.aggregate, x.grid) + penalty
             dist = defaultdict(Fraction)
             for p_arr, batch in sc.demand.arrivals[x.demand].outcomes:
-                fleet = admit(stepped, batch)[0]
+                fleet = list(stepped)
+                admit(fleet, batch)
+                fleet = tuple(fleet)
                 for s2, p_grid in enumerate(sc.grid.row(x.grid, a.aggregate)):
                     for d2, p_demand in enumerate(sc.demand.kernel[x.demand]):
                         if p_arr * p_grid * p_demand:

@@ -42,17 +42,17 @@ def test_find_violation_and_wrap_validation():
     pol = make_policy("edf", sc)
     state = SystemState((VehicleState(1, 1), VehicleState(2, 2),
                          VehicleState(0, 0), VehicleState(0, 0)), 0, 0)
-    pair = find_violation(pol, state, 0, sc.max_stay)
+    pair = find_violation(pol, state, 0)
     assert pair == (0, 1)
     lll = make_policy("lllp", sc)
-    assert find_violation(lll, state, 0, sc.max_stay) is None
+    assert find_violation(lll, state, 0) is None
     with pytest.raises(ValueError):
-        wrap_interchange(lll, state, 0, 1, 0, sc.max_stay)  # not a violation
+        wrap_interchange(lll, state, 0, 1, 0)  # not a violation
     with pytest.raises(ValueError):
         # charges i but j does not have priority over i
         bad = SystemState((VehicleState(1, 1), VehicleState(5, 1),
                            VehicleState(0, 0), VehicleState(0, 0)), 0, 0)
-        wrap_interchange(pol, bad, 0, 1, 0, sc.max_stay)
+        wrap_interchange(pol, bad, 0, 1, 0)
 
 
 def test_no_violation_when_everyone_charged():
@@ -60,7 +60,7 @@ def test_no_violation_when_everyone_charged():
     pol = make_policy("edf", sc)
     state = SystemState((VehicleState(1, 1), VehicleState(2, 2),
                          VehicleState(3, 1), VehicleState(0, 0)), 0, 0)
-    assert find_violation(pol, state, 0, sc.max_stay) is None
+    assert find_violation(pol, state, 0) is None
 
 
 def test_price_cycle_interchange_swaps_back_with_equal_cost():
@@ -69,9 +69,9 @@ def test_price_cycle_interchange_swaps_back_with_equal_cost():
     sc = _no_arrival_scenario(PenaltyFunction.linear(10), prices=(1, 0, 2))
     pol = ScriptedPolicy({0: (1, 0), 1: (0, 1), 2: (0, 1)})
     x0 = SystemState((VehicleState(2, 1), VehicleState(3, 2)), 0, 0)
-    wrapped = wrap_interchange(pol, x0, 0, 1, 0, sc.max_stay)
-    assert wrapped.window.length == 2
-    roll = coupled_rollout(sc, pol, wrapped, x0, wrapped.window.length, seed=0)
+    wrapped = wrap_interchange(pol, x0, 0, 1, 0)
+    assert wrapped.length == 2
+    roll = coupled_rollout(sc, pol, wrapped, x0, wrapped.length, seed=0)
     assert roll.swap_back_at == 1
     assert roll.g_empty is False
     assert roll.base_total == roll.swapped_total == 3
@@ -83,7 +83,7 @@ def _two_vehicle_outcomes(penalty, x0, script, prices):
     base order and the interchanged order by brute-force state stepping."""
     sc = _no_arrival_scenario(penalty, prices=prices)
     pol = ScriptedPolicy(script)
-    wrapped = wrap_interchange(pol, x0, 0, 1, 0, sc.max_stay)
+    wrapped = wrap_interchange(pol, x0, 0, 1, 0)
     return sc, pol, wrapped
 
 
@@ -93,7 +93,7 @@ def test_quadratic_two_stage_example():
     q = PenaltyFunction.quadratic(10)
     x0 = SystemState((VehicleState(1, 1), VehicleState(2, 3)), 0, 0)
     sc, pol, wrapped = _two_vehicle_outcomes(q, x0, {0: (1, 0), 1: (0, 1)}, (0,))
-    roll = coupled_rollout(sc, pol, wrapped, x0, wrapped.window.length, seed=0)
+    roll = coupled_rollout(sc, pol, wrapped, x0, wrapped.length, seed=0)
     assert roll.g_empty is True
     assert roll.base_total == 4 and roll.swapped_total == 2
     assert (roll.base_shortfalls.rho_i, roll.base_shortfalls.rho_j) == (0, 2)

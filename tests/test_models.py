@@ -86,13 +86,17 @@ def test_sample_demand_zero_and_degenerate():
 def test_admit_examples():
     e = VehicleState(0, 0)
     a, b, c = VehicleState(3, 1), VehicleState(2, 2), VehicleState(5, 5)
-    out, rejected = admit((e, e, e, e), [a, b, c])
-    assert out[:3] == (a, b, c) and rejected == 0
-    full = (a, b, c, a)
-    out, rejected = admit(full, [b, c])
-    assert out == full and rejected == 2
-    out, rejected = admit((a, b, c, a, b, e), [c, a])
-    assert out[5] == c and rejected == 1
+    out = [e, e, e, e]
+    assert admit(out, [a, b, c]) == [0, 1, 2]
+    assert out == [a, b, c, e]
+    full = [a, b, c, a]
+    out = list(full)
+    assert admit(out, [b, c]) == []
+    assert out == full
+    out = [a, b, c, a, b, e]
+    assert admit(out, [c, a]) == [5]
+    assert out == [a, b, c, a, b, c]
+    assert admit(out, []) == []
 
 
 def test_admit_permutation_stability():
@@ -104,10 +108,17 @@ def test_admit_permutation_stability():
                     else VehicleState(0, 0) for _ in range(n)]
         arrivals = [pool[int(rng.integers(len(pool)))]
                     for _ in range(int(rng.integers(0, 4)))]
-        out1, rej1 = admit(tuple(occupied), arrivals)
+        empties = [k for k, v in enumerate(occupied) if v.stay == 0]
+        out1 = list(occupied)
+        filled1 = admit(out1, arrivals)
+        # The lowest-index empty chargers, one per arrival while they last.
+        assert filled1 == empties[:len(arrivals)]
+        assert [out1[k] for k in filled1] == arrivals[:len(filled1)]
+        assert all(out1[k] == occupied[k] for k in range(n) if k not in filled1)
         perm = rng.permutation(n)
-        out2, rej2 = admit(tuple(occupied[k] for k in perm), arrivals)
-        assert rej1 == rej2
+        out2 = [occupied[k] for k in perm]
+        filled2 = admit(out2, arrivals)
+        assert len(filled1) == len(filled2)
         assert sorted(out1) == sorted(out2)
 
 

@@ -86,14 +86,14 @@ def test_capacity_budget_uses_grid_value():
 def test_edf_violates_priority_rule():
     state = _state(VehicleState(1, 1), VehicleState(2, 2))
     act = edf(state, budget_of(1))
-    assert check_lllp_compliance(state, act, 10) == (0, 1)
+    assert check_lllp_compliance(state, act) == (0, 1)
 
 
 def test_compliance_none_cases():
     empty = _state(E, E)
-    assert check_lllp_compliance(empty, lllp(empty, budget_of(1)), 10) is None
+    assert check_lllp_compliance(empty, lllp(empty, budget_of(1))) is None
     state = _state(VehicleState(1, 1), VehicleState(2, 2))
-    assert check_lllp_compliance(state, lllp(state, budget_of(1)), 10) is None
+    assert check_lllp_compliance(state, lllp(state, budget_of(1))) is None
 
 
 def test_lllp_compliance_randomized():
@@ -110,7 +110,7 @@ def test_lllp_compliance_randomized():
         state = _state(*vehicles)
         m = int(rng.integers(0, n + 1))
         act = lllp(state, budget_of(m))
-        assert check_lllp_compliance(state, act, 10) is None
+        assert check_lllp_compliance(state, act) is None
 
 
 def test_compliance_refuses_infeasible_actions():
@@ -119,10 +119,10 @@ def test_compliance_refuses_infeasible_actions():
         with pytest.raises(InfeasibleActionError,
                            match=f"^charger {charger}: cannot charge a vehicle "
                                  "with no remaining request$"):
-            check_lllp_compliance(state, ActionVector(bits), 10)
+            check_lllp_compliance(state, ActionVector(bits))
     for bits in ((1, 0), (1, 0, 0, 0)):
         with pytest.raises(ValueError, match="^action length does not match charger count$") as exc:
-            check_lllp_compliance(state, ActionVector(bits), 10)
+            check_lllp_compliance(state, ActionVector(bits))
         assert exc.type is ValueError
 
 
