@@ -3,11 +3,11 @@
 A charger is either empty, written ``VehicleState(0, 0)``, or holds a vehicle
 described by ``stay`` (stages remaining until its departure) and ``need``
 (charge units still requested).  All costs are exact: penalty tables are
-rationals, and ``settle_stage`` sums whatever table its caller hands it,
-indexed by unmet need: ``PenaltyFunction.values`` for a Fraction sum, or the
-integer table ``ScenarioModel.prices.q`` in units of 1/L, where L, chosen in
-``models.StagePrices`` alone, covers every penalty and charging cost.  So
-sample-path cost comparisons elsewhere in the package are tolerance-free.
+rationals, and ``settle_stage`` reads each vehicle type's step from
+``step_tables(q)``, q a penalty table indexed by unmet need: Fractions from
+``PenaltyFunction.values``, or ints in units of 1/L (``ScenarioModel.prices``
+holds both q and its tables), L covering every penalty and charging cost.
+So sample-path cost comparisons elsewhere in the package are tolerance-free.
 The stage step walks ``SystemState.occupied`` only and reports the chargers
 that keep a vehicle, so a rollout's next state need not scan for them.
 """
@@ -151,17 +151,38 @@ class SystemState:
         return len(self.unfinished)
 
 
-def settle_stage(state: SystemState, action: ActionVector, q: Sequence
+class _TypeSteps(dict):
+    """Per vehicle type, filled on first use: (next type, units charged, and
+    q[unmet need] on departure, else None).  One owing nothing gets 0 units."""
+
+    def __init__(self, q: Sequence, units: int):
+        super().__init__()
+        self.q, self.units = q, units
+
+    def __missing__(self, v: VehicleState) -> tuple:
+        units = self.units if v.need else 0
+        step = self[v] = ((EMPTY, units, self.q[v.need - units]) if v.stay == 1
+                          else (vehicle_type(v.stay - 1, v.need - units), units, None))
+        return step
+
+
+def step_tables(q: Sequence) -> tuple[dict, dict]:
+    """`settle_stage`'s steps for idle and charged vehicles under penalty table
+    ``q``, built by whoever owns ``q``: never cache them by its value, as an
+    int table can equal a Fraction one."""
+    return _TypeSteps(q, 0), _TypeSteps(q, 1)
+
+
+def settle_stage(state: SystemState, action: ActionVector, steps: tuple[dict, dict]
                  ) -> tuple[int | Fraction, list[VehicleState], list[int]]:
     """The part of one stage that the fleet alone decides, in one pass over
     the occupied chargers: check the action, then return the sum of q[need]
-    over the vehicles departing after this stage (stay == 1), ``q`` being a
-    penalty table indexed by unmet need, the vehicles one stage later as a
-    new list, and the chargers that keep a vehicle (stay > 1), in index
-    order.  Callers price the charging cost C(A, s), which depends only on
-    the aggregate and the grid state.  Bits are 0/1, so none sits on an
-    empty charger exactly when the occupied ones charged sum to the
-    aggregate."""
+    over the vehicles departing after this stage (stay == 1), ``steps`` being
+    `step_tables(q)` indexed by bit, the vehicles one stage later as a new
+    list, and the chargers that keep a vehicle (stay > 1), in index order.
+    Callers price the charging cost C(A, s), which depends only on the
+    aggregate and the grid state.  Bits are 0/1, so none sits on an empty
+    charger exactly when the occupied ones charged sum to the aggregate."""
     vehicles, bits = state.vehicles, action.bits
     if len(bits) != len(vehicles):
         action.check_feasible(vehicles)     # raises the length error
@@ -169,16 +190,12 @@ def settle_stage(state: SystemState, action: ActionVector, q: Sequence
     kept = []
     shortfall = charged = 0
     for i in state.occupied:
-        stay, need = vehicles[i]
-        if bits[i] and need:    # a bit on need 0 goes uncounted, refused below
-            need -= 1
-            charged += 1
-        if stay == 1:
-            shortfall += q[need]
-            out[i] = EMPTY
-        else:
-            out[i] = vehicle_type(stay - 1, need)
+        out[i], units, due = steps[bits[i]][vehicles[i]]
+        charged += units        # a bit on need 0 goes uncounted, refused below
+        if due is None:
             kept.append(i)
+        else:
+            shortfall += due
     if charged != action.aggregate:
         action.check_feasible(vehicles)     # names the charger at fault
     return shortfall, out, kept
@@ -190,7 +207,7 @@ def stage_cost(state: SystemState, action: ActionVector, cost_fn, penalty: Penal
 
     ``cost_fn`` maps (aggregate count, grid index) to a Fraction.
     """
-    shortfall = settle_stage(state, action, penalty.values)[0]
+    shortfall = settle_stage(state, action, step_tables(penalty.values))[0]
     return Fraction(cost_fn(action.aggregate, state.grid)) + shortfall
 
 
@@ -199,4 +216,4 @@ def step_vehicles(vehicles: Sequence[VehicleState], action: ActionVector) -> tup
     present loses one stage of stay, and vehicles reaching stay 0 depart
     (their charger resets to the empty sentinel)."""
     zero = (0,) * (1 + max(map(_need, vehicles), default=0))
-    return tuple(settle_stage(SystemState(tuple(vehicles), 0, 0), action, zero)[1])
+    return tuple(settle_stage(SystemState(tuple(vehicles), 0, 0), action, step_tables(zero))[1])

@@ -224,7 +224,7 @@ def enumerate_mdp(scenario: ScenarioModel,
         x = SystemState(fleet, 0, 0)    # the penalty and the step ignore the grid
         settled = []    # (stepped fleet, aggregate, stage cost per grid state)
         for a in acts:
-            shortfall, stepped, _ = settle_stage(x, a, prices.q)
+            shortfall, stepped, _ = settle_stage(x, a, prices.steps)
             key = (a.aggregate, shortfall)
             if key not in totals:
                 totals[key] = [Fraction(prices[a.aggregate, s] + shortfall, prices.unit)

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg, streams
-from .core import EMPTY, PenaltyFunction, SystemState, VehicleState, vehicle_type
+from .core import EMPTY, PenaltyFunction, SystemState, VehicleState, step_tables, vehicle_type
 
 ROW_SUM_TOL = 1e-12
 
@@ -364,8 +364,8 @@ class StagePrices(dict):
     charging costs.  Keys are (aggregate, grid state) and values the charging
     cost, each priced on first use and kept, except a capacity price (0 or
     ``ceiling``), which is never stored.  ``q`` is the penalty table and
-    ``bound`` the largest charge magnitude, in units.  Sums of these stay
-    Python ints, so no total wraps."""
+    ``bound`` the largest charge magnitude, in units, and ``steps`` its
+    `core.step_tables`.  Sums of these stay Python ints, so no total wraps."""
 
     def __init__(self, scenario: "ScenarioModel"):
         super().__init__()
@@ -382,6 +382,7 @@ class StagePrices(dict):
         q = scenario.penalty.values
         unit = self.unit = math.lcm(*(c.denominator for c in (*q, *charges)))
         self.q = tuple(int(v * unit) for v in q)
+        self.steps = step_tables(self.q)
         self.bound = int(max(map(abs, charges)) * unit)
         self.ceiling = int(cost.ceiling * unit) if isinstance(cost, CapacityCost) else None
 

@@ -15,11 +15,12 @@ Two engines produce bit-identical results:
 
 Both sum stage costs as integers in units of 1/L, L chosen only in
 `ScenarioModel.prices`, and divide once at the end: its penalty table ``q``
-goes to `core.settle_stage` or the vectorized sum as is, and its charging
-costs are read per stage or as one [aggregate, grid state] table, for any
-cost form.  The scalar engine sums in Python ints, which never wrap, and the
-vectorized one in int64 where `_batch_supported` shows the totals stay below
-2**53.  So every per-trajectory average is the same exact rational in both.
+goes to the vectorized sum, its ``steps`` tables to `core.settle_stage`, and
+its charging costs are read per stage or as one [aggregate, grid state]
+table, for any cost form.  The scalar engine sums in Python ints, which never
+wrap, and the vectorized one in int64 where `_batch_supported` shows the
+totals stay below 2**53.  So every per-trajectory average is the same exact
+rational in both.
 
 Randomness is addressed by (seed, trajectory, stage, source), so runs couple
 across policies and arrival rates, and results do not depend on execution
@@ -42,7 +43,7 @@ from . import streams
 from .core import ActionVector, SystemState, settle_stage
 from .models import (FixedCountArrivals, ScenarioModel, admit, capacity_scenario,
                      draw_initial, sample_grid, sample_demand, with_arrival_rate)
-from .policies import HeuristicPolicy, make_policy
+from .policies import HeuristicPolicy, make_policy, type_ranks
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +63,7 @@ def advance_stage(scenario: ScenarioModel, state: SystemState, action: ActionVec
     admit the next stage's arrivals and move the grid/demand chains.  The
     next state inherits its occupied chargers: those kept plus those filled."""
     prices = scenario.prices
-    shortfall, vehicles, kept = settle_stage(state, action, prices.q)
+    shortfall, vehicles, kept = settle_stage(state, action, prices.steps)
     charging = prices[action.aggregate, state.grid]
     d_next, arrivals = sample_demand(scenario.demand, state.demand, key, traj,
                                      stage, scenario.max_stay)
@@ -190,9 +191,9 @@ class _TypeCounts:
         self.charged = np.zeros((B * (E + 1), n_traj), dtype=np.int16)
         self.after = np.empty_like(self.charged)
         self.scan = np.empty((B * E, n_traj), dtype=np.int16)
-        ranked = sorted(((s, g) for s in range(1, B + 1) for g in range(1, E + 1)),
-                        key=lambda sg: policy.sort_key(*sg))
-        self.order = np.array([(s - 1) * (E + 1) + g for s, g in ranked])
+        types = [(s, g) for s in range(1, B + 1) for g in range(1, E + 1)]
+        ranks = type_ranks(policy.name, types)
+        self.order = np.array([(s - 1) * (E + 1) + g for s, g in sorted(types, key=ranks.get)])
         self.values = np.minimum(sc.grid.values, N).astype(np.int16)
         self.q = np.array(sc.prices.q, dtype=np.int64)
         self.charge_cost = sc.prices.table()

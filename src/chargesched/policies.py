@@ -7,14 +7,16 @@ All three heuristics rank the chargeable vehicles, then charge the first
 * LLSP -- least laxity first; laxity ties go to the shorter remaining request.
 * LLLP -- least laxity first; laxity ties go to the longer remaining request.
 
-Remaining ties always break toward the lower charger index so that decisions
-are deterministic.  The default budget is min(grid capacity value, number of
-unfinished vehicles), which never exceeds free capacity under the capacity
-cost model; any other budget rule can be passed in.
+Ties break toward the lower charger index, so decisions are deterministic:
+each key is injective on (stay, need), and a vehicle sorts by its type's rank
+(`type_ranks`) times N plus its index.  The default budget is min(grid
+capacity value, number of unfinished vehicles), which never exceeds free
+capacity under the capacity cost model; any other budget rule can be passed in.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,46 +38,58 @@ def capacity_budget(scenario: ScenarioModel) -> ChargeBudgetRule:
     return budget
 
 
-def _edf_key(stay: int, need: int) -> tuple[int, int]:
-    return (stay, stay - need)
+_KEYS = {"edf": lambda stay, need: (stay, stay - need),
+         "llsp": lambda stay, need: (stay - need, need),
+         "lllp": lambda stay, need: (stay - need, -need)}
+
+# Per heuristic, each seen vehicle type's position in key order.  Re-ranks hold
+# the lock and publish a new table, never a change, so readers need no lock.
+_RANKS: dict[str, dict] = {name: {} for name in _KEYS}
+_RERANK = threading.Lock()
 
 
-def _llsp_key(stay: int, need: int) -> tuple[int, int]:
-    return (stay - need, need)
+def type_ranks(name: str, types) -> dict:
+    """Heuristic ``name``'s rank table, covering ``types``: distinct ints in
+    the order of its key.  Both engines order vehicle types by it."""
+    with _RERANK:
+        ranks = _RANKS[name]
+        if new := set(types).difference(ranks):
+            ranked = sorted([*ranks, *new], key=lambda v: _KEYS[name](*v))
+            ranks = _RANKS[name] = {v: r for r, v in enumerate(ranked)}
+    return ranks
 
 
-def _lllp_key(stay: int, need: int) -> tuple[int, int]:
-    return (stay - need, -need)
-
-
-_KEYS = {"edf": _edf_key, "llsp": _llsp_key, "lllp": _lllp_key}
-
-
-def _rank_and_charge(state: SystemState, budget: ChargeBudgetRule, key) -> ActionVector:
+def _rank_and_charge(state: SystemState, budget: ChargeBudgetRule, name: str) -> ActionVector:
     m = budget(state)
     chargeable = state.unfinished
     if not 0 <= m <= len(chargeable):
         raise ValueError(f"budget {m} outside 0..V(x)={len(chargeable)}")
-    vehicles = state.vehicles
-    # Nothing to rank when the budget covers every unfinished vehicle.
-    charged = chargeable if m == len(chargeable) else sorted(
-        chargeable, key=lambda i: (*key(*vehicles[i]), i))[:m]
-    bits = [0] * len(vehicles)
+    vehicles, n = state.vehicles, len(state.vehicles)
+    charged = chargeable    # nothing to rank when the budget covers them all
+    if m < len(chargeable):     # rank * n + i sorts by (rank, index) as an int
+        ranks = _RANKS[name]
+        try:
+            order = sorted([ranks[vehicles[i]] * n + i for i in chargeable])
+        except KeyError:    # a type met for the first time
+            ranks = type_ranks(name, map(vehicles.__getitem__, chargeable))
+            order = sorted([ranks[vehicles[i]] * n + i for i in chargeable])
+        charged = [r % n for r in order[:m]]
+    bits = [0] * n
     for i in charged:
         bits[i] = 1
     return ActionVector(tuple(bits))
 
 
 def edf(state: SystemState, budget: ChargeBudgetRule) -> ActionVector:
-    return _rank_and_charge(state, budget, _edf_key)
+    return _rank_and_charge(state, budget, "edf")
 
 
 def llsp(state: SystemState, budget: ChargeBudgetRule) -> ActionVector:
-    return _rank_and_charge(state, budget, _llsp_key)
+    return _rank_and_charge(state, budget, "llsp")
 
 
 def lllp(state: SystemState, budget: ChargeBudgetRule) -> ActionVector:
-    return _rank_and_charge(state, budget, _lllp_key)
+    return _rank_and_charge(state, budget, "lllp")
 
 
 @dataclass(frozen=True)
@@ -85,10 +99,7 @@ class HeuristicPolicy:
     budget: ChargeBudgetRule
 
     def decide(self, state: SystemState, stage: int = 0) -> ActionVector:
-        return _rank_and_charge(state, self.budget, _KEYS[self.name])
-
-    def sort_key(self, stay: int, need: int) -> tuple[int, int]:
-        return _KEYS[self.name](stay, need)
+        return _rank_and_charge(state, self.budget, self.name)
 
 
 POLICY_NAMES = tuple(_KEYS)

@@ -104,8 +104,8 @@ def uniforms(key: np.ndarray, traj: int, stage: int, source: int, n: int) -> np.
     blocks = _BLOCKS[source]
     if n > 4 * blocks:
         raise ValueError(f"source {source} supports at most {4 * blocks} draws per stage")
-    raw = _keyed(key, traj * blocks, stage, source).random_raw(4 * blocks)
-    return raw[:n].astype(np.float64) * _U64_INV
+    raw = _keyed(key, traj * blocks, stage, source).random_raw(n)
+    return raw.astype(np.float64) * _U64_INV
 
 
 def uniform(key: np.ndarray, traj: int, stage: int, source: int) -> float:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from chargesched.core import (ActionVector, EMPTY, InfeasibleActionError,
                               PenaltyFunction, SystemState, VehicleState, laxity,
-                              outranks, settle_stage, stage_cost, step_vehicles)
+                              outranks, settle_stage, stage_cost, step_tables,
+                              step_vehicles)
 
 
 def test_laxity_values():
@@ -247,13 +248,40 @@ def test_settle_stage_matches_a_full_walk(stage, penalty):
     assert state.occupied == tuple(i for i, v in enumerate(vehicles) if v.stay > 0)
     assert state.unfinished == tuple(i for i, v in enumerate(vehicles) if v.need > 0)
     want = _outcome(_settle_full_walk, state, action, penalty)
-    assert _outcome(settle_stage, state, action, penalty.values) == want
+    assert _outcome(settle_stage, state, action, step_tables(penalty.values)) == want
     # The same table as integers over its common denominator L, as the
     # engines sum it: each shortfall is the Fraction sum times L.
     unit = math.lcm(*(v.denominator for v in penalty.values))
-    got = _outcome(settle_stage, state, action, [int(v * unit) for v in penalty.values])
+    got = _outcome(settle_stage, state, action,
+                   step_tables([int(v * unit) for v in penalty.values]))
     if isinstance(want[0], Fraction):
         assert type(got[0]) is int and got[0] == want[0] * unit
         assert got[1:] == want[1:]
     else:
         assert got == want
+
+
+def test_step_tables_keep_their_own_units():
+    # An integer-unit table can equal a Fraction one and hash alike, so a
+    # table cache keyed by the value of q would hand one the other's steps.
+    penalty = PenaltyFunction.linear(3)
+    as_ints = tuple(int(v) for v in penalty.values)
+    assert penalty.values == as_ints and hash(penalty.values) == hash(as_ints)
+    state = SystemState((VehicleState(1, 2), EMPTY, VehicleState(1, 3), VehicleState(2, 1)), 0, 0)
+    action = ActionVector((1, 0, 0, 1))
+    for q, kind in ((penalty.values, Fraction), (as_ints, int), (penalty.values, Fraction)):
+        shortfall, out, kept = settle_stage(state, action, step_tables(q))
+        assert type(shortfall) is kind and shortfall == 1 + 3
+        assert (out, kept) == ([EMPTY, EMPTY, EMPTY, VehicleState(1, 0)], [3])
+
+
+def test_step_tables_refuse_a_bit_on_a_need_0_vehicle():
+    steps = step_tables(PenaltyFunction.quadratic(2).values)
+    state = SystemState((VehicleState(2, 1), VehicleState(3, 0), EMPTY), 0, 0)
+    for _ in range(2):      # the second pass reads the filled entries
+        with pytest.raises(InfeasibleActionError, match="^charger 1: cannot charge"):
+            settle_stage(state, ActionVector((1, 1, 0)), steps)
+        with pytest.raises(InfeasibleActionError, match="^charger 2: cannot charge"):
+            settle_stage(state, ActionVector((0, 0, 1)), steps)
+    assert settle_stage(state, ActionVector((1, 0, 0)), steps) == (
+        0, [VehicleState(1, 0), VehicleState(2, 0), EMPTY], [0, 1])

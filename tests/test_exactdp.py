@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargesched.core import (ActionVector, PenaltyFunction, SystemState,
-                              VehicleState, settle_stage)
+                              VehicleState, settle_stage, step_tables)
 from chargesched.exactdp import (DPSolution, EnumeratedMDP, NonConvergenceError,
                                  ProjectionError, StateCeilingExceeded,
                                  TabularPolicy, _greedy_from_q,
@@ -402,7 +402,7 @@ def test_enumeration_matches_direct_per_state_computation(sc):
         choices = [(0, 1) if v.need > 0 else (0,) for v in x.vehicles]
         assert mdp.actions[k] == [ActionVector(bits) for bits in itertools.product(*choices)]
         for a, cost, row in zip(mdp.actions[k], mdp.costs[k], mdp.transitions[k], strict=True):
-            penalty, stepped, _ = settle_stage(x, a, sc.penalty.values)
+            penalty, stepped, _ = settle_stage(x, a, step_tables(sc.penalty.values))
             assert type(cost) is Fraction and cost == sc.grid.cost(a.aggregate, x.grid) + penalty
             dist = defaultdict(Fraction)
             for p_arr, batch in sc.demand.arrivals[x.demand].outcomes:

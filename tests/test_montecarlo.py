@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chargesched import montecarlo, streams
 from chargesched.core import (EMPTY, ActionVector, PenaltyFunction, SystemState,
-                              VehicleState, settle_stage)
+                              VehicleState, settle_stage, step_tables)
 from chargesched.interchange import coupled_rollout, wrap_interchange
 from chargesched.models import (ChargingCost, DemandModel, FixedCountArrivals,
                                 GridModel, QuadraticLoadCost, ScenarioModel, TableCost,
@@ -336,7 +336,7 @@ def test_advance_stage_carries_the_occupied_chargers(case, seed, data):
         bits = tuple(data.draw(st.integers(0, 1)) if v.need else 0 for v in x.vehicles)
         a = ActionVector(bits)
         _, arrivals = sample_demand(sc.demand, x.demand, key, 0, t, sc.max_stay)
-        vehicles = settle_stage(x, a, sc.penalty.values)[1]
+        vehicles = settle_stage(x, a, step_tables(sc.penalty.values))[1]
         rejected = len(arrivals) - len(admit(vehicles, arrivals))
         x, bill = advance_stage(sc, x, a, t, key, 0)
         assert (x.vehicles, bill.rejected) == (tuple(vehicles), rejected)

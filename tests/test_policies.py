@@ -1,10 +1,16 @@
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargesched.core import ActionVector, InfeasibleActionError, SystemState, VehicleState
 from chargesched.models import capacity_scenario
-from chargesched.policies import (_KEYS, capacity_budget, check_lllp_compliance,
-                                  edf, llsp, lllp, make_policy)
+from chargesched.policies import (_KEYS, _RANKS, HeuristicPolicy, capacity_budget,
+                                  check_lllp_compliance, edf, llsp, lllp, make_policy)
 
 E = VehicleState(0, 0)
 
@@ -139,3 +145,64 @@ def test_every_heuristic_key_is_injective():
     types = [(s, g) for s in range(1, 13) for g in range(1, 13)]
     for name, key in _KEYS.items():
         assert len({key(s, g) for s, g in types}) == len(types), name
+
+
+_RULES = {"edf": edf, "llsp": llsp, "lllp": lllp}
+
+
+@st.composite
+def _fleets_and_budgets(draw):
+    """A fleet drawn from a few (stay, need) types, so many chargers share
+    one, with empty and need-0 slots, stays past any scenario's B, and a
+    budget that binds or covers every unfinished vehicle."""
+    palette = draw(st.lists(st.builds(VehicleState, st.integers(1, 30), st.integers(0, 30)),
+                            min_size=1, max_size=4))
+    fleet = draw(st.lists(st.one_of(st.just(E), st.sampled_from(palette)),
+                          min_size=1, max_size=60))
+    state = _state(*fleet)
+    v = state.unfinished_count
+    m = draw(st.one_of(st.just(v), st.integers(0, v)))
+    return state, m
+
+
+@settings(deadline=None, max_examples=300)
+@given(_fleets_and_budgets())
+def test_decide_charges_the_first_m_in_key_order(case):
+    state, m = case
+    vehicles = state.vehicles
+    for name, key in _KEYS.items():
+        want = set(sorted(state.unfinished, key=lambda i: (*key(*vehicles[i]), i))[:m])
+        bits = tuple(int(i in want) for i in range(len(vehicles)))
+        assert _RULES[name](state, budget_of(m)).bits == bits, name
+        assert HeuristicPolicy(name, budget_of(m)).decide(state).bits == bits, name
+
+
+def test_ranking_holds_while_threads_meet_new_types():
+    # Each decide reads one published rank table while other threads publish
+    # re-ranked copies for the types they meet first; a lost re-rank would
+    # leave a met type out of the final tables.
+    def decide_many(seed):
+        rng = random.Random(seed)
+        met = set()
+        for _ in range(150):
+            state = _state(*(VehicleState(rng.randint(1, 40), rng.randint(1, 40))
+                             for _ in range(6)))
+            met.update(state.vehicles)
+            for name, key in _KEYS.items():
+                want = sorted(range(6), key=lambda i: (*key(*state.vehicles[i]), i))[:3]
+                bits = tuple(int(i in want) for i in range(6))
+                assert _RULES[name](state, budget_of(3)).bits == bits, name
+        return met
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(decide_many, seed) for seed in range(8)]
+            met = set().union(*(f.result(timeout=120) for f in futures))
+    finally:
+        sys.setswitchinterval(interval)
+    for name, key in _KEYS.items():
+        ranks = _RANKS[name]
+        assert met <= ranks.keys(), name
+        assert sorted(ranks, key=ranks.get) == sorted(ranks, key=lambda v: key(*v)), name

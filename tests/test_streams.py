@@ -53,11 +53,12 @@ def test_scalar_draws_equal_a_fresh_generator():
     for traj in (0, 1, 7, 40_000):
         for stage in (0, 3, 999):
             for source in SOURCES:
-                n = 4 * streams._BLOCKS[source]
+                full = 4 * streams._BLOCKS[source]
                 for key in keys:          # consecutive draws alternate keys
                     want = _fresh_draws(key, traj, stage, source)
-                    got = streams.uniforms(key, traj, stage, source, n)
-                    assert got.tobytes() == want.tobytes(), (traj, stage, source)
+                    for n in sorted({1, full - 1, full}):   # n draws are the cell's first n
+                        got = streams.uniforms(key, traj, stage, source, n)
+                        assert got.tobytes() == want[:n].tobytes(), (traj, stage, source, n)
                     u = streams.uniform(key, traj, stage, source)
                     assert type(u) is float and u == want[0]
 
