@@ -2,8 +2,9 @@
 ==========================================================================
 
 The two-charger scenario is small enough to enumerate every system state
-(98 of them), run anchored relative value iteration to machine precision,
-and then check everything the hard way:
+reachable from the empty fleet (12 of the 98 charger-state combinations),
+run anchored relative value iteration to machine precision, and then check
+everything the hard way:
 
 * the optimal gain is the same from every initial state,
 * it matches an exhaustive brute force over all 65,536 stationary

@@ -201,7 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     sol.add_argument("--scenario", required=True)
     sol.add_argument("--tol", type=float, default=1e-12)
     sol.add_argument("--max-iter", type=int, default=200_000)
-    sol.add_argument("--ceiling", type=int, default=exactdp.DEFAULT_STATE_CEILING)
+    sol.add_argument("--ceiling", type=int, default=exactdp.DEFAULT_STATE_CEILING,
+                     help="refuse once more states than this are reachable "
+                          "from the empty fleet")
     sol.add_argument("--out", required=True)
     sol.set_defaults(func=cmd_solve_exact)
     return parser

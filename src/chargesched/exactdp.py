@@ -1,16 +1,17 @@
 """Exact average-cost dynamic programming on fully enumerable instances.
 
-The state space is the full valid lattice for the scenario's geometry (every
-charger state with stay in 0..B and need in 0..E, the empty sentinel included,
-across all grid and demand states).  Relative value iteration anchored at the
-all-empty special state computes the optimal gain and differential costs in
-floating point; the constant-gain check across recurrent classes runs in
-floating point too.  Exact rational arithmetic re-verifies the rest: policy
-evaluation by the average-cost evaluation equations, an exhaustive brute
-force over stationary deterministic policies, and a projection that rewrites
-an optimal policy into one that never charges a vehicle while idling a
-strictly higher-priority one, checking at every swap that the swapped action
-still attains the Bellman minimum.
+The states pair every grid and demand state with every fleet discovered
+from the all-empty fleet, a fleet being found when some action, grid state
+and demand state of a found fleet admits into it: a set closed under every
+action that holds every empty start state.  Relative value iteration
+anchored at the all-empty special state computes the optimal gain and
+differential costs in floating point; the constant-gain check across
+recurrent classes runs in floating point too.  Exact rational arithmetic
+re-verifies the rest: policy evaluation by the average-cost evaluation
+equations, an exhaustive brute force over stationary deterministic policies,
+and a projection that rewrites an optimal policy into one that never charges
+a vehicle while idling a strictly higher-priority one, checking at every
+swap that the swapped action still attains the Bellman minimum.
 
 There is one float path and one exact path.  Everything in floating point
 reads `EnumeratedMDP._flat` (stage costs and a pairs x states sparse
@@ -122,12 +123,6 @@ def _to_floats(values: list[Fraction]) -> list[float]:
     return [floats[id(v)] for v in values]
 
 
-def lattice_size(scenario: ScenarioModel) -> int:
-    per_charger = 1 + scenario.max_stay * (scenario.max_units + 1)
-    return (per_charger ** scenario.num_chargers
-            * scenario.grid.state_count * scenario.demand.state_count)
-
-
 def validate_unichain_assumptions(scenario: ScenarioModel) -> list[str]:
     """Structural checks behind the constant-gain argument: positive
     zero-arrival probability everywhere, a grid state reachable from anywhere
@@ -141,14 +136,6 @@ def validate_unichain_assumptions(scenario: ScenarioModel) -> list[str]:
     if not scenario.demand.is_ergodic():
         notes.append("demand chain is not ergodic")
     return notes
-
-
-def _charger_states(scenario: ScenarioModel) -> list[VehicleState]:
-    out = [EMPTY]
-    for stay in range(1, scenario.max_stay + 1):
-        for need in range(scenario.max_units + 1):
-            out.append(VehicleState(stay, need))
-    return out
 
 
 def _feasible_actions(vehicles: tuple[VehicleState, ...]) -> list[ActionVector]:
@@ -180,43 +167,38 @@ def _exogenous_law(scenario: ScenarioModel, grid: int, aggregate: int,
 
 def enumerate_mdp(scenario: ScenarioModel,
                   ceiling: int = DEFAULT_STATE_CEILING) -> EnumeratedMDP:
-    """Materialize the full state lattice with exact transition probabilities.
+    """Materialize the fleets discovered from the empty fleet, each with every
+    grid and demand state, in discovery order, with exact transition
+    probabilities.
 
-    Requires tabulated arrival laws (exact probabilities); fails if the
-    lattice would exceed the ceiling.  Works fleet by fleet, sharing each
+    Requires tabulated arrival laws (exact probabilities); fails once the
+    states found exceed the ceiling.  Works fleet by fleet, sharing each
     transition row among the state-action pairs that reach it (see the
     module docstring).
     """
-    n_lattice = lattice_size(scenario)
-    if n_lattice > ceiling:
-        raise StateCeilingExceeded(
-            f"{n_lattice} states exceed the ceiling of {ceiling}")
     for law in scenario.demand.arrivals:
         if not isinstance(law, TabulatedArrivals):
             raise ValueError("exact enumeration requires tabulated arrival laws")
 
-    fleets = list(itertools.product(_charger_states(scenario),
-                                    repeat=scenario.num_chargers))
-    fleet_index = {v: k for k, v in enumerate(fleets)}
     n_grid, n_demand = scenario.grid.state_count, scenario.demand.state_count
-    states = [SystemState(v, s, d) for v in fleets
-              for s in range(n_grid) for d in range(n_demand)]
-    index = {x: k for k, x in enumerate(states)}
-
     sbar = scenario.grid.special_state()
     if sbar is None:
         sbar = scenario.initial_grid or 0
-    anchor = index[scenario.empty_state(sbar, scenario.initial_demand or 0)]
+    anchor = sbar * n_demand + (scenario.initial_demand or 0)    # in the empty fleet
     notes = validate_unichain_assumptions(scenario)
 
     prices = scenario.prices
     totals: dict[tuple[int, int], list[Fraction]] = {}
-    rows = _TransitionRows(scenario, fleets, fleet_index)
+    rows = _TransitionRows(scenario)
+    fleets = rows.fleets    # grows while the loop runs
     actions: list[list[ActionVector]] = []
     costs: list[list[Fraction]] = []
     transitions: list[list[list[tuple[int, Fraction]]]] = []
     by_pattern: dict[tuple[bool, ...], list[ActionVector]] = {}
     for fleet in fleets:
+        if len(fleets) * rows.n_exo > ceiling:
+            raise StateCeilingExceeded(f"{len(fleets) * rows.n_exo} reachable "
+                                       f"states exceed the ceiling of {ceiling}")
         pattern = tuple([need > 0 for _, need in fleet])
         acts = by_pattern.get(pattern)
         if acts is None:
@@ -229,35 +211,40 @@ def enumerate_mdp(scenario: ScenarioModel,
             if key not in totals:
                 totals[key] = [Fraction(prices[a.aggregate, s] + shortfall, prices.unit)
                                for s in range(n_grid)]
-            settled.append((fleet_index[tuple(stepped)], a.aggregate, totals[key]))
+            settled.append((tuple(stepped), a.aggregate, totals[key]))
         for s in range(n_grid):
             c_row = [by_grid[s] for _, _, by_grid in settled]
             for d in range(n_demand):
                 actions.append(acts)
                 costs.append(c_row)
                 transitions.append([rows[y, s, agg, d] for y, agg, _ in settled])
+    states = [SystemState(v, s, d) for v in fleets
+              for s in range(n_grid) for d in range(n_demand)]
+    index = {x: k for k, x in enumerate(states)}
     return EnumeratedMDP(scenario=scenario, states=states, index=index,
                          actions=actions, costs=costs, transitions=transitions,
                          special_state=anchor, assumption_notes=notes)
 
 
 class _TransitionRows(dict):
-    """Transition rows keyed by (stepped fleet index, grid state, aggregate,
-    demand state), each built on first use.  States are ordered fleet-major,
-    then grid, then demand, so a successor's index is its fleet's index times
-    G * D plus an offset; `admit` runs once per (stepped fleet, arrival
-    batch)."""
+    """Transition rows keyed by (stepped fleet, grid state, aggregate, demand
+    state), each built on first use; a stepped fleet need not be reachable, so
+    it has no index.  `fleets` lists the fleets found so far, the empty one
+    first, and a row appends each fleet it admits into for the first time.
+    States are ordered fleet-major, then grid, then demand, so a successor's
+    index is its fleet's index times G * D plus an offset; `admit` runs once
+    per (stepped fleet, arrival batch)."""
 
-    def __init__(self, scenario: ScenarioModel, fleets: list, fleet_index: dict):
+    def __init__(self, scenario: ScenarioModel):
         super().__init__()
         self.scenario = scenario
-        self.fleets = fleets
-        self.fleet_index = fleet_index
+        self.fleets = [(EMPTY,) * scenario.num_chargers]
+        self.fleet_index = {self.fleets[0]: 0}
         self.n_exo = scenario.grid.state_count * scenario.demand.state_count
         self.laws: dict[tuple[int, int, int], tuple] = {}
-        self.bases: dict[tuple[int, tuple], int] = {}
+        self.bases: dict[tuple[tuple, tuple], int] = {}
 
-    def __missing__(self, key: tuple[int, int, int, int]) -> list[tuple[int, Fraction]]:
+    def __missing__(self, key: tuple[tuple, int, int, int]) -> list[tuple[int, Fraction]]:
         stepped, law_key = key[0], key[1:]
         law = self.laws.get(law_key)
         if law is None:
@@ -266,10 +253,12 @@ class _TransitionRows(dict):
         for arrivals, moves in law:
             base = self.bases.get((stepped, arrivals))
             if base is None:
-                admitted = list(self.fleets[stepped])
+                admitted = list(stepped)
                 admit(admitted, arrivals)
-                base = self.bases[stepped, arrivals] = (
-                    self.fleet_index[tuple(admitted)] * self.n_exo)
+                k = self.fleet_index.setdefault(tuple(admitted), len(self.fleets))
+                if k == len(self.fleets):
+                    self.fleets.append(tuple(admitted))
+                base = self.bases[stepped, arrivals] = k * self.n_exo
             for offset, p in moves:
                 y = base + offset
                 prev = dist.get(y)
@@ -404,8 +393,9 @@ class GainFindings:
 def verify_constant_gain(mdp: EnumeratedMDP, solution: DPSolution,
                          tol: float = 1e-10) -> GainFindings:
     """Check the Bellman residual everywhere and that the greedy policy's
-    average cost is the same from every initial state (all recurrent classes
-    of the induced chain share one gain)."""
+    average cost is the same from every enumerated state, the states reachable
+    from the empty fleet (all recurrent classes of the induced chain share one
+    gain)."""
     starts, cost, mat = mdp._flat
     q = cost + mat @ solution.h
     t_h = np.minimum.reduceat(q, starts[:-1])
@@ -590,7 +580,11 @@ class TabularPolicy:
         self._policy = policy
 
     def decide(self, state: SystemState, stage: int = 0) -> ActionVector:
-        k = self._mdp.index[state]
+        try:
+            k = self._mdp.index[state]
+        except KeyError:
+            raise ValueError(f"{state} is not an enumerated state: the chain "
+                             "does not reach it from the empty fleet") from None
         return self._mdp.actions[k][self._policy[k]]
 
 

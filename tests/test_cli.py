@@ -166,6 +166,14 @@ def test_solve_exact_too_large(tmp_path):
                  "--out", str(tmp_path / "s.json")]) == 2
 
 
+def test_solve_exact_ceiling_exits_2(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert main(["solve-exact", "--scenario", TINY, "--ceiling", "5",
+                 "--out", str(out)]) == 2
+    assert "reachable states exceed the ceiling of 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_arrival_outside_the_type_grid_exits_2(tmp_path, capsys):
     with open(TINY) as fh:
         doc = json.load(fh)

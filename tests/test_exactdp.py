@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargesched.core import (ActionVector, PenaltyFunction, SystemState,
+from chargesched.core import (EMPTY, ActionVector, PenaltyFunction, SystemState,
                               VehicleState, settle_stage, step_tables)
 from chargesched.exactdp import (DPSolution, EnumeratedMDP, NonConvergenceError,
                                  ProjectionError, StateCeilingExceeded,
@@ -16,9 +16,8 @@ from chargesched.exactdp import (DPSolution, EnumeratedMDP, NonConvergenceError,
                                  brute_force_optimal_gain,
                                  compliance_violations, enumerate_mdp,
                                  exact_policy_gain, export_solution,
-                                 lattice_size, lllp_projection,
-                                 recurrent_classes, relative_value_iteration,
-                                 verify_constant_gain)
+                                 lllp_projection, recurrent_classes,
+                                 relative_value_iteration, verify_constant_gain)
 from chargesched.models import (DemandModel, GridModel, ScenarioModel,
                                 TableCost, TabulatedArrivals, admit,
                                 capacity_scenario, multichain_fixture,
@@ -41,45 +40,28 @@ def _single_charger_scenario(arrival_prob=HALF):
 
 
 def test_lattice_examples():
-    sc = _single_charger_scenario()
-    mdp = enumerate_mdp(sc)
-    vehicles = sorted(x.vehicles for x in mdp.states)
-    assert vehicles == [((VehicleState(0, 0),)), ((VehicleState(1, 0),)),
-                        ((VehicleState(1, 1),))]
-    assert mdp.n_states == 3
+    # A (1, 1) arrival leaves after one stage, so (1, 0) is never reached.
+    mdp = enumerate_mdp(_single_charger_scenario())
+    assert [x.vehicles for x in mdp.states] == [(EMPTY,), (VehicleState(1, 1),)]
     assert enumerate_mdp(multichain_fixture()).n_states == 2  # S x D only
 
 
-def test_lattice_count_matches_recursive_oracle():
-    sc = two_charger_scenario()
-
-    def count(n_chargers):
-        # independent recursion: each charger contributes the empty sentinel
-        # plus stay x need combinations
-        if n_chargers == 0:
-            return 1
-        return count(n_chargers - 1) * (1 + sc.max_stay * (sc.max_units + 1))
-
-    expected = count(sc.num_chargers) * 2 * 1
-    assert lattice_size(sc) == expected == 98
-    assert enumerate_mdp(sc).n_states == expected
-
-
 def test_state_ceiling():
-    sc = capacity_scenario(5)
-    with pytest.raises(StateCeilingExceeded):
-        enumerate_mdp(sc)
-    with pytest.raises(ValueError):
+    with pytest.raises(StateCeilingExceeded, match="exceed the ceiling of 5"):
+        enumerate_mdp(two_charger_scenario(), ceiling=5)
+    assert enumerate_mdp(two_charger_scenario(), ceiling=12).n_states == 12
+    with pytest.raises(ValueError, match="tabulated arrival laws"):
         # fixed-count arrivals cannot be enumerated exactly
-        enumerate_mdp(capacity_scenario(2, num_chargers=1, max_stay=1,
-                                        penalty=PenaltyFunction.linear(1)),
-                      ceiling=10**9)
+        enumerate_mdp(capacity_scenario(5))
 
 
 def test_transition_rows_are_exact():
     mdp = enumerate_mdp(two_charger_scenario())
-    for k in (0, 10, 50, 97):
-        for row in mdp.transitions[k]:
+    assert mdp.n_states == 12
+    assert sum(len(acts) for acts in mdp.actions) == 34
+    assert _digest(mdp) == "5e6aeb90ea7e42208dca1feffda94783a947d64b32f1797734966578ceaf2709"
+    for per_action in mdp.transitions:
+        for row in per_action:
             assert sum(p for _, p in row) == 1
 
 
@@ -144,8 +126,8 @@ def test_exact_gain_matches_brute_force(tiny_solution):
     # first optimal policy in lexicographic order.
     assert bf.gain == Fraction(35, 104)
     assert bf.n_evaluations == 1096
-    digest = hashlib.sha256(repr(sorted(bf.policy.items())).encode()).hexdigest()
-    assert digest == "c4a5953bd2cf48347daec767ff4529e13b48107ac97ba66205d479dedf31d255"
+    assert _policy_digest(mdp, bf.policy) == (
+        "b917793dde668833d28c1dd24816866c7ac5eb4560b96223f670047a3992c9e5")
 
 
 def test_multichain_fixture_fails_checks():
@@ -232,6 +214,15 @@ def test_tabular_policy_simulation_consistency(tiny_solution):
     assert abs(tr.time_average - sol.gain) / sol.gain < 0.05
 
 
+def test_tabular_policy_names_an_unknown_state(tiny_solution):
+    _, mdp, sol = tiny_solution
+    policy = TabularPolicy(mdp, sol.policy)
+    unreachable = SystemState((VehicleState(1, 0), EMPTY), 0, 0)
+    with pytest.raises(ValueError, match=r"VehicleState\(stay=1, need=0\)"):
+        policy.decide(unreachable)
+    assert policy.decide(mdp.states[0]) == mdp.actions[0][sol.policy[0]]
+
+
 def test_export_schema(tiny_solution, tmp_path):
     import json
     _, mdp, sol = tiny_solution
@@ -270,46 +261,76 @@ def test_greedy_from_q_matches_a_per_state_loop(segments):
     assert _greedy_from_q(q, starts, t_h).tolist() == expected
 
 
-def _generated_scenario(num_chargers):
-    """B = E = 2, two grid states whose kernel tilts toward the expensive
-    state as more vehicles charge, and arrival batches of zero, one or two
-    vehicles."""
+def _generated_scenario(num_chargers, units=2):
+    """B = E = `units` (2 or 3), two grid states whose kernel tilts toward the
+    expensive state as more vehicles charge, and an arrival law with no
+    arrival half the time and one of two small batches otherwise."""
     rows = []
     for a in range(num_chargers + 1):
         p_high = Fraction(1, 5) + Fraction(3, 5) * Fraction(a, num_chargers)
         rows.append((1 - p_high, p_high))
     cost = TableCost(tuple((Fraction(0), Fraction(a)) for a in range(num_chargers + 1)))
     grid = GridModel(values=(0, 1), kernel=(tuple(rows), tuple(rows)), cost=cost)
-    arrivals = TabulatedArrivals((
-        (HALF, ()),
-        (Fraction(1, 4), (VehicleState(2, 1),)),
-        (Fraction(1, 4), (VehicleState(2, 2), VehicleState(1, 1))),
-    ))
+    batches = {2: ((VehicleState(2, 1),), (VehicleState(2, 2), VehicleState(1, 1))),
+               3: ((VehicleState(3, 1), VehicleState(2, 2)),
+                   (VehicleState(3, 3), VehicleState(1, 1)))}[units]
+    arrivals = TabulatedArrivals(((HALF, ()), (Fraction(1, 4), batches[0]),
+                                  (Fraction(1, 4), batches[1])))
     return ScenarioModel(
-        name=f"generated-{num_chargers}", num_chargers=num_chargers, max_stay=2,
-        max_units=2, grid=grid, demand=DemandModel(kernel=((ONE,),), arrivals=(arrivals,)),
-        penalty=PenaltyFunction.quadratic(2), initial_grid=0, initial_demand=0)
+        name=f"generated-{num_chargers}", num_chargers=num_chargers, max_stay=units,
+        max_units=units, grid=grid, demand=DemandModel(kernel=((ONE,),), arrivals=(arrivals,)),
+        penalty=PenaltyFunction.quadratic(units), initial_grid=0, initial_demand=0)
+
+
+def _content(x):
+    return x.vehicles, x.grid, x.demand
+
+
+def _found(mdp):
+    """The states whose fleet is discovered from the empty fleet: every fleet
+    that a transition row of a found fleet leads to.  On an MDP enumerated
+    over a larger set, this picks out the same states by their content."""
+    by_fleet = defaultdict(list)
+    for k, x in enumerate(mdp.states):
+        by_fleet[x.vehicles].append(k)
+    fleets = [(EMPTY,) * mdp.scenario.num_chargers]
+    for fleet in fleets:
+        for k in by_fleet[fleet]:
+            for row in mdp.transitions[k]:
+                for y, _ in row:
+                    if mdp.states[y].vehicles not in fleets:
+                        fleets.append(mdp.states[y].vehicles)
+    return [k for fleet in fleets for k in by_fleet[fleet]]
 
 
 def _digest(mdp):
-    return hashlib.sha256(repr((mdp.costs, mdp.transitions)).encode()).hexdigest()
+    # Keyed by state content, so the pin does not depend on state order.
+    states = mdp.states
+    doc = sorted((_content(states[k]),
+                  [(a.bits, c, sorted((_content(states[y]), p) for y, p in row))
+                   for a, c, row in zip(mdp.actions[k], mdp.costs[k], mdp.transitions[k])])
+                 for k in _found(mdp))
+    return hashlib.sha256(repr(doc).encode()).hexdigest()
 
 
-def _policy_digest(sol):
-    # Pins the greedy policy vector itself: the gain pins would not notice
-    # another optimal policy.
-    return hashlib.sha256(sol.policy.tobytes()).hexdigest()
+def _policy_digest(mdp, policy):
+    # Pins the policy itself, keyed by state content: the gain pins would not
+    # notice another optimal policy.
+    doc = sorted((_content(mdp.states[k]), mdp.actions[k][policy[k]].bits)
+                 for k in _found(mdp) if k in policy)
+    return hashlib.sha256(repr(doc).encode()).hexdigest()
 
 
 def test_generated_three_charger_pipeline_is_pinned():
     # Reference figures: any change to the enumerated MDP or the exact gains
     # of the value-iteration policy and its projection shows here.
     mdp = enumerate_mdp(_generated_scenario(3))
-    assert mdp.n_states == 686
-    assert sum(len(acts) for acts in mdp.actions) == 2662
-    assert _digest(mdp) == "f45e77fae5e89747f0739dfec87a3e629b40994a66908560f0a13abf8da2a251"
+    assert mdp.n_states == 42
+    assert sum(len(acts) for acts in mdp.actions) == 154
+    assert _digest(mdp) == "896ebb9a9204805d559bc5bd5b6d4072992f6160430351bf456b8c4d8bf688fe"
     sol = relative_value_iteration(mdp)
-    assert _policy_digest(sol) == "44d5ed03d4efa6320eb7336a3539d3e86bec0c21634743afc53c48af2a791f91"
+    assert _policy_digest(mdp, dict(enumerate(sol.policy))) == (
+        "f7649019dfff7f13098bc8a84fcadc89aa082618d565e4de86469d6a09f50aef")
     assert exact_policy_gain(mdp, sol.policy) == Fraction(544, 1729)
     proj = lllp_projection(mdp, sol)
     assert exact_policy_gain(mdp, proj.policy) == Fraction(544, 1729)
@@ -342,9 +363,9 @@ def test_two_grid_two_demand_enumeration_is_pinned():
     # Every other pinned instance has one demand state; this one fixes the
     # order of grid and demand states within a fleet, and an overflowing batch.
     mdp = enumerate_mdp(_two_demand_scenario())
-    assert mdp.n_states == 196
-    assert sum(len(acts) for acts in mdp.actions) == 484
-    assert _digest(mdp) == "a4155639e0d868261bc9cca2178593300369938b7562862467bf6f5b5675a70a"
+    assert mdp.n_states == 68
+    assert sum(len(acts) for acts in mdp.actions) == 172
+    assert _digest(mdp) == "89b56e1e49124824e3052f83bf8695330cb9ccb7b4c34ff29dfef7a46d82cbc9"
     sol = relative_value_iteration(mdp)
     assert exact_policy_gain(mdp, sol.policy) == Fraction(4354363, 5073930)
     assert exact_policy_gain(mdp, lllp_projection(mdp, sol).policy) == Fraction(4354363, 5073930)
@@ -352,11 +373,22 @@ def test_two_grid_two_demand_enumeration_is_pinned():
 
 def test_generated_four_charger_enumeration_is_pinned():
     mdp = enumerate_mdp(_generated_scenario(4))
-    assert mdp.n_states == 4802
-    assert sum(len(acts) for acts in mdp.actions) == 29282
-    assert _digest(mdp) == "e4b976a18509a76a6cb450309839dbe9158e95ea525efc0170ae33788f32dc4c"
+    assert mdp.n_states == 42
+    assert sum(len(acts) for acts in mdp.actions) == 154
+    assert _digest(mdp) == "7de2eb90fd4cc01057506ee7fd12c1abec919834bc22e9d45f257f283228f7f6"
     sol = relative_value_iteration(mdp)
-    assert _policy_digest(sol) == "1fd30926209ff5d4f6a8bc9165b77417eecb2c3f541eeb6eae785fab6e1447c5"
+    assert _policy_digest(mdp, dict(enumerate(sol.policy))) == (
+        "abab836c97bd5c66b01d2ac4c037143c0141cb035faa3a2024eba38317dfccf5")
+
+
+def test_six_chargers_enumerate_far_below_the_lattice():
+    # The lattice of this instance holds 13**6 * 2 = 9.65M states, over the
+    # default ceiling; discovery from the empty fleet finds 1,764.
+    mdp = enumerate_mdp(_generated_scenario(6, units=3))
+    assert mdp.n_states == 1764
+    assert sum(len(acts) for acts in mdp.actions) == 22818
+    sol = relative_value_iteration(mdp)
+    assert verify_constant_gain(mdp, sol).ok
 
 
 @st.composite
@@ -396,8 +428,17 @@ def small_scenarios(draw):
 @given(small_scenarios())
 def test_enumeration_matches_direct_per_state_computation(sc):
     mdp = enumerate_mdp(sc)
-    assert len(mdp.states) == lattice_size(sc)
     assert all(mdp.index[x] == k for k, x in enumerate(mdp.states))
+    # The states hold every empty start state, and every fleet is one that the
+    # rows of the fleets found before it lead to; the row oracle below looks
+    # every transition target up in mdp.index, so the set is closed.  A state
+    # need not be reachable itself: each found fleet is paired with every grid
+    # and demand state, and a grid kernel that never returns to state 0 leaves
+    # the nonempty fleets' grid-0 states unreached.
+    n_exo = sc.grid.state_count * sc.demand.state_count
+    assert mdp.states[:n_exo] == [sc.empty_state(s, d) for s in range(sc.grid.state_count)
+                                  for d in range(sc.demand.state_count)]
+    assert sorted(_found(mdp)) == list(range(mdp.n_states))
     for k, x in enumerate(mdp.states):
         choices = [(0, 1) if v.need > 0 else (0,) for v in x.vehicles]
         assert mdp.actions[k] == [ActionVector(bits) for bits in itertools.product(*choices)]
