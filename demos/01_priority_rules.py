@@ -10,7 +10,7 @@ differently, and where EDF breaks the priority partial order.
 
 from chargesched import (SystemState, VehicleState, check_lllp_compliance,
                          laxity, outranks)
-from chargesched.policies import edf, llsp, lllp
+from chargesched.policies import HeuristicPolicy
 
 fleet = [
     VehicleState(2, 1),   # leaves soon, one unit to go        (laxity 1)
@@ -41,8 +41,8 @@ state = SystemState(tuple(fleet), grid=0, demand=0)
 budget = lambda x: min(2, x.unfinished_count)   # capacity for two charges
 
 print("\ndecisions with a budget of 2 charges:")
-for name, rule in (("edf", edf), ("llsp", llsp), ("lllp", lllp)):
-    action = rule(state, budget)
+for name in ("edf", "llsp", "lllp"):
+    action = HeuristicPolicy(name, budget).decide(state)
     chosen = [i for i, b in enumerate(action.bits) if b]
     verdict = check_lllp_compliance(state, action)
     note = "ok" if verdict is None else f"violates priority: charges {verdict[0]} over {verdict[1]}"

@@ -27,7 +27,7 @@ from .models import (CapacityCost, DemandModel, FixedCountArrivals, GridModel,
                      multichain_fixture, sample_demand, sample_grid,
                      save_scenario, two_charger_scenario, with_arrival_rate,
                      with_penalty)
-from .policies import (capacity_budget, check_lllp_compliance, edf, llsp, lllp,
+from .policies import (CapacityBudget, capacity_budget, check_lllp_compliance,
                        make_policy)
 from .montecarlo import (ComparisonTable, MonteCarloResult, TrajectoryResult,
                          figure_experiment, monte_carlo, run_trajectory)

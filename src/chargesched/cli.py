@@ -67,25 +67,22 @@ def cmd_simulate(args) -> int:
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:
         raise UsageError(f"--policies {args.policies!r} selects no policy")
-    for p in policies:
-        if p not in POLICY_NAMES:
-            raise UsageError(f"unknown policy {p!r}; choose from {POLICY_NAMES}")
     rates = _parse_rates(args.rates)
     if not rates:
         raise UsageError(f"--rates {args.rates!r} selects no arrival rate")
-    try:    # refuses a scenario with no arrival rate to set, and a count out of range
-        for rate in {min(rates), max(rates)}:
-            models.with_arrival_rate(scenario, rate)
-    except ValueError as exc:
-        raise UsageError(f"--rates cannot apply: {exc}") from None
     if args.penalty:
         scenario = models.with_penalty(scenario, args.penalty)
     penalty = models.penalty_kind(scenario.penalty)
     _echo_config(args, {"resolved_rates": rates, "resolved_penalty": penalty})
-    table = montecarlo.figure_experiment(
-        penalty, rates, args.T, args.n_traj, args.seed,
-        policies=policies, base_scenario=scenario, warmup=args.warmup,
-        threads=args.threads)
+    # Before its first cell, figure_experiment refuses an unknown or repeated
+    # policy, a repeated rate, and a rate the scenario cannot take.
+    try:
+        table = montecarlo.figure_experiment(
+            penalty, rates, args.T, args.n_traj, args.seed,
+            policies=policies, base_scenario=scenario, warmup=args.warmup,
+            threads=args.threads)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     for policy in table.policies:
         for rate in table.rates:
             cell = table.cells[(policy, rate)]

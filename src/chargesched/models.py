@@ -80,16 +80,10 @@ class ChargingCost:
 
 @dataclass(frozen=True)
 class CapacityCost(ChargingCost):
-    """Free while A stays within the state's capacity value, a prohibitive
-    ceiling otherwise.  The ceiling is the largest penalty the whole fleet
-    could ever incur, so no sane policy exceeds capacity."""
-    capacities: tuple[int, ...]
-    ceiling: Fraction
-
-    def __call__(self, aggregate: int, grid_index: int) -> Fraction:
-        if aggregate <= self.capacities[grid_index]:
-            return Fraction(0)
-        return self.ceiling
+    """Free while A stays within the grid state's value, its capacity, and a
+    prohibitive ceiling N * q(E) beyond it: the largest penalty the whole
+    fleet could ever incur, so no sane policy exceeds capacity.  It holds
+    nothing; `StagePrices` prices it from the scenario's grid and penalty."""
 
     def to_json(self):
         return "capacity"
@@ -362,18 +356,20 @@ class StagePrices(dict):
     """A scenario's stage costs as integers in units of 1/L, where L
     (``unit``) is the least common denominator of the penalty table and the
     charging costs.  Keys are (aggregate, grid state) and values the charging
-    cost, each priced on first use and kept, except a capacity price (0 or
-    ``ceiling``), which is never stored.  ``q`` is the penalty table and
-    ``bound`` the largest charge magnitude, in units, and ``steps`` its
-    `core.step_tables`.  Sums of these stay Python ints, so no total wraps."""
+    cost, each priced on first use and kept, except a capacity price (0 up to
+    the grid value, ``ceiling`` = N * q(E) beyond it), which is never stored.
+    ``q`` is the penalty table and ``bound`` the largest charge magnitude, in
+    units, and ``steps`` its `core.step_tables`.  Sums of these stay Python
+    ints, so no total wraps."""
 
     def __init__(self, scenario: "ScenarioModel"):
         super().__init__()
         cost = self.cost = scenario.grid.cost
         self.shape = (scenario.num_chargers + 1, scenario.grid.state_count)
         # Charges that cover every entry's denominator and bound its magnitude.
-        if isinstance(cost, CapacityCost):
-            charges = [cost.ceiling]
+        capacity = isinstance(cost, CapacityCost)
+        if capacity:
+            charges = [scenario.num_chargers * scenario.penalty(scenario.max_units)]
         elif isinstance(cost, QuadraticLoadCost):
             charges = [Fraction((scenario.num_chargers + max(map(abs, cost.base_loads))) ** 2)]
         else:
@@ -384,11 +380,12 @@ class StagePrices(dict):
         self.q = tuple(int(v * unit) for v in q)
         self.steps = step_tables(self.q)
         self.bound = int(max(map(abs, charges)) * unit)
-        self.ceiling = int(cost.ceiling * unit) if isinstance(cost, CapacityCost) else None
+        self.ceiling = int(charges[0] * unit) if capacity else None
+        self.capacities = scenario.grid.values
 
     def __missing__(self, key: tuple[int, int]) -> int:
         if self.ceiling is not None:
-            return 0 if key[0] <= self.cost.capacities[key[1]] else self.ceiling
+            return 0 if key[0] <= self.capacities[key[1]] else self.ceiling
         c = Fraction(self.cost(*key))
         units = self[key] = c.numerator * (self.unit // c.denominator)
         return units
@@ -398,7 +395,7 @@ class StagePrices(dict):
         state]: the batch engine's copy."""
         a = np.arange(self.shape[0])[:, None]
         if self.ceiling is not None:
-            return np.where(a <= np.asarray(self.cost.capacities), 0, self.ceiling)
+            return np.where(a <= np.asarray(self.capacities), 0, self.ceiling)
         if isinstance(self.cost, QuadraticLoadCost):
             return (a + np.asarray(self.cost.base_loads)) ** 2 * self.unit
         return np.array([[self[k, s] for s in range(self.shape[1])]
@@ -538,11 +535,7 @@ def capacity_scenario(arrival_rate: int, penalty: str | PenaltyFunction = "linea
     q = _resolve_penalty(penalty, max_units)
     lo, hi = capacity_range
     values = tuple(range(lo, hi + 1))
-    grid = GridModel(
-        values=values, kernel=None,
-        cost=CapacityCost(capacities=values,
-                          ceiling=Fraction(num_chargers) * q(max_units)),
-        iid_uniform=True)
+    grid = GridModel(values=values, kernel=None, cost=CapacityCost(), iid_uniform=True)
     demand = DemandModel(
         kernel=((Fraction(1),),),
         arrivals=(FixedCountArrivals(arrival_rate),))
@@ -623,14 +616,8 @@ def with_arrival_rate(scenario: ScenarioModel, rate: int) -> ScenarioModel:
 
 
 def with_penalty(scenario: ScenarioModel, penalty: str | PenaltyFunction) -> ScenarioModel:
-    """Clone a scenario with a different penalty table (ceiling-based capacity
-    costs are rebuilt so the ceiling still bounds the fleet-wide penalty)."""
-    q = _resolve_penalty(penalty, scenario.max_units)
-    cost = scenario.grid.cost
-    if isinstance(cost, CapacityCost):
-        cost = CapacityCost(capacities=cost.capacities,
-                            ceiling=Fraction(scenario.num_chargers) * q(scenario.max_units))
-    return replace(scenario, grid=replace(scenario.grid, cost=cost), penalty=q)
+    """Clone a scenario with a different penalty table."""
+    return replace(scenario, penalty=_resolve_penalty(penalty, scenario.max_units))
 
 
 def penalty_kind(penalty: PenaltyFunction) -> str:
@@ -698,11 +685,19 @@ def scenario_to_json(scenario: ScenarioModel) -> dict:
     return out
 
 
+def _integer(x, what: str) -> int:
+    """A JSON integer, refusing a fraction, a boolean or a string rather
+    than truncating it; an integral float such as 2.0 passes."""
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} = {x!r} is not an integer")
+    return x
+
+
 def scenario_from_json(doc: dict) -> ScenarioModel:
     try:
-        n = int(doc["N"])
-        max_stay = int(doc["B"])
-        max_units = int(doc["E"])
+        n, max_stay, max_units = (_integer(doc[k], k) for k in ("N", "B", "E"))
         gdoc = doc["grid"]
         ddoc = doc["demand"]
         adoc = doc["arrival"]
@@ -716,25 +711,23 @@ def scenario_from_json(doc: dict) -> ScenarioModel:
                                require_convex=not pdoc.get("allow_nonconvex", False))
     elif not isinstance(pdoc, str):
         pdoc = PenaltyFunction([_to_fraction(v) for v in pdoc])
-    # Checked before the capacity ceiling below reads q(E).
     penalty = _resolve_penalty(pdoc, max_units)
 
     iid = False
     if "iid_uniform" in gdoc:
-        lo, hi = gdoc["iid_uniform"]
-        values = tuple(range(int(lo), int(hi) + 1))
+        lo, hi = (_integer(v, "grid iid_uniform") for v in gdoc["iid_uniform"])
+        values = tuple(range(lo, hi + 1))
         kernel = None
         iid = True
     else:
-        values = tuple(int(v) for v in gdoc["states"])
+        values = tuple(_integer(v, "grid states") for v in gdoc["states"])
         kernel = tuple(
             tuple(tuple(_to_fraction(p) for p in row) for row in pa)
             for pa in gdoc["kernel"])
 
     cdoc = gdoc["cost"]
     if cdoc == "capacity":
-        cost: ChargingCost = CapacityCost(
-            capacities=values, ceiling=Fraction(n) * penalty(max_units))
+        cost: ChargingCost = CapacityCost()
     elif cdoc == "quadratic":
         cost = QuadraticLoadCost(base_loads=values)
     else:
@@ -743,24 +736,25 @@ def scenario_from_json(doc: dict) -> ScenarioModel:
     grid = GridModel(values=values, kernel=kernel, cost=cost, iid_uniform=iid)
 
     dkernel = tuple(tuple(_to_fraction(p) for p in row) for row in ddoc["kernel"])
-    if "states" in ddoc and int(ddoc["states"]) != len(dkernel):
+    if "states" in ddoc and _integer(ddoc["states"], "demand states") != len(dkernel):
         raise ValueError(f"demand states = {ddoc['states']}, but the demand kernel "
                          f"has {len(dkernel)} rows")
     laws = []
     for law in adoc["per_state"]:
         if law["kind"] == "fixed_count":
-            laws.append(FixedCountArrivals(int(law["count"])))
+            laws.append(FixedCountArrivals(_integer(law["count"], "arrival count")))
         elif law["kind"] == "tabulated":
             outcomes = tuple(
                 (_to_fraction(o["prob"]),
-                 tuple(VehicleState(int(s), int(g)) for s, g in o["vehicles"]))
+                 tuple(VehicleState(_integer(s, "vehicle stay"), _integer(g, "vehicle need"))
+                       for s, g in o["vehicles"]))
                 for o in law["outcomes"])
             laws.append(TabulatedArrivals(outcomes))
         else:
             raise ValueError(f"unknown arrival law kind {law['kind']!r}")
     demand = DemandModel(kernel=dkernel, arrivals=tuple(laws))
 
-    init = doc.get("initial", {})
+    init = {k: _integer(v, f"initial {k}") for k, v in doc.get("initial", {}).items()}
     return ScenarioModel(
         name=str(doc.get("name", "scenario")),
         num_chargers=n, max_stay=max_stay, max_units=max_units,

@@ -43,7 +43,7 @@ from . import streams
 from .core import ActionVector, SystemState, settle_stage
 from .models import (FixedCountArrivals, ScenarioModel, admit, capacity_scenario,
                      draw_initial, sample_grid, sample_demand, with_arrival_rate)
-from .policies import HeuristicPolicy, make_policy, type_ranks
+from .policies import CapacityBudget, HeuristicPolicy, make_policy, type_ranks
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def _batch_supported(scenario: ScenarioModel, policy, stages: int) -> str | None
     """Why the type-count engine cannot reproduce `run_trajectory` exactly,
     or None when it can."""
     if not (isinstance(policy, HeuristicPolicy)
-            and getattr(policy.budget, "budget_kind", None) == "capacity"):
+            and isinstance(policy.budget, CapacityBudget)):
         return "the policy is not a heuristic with the capacity budget"
     # Every heuristic's key is injective on (stay, need), so no two chargeable
     # types tie and the charger index never splits one (test_policies pins it).
@@ -194,7 +194,7 @@ class _TypeCounts:
         types = [(s, g) for s in range(1, B + 1) for g in range(1, E + 1)]
         ranks = type_ranks(policy.name, types)
         self.order = np.array([(s - 1) * (E + 1) + g for s, g in sorted(types, key=ranks.get)])
-        self.values = np.minimum(sc.grid.values, N).astype(np.int16)
+        self.values = np.minimum(policy.budget.capacities, N).astype(np.int16)
         self.q = np.array(sc.prices.q, dtype=np.int64)
         self.charge_cost = sc.prices.table()
         self.total = np.zeros(n_traj, dtype=np.int64)
@@ -396,10 +396,9 @@ def monte_carlo(scenario: ScenarioModel, policy, stages: int, n_traj: int,
 
     Both engines give the same numbers; ``engine`` on the result says which
     one ran, and ``fallback`` why it was the scalar one.  The type-count
-    engine needs a `HeuristicPolicy` whose budget carries
-    ``budget_kind = "capacity"`` (see `_batch_supported`); anything else runs
-    `run_trajectory` once per trajectory, which at benchmark scale is orders
-    of magnitude slower."""
+    engine needs a `HeuristicPolicy` whose budget is a `CapacityBudget` (see
+    `_batch_supported`); anything else runs `run_trajectory` once per
+    trajectory, which at benchmark scale is orders of magnitude slower."""
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
     if stages < 1:
@@ -490,11 +489,14 @@ def figure_experiment(penalty: str, rates: Sequence[int], stages: int,
                       base_scenario: ScenarioModel | None = None,
                       warmup: int = 20, threads: int | None = None) -> ComparisonTable:
     """Paired-seed comparison of the heuristics over an arrival-rate grid."""
-    rates = tuple(int(r) for r in rates)
+    rates, policies = tuple(int(r) for r in rates), tuple(policies)
     if any(r < 0 for r in rates):
         raise ValueError("arrival rates must be non-negative")
+    for what, items in (("arrival rate", rates), ("policy", policies)):
+        if len(set(items)) < len(items):
+            raise ValueError(f"repeated {what} in {items}: each cell would run twice")
     table = ComparisonTable(penalty=penalty, stages=stages, n_traj=n_traj,
-                            seed=seed, policies=tuple(policies), rates=rates)
+                            seed=seed, policies=policies, rates=rates)
 
     # Build, and so check, every rate's scenario and policy before any cell.
     scenarios = {r: capacity_scenario(r, penalty) if base_scenario is None

@@ -26,16 +26,20 @@ from .models import ScenarioModel
 ChargeBudgetRule = Callable[[SystemState], int]
 
 
-def capacity_budget(scenario: ScenarioModel) -> ChargeBudgetRule:
-    """min(s_t value, V(x)): charge as many unfinished vehicles as the current
-    capacity allows."""
-    values = scenario.grid.values
+@dataclass(frozen=True, slots=True)
+class CapacityBudget:
+    """min(capacity of the grid state, V(x)): charge as many unfinished
+    vehicles as the current capacity allows.  The vectorized engine
+    recognizes this rule by its type and runs it on these capacities."""
+    capacities: tuple[int, ...]
 
-    def budget(state: SystemState) -> int:
-        return min(values[state.grid], state.unfinished_count)
+    def __call__(self, state: SystemState) -> int:
+        return min(self.capacities[state.grid], state.unfinished_count)
 
-    budget.budget_kind = "capacity"  # lets the vectorized engine recognize it
-    return budget
+
+def capacity_budget(scenario: ScenarioModel) -> CapacityBudget:
+    """The capacity budget of ``scenario``, whose grid values are capacities."""
+    return CapacityBudget(scenario.grid.values)
 
 
 _KEYS = {"edf": lambda stay, need: (stay, stay - need),
@@ -78,18 +82,6 @@ def _rank_and_charge(state: SystemState, budget: ChargeBudgetRule, name: str) ->
     for i in charged:
         bits[i] = 1
     return ActionVector(tuple(bits))
-
-
-def edf(state: SystemState, budget: ChargeBudgetRule) -> ActionVector:
-    return _rank_and_charge(state, budget, "edf")
-
-
-def llsp(state: SystemState, budget: ChargeBudgetRule) -> ActionVector:
-    return _rank_and_charge(state, budget, "llsp")
-
-
-def lllp(state: SystemState, budget: ChargeBudgetRule) -> ActionVector:
-    return _rank_and_charge(state, budget, "lllp")
 
 
 @dataclass(frozen=True)

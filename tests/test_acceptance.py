@@ -17,7 +17,7 @@ from chargesched.interchange import (certify_dominance,
                                      search_two_vehicle_counterexamples)
 from chargesched.models import capacity_scenario, two_charger_scenario
 from chargesched.montecarlo import figure_experiment, run_trajectory
-from chargesched.policies import check_lllp_compliance, lllp, make_policy
+from chargesched.policies import HeuristicPolicy, check_lllp_compliance, make_policy
 
 pytestmark = pytest.mark.acceptance
 
@@ -253,7 +253,7 @@ def test_property_lllp_compliance_randomized():
         from chargesched.core import SystemState
         state = SystemState(tuple(vehicles), 0, 0)
         m = int(rng.integers(0, n + 1))
-        action = lllp(state, lambda x: min(m, x.unfinished_count))
+        action = HeuristicPolicy("lllp", lambda x: min(m, x.unfinished_count)).decide(state)
         assert check_lllp_compliance(state, action) is None
         checked += 1
     _report("property-lllp-compliance", True, f">= {checked} random states, exact")

@@ -78,6 +78,9 @@ def test_simulate_usage_errors(tmp_path):
     (["--policies", ","], "--policies ',' selects no policy"),
     # More arrivals a stage than the random streams address.
     (["--rates", "5,40"], "arrival count 40 is outside 0..32"),
+    # A repeated cell would run twice and write the same CSV row twice.
+    (["--rates", "5,5"], "repeated arrival rate in (5, 5)"),
+    (["--policies", "edf,edf"], "repeated policy in ('edf', 'edf')"),
 ])
 def test_simulate_bad_option_exits_2(tmp_path, capsys, extra, reason):
     out = tmp_path / "x.csv"
@@ -193,11 +196,22 @@ def test_arrival_outside_the_type_grid_exits_2(tmp_path, capsys):
     (("grid", "cost"), [[0, 0], [0, 1]], "cost table must have N + 1 = 3 rows of G = 2"),
     (("grid", "cost"), [[0], [0], [0]], "cost table must have N + 1 = 3 rows of G = 2"),
     (("demand", "kernel"), [["1/2", "1/2"]], "demand kernel row 0 has 2 entries, not D = 1"),
-    # Wrong value types: the TypeError's own message is the reason.
-    (("initial", "grid"), "0", "'<=' not supported between instances of 'int' and 'str'"),
+    # Wrong value types: a size or state that is not an integer is named,
+    # and otherwise the TypeError's own message is the reason.
+    (("initial", "grid"), "0", "initial grid = '0' is not an integer"),
     (("grid", "kernel"), 5, "'int' object is not iterable"),
     (("grid", "states"), [-1, 1], "grid value -1 is negative"),
     (("demand", "states"), 3, "demand states = 3, but the demand kernel has 1 rows"),
+    (("initial", "grid"), 0.5, "initial grid = 0.5 is not an integer"),
+    (("initial", "demand"), False, "initial demand = False is not an integer"),
+    (("grid", "states"), [0, 1.5], "grid states = 1.5 is not an integer"),
+    (("demand", "states"), 1.5, "demand states = 1.5 is not an integer"),
+    (("arrival", "per_state"),
+     [{"kind": "tabulated", "outcomes": [{"prob": 1, "vehicles": [[2.7, 1]]}]}],
+     "vehicle stay = 2.7 is not an integer"),
+    (("arrival", "per_state"),
+     [{"kind": "tabulated", "outcomes": [{"prob": 1, "vehicles": [[2, True]]}]}],
+     "vehicle need = True is not an integer"),
 ])
 def test_scenario_shape_errors_exit_2(tmp_path, capsys, key, value, reason):
     with open(TINY) as fh:
@@ -212,29 +226,39 @@ def test_scenario_shape_errors_exit_2(tmp_path, capsys, key, value, reason):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("path, section, change", [
-    (BENCHMARK, None, {"N": -1}),
-    (BENCHMARK, None, {"B": 0}),
-    (BENCHMARK, None, {"B": -1}),
-    (BENCHMARK, None, {"B": -2}),
-    (BENCHMARK, "grid", {"iid_uniform": [5, 4]}),
-    (TINY, "grid", {"states": [], "kernel": []}),
-    (BENCHMARK, None, {"penalty": [0, 1]}),
-    (BENCHMARK, None, {"penalty": {"values": [0, 1]}}),
+SIZES = "a scenario needs N >= 0 chargers and stays of B >= 1 stages"
+NO_STATES = "the grid has no states"
+SHORT_PENALTY = "penalty table length must be E + 1"
+
+
+@pytest.mark.parametrize("path, section, change, reason", [
+    (BENCHMARK, None, {"N": -1}, SIZES),
+    (BENCHMARK, None, {"B": 0}, SIZES),
+    (BENCHMARK, None, {"B": -1}, SIZES),
+    (BENCHMARK, None, {"B": -2}, SIZES),
+    (BENCHMARK, "grid", {"iid_uniform": [5, 4]}, NO_STATES),
+    (TINY, "grid", {"states": [], "kernel": []}, NO_STATES),
+    (BENCHMARK, None, {"penalty": [0, 1]}, SHORT_PENALTY),
+    (BENCHMARK, None, {"penalty": {"values": [0, 1]}}, SHORT_PENALTY),
+    # Refused, not truncated to N = 2, B = 2 or grid state 0.
+    (BENCHMARK, None, {"N": 2.9}, "N = 2.9 is not an integer"),
+    (BENCHMARK, None, {"B": 2.5}, "B = 2.5 is not an integer"),
+    (BENCHMARK, None, {"E": True}, "E = True is not an integer"),
+    (BENCHMARK, None, {"initial": {"grid": 0.5}}, "initial grid = 0.5 is not an integer"),
+    (BENCHMARK, "grid", {"iid_uniform": [40, 160.5]},
+     "grid iid_uniform = 160.5 is not an integer"),
+    (BENCHMARK, None, {"arrival": {"per_state": [{"kind": "fixed_count", "count": 2.5}]}},
+     "arrival count = 2.5 is not an integer"),
 ], ids=["N=-1", "B=0", "B=-1", "B=-2", "iid-grid-5..4", "empty-grid",
-        "penalty-list-short", "penalty-values-short"])
-def test_scenario_sizes_out_of_range_exit_2(tmp_path, capsys, path, section, change):
+        "penalty-list-short", "penalty-values-short", "N=2.9", "B=2.5", "E=true",
+        "initial-grid-0.5", "iid-grid-40..160.5", "count-2.5"])
+def test_scenario_sizes_out_of_range_exit_2(tmp_path, capsys, path, section, change,
+                                            reason):
     with open(path) as fh:
         doc = json.load(fh)
     (doc if section is None else doc[section]).update(change)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    if section:
-        reason = "the grid has no states"
-    elif "penalty" in change:
-        reason = "penalty table length must be E + 1"
-    else:
-        reason = "a scenario needs N >= 0 chargers and stays of B >= 1 stages"
     out = tmp_path / "out"
     for command in (["simulate", "--T", "5", "--n-traj", "1"],
                     ["verify-dominance", "--cases", "2"]):

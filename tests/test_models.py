@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -126,9 +127,9 @@ def test_capacity_scenario_parameters():
     lin = capacity_scenario(20, "linear")
     assert (lin.num_chargers, lin.max_stay, lin.max_units) == (400, 10, 10)
     assert lin.grid.values[0] == 40 and lin.grid.values[-1] == 160
-    assert lin.grid.cost.ceiling == 4000
+    assert lin.prices.ceiling == 4000 and lin.prices.unit == 1
     quad = capacity_scenario(20, "quadratic")
-    assert quad.grid.cost.ceiling == 40000
+    assert quad.prices.ceiling == 40000 and quad.prices.unit == 1
     with pytest.raises(ValueError):
         capacity_scenario(-1)
 
@@ -280,6 +281,16 @@ def test_nonconvex_penalty_needs_opt_in():
 def test_with_penalty_rebuilds_capacity_ceiling():
     lin = capacity_scenario(10, "linear")
     quad = with_penalty(lin, "quadratic")
-    assert quad.grid.cost.ceiling == 40000
+    assert quad.prices.ceiling == 40000 and quad.prices.unit == 1
     r2 = with_arrival_rate(lin, 25)
     assert r2.demand.arrivals[0] == FixedCountArrivals(25)
+
+
+def test_capacity_ceiling_follows_the_penalty():
+    # The ceiling beyond capacity is N * q(E) of the scenario's own penalty,
+    # however that penalty was set.
+    lin = capacity_scenario(20, "linear")
+    replaced = dataclasses.replace(lin, penalty=PenaltyFunction.quadratic(10))
+    assert replaced.prices[300, 0] == with_penalty(lin, "quadratic").prices[300, 0] == 40000
+    assert replaced.prices[40, 0] == 0
+    assert replaced.prices.table()[300, 0] == 40000

@@ -16,7 +16,7 @@ from chargesched.models import (ChargingCost, DemandModel, FixedCountArrivals,
                                 draw_initial, sample_demand, two_charger_scenario)
 from chargesched.montecarlo import (CSV_COLUMNS, advance_stage, figure_experiment,
                                     monte_carlo, run_trajectory)
-from chargesched.policies import check_lllp_compliance, make_policy
+from chargesched.policies import capacity_budget, check_lllp_compliance, make_policy
 
 
 def test_zero_arrivals_zero_cost():
@@ -87,20 +87,26 @@ def _two_demand_state_scenario(cost=lambda a: (Fraction(0), Fraction(a, 3)),
                          max_units=3, grid=grid, demand=demand, penalty=penalty)
 
 
-@pytest.mark.parametrize("scenario, stages, n_traj", [
-    (capacity_scenario(9, num_chargers=12, capacity_range=(1, 6)), 60, 20),
-    (two_charger_scenario(), 40, 8),
+@pytest.mark.parametrize("scenario, stages, n_traj, budget_from", [
+    (capacity_scenario(9, num_chargers=12, capacity_range=(1, 6)), 60, 20, None),
+    (two_charger_scenario(), 40, 8, None),
     (capacity_scenario(6, PenaltyFunction([Fraction(n * n, 3) + Fraction(n, 7)
                                            for n in range(11)]),
-                       num_chargers=30, capacity_range=(1, 8)), 60, 20),
-    (_two_demand_state_scenario(), 80, 30),
-    (capacity_scenario(30, num_chargers=12, capacity_range=(1, 6)), 60, 20),
+                       num_chargers=30, capacity_range=(1, 8)), 60, 20, None),
+    (_two_demand_state_scenario(), 80, 30, None),
+    (capacity_scenario(30, num_chargers=12, capacity_range=(1, 6)), 60, 20, None),
+    # The capacity budget of another scenario: both engines run the
+    # capacities the policy carries, not the ones the grid holds.
+    (capacity_scenario(6, "linear", num_chargers=40, max_stay=4, capacity_range=(5, 10)),
+     50, 4, capacity_scenario(6, "linear", num_chargers=40, max_stay=4,
+                              capacity_range=(1, 6))),
 ], ids=["capacity", "two-charger", "fractional-penalty", "two-demand-states",
-        "chargers-full"])
-def test_batched_equals_scalar_bitwise(scenario, stages, n_traj):
+        "chargers-full", "foreign-budget"])
+def test_batched_equals_scalar_bitwise(scenario, stages, n_traj, budget_from):
     for name in ("edf", "llsp", "lllp"):
-        pol = make_policy(name, scenario)
+        pol = make_policy(name, scenario, capacity_budget(budget_from or scenario))
         res = monte_carlo(scenario, pol, stages, n_traj, base_seed=3)
+        assert res.engine == "batch", res.fallback
         rejected = []
         for i in range(n_traj):
             tr = run_trajectory(scenario, pol, stages, seed=3, traj=i,
@@ -354,6 +360,12 @@ def test_figure_experiment_refuses_before_any_cell(base, monkeypatch):
     with pytest.raises(ValueError, match="unknown policy 'lifo'"):
         figure_experiment("linear", rates=(3,), stages=30, n_traj=5, seed=0,
                           policies=("edf", "lifo"), base_scenario=base)
+    with pytest.raises(ValueError, match=r"repeated arrival rate in \(3, 3\)"):
+        figure_experiment("linear", rates=(3, 3), stages=30, n_traj=5, seed=0,
+                          policies=("edf",), base_scenario=base)
+    with pytest.raises(ValueError, match=r"repeated policy in \('edf', 'lllp', 'edf'\)"):
+        figure_experiment("linear", rates=(3,), stages=30, n_traj=5, seed=0,
+                          policies=("edf", "lllp", "edf"), base_scenario=base)
     assert calls == []
 
 
@@ -426,7 +438,7 @@ def test_result_names_the_engine_that_ran():
     sc = capacity_scenario(4, num_chargers=25, capacity_range=(1, 6))
     tagged = monte_carlo(sc, make_policy("lllp", sc), stages=30, n_traj=4, base_seed=3)
     assert tagged.engine == "batch" and tagged.fallback is None
-    # The same rule without the budget_kind tag cannot be recognized.
+    # The same rule as a plain function, not a CapacityBudget, cannot be recognized.
     untagged = HeuristicPolicy(
         "lllp", lambda x: min(sc.grid.values[x.grid], x.unfinished_count))
     res = monte_carlo(sc, untagged, stages=30, n_traj=4, base_seed=3)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from chargesched.core import ActionVector, InfeasibleActionError, SystemState, VehicleState
 from chargesched.models import capacity_scenario
-from chargesched.policies import (_KEYS, _RANKS, HeuristicPolicy, capacity_budget,
-                                  check_lllp_compliance, edf, llsp, lllp, make_policy)
+from chargesched.policies import (_KEYS, _RANKS, CapacityBudget, HeuristicPolicy,
+                                  capacity_budget, check_lllp_compliance, make_policy)
 
 E = VehicleState(0, 0)
 
@@ -23,36 +23,40 @@ def budget_of(m):
     return lambda state: min(m, state.unfinished_count)
 
 
+def decide(name, state, budget):
+    return HeuristicPolicy(name, budget).decide(state)
+
+
 def test_edf_prefers_earliest_departure():
     state = _state(VehicleState(1, 1), VehicleState(2, 2))
-    assert edf(state, budget_of(1)).bits == (1, 0)
-    assert edf(state, budget_of(5)).bits == (1, 1)
+    assert decide("edf", state, budget_of(1)).bits == (1, 0)
+    assert decide("edf", state, budget_of(5)).bits == (1, 1)
 
 
 def test_edf_deadline_tie_goes_to_less_laxity():
     state = _state(VehicleState(2, 1), VehicleState(2, 2))
     # laxities 1 and 0: the (2,2) vehicle is charged first
-    assert edf(state, budget_of(1)).bits == (0, 1)
+    assert decide("edf", state, budget_of(1)).bits == (0, 1)
 
 
 def test_laxity_tie_rules():
     state = _state(VehicleState(1, 1), VehicleState(2, 2))  # both laxity 0
-    assert lllp(state, budget_of(1)).bits == (0, 1)   # longer remaining work
-    assert llsp(state, budget_of(1)).bits == (1, 0)   # shorter remaining work
-    assert lllp(state, budget_of(2)).bits == (1, 1)
-    assert llsp(state, budget_of(2)).bits == (1, 1)
+    assert decide("lllp", state, budget_of(1)).bits == (0, 1)   # longer remaining work
+    assert decide("llsp", state, budget_of(1)).bits == (1, 0)   # shorter remaining work
+    assert decide("lllp", state, budget_of(2)).bits == (1, 1)
+    assert decide("llsp", state, budget_of(2)).bits == (1, 1)
 
 
 def test_least_laxity_dominates_tiebreaks():
     state = _state(VehicleState(3, 1), VehicleState(2, 2))  # laxities 2 and 0
-    assert llsp(state, budget_of(1)).bits == (0, 1)
-    assert lllp(state, budget_of(1)).bits == (0, 1)
+    assert decide("llsp", state, budget_of(1)).bits == (0, 1)
+    assert decide("lllp", state, budget_of(1)).bits == (0, 1)
 
 
 def test_index_tiebreak_is_deterministic():
     state = _state(VehicleState(4, 2), VehicleState(4, 2), VehicleState(4, 2))
-    for rule in (edf, llsp, lllp):
-        assert rule(state, budget_of(2)).bits == (1, 1, 0)
+    for name in ("edf", "llsp", "lllp"):
+        assert decide(name, state, budget_of(2)).bits == (1, 1, 0)
 
 
 def test_heuristics_charge_exactly_min_budget_v():
@@ -68,8 +72,8 @@ def test_heuristics_charge_exactly_min_budget_v():
                 vehicles.append(VehicleState(stay, int(rng.integers(0, 11))))
         state = _state(*vehicles)
         m = int(rng.integers(0, n + 2))
-        for rule in (edf, llsp, lllp):
-            act = rule(state, budget_of(m))
+        for name in ("edf", "llsp", "lllp"):
+            act = decide(name, state, budget_of(m))
             assert act.aggregate == min(m, state.unfinished_count)
 
 
@@ -83,6 +87,7 @@ def test_determinism():
 def test_capacity_budget_uses_grid_value():
     sc = capacity_scenario(8, num_chargers=30, capacity_range=(2, 4))
     budget = capacity_budget(sc)
+    assert budget == CapacityBudget((2, 3, 4))
     state = _state(*([VehicleState(5, 3)] * 10 + [E] * 20), grid=0)
     assert budget(state) == 2
     state_hi = _state(*([VehicleState(5, 3)] * 10 + [E] * 20), grid=2)
@@ -91,15 +96,15 @@ def test_capacity_budget_uses_grid_value():
 
 def test_edf_violates_priority_rule():
     state = _state(VehicleState(1, 1), VehicleState(2, 2))
-    act = edf(state, budget_of(1))
+    act = decide("edf", state, budget_of(1))
     assert check_lllp_compliance(state, act) == (0, 1)
 
 
 def test_compliance_none_cases():
     empty = _state(E, E)
-    assert check_lllp_compliance(empty, lllp(empty, budget_of(1))) is None
+    assert check_lllp_compliance(empty, decide("lllp", empty, budget_of(1))) is None
     state = _state(VehicleState(1, 1), VehicleState(2, 2))
-    assert check_lllp_compliance(state, lllp(state, budget_of(1))) is None
+    assert check_lllp_compliance(state, decide("lllp", state, budget_of(1))) is None
 
 
 def test_lllp_compliance_randomized():
@@ -115,7 +120,7 @@ def test_lllp_compliance_randomized():
                 vehicles.append(VehicleState(stay, int(rng.integers(0, 11))))
         state = _state(*vehicles)
         m = int(rng.integers(0, n + 1))
-        act = lllp(state, budget_of(m))
+        act = decide("lllp", state, budget_of(m))
         assert check_lllp_compliance(state, act) is None
 
 
@@ -147,9 +152,6 @@ def test_every_heuristic_key_is_injective():
         assert len({key(s, g) for s, g in types}) == len(types), name
 
 
-_RULES = {"edf": edf, "llsp": llsp, "lllp": lllp}
-
-
 @st.composite
 def _fleets_and_budgets(draw):
     """A fleet drawn from a few (stay, need) types, so many chargers share
@@ -173,8 +175,7 @@ def test_decide_charges_the_first_m_in_key_order(case):
     for name, key in _KEYS.items():
         want = set(sorted(state.unfinished, key=lambda i: (*key(*vehicles[i]), i))[:m])
         bits = tuple(int(i in want) for i in range(len(vehicles)))
-        assert _RULES[name](state, budget_of(m)).bits == bits, name
-        assert HeuristicPolicy(name, budget_of(m)).decide(state).bits == bits, name
+        assert decide(name, state, budget_of(m)).bits == bits, name
 
 
 def test_ranking_holds_while_threads_meet_new_types():
@@ -191,7 +192,7 @@ def test_ranking_holds_while_threads_meet_new_types():
             for name, key in _KEYS.items():
                 want = sorted(range(6), key=lambda i: (*key(*state.vehicles[i]), i))[:3]
                 bits = tuple(int(i in want) for i in range(6))
-                assert _RULES[name](state, budget_of(3)).bits == bits, name
+                assert decide(name, state, budget_of(3)).bits == bits, name
         return met
 
     interval = sys.getswitchinterval()
