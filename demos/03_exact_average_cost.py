@@ -40,7 +40,8 @@ print(f"exact rational gain of the greedy policy: {exact} = {float(exact):.12f}"
 
 bf = brute_force_optimal_gain(mdp)
 print(f"brute force over {bf.n_policies} stationary policies "
-      f"({bf.n_evaluations} distinct recurrent behaviors): min gain {bf.gain}")
+      f"({bf.n_evaluations} closed sets with their actions evaluated): "
+      f"min gain {bf.gain}")
 assert bf.gain == exact
 
 proj = lllp_projection(mdp, sol)

@@ -16,8 +16,10 @@ swap that the swapped action still attains the Bellman minimum.
 There is one float path and one exact path.  Everything in floating point
 reads `EnumeratedMDP._flat` (stage costs and a pairs x states sparse
 matrix); every exact gain is `linalg.chain_average` (a forward fraction-free
-integer sweep) of the rows `_integer_row` scales to integers, each
-(state, action) once per call.
+integer sweep over a batch of systems) of the rows `_integer_row` scales to
+integers.  Brute force lays out each (state, action) row once, densely over
+the states it searches, and evaluates every closed set of one size in one
+call.
 
 Enumeration runs fleet by fleet.  Each (fleet, action) is settled once by
 `core.settle_stage`, whose penalty and stepped fleet hold for all of the
@@ -416,8 +418,13 @@ def exact_policy_gain(mdp: EnumeratedMDP, policy: Sequence[int]) -> Fraction:
     """Exact average cost of a stationary policy started at the special state
     (under the unichain assumptions this is its gain from every state):
     the average over the closure of the special state."""
-    cls = policy_closure(mdp, policy, mdp.special_state)
-    return _exact_gain({s: _integer_row(mdp, s, policy[s]) for s in cls})
+    rows = {s: _integer_row(mdp, s, policy[s])
+            for s in policy_closure(mdp, policy, mdp.special_state)}
+    try:
+        (gain,) = linalg.chain_average([rows])
+    except linalg.SingularSystem:
+        raise _several_closed_classes(rows) from None
+    return gain
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +455,12 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP) -> BruteForceResult:
     recurrent class lies inside that closure and actions elsewhere cannot
     change its gain.  A depth-first search fixes actions only on the states
     that the actions fixed so far reach, so each closed set with its actions
-    is evaluated once.  The policy returned is the first optimal one in
-    lexicographic order: action 0 wherever the optimal set does not reach.
+    is evaluated once.  Every (state, action) row is laid out once as a
+    dense integer row over the closure; each closed set's system is gathered
+    from those rows, and the sets of one size are evaluated in one
+    `linalg.chain_average` call.  The policy returned is the first optimal
+    one in lexicographic order: action 0 wherever the optimal set does not
+    reach.
     """
     reach = reachable_closure(mdp, mdp.special_state)
     pos = {s: k for k, s in enumerate(reach)}
@@ -458,15 +469,20 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP) -> BruteForceResult:
     succ_masks = [[sum(1 << pos[y] for y, _ in row) for row in mdp.transitions[s]]
                   for s in reach]
     counts = [len(mdp.actions[s]) for s in reach]
-    rows = [[_integer_row(mdp, s, a) for a in range(c)] for s, c in zip(reach, counts)]
     total = 1
     for c in counts:
         total *= c
         if total > BRUTE_FORCE_LIMIT:
             raise StateCeilingExceeded(f"policy space exceeds {BRUTE_FORCE_LIMIT}; "
                                        "instance too large for brute force")
-    best: tuple[Fraction, list[int]] | None = None
-    n_evaluations = 0
+    rows = [[_integer_row(mdp, s, a) for a in range(c)] for s, c in zip(reach, counts)]
+    # Pair first[k] + a is (position k, action a), its weights dense over the
+    # positions of the closure.
+    first = np.cumsum([0] + counts[:-1])
+    table = linalg.dense([(s, row) for s, per_action in zip(reach, rows)
+                          for row in per_action], pos)
+    # Closed sets by size, each as its (position, action) pairs.
+    closed: dict[int, list[tuple[tuple[int, int], ...]]] = {}
     # (fixed (position, action) pairs, positions reached, positions fixed)
     stack = [((), 1 << pos[mdp.special_state], 0)]
     while stack:
@@ -478,36 +494,44 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP) -> BruteForceResult:
                 stack.append((fixed + ((k, a),), reached | succ_masks[k][a],
                               fixed_mask | 1 << k))
             continue
-        fixed = sorted(fixed)
-        gain = _exact_gain({reach[k]: rows[k][a] for k, a in fixed})
-        n_evaluations += 1
-        assignment = [0] * n
+        closed.setdefault(len(fixed), []).append(fixed)
+    evaluated = []    # (gain, fixed pairs) of every closed set
+    for sets in closed.values():
+        at, acts = np.moveaxis(np.array(sets), 2, 0)
+        pairs = first[at] + acts
+        try:
+            gains = linalg.chain_average(linalg.DenseRows(
+                table.scale[pairs], table.weight[pairs[:, :, None], at[:, None, :]],
+                table.cost[pairs]))
+        except linalg.SingularSystem as err:
+            raise _several_closed_classes(
+                {reach[k]: rows[k][a] for k, a in sets[err.index]}) from None
+        evaluated += zip(gains, sets)
+
+    def assignment(fixed: tuple[tuple[int, int], ...]) -> list[int]:
+        actions = [0] * n
         for k, a in fixed:
-            assignment[k] = a
-        if best is None or (gain, assignment) < best:
-            best = (gain, assignment)
-    gain, assignment = best
+            actions[k] = a
+        return actions
+
+    gain = min(g for g, _ in evaluated)
+    best = min(assignment(fixed) for g, fixed in evaluated if g == gain)
     return BruteForceResult(
-        gain=gain, policy={s: a for s, a in zip(reach, assignment)},
-        n_policies=total, n_evaluations=n_evaluations)
+        gain=gain, policy={s: a for s, a in zip(reach, best)},
+        n_policies=total, n_evaluations=len(evaluated))
 
 
-def _exact_gain(rows: dict[int, linalg.IntegerRow]) -> Fraction:
-    """Average cost on a closed set of states, in `linalg.chain_average`'s row
-    form.  The set may hold transient states besides its one closed class;
-    with several closed classes the average depends on which one the chain
-    enters, and ValueError is raised rather than picking one."""
-    try:
-        return linalg.chain_average(rows)
-    except ValueError:
-        pos = {s: k for k, s in enumerate(rows)}
-        edges = [(pos[s], pos[y]) for s, (_, moves, _) in rows.items()
-                 for y, _ in moves]
-        graph = sp.csr_matrix(([1] * len(edges), tuple(zip(*edges))),
-                              shape=(len(rows), len(rows)))
-        raise ValueError(f"{len(_closed_classes(graph))} closed classes are reachable "
-                         "from the anchor; the average cost depends on which one "
-                         "the chain enters") from None
+def _several_closed_classes(rows: dict[int, linalg.IntegerRow]) -> ValueError:
+    """The error for a set of states, in `linalg.chain_average`'s row form,
+    that holds several closed classes: its average depends on which one the
+    chain enters, and none is picked."""
+    pos = {s: k for k, s in enumerate(rows)}
+    edges = [(pos[s], pos[y]) for s, (_, moves, _) in rows.items() for y, _ in moves]
+    graph = sp.csr_matrix(([1] * len(edges), tuple(zip(*edges))),
+                          shape=(len(rows), len(rows)))
+    return ValueError(f"{len(_closed_classes(graph))} closed classes are reachable "
+                      "from the anchor; the average cost depends on which one "
+                      "the chain enters")
 
 
 # ---------------------------------------------------------------------------

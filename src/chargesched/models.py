@@ -209,13 +209,14 @@ class GridModel:
 def _stationary_or_uniform(p: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
     """Exact stationary distribution of an irreducible chain, uniform otherwise.
     pi(i) is the long-run average of the cost that is 1 in state i and 0
-    elsewhere, so `linalg.chain_average` is the one solver."""
+    elsewhere, so `linalg.chain_average` is the one solver, called once on
+    the n chains that differ only in that cost."""
     if not _irreducible(p):
         return tuple(Fraction(1, len(p)) for _ in p)
     moves = [[(y, q) for y, q in enumerate(row) if q] for row in p]
-    return tuple(linalg.chain_average({s: linalg.integer_row(m, int(s == i))
-                                       for s, m in enumerate(moves)})
-                 for i in range(len(p)))
+    return tuple(linalg.chain_average([{s: linalg.integer_row(m, int(s == i))
+                                        for s, m in enumerate(moves)}
+                                       for i in range(len(p))]))
 
 
 def _positive_graph(p: Sequence[Sequence[Fraction]]):

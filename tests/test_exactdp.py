@@ -249,6 +249,24 @@ def test_brute_force_refuses_several_closed_classes():
         brute_force_optimal_gain(mdp)
 
 
+def test_brute_force_names_the_classes_of_a_later_closed_set():
+    # The anchor's last action keeps it in place, its second leads into the
+    # cycle 3 <-> 4 and its first to absorbing state 1 or 2: the search
+    # evaluates {0}, then {0, 3, 4}, and only then the set with two closed
+    # classes, which is not the first of its size either.
+    half, one = Fraction(1, 2), Fraction(1)
+    idle = [ActionVector(())]
+    mdp = EnumeratedMDP(
+        scenario=None, states=[SystemState((), s, 0) for s in range(5)], index={},
+        actions=[idle * 3] + [idle] * 4,
+        costs=[[Fraction(0)] * 3] + [[Fraction(s)] for s in range(1, 5)],
+        transitions=[[[(1, half), (2, half)], [(3, one)], [(0, one)]],
+                     [[(1, one)]], [[(2, one)]], [[(4, one)]], [[(3, one)]]],
+        special_state=0)
+    with pytest.raises(ValueError, match="2 closed classes"):
+        brute_force_optimal_gain(mdp)
+
+
 @given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=5), min_size=1, max_size=8))
 def test_greedy_from_q_matches_a_per_state_loop(segments):
     # The tie rule: the lowest minimizing action index.  No state of the

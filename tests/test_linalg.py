@@ -93,7 +93,7 @@ def test_chain_average_is_the_stationary_average(p, data):
     pi = _initial_distribution(p)
     assert _is_stationary(pi, p)
     expected = sum((x * c for x, c in zip(pi, costs)), Fraction(0))
-    gain = linalg.chain_average(_rows(p, costs))
+    (gain,) = linalg.chain_average([_rows(p, costs)])
     assert type(gain) is Fraction
     assert gain == expected
 
@@ -102,9 +102,9 @@ def test_chain_average_is_the_stationary_average(p, data):
 @given(chains_with_closed_classes(1))
 def test_chain_average_ignores_transient_states(chain):
     p, costs, (cls,) = chain
-    alone = linalg.chain_average(_rows([[p[r][c] for c in cls] for r in cls],
-                                       [costs[r] for r in cls]))
-    assert linalg.chain_average(_rows(p, costs)) == alone
+    alone = linalg.chain_average([_rows([[p[r][c] for c in cls] for r in cls],
+                                        [costs[r] for r in cls])])
+    assert linalg.chain_average([_rows(p, costs)]) == alone
 
 
 @settings(deadline=None)
@@ -112,4 +112,98 @@ def test_chain_average_ignores_transient_states(chain):
 def test_chain_average_refuses_several_closed_classes(chain):
     p, costs, _ = chain
     with pytest.raises(ValueError):
-        linalg.chain_average(_rows(p, costs))
+        linalg.chain_average([_rows(p, costs)])
+
+
+@st.composite
+def chains_with_known_averages(draw, max_n=60):
+    """A chain of 1 to `max_n` states, its states shuffled: one closed class
+    that is the random walk on a connected weighted graph, so pi(i) is i's
+    share of the total edge weight, plus transient states that each have a
+    positive weight towards the class or an earlier transient state.
+    (P, costs, pi over all states, zero on the transient ones)."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, n))    # states in the closed class
+    w = [[0] * n for _ in range(n)]
+    for j in range(1, m):          # a spanning tree keeps the class connected
+        i = rng.randrange(j)
+        w[i][j] = w[j][i] = rng.randint(1, 9)
+    for _ in range(rng.randint(0, 2 * m)):
+        i, j = rng.randrange(m), rng.randrange(m)
+        extra = rng.randint(1, 9)
+        w[i][j] += extra
+        w[j][i] += extra if i != j else 0
+    w[0][0] += 1    # a class of one state has weight too
+    for r in range(m, n):
+        for c in rng.sample(range(n), rng.randint(0, min(3, n))):
+            w[r][c] = rng.randint(1, 9)
+        w[r][rng.randrange(r)] += 1
+    degree = [sum(row) for row in w]
+    total = sum(degree[:m])
+    pi = [Fraction(degree[i], total) if i < m else Fraction(0) for i in range(n)]
+    order = list(range(n))
+    rng.shuffle(order)             # order[k]: the state at position k
+    p = [[Fraction(w[s][c], degree[s]) for c in order] for s in order]
+    costs = [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(n)]
+    return p, costs, [pi[s] for s in order]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(chains_with_known_averages(), min_size=1, max_size=6))
+def test_chain_average_batches_mixed_sizes_in_order(chains):
+    expected = []
+    for p, costs, pi in chains:
+        assert _is_stationary(pi, p)
+        expected.append(sum((x * c for x, c in zip(pi, costs)), Fraction(0)))
+    assert linalg.chain_average([_rows(p, costs) for p, costs, _ in chains]) == expected
+
+
+def _fraction_gain(p, costs):
+    """The evaluation equations g + h = c + P h, h(last) = 0, solved by
+    Gauss-Jordan elimination on Fractions."""
+    n = len(p)
+    eqs = [[(r == c) - p[r][c] for c in range(n)] + [Fraction(costs[r])] for r in range(n)]
+    for row in eqs:
+        row[n - 1] = Fraction(1)    # the column of h(last) = 0 holds g's
+    for k in range(n):
+        pivot = next(r for r in range(k, n) if eqs[r][k])
+        eqs[k], eqs[pivot] = eqs[pivot], eqs[k]
+        eqs[k] = [v / eqs[k][k] for v in eqs[k]]
+        for r in range(n):
+            if r != k and eqs[r][k]:
+                eqs[r] = [v - eqs[r][k] * w for v, w in zip(eqs[r], eqs[k])]
+    return eqs[n - 1][n]
+
+
+def test_chain_average_leaves_int64_when_products_would_overflow():
+    # Denominators that share no factor make every row's scale a distinct
+    # prime; costs near 2**40 put the largest entry a past 2**31, so
+    # 2 a^2 >= 2**63 and an int64 sweep would wrap around.
+    denominators = (97, 89, 83, 79, 73, 71)
+    p = []
+    for r, d in enumerate(denominators):
+        weights = [(3 * r + 5 * c) % 7 + (c == (r + 1) % 6) for c in range(6)]
+        weights[0] += d - sum(weights)
+        p.append([Fraction(x, d) for x in weights])
+    costs = [2**40 + 977 * r * r - 12_345 for r in range(6)]
+    rows = _rows(p, costs)
+    a = max(abs(c) for _, _, c in rows.values())
+    assert 2 * a * a >= 2**63
+    expected = _fraction_gain(p, costs)
+    assert linalg.chain_average([rows, _rows(p, [c % 7 for c in costs])]) == [
+        expected, _fraction_gain(p, [c % 7 for c in costs])]
+    assert abs(expected.numerator) > 2**63
+
+
+def test_chain_average_names_the_failing_set_and_a_state_outside_its_set():
+    half = Fraction(1, 2)
+    good = {0: linalg.integer_row([(0, Fraction(1))], 3)}
+    two_classes = {s: linalg.integer_row([(s, Fraction(1))], s) for s in (4, 5)}
+    with pytest.raises(linalg.SingularSystem) as err:
+        linalg.chain_average([good, good, two_classes])
+    assert err.value.index == 2
+    leaks = {0: linalg.integer_row([(0, half), (1, half)], 0),
+             1: linalg.integer_row([(0, half), (7, half)], 0)}
+    with pytest.raises(ValueError, match="state 1 moves to state 7, outside its set"):
+        linalg.chain_average([good, leaks])
