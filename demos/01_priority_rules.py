@@ -38,11 +38,10 @@ for i, j in pairs:
     print(f"  charger {i} vs {j}: {rel}")
 
 state = SystemState(tuple(fleet), grid=0, demand=0)
-budget = lambda x: min(2, x.unfinished_count)   # capacity for two charges
 
-print("\ndecisions with a budget of 2 charges:")
+print("\ndecisions with a capacity of 2 charges:")
 for name in ("edf", "llsp", "lllp"):
-    action = HeuristicPolicy(name, budget).decide(state)
+    action = HeuristicPolicy(name, (2,)).decide(state)     # grid state 0 has capacity 2
     chosen = [i for i, b in enumerate(action.bits) if b]
     verdict = check_lllp_compliance(state, action)
     note = "ok" if verdict is None else f"violates priority: charges {verdict[0]} over {verdict[1]}"
@@ -50,6 +49,6 @@ for name in ("edf", "llsp", "lllp"):
 
 print("""
 EDF chases the earliest deadline, so it pours energy into vehicle 3 (already
-late) and vehicle 0, while LLLP spends the same budget on the least-laxity
+late) and vehicle 0, while LLLP spends the same capacity on the least-laxity
 vehicles and, on ties, the one with more remaining work; that choice keeps
 more flexibility for whatever the grid does next.""")

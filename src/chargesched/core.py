@@ -59,6 +59,18 @@ def outranks(vj: VehicleState, vi: VehicleState) -> bool:
     return gj >= gi and sj - gj <= si - gi and (sj != si or gj != gi)
 
 
+def convexity_fault(q: Sequence[Fraction]) -> str | None:
+    """Why the table q(0..E) is not convex, its increments negative or
+    decreasing, or None when it is convex."""
+    steps = [b - a for a, b in zip(q, q[1:])]
+    for k, d in enumerate(steps):
+        if d < 0:
+            return f"penalty increment q({k + 1})-q({k}) is negative"
+        if k > 0 and d < steps[k - 1]:
+            return f"penalty increments decrease at n={k + 1}"
+    return None
+
+
 @dataclass(frozen=True)
 class PenaltyFunction:
     """Tabulated non-completion penalty q(0..E).
@@ -74,13 +86,8 @@ class PenaltyFunction:
         vals = tuple(Fraction(v) for v in values)
         if len(vals) < 1 or vals[0] != 0:
             raise ValueError("penalty table must start with q(0) = 0")
-        if require_convex:
-            increments = [vals[n] - vals[n - 1] for n in range(1, len(vals))]
-            for k, d in enumerate(increments):
-                if d < 0:
-                    raise ValueError(f"penalty increment q({k + 1})-q({k}) is negative")
-                if k > 0 and d < increments[k - 1]:
-                    raise ValueError(f"penalty increments decrease at n={k + 1}")
+        if require_convex and (fault := convexity_fault(vals)):
+            raise ValueError(fault)
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -141,14 +148,10 @@ class SystemState:
 
     @functools.cached_property
     def unfinished(self) -> tuple[int, ...]:
-        """Indices of the vehicles still owed charge, computed once per state."""
+        """Indices of the vehicles still owed charge, computed once per state;
+        V(x) is their number."""
         vehicles = self.vehicles
         return tuple([i for i in self.occupied if vehicles[i].need])
-
-    @property
-    def unfinished_count(self) -> int:
-        """V(x): vehicles still owed charge (the only ones worth charging)."""
-        return len(self.unfinished)
 
 
 class _TypeSteps(dict):

@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg, streams
-from .core import EMPTY, PenaltyFunction, SystemState, VehicleState, step_tables, vehicle_type
+from .core import (EMPTY, PenaltyFunction, SystemState, VehicleState, convexity_fault,
+                   step_tables, vehicle_type)
 
 ROW_SUM_TOL = 1e-12
 
@@ -236,6 +237,8 @@ def _reachable(graph, start: int) -> list[int]:
 
 def _irreducible(p: Sequence[Sequence[Fraction]]) -> bool:
     """Every state reaches every other along the positive entries of p."""
+    if len(p) == 1:     # a lone state reaches itself with no graph to build
+        return True
     from scipy.sparse.csgraph import connected_components
     return connected_components(_positive_graph(p), connection="strong")[0] == 1
 
@@ -629,9 +632,7 @@ def penalty_kind(penalty: PenaltyFunction) -> str:
         return "linear"
     if q == tuple(Fraction(n * n) for n in range(len(q))):
         return "quadratic"
-    steps = [b - a for a, b in zip(q, q[1:])]
-    convex = all(d >= 0 for d in steps) and all(a <= b for a, b in zip(steps, steps[1:]))
-    return "table" if convex else "nonconvex"
+    return "nonconvex" if convexity_fault(q) else "table"
 
 
 # ---------------------------------------------------------------------------

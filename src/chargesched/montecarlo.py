@@ -43,7 +43,7 @@ from . import streams
 from .core import ActionVector, SystemState, settle_stage
 from .models import (FixedCountArrivals, ScenarioModel, admit, capacity_scenario,
                      draw_initial, sample_grid, sample_demand, with_arrival_rate)
-from .policies import CapacityBudget, HeuristicPolicy, make_policy, type_ranks
+from .policies import HeuristicPolicy, make_policy, type_ranks
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +144,10 @@ _FLOAT_EXACT = 2 ** 53      # integers up to this convert to float64 exactly
 
 def _batch_supported(scenario: ScenarioModel, policy, stages: int) -> str | None:
     """Why the type-count engine cannot reproduce `run_trajectory` exactly,
-    or None when it can."""
-    if not (isinstance(policy, HeuristicPolicy)
-            and isinstance(policy.budget, CapacityBudget)):
-        return "the policy is not a heuristic with the capacity budget"
+    or None when it can.  It runs any `HeuristicPolicy`, on the capacities
+    the policy carries."""
+    if not isinstance(policy, HeuristicPolicy):
+        return "the policy is not a heuristic"
     # Every heuristic's key is injective on (stay, need), so no two chargeable
     # types tie and the charger index never splits one (test_policies pins it).
     N = scenario.num_chargers
@@ -194,7 +194,7 @@ class _TypeCounts:
         types = [(s, g) for s in range(1, B + 1) for g in range(1, E + 1)]
         ranks = type_ranks(policy.name, types)
         self.order = np.array([(s - 1) * (E + 1) + g for s, g in sorted(types, key=ranks.get)])
-        self.values = np.minimum(policy.budget.capacities, N).astype(np.int16)
+        self.values = np.minimum(policy.capacities, N).astype(np.int16)
         self.q = np.array(sc.prices.q, dtype=np.int64)
         self.charge_cost = sc.prices.table()
         self.total = np.zeros(n_traj, dtype=np.int64)
@@ -396,8 +396,8 @@ def monte_carlo(scenario: ScenarioModel, policy, stages: int, n_traj: int,
 
     Both engines give the same numbers; ``engine`` on the result says which
     one ran, and ``fallback`` why it was the scalar one.  The type-count
-    engine needs a `HeuristicPolicy` whose budget is a `CapacityBudget` (see
-    `_batch_supported`); anything else runs `run_trajectory` once per
+    engine runs any `HeuristicPolicy` on the capacities it carries (see
+    `_batch_supported`); any other policy runs `run_trajectory` once per
     trajectory, which at benchmark scale is orders of magnitude slower."""
     if n_traj < 1:
         raise ValueError("need at least one trajectory")

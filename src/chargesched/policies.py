@@ -1,7 +1,7 @@
 """Charging heuristics and the priority-rule compliance check.
 
-All three heuristics rank the chargeable vehicles, then charge the first
-``budget(state)`` of them:
+Each heuristic ranks the chargeable vehicles, then charges the first
+min(capacity of the grid state, V(x)) of them:
 
 * EDF  -- earliest departure first; deadline ties go to less laxity.
 * LLSP -- least laxity first; laxity ties go to the shorter remaining request.
@@ -9,38 +9,17 @@ All three heuristics rank the chargeable vehicles, then charge the first
 
 Ties break toward the lower charger index, so decisions are deterministic:
 each key is injective on (stay, need), and a vehicle sorts by its type's rank
-(`type_ranks`) times N plus its index.  The default budget is min(grid
-capacity value, number of unfinished vehicles), which never exceeds free
-capacity under the capacity cost model; any other budget rule can be passed in.
+(`type_ranks`) times N plus its index.  Under the capacity cost model the
+charges never exceed free capacity.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from .core import ActionVector, SystemState, outranks
 from .models import ScenarioModel
-
-ChargeBudgetRule = Callable[[SystemState], int]
-
-
-@dataclass(frozen=True, slots=True)
-class CapacityBudget:
-    """min(capacity of the grid state, V(x)): charge as many unfinished
-    vehicles as the current capacity allows.  The vectorized engine
-    recognizes this rule by its type and runs it on these capacities."""
-    capacities: tuple[int, ...]
-
-    def __call__(self, state: SystemState) -> int:
-        return min(self.capacities[state.grid], state.unfinished_count)
-
-
-def capacity_budget(scenario: ScenarioModel) -> CapacityBudget:
-    """The capacity budget of ``scenario``, whose grid values are capacities."""
-    return CapacityBudget(scenario.grid.values)
-
 
 _KEYS = {"edf": lambda stay, need: (stay, stay - need),
          "llsp": lambda stay, need: (stay - need, need),
@@ -63,49 +42,46 @@ def type_ranks(name: str, types) -> dict:
     return ranks
 
 
-def _rank_and_charge(state: SystemState, budget: ChargeBudgetRule, name: str) -> ActionVector:
-    m = budget(state)
-    chargeable = state.unfinished
-    if not 0 <= m <= len(chargeable):
-        raise ValueError(f"budget {m} outside 0..V(x)={len(chargeable)}")
-    vehicles, n = state.vehicles, len(state.vehicles)
-    charged = chargeable    # nothing to rank when the budget covers them all
-    if m < len(chargeable):     # rank * n + i sorts by (rank, index) as an int
-        ranks = _RANKS[name]
-        try:
-            order = sorted([ranks[vehicles[i]] * n + i for i in chargeable])
-        except KeyError:    # a type met for the first time
-            ranks = type_ranks(name, map(vehicles.__getitem__, chargeable))
-            order = sorted([ranks[vehicles[i]] * n + i for i in chargeable])
-        charged = [r % n for r in order[:m]]
-    bits = [0] * n
-    for i in charged:
-        bits[i] = 1
-    return ActionVector(tuple(bits))
-
-
 @dataclass(frozen=True)
 class HeuristicPolicy:
-    """A named stationary heuristic bound to a budget rule."""
+    """Heuristic ``name`` with a charging capacity per grid state: it charges
+    its first min(capacities[grid], V(x)) unfinished vehicles in key order."""
     name: str
-    budget: ChargeBudgetRule
+    capacities: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.name not in _KEYS:
+            raise ValueError(f"unknown policy {self.name!r}; choose from {tuple(_KEYS)}")
+        if any(c < 0 for c in self.capacities):
+            raise ValueError(f"capacities {self.capacities} must be >= 0")
 
     def decide(self, state: SystemState, stage: int = 0) -> ActionVector:
-        return _rank_and_charge(state, self.budget, self.name)
+        chargeable = state.unfinished
+        vehicles, n = state.vehicles, len(state.vehicles)
+        m = self.capacities[state.grid]
+        charged = chargeable    # nothing to rank when the capacity covers them all
+        if m < len(chargeable):     # rank * n + i sorts by (rank, index) as an int
+            ranks = _RANKS[self.name]
+            try:
+                order = sorted([ranks[vehicles[i]] * n + i for i in chargeable])
+            except KeyError:    # a type met for the first time
+                ranks = type_ranks(self.name, map(vehicles.__getitem__, chargeable))
+                order = sorted([ranks[vehicles[i]] * n + i for i in chargeable])
+            charged = [r % n for r in order[:m]]
+        bits = [0] * n
+        for i in charged:
+            bits[i] = 1
+        return ActionVector(tuple(bits))
 
 
-POLICY_NAMES = tuple(_KEYS)
-
-
-def make_policy(name: str, scenario: ScenarioModel,
-                budget: ChargeBudgetRule | None = None) -> HeuristicPolicy:
-    if name not in _KEYS:
-        raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
-    return HeuristicPolicy(name, budget or capacity_budget(scenario))
+def make_policy(name: str, scenario: ScenarioModel) -> HeuristicPolicy:
+    """Heuristic ``name`` on ``scenario``, reading its grid values as the
+    capacities whatever the charging-cost form."""
+    return HeuristicPolicy(name, scenario.grid.values)
 
 
 def check_lllp_compliance(state: SystemState,
-                          action: ActionVector) -> Optional[tuple[int, int]]:
+                          action: ActionVector) -> tuple[int, int] | None:
     """Return a pair (i, j) with i charged, j idle, and j strictly above i in
     the priority order; None when the action honours the priority rule.
 

@@ -253,7 +253,7 @@ def test_property_lllp_compliance_randomized():
         from chargesched.core import SystemState
         state = SystemState(tuple(vehicles), 0, 0)
         m = int(rng.integers(0, n + 1))
-        action = HeuristicPolicy("lllp", lambda x: min(m, x.unfinished_count)).decide(state)
+        action = HeuristicPolicy("lllp", (m,)).decide(state)
         assert check_lllp_compliance(state, action) is None
         checked += 1
     _report("property-lllp-compliance", True, f">= {checked} random states, exact")

@@ -139,6 +139,14 @@ def test_verify_dominance_zero_cases(tmp_path):
                  "--seed", "1", "--out", str(tmp_path / "r.json")]) == 2
 
 
+def test_verify_dominance_unknown_policy_exits_2(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["verify-dominance", "--scenario", BENCHMARK, "--policy", "lifo",
+                 "--cases", "2", "--seed", "1", "--out", str(out)]) == 2
+    assert "error: unknown policy 'lifo'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_exact_tiny(tmp_path):
     out = tmp_path / "sol.json"
     code = main(["solve-exact", "--scenario", TINY, "--out", str(out)])

@@ -16,7 +16,7 @@ from chargesched.models import (ChargingCost, DemandModel, FixedCountArrivals,
                                 draw_initial, sample_demand, two_charger_scenario)
 from chargesched.montecarlo import (CSV_COLUMNS, advance_stage, figure_experiment,
                                     monte_carlo, run_trajectory)
-from chargesched.policies import capacity_budget, check_lllp_compliance, make_policy
+from chargesched.policies import HeuristicPolicy, check_lllp_compliance, make_policy
 
 
 def test_zero_arrivals_zero_cost():
@@ -95,8 +95,8 @@ def _two_demand_state_scenario(cost=lambda a: (Fraction(0), Fraction(a, 3)),
                        num_chargers=30, capacity_range=(1, 8)), 60, 20, None),
     (_two_demand_state_scenario(), 80, 30, None),
     (capacity_scenario(30, num_chargers=12, capacity_range=(1, 6)), 60, 20, None),
-    # The capacity budget of another scenario: both engines run the
-    # capacities the policy carries, not the ones the grid holds.
+    # The capacities of another scenario: both engines run the capacities
+    # the policy carries, not the ones the grid holds.
     (capacity_scenario(6, "linear", num_chargers=40, max_stay=4, capacity_range=(5, 10)),
      50, 4, capacity_scenario(6, "linear", num_chargers=40, max_stay=4,
                               capacity_range=(1, 6))),
@@ -104,7 +104,7 @@ def _two_demand_state_scenario(cost=lambda a: (Fraction(0), Fraction(a, 3)),
         "chargers-full", "foreign-budget"])
 def test_batched_equals_scalar_bitwise(scenario, stages, n_traj, budget_from):
     for name in ("edf", "llsp", "lllp"):
-        pol = make_policy(name, scenario, capacity_budget(budget_from or scenario))
+        pol = HeuristicPolicy(name, (budget_from or scenario).grid.values)
         res = monte_carlo(scenario, pol, stages, n_traj, base_seed=3)
         assert res.engine == "batch", res.fallback
         rejected = []
@@ -434,16 +434,18 @@ def test_rate_monotonicity_under_shared_seeds():
 
 
 def test_result_names_the_engine_that_ran():
-    from chargesched.policies import HeuristicPolicy
     sc = capacity_scenario(4, num_chargers=25, capacity_range=(1, 6))
-    tagged = monte_carlo(sc, make_policy("lllp", sc), stages=30, n_traj=4, base_seed=3)
+    heuristic = make_policy("lllp", sc)
+    tagged = monte_carlo(sc, heuristic, stages=30, n_traj=4, base_seed=3)
     assert tagged.engine == "batch" and tagged.fallback is None
-    # The same rule as a plain function, not a CapacityBudget, cannot be recognized.
-    untagged = HeuristicPolicy(
-        "lllp", lambda x: min(sc.grid.values[x.grid], x.unfinished_count))
-    res = monte_carlo(sc, untagged, stages=30, n_traj=4, base_seed=3)
+
+    class Wrapped:      # the same decisions from a policy that is not a heuristic
+        def decide(self, state, stage=0):
+            return heuristic.decide(state, stage)
+
+    res = monte_carlo(sc, Wrapped(), stages=30, n_traj=4, base_seed=3)
     assert res.engine == "scalar"
-    assert res.fallback == "the policy is not a heuristic with the capacity budget"
+    assert res.fallback == "the policy is not a heuristic"
     assert res.per_traj.tobytes() == tagged.per_traj.tobytes()
     assert res.rejected_mean == tagged.rejected_mean
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from chargesched.core import ActionVector, InfeasibleActionError, SystemState, VehicleState
 from chargesched.models import capacity_scenario
-from chargesched.policies import (_KEYS, _RANKS, CapacityBudget, HeuristicPolicy,
-                                  capacity_budget, check_lllp_compliance, make_policy)
+from chargesched.policies import (_KEYS, _RANKS, HeuristicPolicy, check_lllp_compliance,
+                                  make_policy)
 
 E = VehicleState(0, 0)
 
@@ -19,44 +19,41 @@ def _state(*vehicles, grid=0, demand=0):
     return SystemState(tuple(vehicles), grid, demand)
 
 
-def budget_of(m):
-    return lambda state: min(m, state.unfinished_count)
-
-
-def decide(name, state, budget):
-    return HeuristicPolicy(name, budget).decide(state)
+def decide(name, state, m):
+    """Heuristic ``name`` with capacity m on a grid-0 state charges min(m, V(x))."""
+    return HeuristicPolicy(name, (m,)).decide(state)
 
 
 def test_edf_prefers_earliest_departure():
     state = _state(VehicleState(1, 1), VehicleState(2, 2))
-    assert decide("edf", state, budget_of(1)).bits == (1, 0)
-    assert decide("edf", state, budget_of(5)).bits == (1, 1)
+    assert decide("edf", state, 1).bits == (1, 0)
+    assert decide("edf", state, 5).bits == (1, 1)
 
 
 def test_edf_deadline_tie_goes_to_less_laxity():
     state = _state(VehicleState(2, 1), VehicleState(2, 2))
     # laxities 1 and 0: the (2,2) vehicle is charged first
-    assert decide("edf", state, budget_of(1)).bits == (0, 1)
+    assert decide("edf", state, 1).bits == (0, 1)
 
 
 def test_laxity_tie_rules():
     state = _state(VehicleState(1, 1), VehicleState(2, 2))  # both laxity 0
-    assert decide("lllp", state, budget_of(1)).bits == (0, 1)   # longer remaining work
-    assert decide("llsp", state, budget_of(1)).bits == (1, 0)   # shorter remaining work
-    assert decide("lllp", state, budget_of(2)).bits == (1, 1)
-    assert decide("llsp", state, budget_of(2)).bits == (1, 1)
+    assert decide("lllp", state, 1).bits == (0, 1)   # longer remaining work
+    assert decide("llsp", state, 1).bits == (1, 0)   # shorter remaining work
+    assert decide("lllp", state, 2).bits == (1, 1)
+    assert decide("llsp", state, 2).bits == (1, 1)
 
 
 def test_least_laxity_dominates_tiebreaks():
     state = _state(VehicleState(3, 1), VehicleState(2, 2))  # laxities 2 and 0
-    assert decide("llsp", state, budget_of(1)).bits == (0, 1)
-    assert decide("lllp", state, budget_of(1)).bits == (0, 1)
+    assert decide("llsp", state, 1).bits == (0, 1)
+    assert decide("lllp", state, 1).bits == (0, 1)
 
 
 def test_index_tiebreak_is_deterministic():
     state = _state(VehicleState(4, 2), VehicleState(4, 2), VehicleState(4, 2))
     for name in ("edf", "llsp", "lllp"):
-        assert decide(name, state, budget_of(2)).bits == (1, 1, 0)
+        assert decide(name, state, 2).bits == (1, 1, 0)
 
 
 def test_heuristics_charge_exactly_min_budget_v():
@@ -73,8 +70,8 @@ def test_heuristics_charge_exactly_min_budget_v():
         state = _state(*vehicles)
         m = int(rng.integers(0, n + 2))
         for name in ("edf", "llsp", "lllp"):
-            act = decide(name, state, budget_of(m))
-            assert act.aggregate == min(m, state.unfinished_count)
+            act = decide(name, state, m)
+            assert act.aggregate == min(m, len(state.unfinished))
 
 
 def test_determinism():
@@ -84,27 +81,27 @@ def test_determinism():
     assert pol.decide(state, 0) == pol.decide(state, 99)
 
 
-def test_capacity_budget_uses_grid_value():
+def test_make_policy_reads_grid_values_as_capacities():
     sc = capacity_scenario(8, num_chargers=30, capacity_range=(2, 4))
-    budget = capacity_budget(sc)
-    assert budget == CapacityBudget((2, 3, 4))
+    pol = make_policy("edf", sc)
+    assert pol.capacities == (2, 3, 4)
     state = _state(*([VehicleState(5, 3)] * 10 + [E] * 20), grid=0)
-    assert budget(state) == 2
+    assert pol.decide(state).aggregate == 2
     state_hi = _state(*([VehicleState(5, 3)] * 10 + [E] * 20), grid=2)
-    assert budget(state_hi) == 4
+    assert pol.decide(state_hi).aggregate == 4
 
 
 def test_edf_violates_priority_rule():
     state = _state(VehicleState(1, 1), VehicleState(2, 2))
-    act = decide("edf", state, budget_of(1))
+    act = decide("edf", state, 1)
     assert check_lllp_compliance(state, act) == (0, 1)
 
 
 def test_compliance_none_cases():
     empty = _state(E, E)
-    assert check_lllp_compliance(empty, decide("lllp", empty, budget_of(1))) is None
+    assert check_lllp_compliance(empty, decide("lllp", empty, 1)) is None
     state = _state(VehicleState(1, 1), VehicleState(2, 2))
-    assert check_lllp_compliance(state, decide("lllp", state, budget_of(1))) is None
+    assert check_lllp_compliance(state, decide("lllp", state, 1)) is None
 
 
 def test_lllp_compliance_randomized():
@@ -120,7 +117,7 @@ def test_lllp_compliance_randomized():
                 vehicles.append(VehicleState(stay, int(rng.integers(0, 11))))
         state = _state(*vehicles)
         m = int(rng.integers(0, n + 1))
-        act = decide("lllp", state, budget_of(m))
+        act = decide("lllp", state, m)
         assert check_lllp_compliance(state, act) is None
 
 
@@ -143,6 +140,13 @@ def test_make_policy_validates_name():
         make_policy("lifo", sc)
 
 
+def test_heuristic_refuses_unknown_name_and_negative_capacity():
+    with pytest.raises(ValueError, match="^unknown policy 'lifo'"):
+        HeuristicPolicy("lifo", (1,))
+    with pytest.raises(ValueError, match=r"^capacities \(2, -1\) must be >= 0$"):
+        HeuristicPolicy("edf", (2, -1))
+
+
 def test_every_heuristic_key_is_injective():
     # The batch engine ranks vehicle types by key alone, so two types tied on
     # a key would need the charger index that type counts do not keep.
@@ -156,13 +160,13 @@ def test_every_heuristic_key_is_injective():
 def _fleets_and_budgets(draw):
     """A fleet drawn from a few (stay, need) types, so many chargers share
     one, with empty and need-0 slots, stays past any scenario's B, and a
-    budget that binds or covers every unfinished vehicle."""
+    capacity that binds or covers every unfinished vehicle."""
     palette = draw(st.lists(st.builds(VehicleState, st.integers(1, 30), st.integers(0, 30)),
                             min_size=1, max_size=4))
     fleet = draw(st.lists(st.one_of(st.just(E), st.sampled_from(palette)),
                           min_size=1, max_size=60))
     state = _state(*fleet)
-    v = state.unfinished_count
+    v = len(state.unfinished)
     m = draw(st.one_of(st.just(v), st.integers(0, v)))
     return state, m
 
@@ -175,7 +179,7 @@ def test_decide_charges_the_first_m_in_key_order(case):
     for name, key in _KEYS.items():
         want = set(sorted(state.unfinished, key=lambda i: (*key(*vehicles[i]), i))[:m])
         bits = tuple(int(i in want) for i in range(len(vehicles)))
-        assert decide(name, state, budget_of(m)).bits == bits, name
+        assert decide(name, state, m).bits == bits, name
 
 
 def test_ranking_holds_while_threads_meet_new_types():
@@ -192,7 +196,7 @@ def test_ranking_holds_while_threads_meet_new_types():
             for name, key in _KEYS.items():
                 want = sorted(range(6), key=lambda i: (*key(*state.vehicles[i]), i))[:3]
                 bits = tuple(int(i in want) for i in range(6))
-                assert decide(name, state, budget_of(3)).bits == bits, name
+                assert decide(name, state, 3).bits == bits, name
         return met
 
     interval = sys.getswitchinterval()
