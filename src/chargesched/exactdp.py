@@ -15,11 +15,12 @@ swap that the swapped action still attains the Bellman minimum.
 
 There is one float path and one exact path.  Everything in floating point
 reads `EnumeratedMDP._flat` (stage costs and a pairs x states sparse
-matrix); every exact gain is `linalg.chain_average` (a forward fraction-free
-integer sweep over a batch of systems) of the rows `_integer_row` scales to
-integers.  Brute force lays out each (state, action) row once, densely over
-the states it searches, and evaluates every closed set of one size in one
-call.
+matrix); every exact gain is `linalg.chain_average` of the rows
+`_integer_row` scales to integers: one fraction-free int64 sweep over a batch
+of systems, and p-adic lifting with an exact residual check for a system
+whose sweep would overflow int64.  Brute force lays out each (state, action)
+row once, densely over the states it searches, and evaluates every closed
+set of one size in one call.
 
 Enumeration runs fleet by fleet.  Each (fleet, action) is settled once by
 `core.settle_stage`, whose penalty and stepped fleet hold for all of the
@@ -45,7 +46,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from . import linalg
 from .core import ActionVector, EMPTY, SystemState, VehicleState, settle_stage
@@ -345,20 +345,8 @@ def _policy_graph(mdp: EnumeratedMDP, policy: Sequence[int]) -> sp.csr_matrix:
     return mat[starts[:-1] + np.asarray(policy)]
 
 
-def _closed_classes(mat: sp.spmatrix) -> list[list[int]]:
-    """Closed communicating classes of a chain: the strongly connected
-    components of its transition graph that no edge leaves."""
-    n_comp, labels = connected_components(mat, directed=True, connection="strong")
-    coo = mat.tocoo()
-    exits = labels[coo.row] != labels[coo.col]
-    has_exit = np.zeros(n_comp, dtype=bool)
-    has_exit[labels[coo.row[exits]]] = True
-    return [np.flatnonzero(labels == comp).tolist()
-            for comp in range(n_comp) if not has_exit[comp]]
-
-
 def recurrent_classes(mdp: EnumeratedMDP, policy: Sequence[int]) -> list[list[int]]:
-    return _closed_classes(_policy_graph(mdp, policy))
+    return linalg.closed_classes(_policy_graph(mdp, policy))
 
 
 def _integer_row(mdp: EnumeratedMDP, s: int, a: int) -> linalg.IntegerRow:
@@ -529,7 +517,7 @@ def _several_closed_classes(rows: dict[int, linalg.IntegerRow]) -> ValueError:
     edges = [(pos[s], pos[y]) for s, (_, moves, _) in rows.items() for y, _ in moves]
     graph = sp.csr_matrix(([1] * len(edges), tuple(zip(*edges))),
                           shape=(len(rows), len(rows)))
-    return ValueError(f"{len(_closed_classes(graph))} closed classes are reachable "
+    return ValueError(f"{len(linalg.closed_classes(graph))} closed classes are reachable "
                       "from the anchor; the average cost depends on which one "
                       "the chain enters")
 

@@ -107,12 +107,18 @@ def test_chain_average_ignores_transient_states(chain):
     assert linalg.chain_average([_rows(p, costs)]) == alone
 
 
+# Costs shifted by LIFTED put every scaled cost past 2**31, so the set leaves
+# the int64 sweep at its first column and is solved by p-adic lifting.
+LIFTED = 2**41
+
+
 @settings(deadline=None)
 @given(st.integers(2, 3).flatmap(chains_with_closed_classes))
 def test_chain_average_refuses_several_closed_classes(chain):
     p, costs, _ = chain
-    with pytest.raises(ValueError):
-        linalg.chain_average([_rows(p, costs)])
+    for shift in (0, LIFTED):    # the int64 sweep, then lifting
+        with pytest.raises(linalg.SingularSystem):
+            linalg.chain_average([_rows(p, [c + shift for c in costs])])
 
 
 @st.composite
@@ -159,6 +165,31 @@ def test_chain_average_batches_mixed_sizes_in_order(chains):
     assert linalg.chain_average([_rows(p, costs) for p, costs, _ in chains]) == expected
 
 
+@settings(deadline=None, max_examples=60)
+@given(chains_with_known_averages())
+def test_lifted_gain_is_the_stationary_average(chain):
+    p, costs, pi = chain
+    big = [2**40 * c + 2**47 for c in costs]    # each at least 2**40 * 29
+    rows = _rows(p, big)
+    assert max(abs(c) for _, _, c in rows.values()) >= 2**31
+    assert linalg.chain_average([rows]) == [sum((x * c for x, c in zip(pi, big)), Fraction(0))]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(st.tuples(chains_with_known_averages(30), st.booleans()),
+                min_size=1, max_size=4))
+def test_chain_average_mixes_swept_and_lifted_sets_in_order(drawn):
+    # Each chain comes twice, plain and shifted past int64, in a drawn order:
+    # every size's batch holds sets of both kinds.
+    systems, expected = [], []
+    for (p, costs, pi), lifted_first in drawn:
+        gain = sum((x * c for x, c in zip(pi, costs)), Fraction(0))
+        for shift in ((LIFTED, 0) if lifted_first else (0, LIFTED)):
+            systems.append(_rows(p, [c + shift for c in costs]))
+            expected.append(gain + shift)
+    assert linalg.chain_average(systems) == expected
+
+
 def _fraction_gain(p, costs):
     """The evaluation equations g + h = c + P h, h(last) = 0, solved by
     Gauss-Jordan elimination on Fractions."""
@@ -196,13 +227,54 @@ def test_chain_average_leaves_int64_when_products_would_overflow():
     assert abs(expected.numerator) > 2**63
 
 
+def _determinant(rows):
+    """The determinant of the integer equations `chain_average` solves for
+    `rows`, whose states are 0, ..., n - 1: scale times (identity - P), with
+    the scale in the last column."""
+    n = len(rows)
+    m = []
+    for r, (scale, moves, _) in rows.items():
+        line = [Fraction(scale * (r == c)) for c in range(n)]
+        for y, w in moves:
+            line[y] -= w
+        line[n - 1] = Fraction(scale)
+        m.append(line)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next(r for r in range(k, n) if m[r][k])
+        if pivot != k:
+            m[k], m[pivot], det = m[pivot], m[k], -det
+        det *= m[k][k]
+        for r in range(k + 1, n):
+            f = m[r][k] / m[k][k]
+            m[r] = [v - f * w for v, w in zip(m[r], m[k])]
+    return det
+
+
+def test_chain_average_skips_a_prime_that_divides_a_pivot(monkeypatch):
+    # The equations of this chain have the prime determinant 3391.  Listed
+    # first, 3391 leaves a column with no nonzero pivot, and the next prime
+    # must give the gain.
+    p = []
+    for r, d in enumerate((11, 13, 17)):
+        weights = [(2 * r + c) % 3 + (c == (r + 1) % 3) for c in range(3)]
+        weights[0] += d - sum(weights)
+        p.append([Fraction(x, d) for x in weights])
+    costs = [LIFTED + 5 * r for r in range(3)]
+    rows = _rows(p, costs)
+    assert _determinant(rows) == 3391
+    monkeypatch.setattr(linalg, "_PRIMES", (3391,) + linalg._PRIMES)
+    assert linalg.chain_average([rows]) == [_fraction_gain(p, costs)]
+
+
 def test_chain_average_names_the_failing_set_and_a_state_outside_its_set():
     half = Fraction(1, 2)
-    good = {0: linalg.integer_row([(0, Fraction(1))], 3)}
-    two_classes = {s: linalg.integer_row([(s, Fraction(1))], s) for s in (4, 5)}
-    with pytest.raises(linalg.SingularSystem) as err:
-        linalg.chain_average([good, good, two_classes])
-    assert err.value.index == 2
+    for shift in (0, LIFTED):    # the int64 sweep, then lifting
+        good = {0: linalg.integer_row([(0, Fraction(1))], 3 + shift)}
+        two_classes = {s: linalg.integer_row([(s, Fraction(1))], s + shift) for s in (4, 5)}
+        with pytest.raises(linalg.SingularSystem) as err:
+            linalg.chain_average([good, good, two_classes])
+        assert err.value.index == 2
     leaks = {0: linalg.integer_row([(0, half), (1, half)], 0),
              1: linalg.integer_row([(0, half), (7, half)], 0)}
     with pytest.raises(ValueError, match="state 1 moves to state 7, outside its set"):
