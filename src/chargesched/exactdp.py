@@ -20,7 +20,8 @@ matrix); every exact gain is `linalg.chain_average` of the rows
 of systems, and p-adic lifting with an exact residual check for a system
 whose sweep would overflow int64.  Brute force lays out each (state, action)
 row once, densely over the states it searches, and evaluates every closed
-set of one size in one call.
+set of one size in one call.  A set with several closed classes has no one
+gain, and `linalg.SingularSystem` (a ValueError) counting them propagates.
 
 Enumeration runs fleet by fleet.  Each (fleet, action) is settled once by
 `core.settle_stage`, whose penalty and stepped fleet hold for all of the
@@ -49,7 +50,7 @@ import scipy.sparse as sp
 
 from . import linalg
 from .core import ActionVector, EMPTY, SystemState, VehicleState, settle_stage
-from .models import ScenarioModel, TabulatedArrivals, _reachable, admit
+from .models import ScenarioModel, TabulatedArrivals, admit
 from .policies import check_lllp_compliance
 
 DEFAULT_STATE_CEILING = 2_000_000
@@ -399,7 +400,7 @@ def verify_constant_gain(mdp: EnumeratedMDP, solution: DPSolution,
 
 
 def policy_closure(mdp: EnumeratedMDP, policy: Sequence[int], start: int) -> list[int]:
-    return _reachable(_policy_graph(mdp, policy), start)
+    return linalg.reachable(_policy_graph(mdp, policy), start)
 
 
 def exact_policy_gain(mdp: EnumeratedMDP, policy: Sequence[int]) -> Fraction:
@@ -408,10 +409,7 @@ def exact_policy_gain(mdp: EnumeratedMDP, policy: Sequence[int]) -> Fraction:
     the average over the closure of the special state."""
     rows = {s: _integer_row(mdp, s, policy[s])
             for s in policy_closure(mdp, policy, mdp.special_state)}
-    try:
-        (gain,) = linalg.chain_average([rows])
-    except linalg.SingularSystem:
-        raise _several_closed_classes(rows) from None
+    (gain,) = linalg.chain_average([rows])
     return gain
 
 
@@ -424,7 +422,7 @@ def reachable_closure(mdp: EnumeratedMDP, start: int) -> list[int]:
     # Row k of the state graph joins the rows of state k's actions.
     graph = sp.csr_matrix((mat.data, mat.indices, mat.indptr[starts]),
                           shape=(mdp.n_states, mdp.n_states))
-    return _reachable(graph, start)
+    return linalg.reachable(graph, start)
 
 
 @dataclass
@@ -463,12 +461,11 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP) -> BruteForceResult:
         if total > BRUTE_FORCE_LIMIT:
             raise StateCeilingExceeded(f"policy space exceeds {BRUTE_FORCE_LIMIT}; "
                                        "instance too large for brute force")
-    rows = [[_integer_row(mdp, s, a) for a in range(c)] for s, c in zip(reach, counts)]
     # Pair first[k] + a is (position k, action a), its weights dense over the
     # positions of the closure.
     first = np.cumsum([0] + counts[:-1])
-    table = linalg.dense([(s, row) for s, per_action in zip(reach, rows)
-                          for row in per_action], pos)
+    table = linalg.dense([(s, _integer_row(mdp, s, a)) for s, c in zip(reach, counts)
+                          for a in range(c)], pos)
     # Closed sets by size, each as its (position, action) pairs.
     closed: dict[int, list[tuple[tuple[int, int], ...]]] = {}
     # (fixed (position, action) pairs, positions reached, positions fixed)
@@ -487,13 +484,9 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP) -> BruteForceResult:
     for sets in closed.values():
         at, acts = np.moveaxis(np.array(sets), 2, 0)
         pairs = first[at] + acts
-        try:
-            gains = linalg.chain_average(linalg.DenseRows(
-                table.scale[pairs], table.weight[pairs[:, :, None], at[:, None, :]],
-                table.cost[pairs]))
-        except linalg.SingularSystem as err:
-            raise _several_closed_classes(
-                {reach[k]: rows[k][a] for k, a in sets[err.index]}) from None
+        gains = linalg.chain_average(linalg.DenseRows(
+            table.scale[pairs], table.weight[pairs[:, :, None], at[:, None, :]],
+            table.cost[pairs]))
         evaluated += zip(gains, sets)
 
     def assignment(fixed: tuple[tuple[int, int], ...]) -> list[int]:
@@ -507,19 +500,6 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP) -> BruteForceResult:
     return BruteForceResult(
         gain=gain, policy={s: a for s, a in zip(reach, best)},
         n_policies=total, n_evaluations=len(evaluated))
-
-
-def _several_closed_classes(rows: dict[int, linalg.IntegerRow]) -> ValueError:
-    """The error for a set of states, in `linalg.chain_average`'s row form,
-    that holds several closed classes: its average depends on which one the
-    chain enters, and none is picked."""
-    pos = {s: k for k, s in enumerate(rows)}
-    edges = [(pos[s], pos[y]) for s, (_, moves, _) in rows.items() for y, _ in moves]
-    graph = sp.csr_matrix(([1] * len(edges), tuple(zip(*edges))),
-                          shape=(len(rows), len(rows)))
-    return ValueError(f"{len(linalg.closed_classes(graph))} closed classes are reachable "
-                      "from the anchor; the average cost depends on which one "
-                      "the chain enters")
 
 
 # ---------------------------------------------------------------------------

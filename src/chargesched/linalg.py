@@ -17,7 +17,9 @@ the digits by rational reconstruction (Wang, Guy and Davenport 1982; Monagan,
 taken only when it satisfies the equations exactly in integers; until then
 the lifting goes on.  Only the gains become Fractions.  A stationary
 distribution needs no solver of its own: on an irreducible chain, pi(i) is
-the average of the cost that is 1 in state i and 0 elsewhere.
+the average of the cost that is 1 in state i and 0 elsewhere.  `reachable`
+and `closed_classes` read a chain's transition graph; `SingularSystem` counts
+the closed classes of a set that has several.
 """
 
 from __future__ import annotations
@@ -53,12 +55,12 @@ class DenseRows(NamedTuple):
 
 class SingularSystem(ValueError):
     """The evaluation equations of the set at `index` of a batch are singular:
-    the set holds several closed classes."""
+    the set holds `classes` (several) closed classes."""
 
-    def __init__(self, index: int):
-        super().__init__(f"set {index}: singular evaluation equations: "
-                         "several closed classes")
-        self.index = index
+    def __init__(self, index: int, classes: int):
+        super().__init__(f"set {index}: {classes} closed classes; the average cost "
+                         "depends on which one the chain enters")
+        self.index, self.classes = index, classes
 
 
 def integer_row(moves: Sequence[tuple[int, Fraction]], cost: Fraction | int) -> IntegerRow:
@@ -98,7 +100,7 @@ def _ints(values: list) -> np.ndarray:
 def chain_average(systems: Sequence[Mapping[int, IntegerRow]] | DenseRows) -> list[Fraction]:
     """Long-run average cost of each chain in `systems`, in order: each on a
     closed set of states with one closed class (transient states allowed);
-    `SingularSystem` with several.
+    `SingularSystem`, naming the set and counting its classes, with several.
 
     Each set maps its states s to (scale, [(target, weight)], scaled cost):
     the chain moves from s to each target with probability weight / scale
@@ -128,7 +130,7 @@ def chain_average(systems: Sequence[Mapping[int, IntegerRow]] | DenseRows) -> li
         try:
             found = _solve(DenseRows(*map(np.stack, zip(*sets))))
         except SingularSystem as err:
-            raise SingularSystem(members[err.index]) from None
+            raise SingularSystem(members[err.index], err.classes) from None
         for i, gain in zip(members, found):
             gains[i] = gain
     return gains
@@ -148,6 +150,12 @@ def closed_classes(graph) -> list[list[int]]:
     has_exit[labels[coo.row[exits]]] = True
     return [np.flatnonzero(labels == comp).tolist()
             for comp in range(n_comp) if not has_exit[comp]]
+
+
+def reachable(graph, start: int) -> list[int]:
+    """The states a sparse transition graph reaches from `start`, in order."""
+    from scipy.sparse.csgraph import breadth_first_order
+    return sorted(breadth_first_order(graph, start, return_predecessors=False).tolist())
 
 
 def _equations(rows: DenseRows) -> np.ndarray:
@@ -194,7 +202,8 @@ def _solve(rows: DenseRows) -> list[Fraction]:
             # a stationary distribution, each entry over its row's scale,
             # maps the g column to 1 and every h column to 0, so the g
             # column is no combination of the h columns.
-            raise SingularSystem(int(live[np.argmin(found)]))
+            i = int(live[np.argmin(found)])
+            raise SingularSystem(i, len(closed_classes(rows.weight[i] != 0)))
         if k == n - 1:
             break
         pivot = k + nonzero.argmax(axis=1)
@@ -214,8 +223,9 @@ def _solve(rows: DenseRows) -> list[Fraction]:
     for i in sorted(lifted):
         # The same condition the sweep meets as a missing pivot, read from
         # the graph: a prime that fails says nothing about it.
-        if len(closed_classes(rows.weight[i] != 0)) > 1:
-            raise SingularSystem(i)
+        classes = len(closed_classes(rows.weight[i] != 0))
+        if classes > 1:
+            raise SingularSystem(i, classes)
         gains[i] = _lift(_equations(DenseRows(*(x[i:i + 1] for x in rows)))[0])
     return gains
 

@@ -60,6 +60,11 @@ def sample_index(cdf_row: Sequence[float], u: float) -> int:
     return min(bisect.bisect_right(cdf_row, u), len(cdf_row) - 1)
 
 
+def sample_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise `sample_index`: the first index whose cdf entry exceeds u."""
+    return np.minimum((cdf <= u[:, None]).sum(-1), cdf.shape[-1] - 1)
+
+
 def _float_cdf(probabilities: Sequence[Fraction]) -> list[float]:
     """Float CDF of an exact probability row, for `sample_index`."""
     return np.cumsum([float(p) for p in probabilities]).tolist()
@@ -190,7 +195,7 @@ class GridModel:
         if self.iid_uniform:
             return 0
         graph = _positive_graph([per_action[0] for per_action in self.kernel])
-        common = set.intersection(*(set(_reachable(graph, s0))
+        common = set.intersection(*(set(linalg.reachable(graph, s0))
                                     for s0 in range(self.state_count)))
         return min(common) if common else None
 
@@ -201,10 +206,6 @@ class GridModel:
         if self.iid_uniform:
             return tuple(Fraction(1, self.state_count) for _ in range(self.state_count))
         return _stationary_or_uniform([per_action[0] for per_action in self.kernel])
-
-    @functools.cached_property
-    def initial_cdf(self) -> list[float]:
-        return _float_cdf(self.initial_distribution)
 
 
 def _stationary_or_uniform(p: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
@@ -229,18 +230,10 @@ def _positive_graph(p: Sequence[Sequence[Fraction]]):
     return sp.csr_matrix([[q > 0 for q in row] for row in p])
 
 
-def _reachable(graph, start: int) -> list[int]:
-    """The states a sparse transition graph reaches from `start`, in order."""
-    from scipy.sparse.csgraph import breadth_first_order
-    return sorted(breadth_first_order(graph, start, return_predecessors=False).tolist())
-
-
 def _irreducible(p: Sequence[Sequence[Fraction]]) -> bool:
-    """Every state reaches every other along the positive entries of p."""
-    if len(p) == 1:     # a lone state reaches itself with no graph to build
-        return True
-    from scipy.sparse.csgraph import connected_components
-    return connected_components(_positive_graph(p), connection="strong")[0] == 1
+    """Every state reaches every other along the positive entries of p: one
+    closed class holds them all.  A lone state needs no graph."""
+    return len(p) == 1 or len(linalg.closed_classes(_positive_graph(p))[0]) == len(p)
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +323,6 @@ class DemandModel:
         return _stationary_or_uniform(self.kernel)
 
     @functools.cached_property
-    def initial_cdf(self) -> list[float]:
-        return _float_cdf(self.initial_distribution)
-
-    @functools.cached_property
     def kernel_cdf(self) -> list[list[float]]:
         return [_float_cdf(row) for row in self.kernel]
 
@@ -374,8 +363,6 @@ class StagePrices(dict):
         capacity = isinstance(cost, CapacityCost)
         if capacity:
             charges = [scenario.num_chargers * scenario.penalty(scenario.max_units)]
-        elif isinstance(cost, QuadraticLoadCost):
-            charges = [Fraction((scenario.num_chargers + max(map(abs, cost.base_loads))) ** 2)]
         else:
             charges = [Fraction(cost(a, s)) for a in range(self.shape[0])
                        for s in range(self.shape[1])]
@@ -400,8 +387,6 @@ class StagePrices(dict):
         a = np.arange(self.shape[0])[:, None]
         if self.ceiling is not None:
             return np.where(a <= np.asarray(self.capacities), 0, self.ceiling)
-        if isinstance(self.cost, QuadraticLoadCost):
-            return (a + np.asarray(self.cost.base_loads)) ** 2 * self.unit
         return np.array([[self[k, s] for s in range(self.shape[1])]
                          for k in range(self.shape[0])], dtype=np.int64)
 
@@ -506,23 +491,33 @@ def admit(out: list[VehicleState], arrivals: Sequence[VehicleState]) -> list[int
     return filled
 
 
-def draw_initial(scenario: ScenarioModel, key, traj: int) -> SystemState:
-    """All chargers empty; grid/demand drawn from their marginals unless the
-    scenario pins them."""
+def initial_states(scenario: ScenarioModel, key, n: int,
+                   start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Initial grid and demand state indices of trajectories start..start+n-1,
+    as int64 arrays.  A state the scenario pins draws nothing; otherwise each
+    trajectory takes one uniform from INIT_GRID (INIT_DEMAND), scaled for an
+    iid-uniform grid and read through the float cdf of the chain's
+    `initial_distribution` otherwise."""
+    grid, demand = scenario.grid, scenario.demand
     if scenario.initial_grid is not None:
-        s0 = scenario.initial_grid
-    elif scenario.grid.iid_uniform:
-        u = streams.uniform(key, traj, 0, streams.INIT_GRID)
-        s0 = int(u * scenario.grid.state_count)
+        s0 = np.full(n, scenario.initial_grid, dtype=np.int64)
     else:
-        u = streams.uniform(key, traj, 0, streams.INIT_GRID)
-        s0 = sample_index(scenario.grid.initial_cdf, u)
+        u = streams.uniforms_batch(key, n, 0, streams.INIT_GRID, 1, start)[:, 0]
+        s0 = ((u * grid.state_count).astype(np.int64) if grid.iid_uniform else
+              sample_indices(np.cumsum(np.array(grid.initial_distribution, dtype=float)), u))
     if scenario.initial_demand is not None:
-        d0 = scenario.initial_demand
+        d0 = np.full(n, scenario.initial_demand, dtype=np.int64)
     else:
-        u = streams.uniform(key, traj, 0, streams.INIT_DEMAND)
-        d0 = sample_index(scenario.demand.initial_cdf, u)
-    return scenario.empty_state(s0, d0)
+        u = streams.uniforms_batch(key, n, 0, streams.INIT_DEMAND, 1, start)[:, 0]
+        d0 = sample_indices(np.cumsum(np.array(demand.initial_distribution, dtype=float)), u)
+    return s0, d0
+
+
+def draw_initial(scenario: ScenarioModel, key, traj: int) -> SystemState:
+    """All chargers empty; grid and demand state as `initial_states` draws
+    them for trajectory `traj`."""
+    s0, d0 = initial_states(scenario, key, 1, traj)
+    return scenario.empty_state(int(s0[0]), int(d0[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ rational in both.
 
 Randomness is addressed by (seed, trajectory, stage, source), so runs couple
 across policies and arrival rates, and results do not depend on execution
-order, thread count or block size.  `run_trajectory` knows its horizon, so it
-opens a `streams.stage_window` and takes its per-stage draws from vectorized
-stage blocks.
+order, thread count or block size.  Both engines draw their initial states
+through `models.initial_states`, the scalar one a row at a time.
+`run_trajectory` knows its horizon, so it opens a `streams.stage_window` and
+takes its per-stage draws from vectorized stage blocks.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ import numpy as np
 from . import streams
 from .core import ActionVector, SystemState, settle_stage
 from .models import (FixedCountArrivals, ScenarioModel, admit, capacity_scenario,
-                     draw_initial, sample_grid, sample_demand, with_arrival_rate)
+                     draw_initial, initial_states, sample_grid, sample_demand,
+                     sample_indices, with_arrival_rate)
 from .policies import HeuristicPolicy, make_policy, type_ranks
 
 
@@ -203,7 +205,8 @@ class _TypeCounts:
         self.laws = [self._law_table(law) for law in sc.demand.arrivals]
         self.batch_width = max(law if isinstance(law, int) else law[0].shape[1]
                                for law in self.laws)
-        self._init_exogenous()
+        self.s_idx, self.d_idx = initial_states(sc, self.key, n_traj, start)
+        self.demand_cdf = np.array(sc.demand.kernel_cdf)
 
     def _law_table(self, law):
         """A fixed count, or (type rows per outcome, batch sizes, cdf)."""
@@ -218,24 +221,6 @@ class _TypeCounts:
     def _uniforms(self, t: int, source: int, n_per: int = 1) -> np.ndarray:
         """This block's (trajectory, n_per) draws of one (stage, source) cell."""
         return streams.uniforms_batch(self.key, self.n, t, source, n_per, self.start)
-
-    def _init_exogenous(self):
-        sc, n = self.sc, self.n
-        if sc.initial_grid is not None:
-            self.s_idx = np.full(n, sc.initial_grid, dtype=np.int64)
-        else:
-            u = self._uniforms(0, streams.INIT_GRID)[:, 0]
-            if sc.grid.iid_uniform:
-                self.s_idx = (u * sc.grid.state_count).astype(np.int64)
-            else:
-                self.s_idx = _inverse_cdf(np.array(sc.grid.initial_cdf), u)
-        if sc.initial_demand is not None:
-            self.d_idx = np.full(n, sc.initial_demand, dtype=np.int64)
-        else:
-            u = self._uniforms(0, streams.INIT_DEMAND)[:, 0]
-            self.d_idx = _inverse_cdf(np.array(sc.demand.initial_cdf), u)
-        if sc.demand.state_count > 1:
-            self.demand_cdf = np.array(sc.demand.kernel_cdf)
 
     def step(self, t: int):
         flat = self.counts.reshape(-1, self.n)
@@ -257,12 +242,12 @@ class _TypeCounts:
         self._admit(t)
         if self.sc.demand.state_count > 1:
             u = self._uniforms(t, streams.DEMAND)[:, 0]
-            self.d_idx = _inverse_cdf(self.demand_cdf[self.d_idx], u)
+            self.d_idx = sample_indices(self.demand_cdf[self.d_idx], u)
         u = self._uniforms(t, streams.GRID)[:, 0]
         if self.sc.grid.iid_uniform:
             self.s_idx = (u * self.sc.grid.state_count).astype(np.int64)
         else:
-            self.s_idx = _inverse_cdf(self.sc.grid._cdf[self.s_idx, aggregate], u)
+            self.s_idx = sample_indices(self.sc.grid._cdf[self.s_idx, aggregate], u)
 
     def _arrivals(self, law, t: int):
         """Type rows of each trajectory's arrival batch, in arrival order,
@@ -286,7 +271,7 @@ class _TypeCounts:
         if sizes.max(initial=0) == 0:
             return None
         u = self._uniforms(t, streams.OUTCOME)[:, 0]
-        outcome = _inverse_cdf(cdf, u)
+        outcome = sample_indices(cdf, u)
         return types[outcome], sizes[outcome]
 
     def _admit(self, t: int):
@@ -340,11 +325,6 @@ def _charge_split(ranked: np.ndarray, budget: np.ndarray, unfinished: np.ndarray
     np.minimum(a, budget, out=a)
     a[1:] -= a[:-1]
     return a
-
-
-def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise `sample_index`: the first index whose cdf entry exceeds u."""
-    return np.minimum((cdf <= u[:, None]).sum(-1), cdf.shape[-1] - 1)
 
 
 @dataclass(frozen=True)

@@ -276,7 +276,8 @@ def test_scenario_sizes_out_of_range_exit_2(tmp_path, capsys, path, section, cha
     assert not out.exists()
 
 
-def test_solve_exact_multichain(tmp_path):
+def test_solve_exact_multichain(tmp_path, capsys):
     code = main(["solve-exact", "--scenario", MULTICHAIN, "--max-iter", "2000",
                  "--out", str(tmp_path / "s.json")])
     assert code == 1
+    assert "2 recurrent classes" in capsys.readouterr().err

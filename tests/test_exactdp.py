@@ -248,6 +248,9 @@ def test_brute_force_refuses_several_closed_classes():
         special_state=0)
     with pytest.raises(ValueError, match="2 closed classes"):
         brute_force_optimal_gain(mdp)
+    # The one policy's closure is the same set, refused the same way.
+    with pytest.raises(ValueError, match="2 closed classes"):
+        exact_policy_gain(mdp, [0, 0, 0])
 
 
 def test_brute_force_names_the_classes_of_a_later_closed_set():

@@ -115,10 +115,11 @@ LIFTED = 2**41
 @settings(deadline=None)
 @given(st.integers(2, 3).flatmap(chains_with_closed_classes))
 def test_chain_average_refuses_several_closed_classes(chain):
-    p, costs, _ = chain
+    p, costs, classes = chain
     for shift in (0, LIFTED):    # the int64 sweep, then lifting
-        with pytest.raises(linalg.SingularSystem):
+        with pytest.raises(linalg.SingularSystem) as err:
             linalg.chain_average([_rows(p, [c + shift for c in costs])])
+        assert err.value.classes == len(classes)
 
 
 @st.composite

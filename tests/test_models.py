@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 from fractions import Fraction
 
@@ -9,12 +10,14 @@ from chargesched import models, streams
 from chargesched.core import PenaltyFunction, VehicleState
 from chargesched.models import (DemandModel, FixedCountArrivals, GridModel,
                                 ScenarioModel, TableCost, TabulatedArrivals,
-                                admit, capacity_scenario, load_scenario,
+                                admit, capacity_scenario, draw_initial,
+                                initial_states, load_scenario,
                                 multichain_fixture, sample_demand, sample_grid,
-                                save_scenario, scenario_from_json,
+                                sample_index, save_scenario, scenario_from_json,
                                 scenario_to_json, two_charger_scenario,
                                 with_arrival_rate, with_penalty)
 from chargesched.exactdp import validate_unichain_assumptions
+from test_exactdp import _two_demand_scenario
 
 ONE = Fraction(1)
 
@@ -294,3 +297,43 @@ def test_capacity_ceiling_follows_the_penalty():
     assert replaced.prices[300, 0] == with_penalty(lin, "quadratic").prices[300, 0] == 40000
     assert replaced.prices[40, 0] == 0
     assert replaced.prices.table()[300, 0] == 40000
+
+
+def _float_cdf(distribution):
+    """The cumulative float sums `sample_index` reads, one entry at a time."""
+    return list(itertools.accumulate(map(float, distribution)))
+
+
+def _unpinned(scenario):
+    return dataclasses.replace(scenario, initial_grid=None, initial_demand=None)
+
+
+@pytest.mark.parametrize("build", [
+    two_charger_scenario,                                 # both states pinned
+    lambda: capacity_scenario(20),                        # iid-uniform grid
+    lambda: _unpinned(two_charger_scenario()),            # grid drawn by its cdf
+    lambda: _unpinned(_two_demand_scenario()),            # two demand states
+], ids=["pinned", "iid-grid", "two-charger", "two-demand"])
+def test_draw_initial_is_one_row_of_initial_states(build):
+    sc = build()
+    key, start, n = streams.philox_key(11), 7, 50
+    grid, demand = initial_states(sc, key, n, start)
+    assert grid.dtype == demand.dtype == np.int64 and grid.shape == demand.shape == (n,)
+    for t in range(start, start + n):
+        state = draw_initial(sc, key, t)
+        assert (state.grid, state.demand) == (grid[t - start], demand[t - start])
+        # The scalar rule, one uniform per unpinned state from its own stream.
+        u_grid = streams.uniform(key, t, 0, streams.INIT_GRID)
+        u_demand = streams.uniform(key, t, 0, streams.INIT_DEMAND)
+        expected_grid = (sc.initial_grid if sc.initial_grid is not None
+                         else int(u_grid * sc.grid.state_count) if sc.grid.iid_uniform
+                         else sample_index(_float_cdf(sc.grid.initial_distribution), u_grid))
+        expected_demand = (sc.initial_demand if sc.initial_demand is not None
+                           else sample_index(_float_cdf(sc.demand.initial_distribution),
+                                             u_demand))
+        assert (state.grid, state.demand) == (expected_grid, expected_demand)
+    # Each drawn chain of several states is seen in more than one state.
+    for drawn, pinned, count in ((grid, sc.initial_grid, sc.grid.state_count),
+                                 (demand, sc.initial_demand, sc.demand.state_count)):
+        if pinned is None and count > 1:
+            assert len(set(drawn.tolist())) > 1
