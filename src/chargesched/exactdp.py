@@ -130,11 +130,16 @@ def validate_unichain_assumptions(scenario: ScenarioModel) -> list[str]:
     """Structural checks behind the constant-gain argument: positive
     zero-arrival probability everywhere, a grid state reachable from anywhere
     without charging, and an ergodic demand chain."""
+    return _unichain_notes(scenario, scenario.grid.special_state())
+
+
+def _unichain_notes(scenario: ScenarioModel, special_grid: int | None) -> list[str]:
+    """`validate_unichain_assumptions` given the grid's special state."""
     notes = []
     for d, law in enumerate(scenario.demand.arrivals):
         if law.zero_arrival_probability() <= 0:
             notes.append(f"demand state {d}: zero-arrival probability is 0")
-    if scenario.grid.special_state() is None:
+    if special_grid is None:
         notes.append("no grid state is reachable from every state under zero charging")
     if not scenario.demand.is_ergodic():
         notes.append("demand chain is not ergodic")
@@ -185,10 +190,10 @@ def enumerate_mdp(scenario: ScenarioModel,
 
     n_grid, n_demand = scenario.grid.state_count, scenario.demand.state_count
     sbar = scenario.grid.special_state()
+    notes = _unichain_notes(scenario, sbar)
     if sbar is None:
         sbar = scenario.initial_grid or 0
     anchor = sbar * n_demand + (scenario.initial_demand or 0)    # in the empty fleet
-    notes = validate_unichain_assumptions(scenario)
 
     prices = scenario.prices
     totals: dict[tuple[int, int], list[Fraction]] = {}
@@ -442,18 +447,15 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP) -> BruteForceResult:
     change its gain.  A depth-first search fixes actions only on the states
     that the actions fixed so far reach, so each closed set with its actions
     is evaluated once.  Every (state, action) row is laid out once as a
-    dense integer row over the closure; each closed set's system is gathered
-    from those rows, and the sets of one size are evaluated in one
+    dense integer row over the closure, and a closed set is the tuple of its
+    rows' indices; the sets of one size stack as one int array, whose
+    systems are gathered from those rows and evaluated in one
     `linalg.chain_average` call.  The policy returned is the first optimal
     one in lexicographic order: action 0 wherever the optimal set does not
     reach.
     """
     reach = reachable_closure(mdp, mdp.special_state)
     pos = {s: k for k, s in enumerate(reach)}
-    n = len(reach)
-    # Successor sets as bit masks; the targets of a row are distinct.
-    succ_masks = [[sum(1 << pos[y] for y, _ in row) for row in mdp.transitions[s]]
-                  for s in reach]
     counts = [len(mdp.actions[s]) for s in reach]
     total = 1
     for c in counts:
@@ -461,45 +463,59 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP) -> BruteForceResult:
         if total > BRUTE_FORCE_LIMIT:
             raise StateCeilingExceeded(f"policy space exceeds {BRUTE_FORCE_LIMIT}; "
                                        "instance too large for brute force")
-    # Pair first[k] + a is (position k, action a), its weights dense over the
-    # positions of the closure.
-    first = np.cumsum([0] + counts[:-1])
+    # Pair p is (position at[p], action p - first[at[p]]), its weights dense
+    # over the positions of the closure.
+    at = np.repeat(np.arange(len(reach)), counts)
+    first = list(itertools.accumulate(counts, initial=0))
     table = linalg.dense([(s, _integer_row(mdp, s, a)) for s, c in zip(reach, counts)
                           for a in range(c)], pos)
-    # Closed sets by size, each as its (position, action) pairs.
-    closed: dict[int, list[tuple[tuple[int, int], ...]]] = {}
-    # (fixed (position, action) pairs, positions reached, positions fixed)
+    # Per position: its bit, and the (pair, successor bit mask) of each
+    # action; the targets of a row are distinct.
+    options = [(1 << k, [(first[k] + a, sum(1 << pos[y] for y, _ in row))
+                         for a, row in enumerate(mdp.transitions[s])])
+               for k, s in enumerate(reach)]
+    # Closed sets by size, each as the tuple of its fixed pairs.
+    closed: dict[int, list[tuple[int, ...]]] = {}
+    # (fixed pairs, positions reached, positions fixed)
     stack = [((), 1 << pos[mdp.special_state], 0)]
     while stack:
         fixed, reached, fixed_mask = stack.pop()
         open_mask = reached & ~fixed_mask
         if open_mask:
-            k = (open_mask & -open_mask).bit_length() - 1
-            for a in range(counts[k]):
-                stack.append((fixed + ((k, a),), reached | succ_masks[k][a],
-                              fixed_mask | 1 << k))
+            bit, opts = options[(open_mask & -open_mask).bit_length() - 1]
+            fixed_mask |= bit
+            for p, mask in opts:
+                stack.append((fixed + (p,), reached | mask, fixed_mask))
             continue
         closed.setdefault(len(fixed), []).append(fixed)
-    evaluated = []    # (gain, fixed pairs) of every closed set
+    gains: list[Fraction] = []
+    rows = []    # the sets' pairs, size by size
     for sets in closed.values():
-        at, acts = np.moveaxis(np.array(sets), 2, 0)
-        pairs = first[at] + acts
-        gains = linalg.chain_average(linalg.DenseRows(
-            table.scale[pairs], table.weight[pairs[:, :, None], at[:, None, :]],
+        pairs = np.array(sets, dtype=np.int64)
+        where = at[pairs]
+        gains += linalg.chain_average(linalg.DenseRows(
+            table.scale[pairs], table.weight[pairs[:, :, None], where[:, None, :]],
             table.cost[pairs]))
-        evaluated += zip(gains, sets)
+        rows += sets
+    # Float division of ints rounds correctly, so it keeps the order of the
+    # gains: every exact minimum has the least float, and only the few sets
+    # that share it are compared as Fractions.
+    floats = [g.numerator / g.denominator for g in gains]
+    low = min(floats)
+    ties = [i for i, f in enumerate(floats) if f == low]
+    gain = min(gains[i] for i in ties)
 
-    def assignment(fixed: tuple[tuple[int, int], ...]) -> list[int]:
-        actions = [0] * n
-        for k, a in fixed:
-            actions[k] = a
+    def assignment(fixed: tuple[int, ...]) -> list[int]:
+        actions = [0] * len(reach)
+        for p in fixed:
+            k = int(at[p])
+            actions[k] = p - first[k]
         return actions
 
-    gain = min(g for g, _ in evaluated)
-    best = min(assignment(fixed) for g, fixed in evaluated if g == gain)
+    best = min(assignment(rows[i]) for i in ties if gains[i] == gain)
     return BruteForceResult(
         gain=gain, policy={s: a for s, a in zip(reach, best)},
-        n_policies=total, n_evaluations=len(evaluated))
+        n_policies=total, n_evaluations=len(gains))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import streams
 from .core import ActionVector, SystemState, VehicleState, outranks
-from .models import ScenarioModel, draw_initial
+from .models import ScenarioModel, initial_states, penalty_json
 from .montecarlo import advance_stage, as_fractions
 from .policies import check_lllp_compliance
 
@@ -56,11 +56,11 @@ class InterchangeWindow:
 
     def map_action(self, base_action: ActionVector, stage: int,
                    swap_back_at: Optional[int]) -> ActionVector:
+        """The base action itself (it is frozen) at a stage without a swap."""
+        if stage != self.t0 and stage != swap_back_at:
+            return base_action
         bits = list(base_action.bits)
-        if stage == self.t0:
-            bits[self.i], bits[self.j] = 0, 1
-        elif swap_back_at is not None and stage == swap_back_at:
-            bits[self.i], bits[self.j] = 1, 0
+        bits[self.i], bits[self.j] = (0, 1) if stage == self.t0 else (1, 0)
         return ActionVector(tuple(bits))
 
 
@@ -189,6 +189,7 @@ def _record_shortfalls(state: SystemState, action: ActionVector,
 class DominanceReport:
     policy: str
     scenario: str
+    penalty: str | list | dict    # as `models.penalty_json` writes it
     n_cases: int
     strict: int = 0
     equal: int = 0
@@ -206,7 +207,7 @@ class DominanceReport:
 
     def to_json(self) -> dict:
         return {
-            "policy": self.policy, "scenario": self.scenario,
+            "policy": self.policy, "scenario": self.scenario, "penalty": self.penalty,
             "cases": self.n_cases, "strict": self.strict, "equal": self.equal,
             "g_empty_cases": self.g_empty_cases,
             "g_nonempty_cases": self.g_nonempty_cases,
@@ -238,16 +239,20 @@ def certify_dominance(scenario: ScenarioModel, policy, n_cases: int,
     the policy, wrap each violation, and check in exact arithmetic that the
     interchange never costs more on the shared sample path.
 
-    Each case uses its own trajectory substream (seed, case); the rollout
-    continues that trajectory's randomness from the violation stage.
+    Each case uses its own trajectory substream (seed, case), from the
+    initial state `draw_initial` gives it (all drawn in one call); the
+    rollout continues that trajectory's randomness from the violation stage.
     """
     if n_cases < 1:
         raise ValueError("need at least one case")
     report = DominanceReport(policy=getattr(policy, "name", repr(policy)),
-                             scenario=scenario.name, n_cases=n_cases, seed=seed)
+                             scenario=scenario.name,
+                             penalty=penalty_json(scenario.penalty),
+                             n_cases=n_cases, seed=seed)
     key = streams.philox_key(seed)
-    for case in range(n_cases):
-        state = draw_initial(scenario, key, case)
+    grids, demands = initial_states(scenario, key, n_cases)
+    for case, (s0, d0) in enumerate(zip(grids.tolist(), demands.tolist())):
+        state = scenario.empty_state(s0, d0)
         found = None
         for t in range(MAX_SCAN):
             action = policy.decide(state, t)

@@ -159,17 +159,18 @@ def reachable(graph, start: int) -> list[int]:
 
 
 def _equations(rows: DenseRows) -> np.ndarray:
-    """The evaluation equations of the sets stacked in `rows`, (K, n, n + 1).
+    """The evaluation equations of the sets stacked in `rows`, batch last:
+    (n, n + 1, K), so that the sweep's updates run along contiguous memory.
     Row i of a set's equations, times its scale, holds the coefficients of h
     at the set's states, except that the column of the last state, where
     h = 0, holds g's; then the scaled cost."""
     count, n = rows.scale.shape
-    eqs = np.zeros((count, n, n + 1), dtype=np.result_type(*rows))
-    np.negative(rows.weight, out=eqs[:, :, :n])
+    eqs = np.empty((n, n + 1, count), dtype=np.result_type(*rows))
+    np.negative(rows.weight.transpose(1, 2, 0), out=eqs[:, :n])
     diagonal = np.arange(n)
-    eqs[:, diagonal, diagonal] += rows.scale
-    eqs[:, :, n - 1] = rows.scale
-    eqs[:, :, n] = rows.cost
+    eqs[diagonal, diagonal] += rows.scale.T
+    eqs[:, n - 1] = rows.scale.T
+    eqs[:, n] = rows.cost.T
     return eqs
 
 
@@ -179,24 +180,24 @@ def _solve(rows: DenseRows) -> list[Fraction]:
     pivot * g = rhs in the last row.  A set leaves the sweep before a column
     whose products would overflow int64, and is lifted."""
     eqs = _equations(rows)
-    count, n, _ = eqs.shape
+    n, _, count = eqs.shape
     gains: list[Fraction] = [Fraction(0)] * count
     live = np.arange(count)    # the sets still in the sweep, by batch index
     lifted: list[int] = []
-    prev = np.ones(count, dtype=eqs.dtype)
+    prev = np.ones(count, dtype=eqs.dtype)    # the previous pivots
     for k in range(n):
         # Every update pk * v - f * w is at most 2 a^2 in magnitude, a being
         # the largest entry of the set's active block; 2 a^2 < 2**63 holds
         # exactly when a < 2**31.
-        block = eqs[:, k:, k:]
+        block = eqs[k:, k:]
         if max(int(block.max()), -int(block.min())) >= 1 << 31:
-            fits = np.maximum(block.max(axis=(1, 2)), -block.min(axis=(1, 2))) < 1 << 31
+            fits = np.maximum(block.max(axis=(0, 1)), -block.min(axis=(0, 1))) < 1 << 31
             lifted += live[~fits].tolist()
-            eqs, prev, live = eqs[fits], prev[fits], live[fits]
+            eqs, prev, live = eqs[..., fits], prev[fits], live[fits]
             if not live.size:
                 break
-        nonzero = eqs[:, k:, k] != 0
-        found = nonzero.any(axis=1)
+        nonzero = eqs[k:, k] != 0
+        found = nonzero.any(axis=0)
         if not found.all():
             # h is not unique: there are several closed classes.  With one,
             # a stationary distribution, each entry over its row's scale,
@@ -206,27 +207,29 @@ def _solve(rows: DenseRows) -> list[Fraction]:
             raise SingularSystem(i, len(closed_classes(rows.weight[i] != 0)))
         if k == n - 1:
             break
-        pivot = k + nonzero.argmax(axis=1)
-        if (pivot != k).any():
-            sets = np.arange(len(live))
-            top = eqs[sets, pivot]
-            eqs[sets, pivot] = eqs[:, k]
-            eqs[:, k] = top
-        pk = eqs[:, k, k]
-        rest = eqs[:, k + 1:, k + 1:]    # updated in place: one temporary
-        rest *= pk[:, None, None]
-        rest -= eqs[:, k + 1:, k, None] * eqs[:, None, k, k + 1:]
-        rest //= prev[:, None, None]
+        pivot = k + nonzero.argmax(axis=0)
+        swap = np.flatnonzero(pivot != k)
+        if swap.size:
+            top = eqs[pivot[swap], :, swap]
+            eqs[pivot[swap], :, swap] = eqs[k, :, swap]
+            eqs[k, :, swap] = top
+        pk = eqs[k, k]
+        rest = eqs[k + 1:, k + 1:]    # updated in place: one temporary
+        rest *= pk
+        rest -= eqs[k + 1:, k, None] * eqs[None, k, k + 1:]
+        if k:    # the first column's previous pivots are all 1
+            rest //= prev
         prev = pk
-    for i, (pivot, rhs) in zip(live, eqs[:, n - 1, n - 1:]):
-        gains[i] = Fraction(int(rhs), int(pivot))
+    for i, pivot, rhs in zip(live.tolist(), eqs[n - 1, n - 1].tolist(),
+                             eqs[n - 1, n].tolist()):
+        gains[i] = Fraction(rhs, pivot)
     for i in sorted(lifted):
         # The same condition the sweep meets as a missing pivot, read from
         # the graph: a prime that fails says nothing about it.
         classes = len(closed_classes(rows.weight[i] != 0))
         if classes > 1:
             raise SingularSystem(i, classes)
-        gains[i] = _lift(_equations(DenseRows(*(x[i:i + 1] for x in rows)))[0])
+        gains[i] = _lift(_equations(DenseRows(*(x[i:i + 1] for x in rows)))[..., 0])
     return gains
 
 

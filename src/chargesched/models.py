@@ -314,9 +314,10 @@ class DemandModel:
         return len(self.kernel)
 
     def is_ergodic(self) -> bool:
-        """Irreducible and aperiodic, decided structurally."""
+        """Irreducible and aperiodic, decided structurally; a lone state is
+        both without a graph."""
         p = [list(r) for r in self.kernel]
-        return _irreducible(p) and _period(p) == 1
+        return len(p) == 1 or _irreducible(p) and _period(p) == 1
 
     @functools.cached_property
     def initial_distribution(self) -> tuple[Fraction, ...]:
@@ -638,6 +639,15 @@ def _frac_json(p: Fraction):
     return int(p) if p.denominator == 1 else str(p)
 
 
+def penalty_json(penalty: PenaltyFunction) -> str | list | dict:
+    """A penalty table as a scenario file writes it: its kind when linear or
+    quadratic, else its values."""
+    kind = penalty_kind(penalty)
+    values = [_frac_json(v) for v in penalty.values]
+    return {"table": values,
+            "nonconvex": {"values": values, "allow_nonconvex": True}}.get(kind, kind)
+
+
 def scenario_to_json(scenario: ScenarioModel) -> dict:
     grid: dict = {"states": list(scenario.grid.values)}
     if scenario.grid.iid_uniform:
@@ -657,11 +667,6 @@ def scenario_to_json(scenario: ScenarioModel) -> dict:
                 "outcomes": [{"prob": _frac_json(p), "vehicles": [[v.stay, v.need] for v in vs]}
                              for p, vs in law.outcomes]})
 
-    kind = penalty_kind(scenario.penalty)
-    values = [_frac_json(v) for v in scenario.penalty.values]
-    penalty = {"table": values,
-               "nonconvex": {"values": values, "allow_nonconvex": True}}.get(kind, kind)
-
     out = {
         "name": scenario.name,
         "N": scenario.num_chargers,
@@ -671,7 +676,7 @@ def scenario_to_json(scenario: ScenarioModel) -> dict:
         "demand": {"states": scenario.demand.state_count,
                    "kernel": [[_frac_json(p) for p in row] for row in scenario.demand.kernel]},
         "arrival": {"per_state": arrival_laws},
-        "penalty": penalty,
+        "penalty": penalty_json(scenario.penalty),
     }
     if scenario.initial_grid is not None or scenario.initial_demand is not None:
         out["initial"] = {}

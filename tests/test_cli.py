@@ -122,6 +122,18 @@ def test_verify_dominance_ok_and_report(tmp_path):
     assert doc["strict"] + doc["equal"] == 25
 
 
+def test_verify_dominance_report_names_its_penalty(tmp_path):
+    docs = {}
+    for penalty in ("linear", "quadratic"):
+        out = tmp_path / f"{penalty}.json"
+        assert main(["verify-dominance", "--scenario", BENCHMARK, "--policy", "edf",
+                     "--penalty", penalty, "--cases", "5", "--seed", "2",
+                     "--out", str(out)]) == 0
+        docs[penalty] = json.loads(out.read_text())
+    assert docs["linear"]["scenario"] == docs["quadratic"]["scenario"]
+    assert (docs["linear"]["penalty"], docs["quadratic"]["penalty"]) == ("linear", "quadratic")
+
+
 def test_verify_dominance_negative_control_exits_1(tmp_path):
     out = tmp_path / "report.json"
     code = main(["verify-dominance", "--scenario", CONCAVE, "--policy", "edf",

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import math
+import re
 from collections import defaultdict
 from fractions import Fraction
 
@@ -8,16 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chargesched import linalg
 from chargesched.core import (EMPTY, ActionVector, PenaltyFunction, SystemState,
                               VehicleState, settle_stage, step_tables)
-from chargesched.exactdp import (DPSolution, EnumeratedMDP, NonConvergenceError,
+from chargesched.exactdp import (BRUTE_FORCE_LIMIT, BruteForceResult, DPSolution,
+                                 EnumeratedMDP, NonConvergenceError,
                                  ProjectionError, StateCeilingExceeded,
-                                 TabularPolicy, _greedy_from_q,
+                                 TabularPolicy, _greedy_from_q, _integer_row,
                                  brute_force_optimal_gain,
                                  compliance_violations, enumerate_mdp,
                                  exact_policy_gain, export_solution,
                                  lllp_projection, policy_closure,
-                                 recurrent_classes,
+                                 reachable_closure, recurrent_classes,
                                  relative_value_iteration, verify_constant_gain)
 from chargesched.models import (DemandModel, GridModel, ScenarioModel,
                                 TableCost, TabulatedArrivals, admit,
@@ -129,6 +133,61 @@ def test_exact_gain_matches_brute_force(tiny_solution):
     assert bf.n_evaluations == 1096
     assert _policy_digest(mdp, bf.policy) == (
         "b917793dde668833d28c1dd24816866c7ac5eb4560b96223f670047a3992c9e5")
+
+
+def _reference_brute_force(mdp):
+    """Brute force as it stood with closed sets as (position, action) tuples:
+    the same depth-first search, each size's sets unpacked with np.moveaxis,
+    and the optimum and its tie-break found by comparing Fractions."""
+    reach = reachable_closure(mdp, mdp.special_state)
+    pos = {s: k for k, s in enumerate(reach)}
+    n = len(reach)
+    succ_masks = [[sum(1 << pos[y] for y, _ in row) for row in mdp.transitions[s]]
+                  for s in reach]
+    counts = [len(mdp.actions[s]) for s in reach]
+    total = math.prod(counts)
+    if total > BRUTE_FORCE_LIMIT:
+        raise StateCeilingExceeded(f"policy space exceeds {BRUTE_FORCE_LIMIT}; "
+                                   "instance too large for brute force")
+    first = np.cumsum([0] + counts[:-1])
+    table = linalg.dense([(s, _integer_row(mdp, s, a)) for s, c in zip(reach, counts)
+                          for a in range(c)], pos)
+    closed = {}
+    stack = [((), 1 << pos[mdp.special_state], 0)]
+    while stack:
+        fixed, reached, fixed_mask = stack.pop()
+        open_mask = reached & ~fixed_mask
+        if open_mask:
+            k = (open_mask & -open_mask).bit_length() - 1
+            for a in range(counts[k]):
+                stack.append((fixed + ((k, a),), reached | succ_masks[k][a],
+                              fixed_mask | 1 << k))
+            continue
+        closed.setdefault(len(fixed), []).append(fixed)
+    evaluated = []
+    for sets in closed.values():
+        at, acts = np.moveaxis(np.array(sets), 2, 0)
+        pairs = first[at] + acts
+        gains = linalg.chain_average(linalg.DenseRows(
+            table.scale[pairs], table.weight[pairs[:, :, None], at[:, None, :]],
+            table.cost[pairs]))
+        evaluated += zip(gains, sets)
+
+    def assignment(fixed):
+        actions = [0] * n
+        for k, a in fixed:
+            actions[k] = a
+        return actions
+
+    gain = min(g for g, _ in evaluated)
+    best = min(assignment(fixed) for g, fixed in evaluated if g == gain)
+    return BruteForceResult(gain=gain, policy={s: a for s, a in zip(reach, best)},
+                            n_policies=total, n_evaluations=len(evaluated))
+
+
+def test_brute_force_matches_the_reference_on_two_chargers(tiny_solution):
+    _, mdp, _ = tiny_solution
+    assert brute_force_optimal_gain(mdp) == _reference_brute_force(mdp)
 
 
 def test_multichain_fixture_fails_checks():
@@ -493,3 +552,31 @@ def test_enumeration_matches_direct_per_state_computation(sc):
                             dist[y] += p_arr * p_grid * p_demand
             assert row == sorted(dist.items())
             assert all(type(y) is int and type(p) is Fraction for y, p in row)
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_scenarios())
+def test_brute_force_matches_the_reference(sc):
+    mdp = enumerate_mdp(sc)
+    # Past about 20,000 policies the closed sets of one size take too much
+    # memory to evaluate twice in a test.
+    if math.prod(len(mdp.actions[s])
+                 for s in reachable_closure(mdp, mdp.special_state)) > 20_000:
+        return
+    try:
+        expected = _reference_brute_force(mdp)
+    except ValueError as err:    # several closed classes in one set
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            brute_force_optimal_gain(mdp)
+        return
+    assert brute_force_optimal_gain(mdp) == expected
+
+
+def test_enumeration_finds_the_special_state_once(monkeypatch):
+    calls = []
+    real = GridModel.special_state
+    monkeypatch.setattr(GridModel, "special_state",
+                        lambda grid: calls.append(grid) or real(grid))
+    mdp = enumerate_mdp(_two_demand_scenario())
+    assert len(calls) == 1
+    assert mdp.assumption_notes == []

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import sys
 import threading
@@ -5,16 +6,20 @@ from fractions import Fraction
 
 import pytest
 
+from chargesched import streams
 from chargesched.core import (ActionVector, PenaltyFunction, SystemState,
                               VehicleState, vehicle_type)
-from chargesched.interchange import (AggregateMismatchError, ScriptedPolicy,
+from chargesched.interchange import (AggregateMismatchError, DominanceReport,
+                                     InterchangeWindow, ScriptedPolicy,
                                      certify_dominance, coupled_rollout,
-                                     find_violation,
+                                     find_violation, pure_penalty_scenario,
                                      search_two_vehicle_counterexamples,
                                      wrap_interchange)
 from chargesched.models import (DemandModel, FixedCountArrivals, GridModel,
                                 ScenarioModel, TableCost, TabulatedArrivals,
-                                capacity_scenario)
+                                capacity_scenario, draw_initial, penalty_json,
+                                scenario_to_json)
+from chargesched.montecarlo import advance_stage
 from chargesched.policies import make_policy
 
 ONE = Fraction(1)
@@ -214,6 +219,68 @@ def test_certify_dominance_small_runs():
     doc = rep.to_json()
     for key in ("policy", "cases", "strict", "equal", "counterexamples", "seed"):
         assert key in doc
+
+
+class _FirstStates:
+    """A policy that records the state each case starts from: the one it
+    decides on at stage 0."""
+
+    def __init__(self, policy):
+        self.policy, self.name, self.starts = policy, policy.name, []
+
+    def decide(self, state, stage):
+        if stage == 0:
+            self.starts.append(state)
+        return self.policy.decide(state, stage)
+
+
+def test_certify_starts_each_case_from_its_initial_draw():
+    sc = capacity_scenario(20, "linear")
+    pol = _FirstStates(make_policy("edf", sc))
+    rep = certify_dominance(sc, pol, n_cases=6, seed=11)
+    key = streams.philox_key(11)
+    assert pol.starts == [draw_initial(sc, key, case) for case in range(6)]
+    assert len({x.grid for x in pol.starts}) > 1
+    assert rep.penalty == "linear" == rep.to_json()["penalty"]
+
+
+def test_report_penalty_is_written_as_the_scenario_file_writes_it():
+    sc = pure_penalty_scenario(PenaltyFunction((0, 1, 3, 6)))
+    report = DominanceReport(policy="scripted", scenario=sc.name,
+                             penalty=penalty_json(sc.penalty), n_cases=1)
+    assert report.to_json()["penalty"] == [0, 1, 3, 6] == scenario_to_json(sc)["penalty"]
+
+
+class _RebuiltWindow(InterchangeWindow):
+    """The window whose map_action builds a new action at every stage."""
+
+    def map_action(self, base_action, stage, swap_back_at):
+        return ActionVector(tuple(super().map_action(base_action, stage, swap_back_at).bits))
+
+
+def test_map_action_keeps_the_base_action_where_nothing_swaps():
+    sc = capacity_scenario(20, "quadratic")
+    pol = make_policy("edf", sc)
+    key = streams.philox_key(4)
+    state = draw_initial(sc, key, 0)
+    for t in range(400):
+        action = pol.decide(state, t)
+        pair = find_violation(pol, state, t) if t >= 3 else None
+        if pair is not None:
+            break
+        state, _ = advance_stage(sc, state, action, t, key, 0)
+    win = wrap_interchange(pol, state, *pair, t)
+    base = pol.decide(state, t + 1)
+    assert win.map_action(base, t + 1, None) is base
+    assert win.map_action(base, t + 1, t + 2) is base
+    assert win.map_action(base, t, None).bits != base.bits
+    roll = coupled_rollout(sc, pol, win, state, win.length, seed=4, stage_offset=t)
+    rebuilt = _RebuiltWindow(**dataclasses.asdict(win))
+    again = coupled_rollout(sc, pol, rebuilt, state, win.length, seed=4, stage_offset=t)
+    assert ((roll.base_total, roll.swapped_total, roll.base_stage_costs,
+             roll.swapped_stage_costs, roll.swap_back_at)
+            == (again.base_total, again.swapped_total, again.base_stage_costs,
+                again.swapped_stage_costs, again.swap_back_at))
 
 
 def test_certify_quadratic_classifies_cases():

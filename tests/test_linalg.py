@@ -208,6 +208,29 @@ def _fraction_gain(p, costs):
     return eqs[n - 1][n]
 
 
+def test_chain_average_normalizes_a_negative_pivot(monkeypatch):
+    # State 0 of the first two sets is absorbing, so its equation has no h
+    # term: the sweep pivots on the other state's equation, whose h
+    # coefficient is minus a weight, and ends with pivot * g = rhs, both
+    # negative.  The third set pivots in order.
+    third = Fraction(1, 3)
+    chains = [([[1, 0], [third, 2 * third]], [5, 1]),
+              ([[1, 0], [1, 0]], [Fraction(7, 2), 4]),
+              ([[Fraction(1, 2), Fraction(1, 2)], [1, 0]], [3, -2])]
+    real, pivots = linalg.Fraction, []
+
+    def recording(numerator=0, denominator=None):
+        pivots.append(denominator)
+        return real(numerator, denominator)
+
+    monkeypatch.setattr(linalg, "Fraction", recording)
+    gains = linalg.chain_average([_rows(p, costs) for p, costs in chains])
+    assert min(d for d in pivots if d is not None) < 0
+    assert gains == [_fraction_gain(p, costs) for p, costs in chains]
+    assert gains[:2] == [5, Fraction(7, 2)]
+    assert all(type(g) is real and g.denominator > 0 for g in gains)
+
+
 def test_chain_average_leaves_int64_when_products_would_overflow():
     # Denominators that share no factor make every row's scale a distinct
     # prime; costs near 2**40 put the largest entry a past 2**31, so
