@@ -140,7 +140,7 @@ def cmd_solve_exact(args) -> int:
     if not findings.ok:
         print(f"constant-gain failure: residual={findings.residual:.3g} "
               f"classes={findings.n_recurrent_classes} "
-              f"gains={[float(g) for g in findings.class_gains]}", file=sys.stderr)
+              f"gains={[str(g) for g in findings.class_gains]}", file=sys.stderr)
         return EXIT_FAILURE
     projection = exactdp.lllp_projection(mdp, solution)
     exactdp.export_solution(mdp, solution, args.out)
@@ -156,10 +156,9 @@ def cmd_solve_exact(args) -> int:
 
 
 def _report_gain_classes(mdp, file) -> None:
-    import numpy as np
-    policy = np.zeros(mdp.n_states, dtype=np.int64)
+    policy = [0] * mdp.n_states
     classes = exactdp.recurrent_classes(mdp, policy)
-    gains = [exactdp.class_gain(mdp, policy, cls) for cls in classes]
+    gains = [str(g) for g in exactdp.class_gains(mdp, policy, classes)]
     print(f"  {len(classes)} recurrent classes with gains {gains}", file=file)
 
 

@@ -5,9 +5,9 @@ from the all-empty fleet, a fleet being found when some action, grid state
 and demand state of a found fleet admits into it: a set closed under every
 action that holds every empty start state.  Relative value iteration
 anchored at the all-empty special state computes the optimal gain and
-differential costs in floating point; the constant-gain check across
-recurrent classes runs in floating point too.  Exact rational arithmetic
-re-verifies the rest: policy evaluation by the average-cost evaluation
+differential costs in floating point, and checks its Bellman residual in
+floating point.  Exact rational arithmetic re-verifies the rest: the gain
+across recurrent classes, policy evaluation by the average-cost evaluation
 equations, an exhaustive brute force over stationary deterministic policies,
 and a projection that rewrites an optimal policy into one that never charges
 a vehicle while idling a strictly higher-priority one, checking at every
@@ -19,9 +19,9 @@ matrix); every exact gain is `linalg.chain_average` of the rows
 `_integer_row` scales to integers: one fraction-free int64 sweep over a batch
 of systems, and p-adic lifting with an exact residual check for a system
 whose sweep would overflow int64.  Brute force lays out each (state, action)
-row once, densely over the states it searches, and evaluates every closed
-set of one size in one call.  A set with several closed classes has no one
-gain, and `linalg.SingularSystem` (a ValueError) counting them propagates.
+row once, densely over the states it searches, and evaluates the closed
+sets of one size in calls of bounded size.  A set with several closed
+classes has no one gain, and `linalg.SingularSystem` counting them propagates.
 
 Enumeration runs fleet by fleet.  Each (fleet, action) is settled once by
 `core.settle_stage`, whose penalty and stepped fleet hold for all of the
@@ -55,6 +55,7 @@ from .policies import check_lllp_compliance
 
 DEFAULT_STATE_CEILING = 2_000_000
 BRUTE_FORCE_LIMIT = 5_000_000    # stationary deterministic policies
+_GATHER_ENTRIES = 1 << 22    # weights brute force gathers per chain_average call
 
 
 class StateCeilingExceeded(ValueError):
@@ -359,25 +360,20 @@ def _integer_row(mdp: EnumeratedMDP, s: int, a: int) -> linalg.IntegerRow:
     return linalg.integer_row(mdp.transitions[s][a], mdp.costs[s][a])
 
 
-def class_gain(mdp: EnumeratedMDP, policy: Sequence[int], cls: list[int]) -> float:
-    """Average cost of `policy` on the closed class `cls`, in floating point
-    from `mdp._flat`; `exact_policy_gain` is the exact counterpart."""
-    starts, cost, mat = mdp._flat
-    pairs = starts[cls] + np.asarray(policy)[cls]
-    p = mat[pairs][:, cls].toarray()
-    g = cost[pairs]
-    a = np.vstack([p.T - np.eye(len(cls)), np.ones(len(cls))])
-    b = np.zeros(len(cls) + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return float(pi @ g)
+def class_gains(mdp: EnumeratedMDP, policy: Sequence[int],
+                classes: list[list[int]]) -> list[Fraction]:
+    """Exact average cost of `policy` on each of the closed classes
+    `classes`, in one `linalg.chain_average` call: a class is closed and is
+    its own one closed class, so its equations are never singular."""
+    return linalg.chain_average([{s: _integer_row(mdp, s, policy[s]) for s in cls}
+                                 for cls in classes])
 
 
 @dataclass
 class GainFindings:
     residual: float
     residual_ok: bool
-    class_gains: list
+    class_gains: list[Fraction]    # empty with one recurrent class
     constant_gain: bool
     n_recurrent_classes: int
 
@@ -388,19 +384,18 @@ class GainFindings:
 
 def verify_constant_gain(mdp: EnumeratedMDP, solution: DPSolution,
                          tol: float = 1e-10) -> GainFindings:
-    """Check the Bellman residual everywhere and that the greedy policy's
-    average cost is the same from every enumerated state, the states reachable
-    from the empty fleet (all recurrent classes of the induced chain share one
-    gain)."""
+    """Check the Bellman residual everywhere, within `tol`, and that the
+    greedy policy's average cost is the same from every enumerated state: by
+    structure with one recurrent class, which every state enters, and with
+    several by their exact gains, which must all be equal."""
     starts, cost, mat = mdp._flat
     q = cost + mat @ solution.h
     t_h = np.minimum.reduceat(q, starts[:-1])
     residual = float(np.abs(solution.gain + solution.h - t_h).max())
     classes = recurrent_classes(mdp, solution.policy)
-    gains = [class_gain(mdp, solution.policy, cls) for cls in classes]
-    constant = max(gains) - min(gains) <= tol
+    gains = class_gains(mdp, solution.policy, classes) if len(classes) > 1 else []
     return GainFindings(residual=residual, residual_ok=residual <= tol,
-                        class_gains=gains, constant_gain=constant,
+                        class_gains=gains, constant_gain=len(set(gains)) <= 1,
                         n_recurrent_classes=len(classes))
 
 
@@ -448,11 +443,11 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP) -> BruteForceResult:
     that the actions fixed so far reach, so each closed set with its actions
     is evaluated once.  Every (state, action) row is laid out once as a
     dense integer row over the closure, and a closed set is the tuple of its
-    rows' indices; the sets of one size stack as one int array, whose
-    systems are gathered from those rows and evaluated in one
-    `linalg.chain_average` call.  The policy returned is the first optimal
-    one in lexicographic order: action 0 wherever the optimal set does not
-    reach.
+    rows' indices.  The sets of one size stack, in order, as int arrays of
+    at most `_GATHER_ENTRIES` gathered weights (or one set), each evaluated
+    in one `linalg.chain_average` call.  The policy returned is the first
+    optimal one in lexicographic order: action 0 wherever the optimal set
+    does not reach.
     """
     reach = reachable_closure(mdp, mdp.special_state)
     pos = {s: k for k, s in enumerate(reach)}
@@ -490,12 +485,16 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP) -> BruteForceResult:
         closed.setdefault(len(fixed), []).append(fixed)
     gains: list[Fraction] = []
     rows = []    # the sets' pairs, size by size
-    for sets in closed.values():
-        pairs = np.array(sets, dtype=np.int64)
-        where = at[pairs]
-        gains += linalg.chain_average(linalg.DenseRows(
-            table.scale[pairs], table.weight[pairs[:, :, None], where[:, None, :]],
-            table.cost[pairs]))
+    for n, sets in closed.items():
+        step = max(1, _GATHER_ENTRIES // n ** 2)
+        for i in range(0, len(sets), step):
+            pairs = np.array(sets[i:i + step], dtype=np.int64)
+            weight = table.weight[pairs[:, :, None], at[pairs][:, None, :]]
+            try:
+                gains += linalg.chain_average(
+                    linalg.DenseRows(table.scale[pairs], weight, table.cost[pairs]))
+            except linalg.SingularSystem as err:    # named among its size's sets
+                raise linalg.SingularSystem(i + err.index, err.classes) from None
         rows += sets
     # Float division of ints rounds correctly, so it keeps the order of the
     # gains: every exact minimum has the least float, and only the few sets

@@ -71,6 +71,7 @@ def test_simulate_usage_errors(tmp_path):
 
 
 @pytest.mark.parametrize("extra, reason", [
+    (["--T", "0"], "--T must be >= 1"),
     (["--warmup", "-5"], "--warmup must be >= 0"),
     (["--rates", "5:x"], "bad --rates '5:x'"),
     (["--rates", "5,x"], "bad --rates '5,x'"),
@@ -293,3 +294,19 @@ def test_solve_exact_multichain(tmp_path, capsys):
                  "--out", str(tmp_path / "s.json")])
     assert code == 1
     assert "2 recurrent classes" in capsys.readouterr().err
+
+
+def test_solve_exact_refuses_classes_a_float_tolerance_cannot_tell_apart(tmp_path, capsys):
+    # The multichain fixture with grid costs 1 and 1 + 10**-13: value
+    # iteration converges at once, and only exact class gains differ.
+    with open(MULTICHAIN) as fh:
+        doc = json.load(fh)
+    doc["grid"]["cost"] = [[1, "10000000000001/10000000000000"]]
+    scenario = tmp_path / "near.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "s.json"
+    assert main(["solve-exact", "--scenario", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "constant-gain failure" in err
+    assert "classes=2 gains=['1', '10000000000001/10000000000000']" in err
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargesched import linalg
+from chargesched import exactdp, linalg
 from chargesched.core import (EMPTY, ActionVector, PenaltyFunction, SystemState,
                               VehicleState, settle_stage, step_tables)
 from chargesched.exactdp import (BRUTE_FORCE_LIMIT, BruteForceResult, DPSolution,
@@ -204,6 +205,28 @@ def test_multichain_fixture_fails_checks():
     assert sorted(float(g) for g in findings.class_gains) == [0.0, 1.0]
 
 
+def _near_multichain_fixture():
+    """`multichain_fixture` with grid costs 1 and 1 + 10**-13: two recurrent
+    classes whose gains differ by less than any float tolerance."""
+    sc = multichain_fixture()
+    cost = TableCost(((ONE, 1 + Fraction(1, 10**13)),))
+    return dataclasses.replace(sc, grid=dataclasses.replace(sc.grid, cost=cost))
+
+
+def test_constant_gain_check_is_exact_across_classes(tiny_solution):
+    mdp = enumerate_mdp(_near_multichain_fixture())
+    sol = relative_value_iteration(mdp)    # the span meets 1e-12 at once
+    findings = verify_constant_gain(mdp, sol, tol=1e-10)
+    assert findings.residual_ok and findings.n_recurrent_classes == 2
+    assert not findings.constant_gain and not findings.ok
+    assert sorted(findings.class_gains) == [1, Fraction(10000000000001, 10000000000000)]
+    assert all(type(g) is Fraction for g in findings.class_gains)
+    # One recurrent class: constant by structure, with no class gain solved.
+    _, mdp, sol = tiny_solution
+    findings = verify_constant_gain(mdp, sol, tol=1e-10)
+    assert (findings.class_gains, findings.constant_gain) == ([], True)
+
+
 def test_projection_on_compliant_policy_is_identity(tiny_solution):
     _, mdp, sol = tiny_solution
     assert compliance_violations(mdp, sol.policy) == 0
@@ -312,22 +335,51 @@ def test_brute_force_refuses_several_closed_classes():
         exact_policy_gain(mdp, [0, 0, 0])
 
 
-def test_brute_force_names_the_classes_of_a_later_closed_set():
+def _later_singular_mdp():
     # The anchor's last action keeps it in place, its second leads into the
     # cycle 3 <-> 4 and its first to absorbing state 1 or 2: the search
     # evaluates {0}, then {0, 3, 4}, and only then the set with two closed
     # classes, which is not the first of its size either.
     half, one = Fraction(1, 2), Fraction(1)
     idle = [ActionVector(())]
-    mdp = EnumeratedMDP(
+    return EnumeratedMDP(
         scenario=None, states=[SystemState((), s, 0) for s in range(5)], index={},
         actions=[idle * 3] + [idle] * 4,
         costs=[[Fraction(0)] * 3] + [[Fraction(s)] for s in range(1, 5)],
         transitions=[[[(1, half), (2, half)], [(3, one)], [(0, one)]],
                      [[(1, one)]], [[(2, one)]], [[(4, one)]], [[(3, one)]]],
         special_state=0)
+
+
+def test_brute_force_names_the_classes_of_a_later_closed_set():
     with pytest.raises(ValueError, match="2 closed classes"):
-        brute_force_optimal_gain(mdp)
+        brute_force_optimal_gain(_later_singular_mdp())
+
+
+@pytest.mark.parametrize("entries", [320, 1])
+def test_brute_force_in_small_chunks_gives_the_same_answer(tiny_solution, monkeypatch,
+                                                          entries):
+    _, mdp, _ = tiny_solution
+    whole = brute_force_optimal_gain(mdp)
+    with pytest.raises(linalg.SingularSystem) as one_call:
+        brute_force_optimal_gain(_later_singular_mdp())
+    calls = []
+    real = linalg.chain_average
+    monkeypatch.setattr(linalg, "chain_average",
+                        lambda rows: calls.append(rows.weight.shape) or real(rows))
+    monkeypatch.setattr(exactdp, "_GATHER_ENTRIES", entries)
+    chunked = brute_force_optimal_gain(mdp)
+    assert chunked == whole    # gain, policy dict and counts
+    assert (chunked.gain, chunked.n_policies, chunked.n_evaluations) == (
+        Fraction(35, 104), 65536, 1096)
+    # Each call gathers at most the budget, or one set where a set exceeds
+    # it, and some size takes several calls.
+    assert all(k * n * n <= max(entries, n * n) for k, n, _ in calls)
+    assert len(calls) > len({n for _, n, _ in calls})
+    # A singular set is still named by its index among the sets of its size.
+    with pytest.raises(linalg.SingularSystem) as chunked_call:
+        brute_force_optimal_gain(_later_singular_mdp())
+    assert str(chunked_call.value) == str(one_call.value)
 
 
 @given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=5), min_size=1, max_size=8))
@@ -570,6 +622,30 @@ def test_brute_force_matches_the_reference(sc):
             brute_force_optimal_gain(mdp)
         return
     assert brute_force_optimal_gain(mdp) == expected
+
+
+def test_iid_uniform_grid_matches_its_explicit_uniform_kernel():
+    # The iid grid has no kernel: GridModel.row, special_state and
+    # initial_distribution each answer without one.
+    sc = two_charger_scenario()
+    uniform = ((HALF, HALF),) * (sc.num_chargers + 1)
+    mdps, gains = [], []
+    for grid in (GridModel(values=sc.grid.values, kernel=None, cost=sc.grid.cost,
+                           iid_uniform=True),
+                 GridModel(values=sc.grid.values, kernel=(uniform,) * 2,
+                           cost=sc.grid.cost)):
+        assert grid.special_state() == 0
+        assert grid.initial_distribution == (HALF, HALF)
+        mdp = enumerate_mdp(dataclasses.replace(sc, grid=grid, initial_grid=None))
+        sol = relative_value_iteration(mdp)
+        gains.append((exact_policy_gain(mdp, sol.policy),
+                      brute_force_optimal_gain(mdp).gain))
+        mdps.append(mdp)
+    iid, explicit = mdps
+    assert iid.n_states == 12 and iid.special_state == explicit.special_state == 0
+    assert (iid.states, iid.actions, iid.costs, iid.transitions) == (
+        explicit.states, explicit.actions, explicit.costs, explicit.transitions)
+    assert gains == [(Fraction(5, 12),) * 2] * 2
 
 
 def test_enumeration_finds_the_special_state_once(monkeypatch):

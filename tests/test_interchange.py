@@ -1,12 +1,15 @@
 import dataclasses
 import itertools
+import json
+import os
 import sys
 import threading
 from fractions import Fraction
 
 import pytest
 
-from chargesched import streams
+from chargesched import interchange, streams
+from chargesched.cli import main
 from chargesched.core import (ActionVector, PenaltyFunction, SystemState,
                               VehicleState, vehicle_type)
 from chargesched.interchange import (AggregateMismatchError, DominanceReport,
@@ -281,6 +284,42 @@ def test_map_action_keeps_the_base_action_where_nothing_swaps():
              roll.swapped_stage_costs, roll.swap_back_at)
             == (again.base_total, again.swapped_total, again.base_stage_costs,
                 again.swapped_stage_costs, again.swap_back_at))
+
+
+def test_certify_counts_identity_and_equality_failures(monkeypatch, tmp_path):
+    # Alter the first g-empty case's shortfalls, so the identity rho' = rho
+    # + (1, -1) fails, and the first g-nonempty case's swapped total, so the
+    # totals differ although the window swapped back.
+    real, altered = interchange.coupled_rollout, {}
+
+    def tampered(*args, traj, **kwargs):
+        roll = real(*args, traj=traj, **kwargs)
+        if roll.g_empty and True not in altered:
+            altered[True] = traj
+            return dataclasses.replace(roll, swapped_shortfalls=roll.base_shortfalls)
+        if roll.g_empty is False and False not in altered:
+            altered[False] = traj
+            return dataclasses.replace(roll, swapped_total=roll.base_total - 1)
+        return roll
+
+    monkeypatch.setattr(interchange, "coupled_rollout", tampered)
+    sc = capacity_scenario(20, "linear")
+    rep = certify_dominance(sc, make_policy("edf", sc), n_cases=6, seed=9)
+    assert (rep.shortfall_identity_failures, rep.equality_failures) == (1, 1)
+    assert not rep.ok
+    assert rep.strict + rep.equal == 4 and rep.g_empty_cases + rep.g_nonempty_cases == 6
+    bundles = {b["case"]: b for b in rep.counterexamples}
+    assert sorted(bundles) == sorted(altered.values())
+    unequal = bundles[altered[False]]
+    assert Fraction(unequal["base_total"]) - Fraction(unequal["swapped_total"]) == 1
+    altered.clear()
+    out = tmp_path / "report.json"
+    scenario = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                            "capacity_benchmark.json")
+    assert main(["verify-dominance", "--scenario", scenario, "--cases", "6",
+                 "--seed", "9", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert (doc["shortfall_identity_failures"], doc["equality_failures"]) == (1, 1)
 
 
 def test_certify_quadratic_classifies_cases():

@@ -251,6 +251,26 @@ def test_chain_average_leaves_int64_when_products_would_overflow():
     assert abs(expected.numerator) > 2**63
 
 
+def test_chain_average_keeps_rows_past_int64_as_python_ints():
+    # State 0 steps to state 1 with probability p and state 1 back with
+    # probability 1/2; paying 1 in state 1, the average is pi(1) = p / (p + 1/2).
+    # With p = 1 / (2**70 + 1) the first row's scale passes int64, so `dense`
+    # falls back to Python ints: the batch stacks as objects, the other two
+    # chains are swept and that one is lifted.
+    half = Fraction(1, 2)
+
+    def chain(p):
+        return _rows([[1 - p, p], [half, half]], [0, 1])
+
+    steps = [Fraction(1, 3), Fraction(1, 2**70 + 1), Fraction(2, 7)]
+    dense = [linalg.dense(chain(p).items(), {0: 0, 1: 1}) for p in steps]
+    assert [d.weight.dtype.kind for d in dense] == ["i", "O", "i"]
+    assert dense[1].scale.tolist() == [2**70 + 1, 2]
+    gains = linalg.chain_average([chain(p) for p in steps])
+    assert gains == [p / (p + half) for p in steps]
+    assert gains[1] == Fraction(2, 2**70 + 3)
+
+
 def _determinant(rows):
     """The determinant of the integer equations `chain_average` solves for
     `rows`, whose states are 0, ..., n - 1: scale times (identity - P), with

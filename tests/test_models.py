@@ -9,9 +9,9 @@ import pytest
 from chargesched import models, streams
 from chargesched.core import PenaltyFunction, VehicleState
 from chargesched.models import (DemandModel, FixedCountArrivals, GridModel,
-                                ScenarioModel, TableCost, TabulatedArrivals,
-                                admit, capacity_scenario, draw_initial,
-                                initial_states, load_scenario,
+                                QuadraticLoadCost, ScenarioModel, TableCost,
+                                TabulatedArrivals, admit, capacity_scenario,
+                                draw_initial, initial_states, load_scenario,
                                 multichain_fixture, sample_demand, sample_grid,
                                 sample_index, save_scenario, scenario_from_json,
                                 scenario_to_json, two_charger_scenario,
@@ -250,15 +250,22 @@ def test_demand_ergodicity_pins_the_period(kernel, period):
         assert models._period([list(r) for r in kernel]) == period
 
 
+def _quadratic_load_scenario():
+    sc = two_charger_scenario()
+    return dataclasses.replace(sc, grid=dataclasses.replace(
+        sc.grid, cost=QuadraticLoadCost(base_loads=sc.grid.values)))
+
+
 def test_json_roundtrip(tmp_path):
     for sc in (capacity_scenario(13, "quadratic"), two_charger_scenario(),
-               multichain_fixture()):
+               multichain_fixture(), _quadratic_load_scenario()):
         path = tmp_path / "sc.json"
         save_scenario(sc, path)
         back = load_scenario(path)
         assert back.num_chargers == sc.num_chargers
         assert back.grid.values == sc.grid.values
         assert back.grid.kernel == sc.grid.kernel
+        assert back.grid.cost == sc.grid.cost
         assert back.demand.kernel == sc.demand.kernel
         assert back.penalty.values == sc.penalty.values
         assert back.demand.arrivals == sc.demand.arrivals
