@@ -71,7 +71,6 @@ def test_simulate_usage_errors(tmp_path):
 
 
 @pytest.mark.parametrize("extra, reason", [
-    (["--T", "0"], "--T must be >= 1"),
     (["--warmup", "-5"], "--warmup must be >= 0"),
     (["--rates", "5:x"], "bad --rates '5:x'"),
     (["--rates", "5,x"], "bad --rates '5,x'"),
@@ -82,6 +81,7 @@ def test_simulate_usage_errors(tmp_path):
     # A repeated cell would run twice and write the same CSV row twice.
     (["--rates", "5,5"], "repeated arrival rate in (5, 5)"),
     (["--policies", "edf,edf"], "repeated policy in ('edf', 'edf')"),
+    (["--T", "0"], "--T must be >= 1"),
 ])
 def test_simulate_bad_option_exits_2(tmp_path, capsys, extra, reason):
     out = tmp_path / "x.csv"
