@@ -2,9 +2,11 @@
 
 Exit codes are fixed for CI use: 0 on success, 1 when a verification or
 runtime step fails (a dominance counterexample, non-convergence, a
-constant-gain failure), 2 on configuration errors.  Every run echoes its fully
-resolved configuration to stderr; re-running that configuration reproduces the
-output files byte for byte, because all randomness flows from --seed.
+constant-gain failure, an exact solve that does not converge), 2 on
+configuration errors and on an exact solve too large to attempt.  Every run
+echoes its fully resolved configuration to stderr; re-running that
+configuration reproduces the output files byte for byte, because all
+randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import os
 import sys
 
-from . import exactdp, interchange, models, montecarlo
+from . import exactdp, interchange, linalg, models, montecarlo
 from .policies import make_policy
 
 EXIT_OK = 0
@@ -211,10 +213,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, linalg.SystemTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (interchange.AggregateMismatchError, RuntimeError) as exc:
+    except (interchange.AggregateMismatchError, RuntimeError, linalg.LiftError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -17,11 +17,12 @@ There is one float path and one exact path.  Everything in floating point
 reads `EnumeratedMDP._flat` (stage costs and a pairs x states sparse
 matrix); every exact gain is `linalg.chain_average` of the rows
 `_integer_row` scales to integers: one fraction-free int64 sweep over a batch
-of systems, and p-adic lifting with an exact residual check for a system
+of systems, and dyadic lifting with an exact residual check for a system
 whose sweep would overflow int64.  Brute force lays out each (state, action)
-row once, densely over the states it searches, and evaluates the closed
-sets of one size in calls of bounded size.  A set with several closed
-classes has no one gain, and `linalg.SingularSystem` counting them propagates.
+row once, densely over the states it searches, evaluates the closed sets of
+one size in `linalg.chain_ratios` calls of bounded size, and ranks their
+gains as integer pairs.  A set with several closed classes has no one gain,
+and `linalg.SingularSystem` counting them propagates.
 
 Enumeration runs fleet by fleet.  Each (fleet, action) is settled once by
 `core.settle_stage`, whose penalty and stepped fleet hold for all of the
@@ -55,7 +56,7 @@ from .policies import check_lllp_compliance
 
 DEFAULT_STATE_CEILING = 2_000_000
 BRUTE_FORCE_LIMIT = 5_000_000    # stationary deterministic policies
-_GATHER_ENTRIES = 1 << 22    # weights brute force gathers per chain_average call
+_GATHER_ENTRIES = 1 << 22    # weights brute force gathers per chain_ratios call
 
 
 class StateCeilingExceeded(ValueError):
@@ -445,7 +446,7 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP) -> BruteForceResult:
     dense integer row over the closure, and a closed set is the tuple of its
     rows' indices.  The sets of one size stack, in order, as int arrays of
     at most `_GATHER_ENTRIES` gathered weights (or one set), each evaluated
-    in one `linalg.chain_average` call.  The policy returned is the first
+    in one `linalg.chain_ratios` call.  The policy returned is the first
     optimal one in lexicographic order: action 0 wherever the optimal set
     does not reach.
     """
@@ -483,26 +484,25 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP) -> BruteForceResult:
                 stack.append((fixed + (p,), reached | mask, fixed_mask))
             continue
         closed.setdefault(len(fixed), []).append(fixed)
-    gains: list[Fraction] = []
+    ratios: list[tuple[int, int]] = []    # each set's gain as (numerator, denominator)
     rows = []    # the sets' pairs, size by size
     for n, sets in closed.items():
         step = max(1, _GATHER_ENTRIES // n ** 2)
         for i in range(0, len(sets), step):
             pairs = np.array(sets[i:i + step], dtype=np.int64)
             weight = table.weight[pairs[:, :, None], at[pairs][:, None, :]]
-            try:
-                gains += linalg.chain_average(
-                    linalg.DenseRows(table.scale[pairs], weight, table.cost[pairs]))
-            except linalg.SingularSystem as err:    # named among its size's sets
-                raise linalg.SingularSystem(i + err.index, err.classes) from None
+            ratios += linalg.chain_ratios(    # a set named among its size's sets
+                linalg.DenseRows(table.scale[pairs], weight, table.cost[pairs]),
+                range(i, i + len(pairs)))
         rows += sets
-    # Float division of ints rounds correctly, so it keeps the order of the
-    # gains: every exact minimum has the least float, and only the few sets
-    # that share it are compared as Fractions.
-    floats = [g.numerator / g.denominator for g in gains]
+    # Python's int / int rounds correctly, at any size (numpy's float
+    # division does not past 2**53), so it keeps the order of the gains:
+    # every exact minimum has the least float, and only the few sets that
+    # share it become Fractions.
+    floats = [num / den for num, den in ratios]
     low = min(floats)
-    ties = [i for i, f in enumerate(floats) if f == low]
-    gain = min(gains[i] for i in ties)
+    tied = {i: Fraction(*ratios[i]) for i, f in enumerate(floats) if f == low}
+    gain = min(tied.values())
 
     def assignment(fixed: tuple[int, ...]) -> list[int]:
         actions = [0] * len(reach)
@@ -511,10 +511,10 @@ def brute_force_optimal_gain(mdp: EnumeratedMDP) -> BruteForceResult:
             actions[k] = p - first[k]
         return actions
 
-    best = min(assignment(rows[i]) for i in ties if gains[i] == gain)
+    best = min(assignment(rows[i]) for i, g in tied.items() if g == gain)
     return BruteForceResult(
         gain=gain, policy={s: a for s, a in zip(reach, best)},
-        n_policies=total, n_evaluations=len(gains))
+        n_policies=total, n_evaluations=len(ratios))
 
 
 # ---------------------------------------------------------------------------

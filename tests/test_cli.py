@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from chargesched import linalg
 from chargesched.cli import main
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -296,17 +297,46 @@ def test_solve_exact_multichain(tmp_path, capsys):
     assert "2 recurrent classes" in capsys.readouterr().err
 
 
-def test_solve_exact_refuses_classes_a_float_tolerance_cannot_tell_apart(tmp_path, capsys):
+def _near_multichain(tmp_path):
     # The multichain fixture with grid costs 1 and 1 + 10**-13: value
-    # iteration converges at once, and only exact class gains differ.
+    # iteration converges at once, and only exact class gains differ.  The
+    # scale 10**13 sends each class's equations to lifting.
     with open(MULTICHAIN) as fh:
         doc = json.load(fh)
     doc["grid"]["cost"] = [[1, "10000000000001/10000000000000"]]
     scenario = tmp_path / "near.json"
     scenario.write_text(json.dumps(doc))
+    return str(scenario)
+
+
+def test_solve_exact_refuses_classes_a_float_tolerance_cannot_tell_apart(tmp_path, capsys):
     out = tmp_path / "s.json"
-    assert main(["solve-exact", "--scenario", str(scenario), "--out", str(out)]) == 1
+    assert main(["solve-exact", "--scenario", _near_multichain(tmp_path),
+                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "constant-gain failure" in err
     assert "classes=2 gains=['1', '10000000000001/10000000000000']" in err
+    assert not out.exists()
+
+
+def test_solve_exact_exits_2_on_a_set_past_the_dense_limit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(linalg, "DENSE_LIMIT_BYTES", 8)
+    out = tmp_path / "s.json"
+    assert main(["solve-exact", "--scenario", _near_multichain(tmp_path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: a set of 1 states needs 24 bytes of dense equations" in err
+    assert not out.exists()
+
+
+def test_solve_exact_reports_a_lift_that_does_not_converge(tmp_path, capsys, monkeypatch):
+    # A factorisation of -m cannot contract: a failure, not a traceback.
+    # Class 0 costs 1 and is swept; class 1 costs 1 + 10**-13 and is lifted.
+    real = linalg._float_lu
+    monkeypatch.setattr(linalg, "_float_lu", lambda a: real(-a))
+    out = tmp_path / "s.json"
+    assert main(["solve-exact", "--scenario", _near_multichain(tmp_path),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "failure: set 1: one closed class, but dyadic lifting" in err
     assert not out.exists()

@@ -364,9 +364,9 @@ def test_brute_force_in_small_chunks_gives_the_same_answer(tiny_solution, monkey
     with pytest.raises(linalg.SingularSystem) as one_call:
         brute_force_optimal_gain(_later_singular_mdp())
     calls = []
-    real = linalg.chain_average
-    monkeypatch.setattr(linalg, "chain_average",
-                        lambda rows: calls.append(rows.weight.shape) or real(rows))
+    real = linalg.chain_ratios
+    monkeypatch.setattr(linalg, "chain_ratios",
+                        lambda rows, names: calls.append(rows.weight.shape) or real(rows, names))
     monkeypatch.setattr(exactdp, "_GATHER_ENTRIES", entries)
     chunked = brute_force_optimal_gain(mdp)
     assert chunked == whole    # gain, policy dict and counts
@@ -380,6 +380,18 @@ def test_brute_force_in_small_chunks_gives_the_same_answer(tiny_solution, monkey
     with pytest.raises(linalg.SingularSystem) as chunked_call:
         brute_force_optimal_gain(_later_singular_mdp())
     assert str(chunked_call.value) == str(one_call.value)
+
+
+def test_brute_force_makes_fractions_of_tied_sets_only(tiny_solution, monkeypatch):
+    # Brute force ranks its 1,096 sets by their integer gain pairs; only the
+    # sets that share the least float become Fractions, in either module.
+    _, mdp, _ = tiny_solution
+    made = []
+    for module in (exactdp, linalg):
+        monkeypatch.setattr(module, "Fraction", lambda *q: made.append(q) or Fraction(*q))
+    bf = brute_force_optimal_gain(mdp)
+    assert (bf.gain, bf.n_policies, bf.n_evaluations) == (Fraction(35, 104), 65536, 1096)
+    assert 1 <= len(made) < 10
 
 
 @given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=5), min_size=1, max_size=8))
@@ -529,13 +541,24 @@ def test_six_chargers_enumerate_far_below_the_lattice():
 
 def test_three_chargers_with_three_units_have_an_exact_gain():
     # The value-iteration policy's closure holds 500 states; its equations
-    # leave the int64 sweep at column 6, so the gain comes from p-adic
+    # leave the int64 sweep at column 6, so the gain comes from dyadic
     # lifting.
     mdp = enumerate_mdp(_generated_scenario(3, units=3))
     sol = relative_value_iteration(mdp)
     assert len(policy_closure(mdp, sol.policy, mdp.special_state)) == 500
     assert exact_policy_gain(mdp, sol.policy) == Fraction(
         479638327333388540993, 901027208327604496900)
+
+
+def test_four_chargers_with_three_units_have_an_exact_gain():
+    # The value-iteration policy's closure holds 898 of 1,524 states.  The
+    # p-adic lifting this solver replaced gave the same gain.
+    mdp = enumerate_mdp(_generated_scenario(4, units=3))
+    assert mdp.n_states == 1524
+    sol = relative_value_iteration(mdp)
+    assert len(policy_closure(mdp, sol.policy, mdp.special_state)) == 898
+    assert exact_policy_gain(mdp, sol.policy) == Fraction(
+        862070018456509307789380797, 1460750668588582915939472600)
 
 
 @st.composite

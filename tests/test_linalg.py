@@ -1,5 +1,7 @@
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,7 +110,7 @@ def test_chain_average_ignores_transient_states(chain):
 
 
 # Costs shifted by LIFTED put every scaled cost past 2**31, so the set leaves
-# the int64 sweep at its first column and is solved by p-adic lifting.
+# the int64 sweep at its first column and is solved by dyadic lifting.
 LIFTED = 2**41
 
 
@@ -271,44 +273,79 @@ def test_chain_average_keeps_rows_past_int64_as_python_ints():
     assert gains[1] == Fraction(2, 2**70 + 3)
 
 
-def _determinant(rows):
-    """The determinant of the integer equations `chain_average` solves for
-    `rows`, whose states are 0, ..., n - 1: scale times (identity - P), with
-    the scale in the last column."""
-    n = len(rows)
-    m = []
-    for r, (scale, moves, _) in rows.items():
-        line = [Fraction(scale * (r == c)) for c in range(n)]
-        for y, w in moves:
-            line[y] -= w
-        line[n - 1] = Fraction(scale)
-        m.append(line)
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next(r for r in range(k, n) if m[r][k])
-        if pivot != k:
-            m[k], m[pivot], det = m[pivot], m[k], -det
-        det *= m[k][k]
-        for r in range(k + 1, n):
-            f = m[r][k] / m[k][k]
-            m[r] = [v - f * w for v, w in zip(m[r], m[k])]
-    return det
-
-
-def test_chain_average_skips_a_prime_that_divides_a_pivot(monkeypatch):
-    # The equations of this chain have the prime determinant 3391.  Listed
-    # first, 3391 leaves a column with no nonzero pivot, and the next prime
-    # must give the gain.
+def _lifted_chain():
+    """A 3-state chain with costs past LIFTED, so that it is lifted:
+    (rows, exact gain)."""
     p = []
     for r, d in enumerate((11, 13, 17)):
         weights = [(2 * r + c) % 3 + (c == (r + 1) % 3) for c in range(3)]
         weights[0] += d - sum(weights)
         p.append([Fraction(x, d) for x in weights])
     costs = [LIFTED + 5 * r for r in range(3)]
-    rows = _rows(p, costs)
-    assert _determinant(rows) == 3391
-    monkeypatch.setattr(linalg, "_PRIMES", (3391,) + linalg._PRIMES)
-    assert linalg.chain_average([rows]) == [_fraction_gain(p, costs)]
+    return _rows(p, costs), _fraction_gain(p, costs)
+
+
+def test_chain_average_names_a_lift_that_cannot_contract(monkeypatch):
+    # The factorisation of -m turns every step's digits the wrong way, so
+    # the residual doubles instead of shrinking.  The set has one closed
+    # class, so the graph check, run only now, finds no singular system.
+    rows, _ = _lifted_chain()
+    swept = {0: linalg.integer_row([(0, Fraction(1))], 3)}
+    real_lu, real_classes, checked = linalg._float_lu, linalg.closed_classes, []
+    monkeypatch.setattr(linalg, "_float_lu", lambda a: real_lu(-a))
+    monkeypatch.setattr(linalg, "closed_classes",
+                        lambda graph: checked.append(graph) or real_classes(graph))
+    with pytest.raises(linalg.LiftError, match="set 1: one closed class") as err:
+        linalg.chain_average([swept, rows])
+    assert isinstance(err.value, ArithmeticError) and err.value.index == 1
+    assert len(checked) == 1
+
+
+def test_lifting_a_nonsingular_set_reads_no_graph(monkeypatch):
+    def no_graph(graph):
+        raise AssertionError("closed_classes called")
+
+    monkeypatch.setattr(linalg, "closed_classes", no_graph)
+    rows, gain = _lifted_chain()
+    half = Fraction(1, 2)
+    past_int64 = _rows([[1 - Fraction(1, 2**70 + 1), Fraction(1, 2**70 + 1)], [half, half]],
+                       [0, 1])
+    assert linalg.chain_average([rows, past_int64]) == [gain, Fraction(2, 2**70 + 3)]
+
+
+def test_a_singular_float_factorisation_warns_nothing():
+    # Two absorbing states: a column of zeros, so LAPACK meets an exactly
+    # zero pivot.  It reports that in `info`; the set goes to the graph
+    # check, which counts two classes, and no LinAlgWarning is raised.
+    assert linalg._float_lu(np.array([[0.0, 1.0], [0.0, 1.0]])) is None
+    two_classes = {s: linalg.integer_row([(s, Fraction(1))], LIFTED + s) for s in (0, 1)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(linalg.SingularSystem) as err:
+            linalg.chain_average([two_classes])
+    assert err.value.classes == 2
+
+
+def test_chain_average_refuses_a_set_past_the_limit_before_building_it(monkeypatch):
+    def built(*args):
+        raise AssertionError("built a dense set")
+
+    half = Fraction(1, 2)
+    small = {0: linalg.integer_row([(0, half), (1, half)], 1),
+             1: linalg.integer_row([(0, Fraction(1))], 0)}
+    large = {s: linalg.integer_row([((s + 1) % 3, Fraction(1))], s) for s in range(3)}
+    assert linalg.chain_average([large]) == [1]
+    monkeypatch.setattr(linalg, "DENSE_LIMIT_BYTES", 8 * 3 * 7 - 1)
+    monkeypatch.setattr(linalg, "dense", built)
+    monkeypatch.setattr(linalg, "_equations", built)
+    for systems in ([small, large], linalg.DenseRows(
+            np.ones((1, 3), dtype=np.int64), np.zeros((1, 3, 3), dtype=np.int64),
+            np.zeros((1, 3), dtype=np.int64))):
+        with pytest.raises(linalg.SystemTooLarge,
+                           match="a set of 3 states needs 168 bytes") as err:
+            linalg.chain_average(systems)
+        assert (err.value.n, err.value.needed) == (3, 168)
+        assert isinstance(err.value, ValueError)
 
 
 def test_chain_average_names_the_failing_set_and_a_state_outside_its_set():
