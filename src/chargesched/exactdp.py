@@ -362,12 +362,13 @@ def _integer_row(mdp: EnumeratedMDP, s: int, a: int) -> linalg.IntegerRow:
 
 
 def class_gains(mdp: EnumeratedMDP, policy: Sequence[int],
-                classes: list[list[int]]) -> list[Fraction]:
-    """Exact average cost of `policy` on each of the closed classes
-    `classes`, in one `linalg.chain_average` call: a class is closed and is
-    its own one closed class, so its equations are never singular."""
-    return linalg.chain_average([{s: _integer_row(mdp, s, policy[s]) for s in cls}
-                                 for cls in classes])
+                sets: list[list[int]]) -> list[Fraction]:
+    """Exact average cost of `policy` on each of the closed sets `sets`, in
+    one `linalg.chain_average` call.  A set may hold transient states; a
+    recurrent class is its own one closed class, and a set with several
+    raises `linalg.SingularSystem`."""
+    return linalg.chain_average([{s: _integer_row(mdp, s, policy[s]) for s in states}
+                                 for states in sets])
 
 
 @dataclass
@@ -407,10 +408,8 @@ def policy_closure(mdp: EnumeratedMDP, policy: Sequence[int], start: int) -> lis
 def exact_policy_gain(mdp: EnumeratedMDP, policy: Sequence[int]) -> Fraction:
     """Exact average cost of a stationary policy started at the special state
     (under the unichain assumptions this is its gain from every state):
-    the average over the closure of the special state."""
-    rows = {s: _integer_row(mdp, s, policy[s])
-            for s in policy_closure(mdp, policy, mdp.special_state)}
-    (gain,) = linalg.chain_average([rows])
+    `class_gains` of the closure of the special state."""
+    (gain,) = class_gains(mdp, policy, [policy_closure(mdp, policy, mdp.special_state)])
     return gain
 
 

@@ -116,7 +116,7 @@ def _refuse_past_limit(n: int) -> None:
         raise SystemTooLarge(n, needed)
 
 
-def chain_average(systems: Sequence[Mapping[int, IntegerRow]] | DenseRows) -> list[Fraction]:
+def chain_average(systems: Sequence[Mapping[int, IntegerRow]]) -> list[Fraction]:
     """Long-run average cost of each chain in `systems`, in order: each on a
     closed set of states with one closed class (transient states allowed);
     `SingularSystem`, naming the set and counting its classes, with several.
@@ -125,11 +125,10 @@ def chain_average(systems: Sequence[Mapping[int, IntegerRow]] | DenseRows) -> li
     the chain moves from s to each target with probability weight / scale
     and pays scaled cost / scale.  ValueError names a state that moves
     outside its set, and `SystemTooLarge`, before any is built, a set past
-    `DENSE_LIMIT_BYTES`.  Sets of one size may come already stacked as
-    `DenseRows`, each set's states in its own order.  The gain g solves the
-    evaluation equations g + h(s) = c(s) + sum_y P(s, y) h(y) with h = 0 at
-    the last state (Puterman, "Markov Decision Processes", 1994, ch. 8),
-    which are nonsingular exactly when there is one closed class.
+    `DENSE_LIMIT_BYTES`.  The gain g solves the evaluation equations
+    g + h(s) = c(s) + sum_y P(s, y) h(y) with h = 0 at the last state
+    (Puterman, "Markov Decision Processes", 1994, ch. 8), which are
+    nonsingular exactly when there is one closed class.
 
     All sets of one size go through one batched int64 sweep.  A set stays in
     it while 2 a^2 < 2**63, a being the largest entry of its active block,
@@ -139,8 +138,6 @@ def chain_average(systems: Sequence[Mapping[int, IntegerRow]] | DenseRows) -> li
     exact: the sweep's arithmetic never wraps, and a lifted answer is taken
     only once it satisfies the equations in integers.
     """
-    if isinstance(systems, DenseRows):
-        return [Fraction(*q) for q in chain_ratios(systems)]
     gains: list[Fraction] = [Fraction(0)] * len(systems)
     by_size: dict[int, list[int]] = {}
     for i, rows in enumerate(systems):

@@ -80,9 +80,6 @@ class ChargingCost:
     def __call__(self, aggregate: int, grid_index: int) -> Fraction:
         raise NotImplementedError
 
-    def to_json(self):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class CapacityCost(ChargingCost):
@@ -91,20 +88,12 @@ class CapacityCost(ChargingCost):
     fleet could ever incur, so no sane policy exceeds capacity.  It holds
     nothing; `StagePrices` prices it from the scenario's grid and penalty."""
 
-    def to_json(self):
-        return "capacity"
-
 
 @dataclass(frozen=True)
 class QuadraticLoadCost(ChargingCost):
-    """Generation cost (A + s_value)^2 of the total net load."""
-    base_loads: tuple[int, ...]
-
-    def __call__(self, aggregate: int, grid_index: int) -> Fraction:
-        return Fraction((aggregate + self.base_loads[grid_index]) ** 2)
-
-    def to_json(self):
-        return "quadratic"
+    """Generation cost (A + b)^2 of the total net load, b being the grid
+    state's value, its base load.  It holds nothing; `StagePrices` prices it
+    from the scenario's grid."""
 
 
 @dataclass(frozen=True)
@@ -114,9 +103,6 @@ class TableCost(ChargingCost):
 
     def __call__(self, aggregate: int, grid_index: int) -> Fraction:
         return self.table[aggregate][grid_index]
-
-    def to_json(self):
-        return [[str(c) if c.denominator != 1 else int(c) for c in row] for row in self.table]
 
 
 # ---------------------------------------------------------------------------
@@ -350,46 +336,48 @@ class StagePrices(dict):
     """A scenario's stage costs as integers in units of 1/L, where L
     (``unit``) is the least common denominator of the penalty table and the
     charging costs.  Keys are (aggregate, grid state) and values the charging
-    cost, each priced on first use and kept, except a capacity price (0 up to
-    the grid value, ``ceiling`` = N * q(E) beyond it), which is never stored.
-    ``q`` is the penalty table and ``bound`` the largest charge magnitude, in
-    units, and ``steps`` its `core.step_tables`.  Sums of these stay Python
-    ints, so no total wraps."""
+    cost.  A capacity price (0 up to the grid value, ``ceiling`` = N * q(E)
+    beyond it) is computed per lookup and never stored; every other entry is
+    priced once, here: (A + value)^2 of the grid state's value for a
+    quadratic load, one call of any other form.  ``q`` is the penalty table
+    and ``bound`` the largest charge magnitude, in units, and ``steps`` its
+    `core.step_tables`.  Sums of these stay Python ints, so no total wraps."""
 
     def __init__(self, scenario: "ScenarioModel"):
         super().__init__()
-        cost = self.cost = scenario.grid.cost
-        self.shape = (scenario.num_chargers + 1, scenario.grid.state_count)
+        cost, values = scenario.grid.cost, scenario.grid.values
+        self.shape = (scenario.num_chargers + 1, len(values))
         # Charges that cover every entry's denominator and bound its magnitude.
         capacity = isinstance(cost, CapacityCost)
         if capacity:
             charges = [scenario.num_chargers * scenario.penalty(scenario.max_units)]
         else:
-            charges = [Fraction(cost(a, s)) for a in range(self.shape[0])
-                       for s in range(self.shape[1])]
+            keys = [(a, s) for a in range(self.shape[0]) for s in range(self.shape[1])]
+            if isinstance(cost, QuadraticLoadCost):
+                cost = lambda a, s: (a + values[s]) ** 2
+            charges = [Fraction(cost(a, s)) for a, s in keys]
         q = scenario.penalty.values
         unit = self.unit = math.lcm(*(c.denominator for c in (*q, *charges)))
         self.q = tuple(int(v * unit) for v in q)
         self.steps = step_tables(self.q)
         self.bound = int(max(map(abs, charges)) * unit)
         self.ceiling = int(charges[0] * unit) if capacity else None
-        self.capacities = scenario.grid.values
+        self.capacities = values
+        if not capacity:
+            self.update(zip(keys, (c.numerator * (unit // c.denominator) for c in charges)))
 
     def __missing__(self, key: tuple[int, int]) -> int:
-        if self.ceiling is not None:
-            return 0 if key[0] <= self.capacities[key[1]] else self.ceiling
-        c = Fraction(self.cost(*key))
-        units = self[key] = c.numerator * (self.unit // c.denominator)
-        return units
+        if self.ceiling is None:
+            raise KeyError(key)
+        return 0 if key[0] <= self.capacities[key[1]] else self.ceiling
 
     def table(self) -> np.ndarray:
         """Every charging cost in units as int64, indexed [aggregate, grid
         state]: the batch engine's copy."""
-        a = np.arange(self.shape[0])[:, None]
         if self.ceiling is not None:
+            a = np.arange(self.shape[0])[:, None]
             return np.where(a <= np.asarray(self.capacities), 0, self.ceiling)
-        return np.array([[self[k, s] for s in range(self.shape[1])]
-                         for k in range(self.shape[0])], dtype=np.int64)
+        return np.array(list(self.values()), dtype=np.int64).reshape(self.shape)
 
 
 @dataclass(frozen=True)
@@ -592,8 +580,6 @@ def multichain_fixture() -> ScenarioModel:
 
 def _resolve_penalty(penalty: str | PenaltyFunction, max_units: int) -> PenaltyFunction:
     if isinstance(penalty, PenaltyFunction):
-        if penalty.max_units != max_units:
-            raise ValueError("penalty table length must be E + 1")
         return penalty
     if penalty == "linear":
         return PenaltyFunction.linear(max_units)
@@ -651,11 +637,14 @@ def penalty_json(penalty: PenaltyFunction) -> str | list | dict:
 def scenario_to_json(scenario: ScenarioModel) -> dict:
     grid: dict = {"states": list(scenario.grid.values)}
     if scenario.grid.iid_uniform:
-        grid["iid_uniform"] = [scenario.grid.values[0], scenario.grid.values[-1]]
+        grid["iid_uniform"] = True
     else:
         grid["kernel"] = [[[_frac_json(p) for p in row] for row in pa]
                           for pa in scenario.grid.kernel]
-    grid["cost"] = scenario.grid.cost.to_json()
+    cost = scenario.grid.cost
+    grid["cost"] = ("capacity" if isinstance(cost, CapacityCost) else
+                    "quadratic" if isinstance(cost, QuadraticLoadCost) else
+                    [[_frac_json(c) for c in row] for row in cost.table])
 
     arrival_laws = []
     for law in scenario.demand.arrivals:
@@ -715,27 +704,30 @@ def scenario_from_json(doc: dict) -> ScenarioModel:
         pdoc = PenaltyFunction([_to_fraction(v) for v in pdoc])
     penalty = _resolve_penalty(pdoc, max_units)
 
-    iid = False
-    if "iid_uniform" in gdoc:
-        lo, hi = (_integer(v, "grid iid_uniform") for v in gdoc["iid_uniform"])
-        values = tuple(range(lo, hi + 1))
-        kernel = None
-        iid = True
-    else:
-        values = tuple(_integer(v, "grid states") for v in gdoc["states"])
-        kernel = tuple(
-            tuple(tuple(_to_fraction(p) for p in row) for row in pa)
-            for pa in gdoc["kernel"])
+    # An iid grid is `states` with "iid_uniform": true, or, in the older
+    # form, "iid_uniform": [lo, hi] for the states lo..hi.
+    listed = values = tuple(_integer(v, "grid states") for v in gdoc.get("states", ()))
+    iid = gdoc.get("iid_uniform", False)
+    if isinstance(iid, list):
+        lo, hi = (_integer(v, "grid iid_uniform") for v in iid)
+        values, iid = tuple(range(lo, hi + 1)), True
+    elif not isinstance(iid, bool):
+        raise ValueError(f"grid iid_uniform = {iid!r} is neither a flag nor [lo, hi]")
+    kernel = None if iid else tuple(tuple(tuple(_to_fraction(p) for p in row) for row in pa)
+                                    for pa in gdoc["kernel"])
 
     cdoc = gdoc["cost"]
     if cdoc == "capacity":
         cost: ChargingCost = CapacityCost()
     elif cdoc == "quadratic":
-        cost = QuadraticLoadCost(base_loads=values)
+        cost = QuadraticLoadCost()
     else:
         cost = TableCost(tuple(tuple(_to_fraction(c) for c in row) for row in cdoc))
 
     grid = GridModel(values=values, kernel=kernel, cost=cost, iid_uniform=iid)
+    if "states" in gdoc and listed != values:
+        raise ValueError(f"grid iid_uniform = {gdoc['iid_uniform']} names the states "
+                         f"{values[0]}..{values[-1]}, but grid states = {list(listed)}")
 
     dkernel = tuple(tuple(_to_fraction(p) for p in row) for row in ddoc["kernel"])
     if "states" in ddoc and _integer(ddoc["states"], "demand states") != len(dkernel):

@@ -234,6 +234,9 @@ def test_arrival_outside_the_type_grid_exits_2(tmp_path, capsys):
     (("arrival", "per_state"),
      [{"kind": "tabulated", "outcomes": [{"prob": 1, "vehicles": [[2, True]]}]}],
      "vehicle need = True is not an integer"),
+    # An iid range must name the states the file lists.
+    (("grid", "iid_uniform"), [2, 9],
+     "grid iid_uniform = [2, 9] names the states 2..9, but grid states = [0, 1]"),
 ])
 def test_scenario_shape_errors_exit_2(tmp_path, capsys, key, value, reason):
     with open(TINY) as fh:

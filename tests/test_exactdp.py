@@ -169,9 +169,9 @@ def _reference_brute_force(mdp):
     for sets in closed.values():
         at, acts = np.moveaxis(np.array(sets), 2, 0)
         pairs = first[at] + acts
-        gains = linalg.chain_average(linalg.DenseRows(
+        gains = [Fraction(*q) for q in linalg.chain_ratios(linalg.DenseRows(
             table.scale[pairs], table.weight[pairs[:, :, None], at[:, None, :]],
-            table.cost[pairs]))
+            table.cost[pairs]))]
         evaluated += zip(gains, sets)
 
     def assignment(fixed):
@@ -189,6 +189,30 @@ def _reference_brute_force(mdp):
 def test_brute_force_matches_the_reference_on_two_chargers(tiny_solution):
     _, mdp, _ = tiny_solution
     assert brute_force_optimal_gain(mdp) == _reference_brute_force(mdp)
+
+
+def _alternating_grid_scenario():
+    """No chargers and a grid that alternates between states costing 0 and
+    1: a periodic chain, on which plain value iteration never settles."""
+    zero = Fraction(0)
+    grid = GridModel(values=(0, 1), kernel=(((zero, ONE),), ((ONE, zero),)),
+                     cost=TableCost(((zero, ONE),)))
+    demand = DemandModel(kernel=((ONE,),), arrivals=(TabulatedArrivals(((ONE, ()),)),))
+    return ScenarioModel(name="alternating", num_chargers=0, max_stay=1, max_units=1,
+                         grid=grid, demand=demand, penalty=PenaltyFunction.linear(1),
+                         initial_grid=0, initial_demand=0)
+
+
+def test_value_iteration_damps_a_periodic_chain():
+    # The damped sweep, which starts after half the budget of 200,000
+    # sweeps, converges.
+    mdp = enumerate_mdp(_alternating_grid_scenario())
+    sol = relative_value_iteration(mdp)
+    assert sol.iterations == 113_805
+    assert exact_policy_gain(mdp, sol.policy) == HALF
+    assert verify_constant_gain(mdp, sol).ok
+    with pytest.raises(NonConvergenceError, match="within 2000 sweeps"):
+        relative_value_iteration(mdp, max_iter=2000)
 
 
 def test_multichain_fixture_fails_checks():

@@ -301,6 +301,19 @@ def test_chain_average_names_a_lift_that_cannot_contract(monkeypatch):
     assert len(checked) == 1
 
 
+def test_a_nearly_decomposable_chain_is_past_dyadic_lifting():
+    # Two 2-state blocks, each leaving for the other with probability 2**-60,
+    # form one closed class, but the float LU of its equations is too
+    # ill-conditioned for dyadic lifting to contract.  This is a known
+    # limit: a lift that solves it would return [_fraction_gain(p, costs)].
+    e, half = Fraction(1, 2**60), Fraction(1, 2)
+    p = [[half, half - e, e, 0], [half, half, 0, 0], [0, 0, half, half],
+         [e, 0, half, half - e]]
+    costs = [0, 1, 2, 3]
+    with pytest.raises(linalg.LiftError, match="set 0: one closed class"):
+        linalg.chain_average([_rows(p, costs)])
+
+
 def test_lifting_a_nonsingular_set_reads_no_graph(monkeypatch):
     def no_graph(graph):
         raise AssertionError("closed_classes called")
@@ -338,12 +351,14 @@ def test_chain_average_refuses_a_set_past_the_limit_before_building_it(monkeypat
     monkeypatch.setattr(linalg, "DENSE_LIMIT_BYTES", 8 * 3 * 7 - 1)
     monkeypatch.setattr(linalg, "dense", built)
     monkeypatch.setattr(linalg, "_equations", built)
-    for systems in ([small, large], linalg.DenseRows(
-            np.ones((1, 3), dtype=np.int64), np.zeros((1, 3, 3), dtype=np.int64),
-            np.zeros((1, 3), dtype=np.int64))):
+    stacked = linalg.DenseRows(np.ones((1, 3), dtype=np.int64),
+                               np.zeros((1, 3, 3), dtype=np.int64),
+                               np.zeros((1, 3), dtype=np.int64))
+    for solve in (lambda: linalg.chain_average([small, large]),
+                  lambda: linalg.chain_ratios(stacked)):
         with pytest.raises(linalg.SystemTooLarge,
                            match="a set of 3 states needs 168 bytes") as err:
-            linalg.chain_average(systems)
+            solve()
         assert (err.value.n, err.value.needed) == (3, 168)
         assert isinstance(err.value, ValueError)
 

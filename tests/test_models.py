@@ -1,10 +1,15 @@
+import collections
 import dataclasses
 import itertools
 import json
+import os
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargesched import models, streams
 from chargesched.core import PenaltyFunction, VehicleState
@@ -17,9 +22,10 @@ from chargesched.models import (DemandModel, FixedCountArrivals, GridModel,
                                 scenario_to_json, two_charger_scenario,
                                 with_arrival_rate, with_penalty)
 from chargesched.exactdp import validate_unichain_assumptions
-from test_exactdp import _two_demand_scenario
+from test_exactdp import _law_rows, _two_demand_scenario
 
 ONE = Fraction(1)
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def _point_mass_grid(n_actions=2):
@@ -252,8 +258,7 @@ def test_demand_ergodicity_pins_the_period(kernel, period):
 
 def _quadratic_load_scenario():
     sc = two_charger_scenario()
-    return dataclasses.replace(sc, grid=dataclasses.replace(
-        sc.grid, cost=QuadraticLoadCost(base_loads=sc.grid.values)))
+    return dataclasses.replace(sc, grid=dataclasses.replace(sc.grid, cost=QuadraticLoadCost()))
 
 
 def test_json_roundtrip(tmp_path):
@@ -269,6 +274,108 @@ def test_json_roundtrip(tmp_path):
         assert back.demand.kernel == sc.demand.kernel
         assert back.penalty.values == sc.penalty.values
         assert back.demand.arrivals == sc.demand.arrivals
+
+
+@st.composite
+def saved_scenarios(draw):
+    """Scenarios of every form a scenario file writes: iid grids on any
+    values, kernel grids, capacity, quadratic-load and table costs,
+    fixed-count and tabulated laws, one or two demand states, and pinned or
+    drawn initial states."""
+    n, b = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    e = draw(st.integers(b, 3))    # fixed-count arrivals request up to B <= E units
+    values = tuple(draw(st.lists(st.integers(0, 9), min_size=1, max_size=4)))
+    g = len(values)
+    iid = draw(st.booleans())
+    kernel = None if iid else tuple(tuple(draw(_law_rows(g)) for _ in range(n + 1))
+                                    for _ in range(g))
+    cost = draw(st.sampled_from([models.CapacityCost(), QuadraticLoadCost(), TableCost(
+        tuple(tuple(Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 3)))
+                    for _ in range(g)) for _ in range(n + 1)))]))
+    vehicles = st.builds(VehicleState, st.integers(1, b), st.integers(0, e))
+    tabulated = st.lists(st.lists(vehicles, max_size=2).map(tuple), min_size=1, max_size=3
+                         ).flatmap(lambda batches: _law_rows(len(batches)).map(
+                             lambda probs: TabulatedArrivals(tuple(zip(probs, batches)))))
+    d = draw(st.integers(1, 2))
+    laws = tuple(draw(st.one_of(st.builds(FixedCountArrivals, st.integers(0, 3)), tabulated))
+                 for _ in range(d))
+    increments = sorted(draw(st.lists(st.integers(0, 3), min_size=e, max_size=e)))
+    penalty = draw(st.sampled_from([
+        PenaltyFunction.linear(e), PenaltyFunction.quadratic(e),
+        PenaltyFunction(list(itertools.accumulate([0] + increments))),
+        PenaltyFunction(list(itertools.accumulate([0] + increments[::-1])),
+                        require_convex=False)]))
+    return ScenarioModel(
+        name=draw(st.text("ab-_ 1", max_size=6)), num_chargers=n, max_stay=b, max_units=e,
+        grid=GridModel(values=values, kernel=kernel, cost=cost, iid_uniform=iid),
+        demand=DemandModel(kernel=tuple(draw(_law_rows(d)) for _ in range(d)), arrivals=laws),
+        penalty=penalty, initial_grid=draw(st.none() | st.integers(0, g - 1)),
+        initial_demand=draw(st.none() | st.integers(0, d - 1)))
+
+
+def _saved_and_loaded(sc, path):
+    save_scenario(sc, path)
+    return load_scenario(path)
+
+
+@settings(deadline=None, max_examples=150)
+@given(saved_scenarios())
+def test_a_saved_scenario_loads_back_unchanged(tmp_path_factory, sc):
+    assert _saved_and_loaded(sc, tmp_path_factory.mktemp("sc") / "sc.json") == sc
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(SCENARIOS) if f.endswith(".json")))
+def test_every_scenario_file_loads_saves_and_loads_back_equal(tmp_path, name):
+    sc = load_scenario(os.path.join(SCENARIOS, name))
+    assert _saved_and_loaded(sc, tmp_path / name) == sc
+
+
+def test_an_iid_grid_states_its_values_once():
+    # Values (2, 4, 9), not the range 2..9; a quadratic-load price reads them.
+    sc = dataclasses.replace(two_charger_scenario(), grid=GridModel(
+        values=(2, 4, 9), kernel=None, cost=QuadraticLoadCost(), iid_uniform=True))
+    doc = scenario_to_json(sc)
+    assert doc["grid"] == {"states": [2, 4, 9], "iid_uniform": True, "cost": "quadratic"}
+    assert scenario_from_json(doc) == sc
+    assert [sc.prices[2, s] for s in range(3)] == [16, 36, 121]
+    # The older [lo, hi] form loads to the same scenario, with or without
+    # the states; a range that disagrees with them is refused.
+    contiguous = capacity_scenario(5, num_chargers=4, max_stay=3, capacity_range=(3, 6))
+    doc = scenario_to_json(contiguous)
+    for grid in ({"states": [3, 4, 5, 6], "iid_uniform": [3, 6]}, {"iid_uniform": [3, 6]}):
+        doc["grid"] = {**grid, "cost": "capacity"}
+        assert scenario_from_json(doc) == contiguous
+    doc["grid"] = {"states": [3, 5, 6], "iid_uniform": [3, 6], "cost": "capacity"}
+    with pytest.raises(ValueError, match=re.escape(
+            "grid iid_uniform = [3, 6] names the states 3..6, but grid states = [3, 5, 6]")):
+        scenario_from_json(doc)
+    doc["grid"]["iid_uniform"] = "yes"
+    with pytest.raises(ValueError, match="grid iid_uniform = 'yes' is neither a flag"):
+        scenario_from_json(doc)
+
+
+class _CountingCost(models.ChargingCost):
+    """A table cost that counts its calls by entry."""
+
+    def __init__(self, table):
+        self.table, self.calls = table, collections.Counter()
+
+    def __call__(self, aggregate, grid_index):
+        self.calls[aggregate, grid_index] += 1
+        return self.table[aggregate][grid_index]
+
+
+def test_stage_prices_call_a_cost_form_once_per_entry():
+    sc = two_charger_scenario()    # N = 2, G = 2
+    cost = _CountingCost(sc.grid.cost.table)
+    sc = dataclasses.replace(sc, grid=dataclasses.replace(sc.grid, cost=cost))
+    prices = sc.prices
+    table = prices.table()
+    assert table.tolist() == [[0, 0], [0, 1], [0, 2]]
+    assert [prices[a, s] for a in range(3) for s in range(2)] == table.ravel().tolist()
+    assert cost.calls == {(a, s): 1 for a in range(3) for s in range(2)}
+    with pytest.raises(KeyError):
+        prices[3, 0]
 
 
 def test_json_missing_key_rejected():

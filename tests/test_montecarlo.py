@@ -265,9 +265,10 @@ def test_coupled_rollout_totals_match_a_fraction_sum(scale):
 
 
 def _quadratic_scenario():
+    # The base loads are the grid values, here not in increasing order.
     sc = capacity_scenario(3, num_chargers=12, capacity_range=(1, 6))
-    cost = QuadraticLoadCost(base_loads=(-3, 0, 2, 5, 1, 4))
-    return dataclasses.replace(sc, grid=dataclasses.replace(sc.grid, cost=cost))
+    return dataclasses.replace(sc, grid=dataclasses.replace(
+        sc.grid, values=(0, 3, 5, 8, 4, 7), cost=QuadraticLoadCost()))
 
 
 class _StepCost(ChargingCost):
