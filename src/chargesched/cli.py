@@ -213,7 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, linalg.SystemTooLarge) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (interchange.AggregateMismatchError, RuntimeError, linalg.LiftError) as exc:

@@ -16,11 +16,11 @@ swap that the swapped action still attains the Bellman minimum.
 There is one float path and one exact path.  Everything in floating point
 reads `EnumeratedMDP._flat` (stage costs and a pairs x states sparse
 matrix); every exact gain is `linalg.chain_average` of the rows
-`_integer_row` scales to integers: one fraction-free int64 sweep over a batch
-of systems, and dyadic lifting with an exact residual check for a system
-whose sweep would overflow int64.  Brute force lays out each (state, action)
-row once, densely over the states it searches, evaluates the closed sets of
-one size in `linalg.chain_ratios` calls of bounded size, and ranks their
+`_integer_row` scales to integers: dyadic lifting of each set's equations
+from their nonzeros, with an exact residual check.  Brute force lays out
+each (state, action) row once, densely over the states it searches,
+evaluates the closed sets of one size in `linalg.chain_ratios` calls of
+bounded size (a fraction-free int64 sweep over each stack), and ranks their
 gains as integer pairs.  A set with several closed classes has no one gain,
 and `linalg.SingularSystem` counting them propagates.
 

@@ -2,24 +2,21 @@
 without floating error.
 
 One solver, `chain_average`, gives the long-run average cost of each chain in
-a batch.  Each row is scaled to integers (`integer_row`) and the systems of
-one size are stacked into one integer array.  One forward fraction-free sweep
-runs on all of them at once, dividing every update exactly by the previous
-pivot (Bareiss, "Sylvester's identity and multistep integer-preserving
-Gaussian elimination", Math. Comp. 1968), and keeps each set while every
-product it forms fits in int64.  A set whose next products would not fit
-leaves the sweep and is solved from its own integer rows by dyadic lifting
-(Wan, J. Symbolic Comput. 2006; Saunders, Wood and Youse, ISSAC 2011): one
-LAPACK LU of the rows in float64, then per step one float solve for the next
-k binary digits of the solution and an exact integer residual.  g, and then
+a list.  Each row is scaled to integers (`integer_row`), and each chain's
+evaluation equations are solved from their nonzeros by dyadic lifting (Wan,
+J. Symbolic Comput. 2006; Saunders, Wood and Youse, ISSAC 2011): one SuperLU
+factor of the rows in float64, then per step one float solve for the next k
+binary digits of the solution and an exact integer residual.  g, and then
 every unknown, is rebuilt from the digits by `Fraction.limit_denominator`,
-and the answer is taken only when it satisfies the equations exactly in
-integers.  The 500- and 832-state closures of the tests take 12-35 ms and
-33-50 ms each (p-adic lifting, before: 120-150 and 460-590 ms).  Only the
-gains become Fractions.  On an irreducible chain, pi(i) is the average of
-the cost that is 1 in state i and 0 elsewhere.  `reachable` and
-`closed_classes` read a chain's transition graph; `SingularSystem` counts
-the closed classes of a set that has several.
+and taken only when it satisfies the equations exactly in integers.  Brute
+force's many small sets go through `chain_ratios`: the sets of one size are
+stacked, and one forward fraction-free int64 sweep runs on all of them at
+once (Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 1968); a set whose products would not fit
+leaves it and is lifted.  Only the gains become Fractions.  On an irreducible
+chain, pi(i) is the average of the cost that is 1 in state i and 0 elsewhere.
+`reachable` and `closed_classes` read a chain's transition graph;
+`SingularSystem` counts the closed classes of a set that has several.
 """
 
 from __future__ import annotations
@@ -33,8 +30,8 @@ import numpy as np
 # One state's row for `chain_average`: (scale, [(target, weight)], scaled cost).
 IntegerRow = tuple[int, list[tuple[int, int]], int]
 
-# Bytes a set's dense int64 equations and float LU may take, 8 n (2n + 1)
-# for n states: about 8,000 states, with the solver's temporaries a few GB.
+# Bytes one set's dense int64 weights and equations in `chain_ratios` may
+# take, 8 n (2n + 1) for n states: about 8,000 states.
 DENSE_LIMIT_BYTES = 1 << 30
 
 
@@ -72,7 +69,7 @@ class LiftError(ArithmeticError):
 
     def __init__(self, index: int):
         super().__init__(f"set {index}: one closed class, but dyadic lifting "
-                         "on its float LU does not converge")
+                         "on its float factor does not converge")
         self.index = index
 
 
@@ -86,14 +83,11 @@ def integer_row(moves: Sequence[tuple[int, Fraction]], cost: Fraction | int) -> 
 
 def dense(rows: Iterable[tuple[int, IntegerRow]], pos: Mapping[int, int]) -> DenseRows:
     """The (state, row) pairs `rows` as `DenseRows`, with the weight towards
-    state y in column pos[y]; ValueError names a state that moves to a state
-    `pos` does not hold."""
+    state y in column pos[y]."""
     scale, weight, cost = [], [], []
-    for s, (sc, moves, c) in rows:
+    for _, (sc, moves, c) in rows:
         line = [0] * len(pos)
         for y, w in moves:
-            if y not in pos:
-                raise ValueError(f"state {s} moves to state {y}, outside its set")
             line[pos[y]] = w
         scale.append(sc)
         weight.append(line)
@@ -110,12 +104,6 @@ def _ints(values: list) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _refuse_past_limit(n: int) -> None:
-    needed = 8 * n * (2 * n + 1)
-    if needed > DENSE_LIMIT_BYTES:
-        raise SystemTooLarge(n, needed)
-
-
 def chain_average(systems: Sequence[Mapping[int, IntegerRow]]) -> list[Fraction]:
     """Long-run average cost of each chain in `systems`, in order: each on a
     closed set of states with one closed class (transient states allowed);
@@ -124,32 +112,19 @@ def chain_average(systems: Sequence[Mapping[int, IntegerRow]]) -> list[Fraction]
     Each set maps its states s to (scale, [(target, weight)], scaled cost):
     the chain moves from s to each target with probability weight / scale
     and pays scaled cost / scale.  ValueError names a state that moves
-    outside its set, and `SystemTooLarge`, before any is built, a set past
-    `DENSE_LIMIT_BYTES`.  The gain g solves the evaluation equations
+    outside its set.  The gain g solves the evaluation equations
     g + h(s) = c(s) + sum_y P(s, y) h(y) with h = 0 at the last state
     (Puterman, "Markov Decision Processes", 1994, ch. 8), which are
     nonsingular exactly when there is one closed class.
 
-    All sets of one size go through one batched int64 sweep.  A set stays in
-    it while 2 a^2 < 2**63, a being the largest entry of its active block,
-    and is otherwise solved on its own from its integer rows by dyadic
-    lifting; only if that fails does its transition graph count its closed
-    classes, and with one, `LiftError` says so.  Either way the gain is
-    exact: the sweep's arithmetic never wraps, and a lifted answer is taken
-    only once it satisfies the equations in integers.
+    Each set is lifted from its nonzeros; only if that fails does its
+    transition graph count its closed classes, and with one, `LiftError`
+    says so.  A lifted answer is taken only once it satisfies the equations
+    in integers, and any exact solution's g equals every closed class's gain:
+    a singularity the float factor misses can only return the classes'
+    common gain, never a wrong number.
     """
-    gains: list[Fraction] = [Fraction(0)] * len(systems)
-    by_size: dict[int, list[int]] = {}
-    for i, rows in enumerate(systems):
-        by_size.setdefault(len(rows), []).append(i)
-    _refuse_past_limit(max(by_size, default=0))    # the largest size, before any is built
-    for members in by_size.values():
-        sets = [dense(systems[i].items(), {s: k for k, s in enumerate(systems[i])})
-                for i in members]
-        found = chain_ratios(DenseRows(*map(np.stack, zip(*sets))), members)
-        for i, q in zip(members, found):
-            gains[i] = Fraction(*q)
-    return gains
+    return [Fraction(*_lifted(rows, i)) for i, rows in enumerate(systems)]
 
 
 def closed_classes(graph) -> list[list[int]]:
@@ -174,12 +149,41 @@ def reachable(graph, start: int) -> list[int]:
     return sorted(breadth_first_order(graph, start, return_predecessors=False).tolist())
 
 
+def _lifted(rows: Mapping[int, IntegerRow], name: int) -> tuple[int, int]:
+    """g of the set `rows` as ints (numerator, denominator), lifted from the
+    nonzeros of its equations: row k, times its scale, holds the coefficients
+    of h at the set's states, except that the last state's column, where
+    h = 0, holds g's.  A failure counts the set's closed classes and raises
+    `SingularSystem` or `LiftError`, naming the set `name`."""
+    pos = {s: k for k, s in enumerate(rows)}
+    last = len(pos) - 1
+    indptr, col, coef, cost = [0], [], [], []
+    for k, (s, (scale, moves, c)) in enumerate(rows.items()):
+        line = {k: scale, last: scale}
+        for y, w in moves:
+            if y not in pos:
+                raise ValueError(f"state {s} moves to state {y}, outside its set")
+            if pos[y] != last:
+                line[pos[y]] = line.get(pos[y], 0) - w
+        col += line
+        coef += line.values()
+        indptr.append(len(col))
+        cost.append(c)
+    found = _lift(np.array(indptr), np.array(col), _ints(coef), _ints(cost))
+    if found is None:    # singular, or too ill-conditioned for float64
+        import scipy.sparse as sp
+        at, to = zip(*((k, pos[y]) for k, (_, moves, _) in enumerate(rows.values())
+                       for y, _ in moves))
+        graph = sp.coo_matrix((np.ones(len(at)), (at, to)), shape=(last + 1,) * 2)
+        classes = len(closed_classes(graph))
+        raise SingularSystem(name, classes) if classes > 1 else LiftError(name)
+    return found
+
+
 def _equations(rows: DenseRows) -> np.ndarray:
     """The evaluation equations of the sets stacked in `rows`, batch last:
-    (n, n + 1, K), so that the sweep's updates run along contiguous memory.
-    Row i of a set's equations, times its scale, holds the coefficients of h
-    at the set's states, except that the column of the last state, where
-    h = 0, holds g's; then the scaled cost."""
+    (n, n + 1, K), so that the sweep's updates run along contiguous memory;
+    each set's as `_lifted` writes them."""
     count, n = rows.scale.shape
     eqs = np.empty((n, n + 1, count), dtype=np.result_type(*rows))
     np.negative(rows.weight.transpose(1, 2, 0), out=eqs[:, :n])
@@ -193,14 +197,17 @@ def _equations(rows: DenseRows) -> np.ndarray:
 def chain_ratios(rows: DenseRows, names: Sequence[int] | None = None) -> list[tuple[int, int]]:
     """`chain_average` of the sets stacked in `rows`, each gain as ints
     (numerator, denominator), unreduced, the denominator of either sign; an
-    error names set i as names[i].  A forward sweep, each set pivoting on its
-    first row with a nonzero entry in the column, leaves pivot * g = rhs in
-    the last row.  A set leaves it before a column whose products would
-    overflow int64, and is lifted."""
-    _refuse_past_limit(rows.scale.shape[1])
+    error names set i as names[i], and `SystemTooLarge` refuses sets past
+    `DENSE_LIMIT_BYTES` before any is built.  A forward sweep, each set
+    pivoting on its first row with a nonzero entry in the column, leaves
+    pivot * g = rhs in the last row.  A set leaves it before a column whose
+    products would overflow int64, and is lifted from its nonzeros."""
+    n = rows.scale.shape[1]
+    if 8 * n * (2 * n + 1) > DENSE_LIMIT_BYTES:
+        raise SystemTooLarge(n, 8 * n * (2 * n + 1))
     names = range(len(rows.scale)) if names is None else names
     eqs = _equations(rows)
-    n, _, count = eqs.shape
+    count = eqs.shape[2]
     ratios: list[tuple[int, int]] = [(0, 1)] * count
     live = np.arange(count)    # the sets still in the sweep, by batch index
     lifted: list[int] = []
@@ -244,57 +251,50 @@ def chain_ratios(rows: DenseRows, names: Sequence[int] | None = None) -> list[tu
                              eqs[n - 1, n].tolist()):
         ratios[i] = rhs, pivot
     for i in sorted(lifted):
-        ratios[i] = _lift(_equations(DenseRows(*(x[i:i + 1] for x in rows)))[..., 0])
-        if ratios[i] is None:    # singular, or too ill-conditioned for float64
-            classes = len(closed_classes(rows.weight[i] != 0))
-            raise SingularSystem(names[i], classes) if classes > 1 else LiftError(names[i])
+        ratios[i] = _lifted({k: (sc, [(j, w) for j, w in enumerate(line) if w], c)
+                             for k, (sc, line, c) in enumerate(zip(
+                                 *(x[i].tolist() for x in rows)))}, names[i])
     return ratios
 
 
-def _float_lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """LAPACK's LU of `a` with row exchanges (getrf), and its reciprocal
-    1-norm condition estimate (gecon); None at an exactly zero pivot, which
-    LAPACK reports in `info` where `scipy.linalg.lu_factor` would warn."""
-    from scipy.linalg import lapack    # on first use: it is large
-    lu, piv, info = lapack.dgetrf(a)
-    if info:
+def _lift(indptr: np.ndarray, col: np.ndarray, coef: np.ndarray,
+          c: np.ndarray) -> tuple[int, int] | None:
+    """g, the last unknown, of one set's equations m x = c by dyadic lifting,
+    as (numerator, denominator), m given by its compressed rows (indptr, col,
+    coef); None when the float factor is singular or the lift stops contracting.
+
+    Each step solves m y = r in floats on one SuperLU factor of m's rows,
+    each scaled by its largest entry, takes x = round(2**k y), and carries
+    r <- 2**k r - m x and N <- 2**k N + x exactly, so that m N = 2**bits c - r.
+    k puts in 2**k y the bits the factor's pivot ratio (least over largest
+    |diagonal of U|) trusts, fewer once a step gains fewer, and no more than
+    keep the residual in int64.  Once 2**bits passes twice the square of
+    Hadamard's bound on every determinant of Cramer's rule, reconstruction
+    is unique and the check cannot fail: a set that gets there unsolved is
+    an error, not more work."""
+    # Imported on first use: a Monte Carlo run never needs SuperLU.
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+    n, starts = len(c), indptr[:-1]
+    mf = coef.astype(float)
+    hadamard_bits = 0.5 * np.log2(np.add.reduceat(np.square(mf), starts)
+                                  + np.square(c.astype(float))).sum()
+    rowmax = np.maximum.reduceat(np.abs(mf), starts)
+    try:    # SuperLU raises RuntimeError at an exactly zero pivot
+        lu = splu(sp.csr_matrix((mf / np.repeat(rowmax, np.diff(indptr)), col, indptr),
+                                shape=(n, n)).tocsc())
+    except RuntimeError:
         return None
-    return lu, piv, lapack.dgecon(lu, float(np.abs(a).sum(axis=0).max()))[0]
-
-
-def _lift(eqs: np.ndarray) -> tuple[int, int] | None:
-    """g of one set's equations m x = c (n rows of n coefficients and a
-    right-hand side) by dyadic lifting, as (numerator, denominator); None
-    when the float LU is singular or the refinement stops contracting.
-
-    Each step solves m y = r in floats on one LU of m's rows, each scaled by
-    its largest entry, takes x = round(2**k y), and carries r <- 2**k r - m x
-    and N <- 2**k N + x exactly, so that m N = 2**bits c - r.  k puts in
-    2**k y the bits the condition estimate trusts, fewer once a step gains
-    fewer, and no more than keep the residual in int64.  Once 2**bits passes
-    twice the square of Hadamard's bound on every determinant of Cramer's
-    rule, reconstruction is unique and the check cannot fail: a set that
-    gets there unsolved is an error, not more work."""
-    from scipy.linalg import lapack
-    n = len(eqs)
-    m, c = eqs[:, :n], eqs[:, n]
-    mf = m.astype(float)
-    hadamard_bits = 0.5 * np.log2(np.square(mf).sum(axis=1) + np.square(c.astype(float))).sum()
-    rowmax = np.abs(mf).max(axis=1)
-    factored = _float_lu(mf / rowmax[:, None])
-    if factored is None:
-        return None
-    lu, piv, rcond = factored
-    # A singular m has rcond near 2**-57 or below: no step.  Once |y| < 1,
+    pivots = np.abs(lu.U.diagonal())
+    ratio = pivots.min() / pivots.max()
+    # A singular m usually leaves a ratio near 2**-52 or below: no step.  Once |y| < 1,
     # |m x| and |2**k r| stay below rowabs * 2**width, rowabs >= |row sums|.
-    rowabs = int(np.abs(mf).sum(axis=1).max() * (1 + 2**-30)) + 1
-    width = floor(53 + log2(rcond)) - 3 if rcond > 0 else 0
+    rowabs = int(np.add.reduceat(np.abs(mf), starts).max() * (1 + 2**-30)) + 1
+    width = floor(53 + log2(ratio)) - 3 if ratio > 0 else 0
     width = min(width, 61 - rowabs.bit_length()) if rowabs < 1 << 45 else width
-    row, col = np.nonzero(m)
-    starts, weights = np.searchsorted(row, np.arange(n)), m[row, col]
     r, big_n, bits, e, k = c, np.zeros(n, dtype=object), 0, None, 0
     while True:
-        y = lapack.dgetrs(lu, piv, r.astype(float) / rowmax)[0]
+        y = lu.solve(r.astype(float) / rowmax)
         top = float(np.abs(y).max())
         if not np.isfinite(top):
             return None
@@ -307,7 +307,9 @@ def _lift(eqs: np.ndarray) -> tuple[int, int] | None:
             g = Fraction(int(big_n[n - 1]), 1 << bits).limit_denominator(isqrt(1 << (bits - 1)))
             if 2 * g.denominator.bit_length() + 16 <= bits or last:
                 found = _common_denominator(big_n, bits, g.denominator)
-                if found is not None and _satisfies(m, c, *found):
+                if found is not None and (    # m z = d c, exactly in integers
+                        np.add.reduceat(coef.astype(object) * found[0][col], starts)
+                        == found[1] * c.astype(object)).all():
                     return int(found[0][n - 1]), found[1]
         if last or width < 1:
             return None
@@ -316,9 +318,9 @@ def _lift(eqs: np.ndarray) -> tuple[int, int] | None:
         x = x.astype(np.int64) if e + k < 62 else np.frompyfunc(int, 1, 1)(x)
         if rowabs * int(np.abs(x).max()) + (int(np.abs(r).max()) << k) >= 1 << 63:
             r = _ints(((r.astype(object) << k) - np.add.reduceat(
-                weights.astype(object) * x.astype(object)[col], starts)).tolist())
+                coef.astype(object) * x.astype(object)[col], starts)).tolist())
         else:
-            r = (r << k) - np.add.reduceat(weights * x[col], starts)
+            r = (r << k) - np.add.reduceat(coef * x[col], starts)
         big_n = (big_n << k) + x
         bits += k
 
@@ -338,11 +340,3 @@ def _common_denominator(big_n: np.ndarray, bits: int, d: int) -> tuple[np.ndarra
             return None
         d = lcm(d, f.denominator)
     return None
-
-
-def _satisfies(m: np.ndarray, c: np.ndarray, z: np.ndarray, d: int) -> bool:
-    """m z = d c, exactly in integers, over the nonzero entries of m."""
-    row, col = np.nonzero(m)
-    starts = np.searchsorted(row, np.arange(len(m)))
-    return bool((np.add.reduceat(m[row, col].astype(object) * z[col], starts)
-                 == d * c.astype(object)).all())

@@ -198,7 +198,9 @@ def _stationary_or_uniform(p: Sequence[Sequence[Fraction]]) -> tuple[Fraction, .
     """Exact stationary distribution of an irreducible chain, uniform otherwise.
     pi(i) is the long-run average of the cost that is 1 in state i and 0
     elsewhere, so `linalg.chain_average` is the one solver, called once on
-    the n chains that differ only in that cost."""
+    the n chains that differ only in that cost; a lone state needs none."""
+    if len(p) == 1:
+        return (Fraction(1),)
     if not _irreducible(p):
         return tuple(Fraction(1, len(p)) for _ in p)
     moves = [[(y, q) for y, q in enumerate(row) if q] for row in p]
@@ -218,8 +220,8 @@ def _positive_graph(p: Sequence[Sequence[Fraction]]):
 
 def _irreducible(p: Sequence[Sequence[Fraction]]) -> bool:
     """Every state reaches every other along the positive entries of p: one
-    closed class holds them all.  A lone state needs no graph."""
-    return len(p) == 1 or len(linalg.closed_classes(_positive_graph(p))[0]) == len(p)
+    closed class holds them all."""
+    return len(linalg.closed_classes(_positive_graph(p))[0]) == len(p)
 
 
 # ---------------------------------------------------------------------------
@@ -686,13 +688,17 @@ def _integer(x, what: str) -> int:
     return x
 
 
+def _key(section: dict, name: str, key: str):
+    """section[key], or ValueError naming the section and the key."""
+    if key not in section:
+        raise ValueError(f"scenario JSON missing key {key!r} in {name!r}")
+    return section[key]
+
+
 def scenario_from_json(doc: dict) -> ScenarioModel:
     try:
         n, max_stay, max_units = (_integer(doc[k], k) for k in ("N", "B", "E"))
-        gdoc = doc["grid"]
-        ddoc = doc["demand"]
-        adoc = doc["arrival"]
-        pdoc = doc["penalty"]
+        gdoc, ddoc, adoc, pdoc = (doc[k] for k in ("grid", "demand", "arrival", "penalty"))
     except KeyError as exc:
         raise ValueError(f"scenario JSON missing key {exc}") from None
 
@@ -714,9 +720,9 @@ def scenario_from_json(doc: dict) -> ScenarioModel:
     elif not isinstance(iid, bool):
         raise ValueError(f"grid iid_uniform = {iid!r} is neither a flag nor [lo, hi]")
     kernel = None if iid else tuple(tuple(tuple(_to_fraction(p) for p in row) for row in pa)
-                                    for pa in gdoc["kernel"])
+                                    for pa in _key(gdoc, "grid", "kernel"))
 
-    cdoc = gdoc["cost"]
+    cdoc = _key(gdoc, "grid", "cost")
     if cdoc == "capacity":
         cost: ChargingCost = CapacityCost()
     elif cdoc == "quadratic":
@@ -729,12 +735,12 @@ def scenario_from_json(doc: dict) -> ScenarioModel:
         raise ValueError(f"grid iid_uniform = {gdoc['iid_uniform']} names the states "
                          f"{values[0]}..{values[-1]}, but grid states = {list(listed)}")
 
-    dkernel = tuple(tuple(_to_fraction(p) for p in row) for row in ddoc["kernel"])
+    dkernel = tuple(tuple(_to_fraction(p) for p in row) for row in _key(ddoc, "demand", "kernel"))
     if "states" in ddoc and _integer(ddoc["states"], "demand states") != len(dkernel):
         raise ValueError(f"demand states = {ddoc['states']}, but the demand kernel "
                          f"has {len(dkernel)} rows")
     laws = []
-    for law in adoc["per_state"]:
+    for law in _key(adoc, "arrival", "per_state"):
         if law["kind"] == "fixed_count":
             laws.append(FixedCountArrivals(_integer(law["count"], "arrival count")))
         elif law["kind"] == "tabulated":

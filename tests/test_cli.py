@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+import scipy.sparse.linalg as spla
 
 from chargesched import linalg
 from chargesched.cli import main
@@ -293,6 +294,20 @@ def test_scenario_sizes_out_of_range_exit_2(tmp_path, capsys, path, section, cha
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key", [("grid", "kernel"), ("grid", "cost"),
+                                          ("demand", "kernel"), ("arrival", "per_state")])
+def test_a_missing_key_names_its_section(tmp_path, capsys, section, key):
+    with open(TINY) as fh:
+        doc = json.load(fh)
+    del doc[section][key]
+    scenario = tmp_path / "missing.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "s.json"
+    assert main(["solve-exact", "--scenario", str(scenario), "--out", str(out)]) == 2
+    assert f"scenario JSON missing key {key!r} in {section!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_exact_multichain(tmp_path, capsys):
     code = main(["solve-exact", "--scenario", MULTICHAIN, "--max-iter", "2000",
                  "--out", str(tmp_path / "s.json")])
@@ -322,24 +337,34 @@ def test_solve_exact_refuses_classes_a_float_tolerance_cannot_tell_apart(tmp_pat
     assert not out.exists()
 
 
-def test_solve_exact_exits_2_on_a_set_past_the_dense_limit(tmp_path, capsys, monkeypatch):
+def test_solve_exact_reads_no_dense_limit(tmp_path, capsys, monkeypatch):
+    # `solve-exact` lifts every set from its nonzeros and builds no dense
+    # rows, so a dense limit of 8 bytes changes nothing: the run still ends
+    # in the constant-gain failure, with both exact class gains.  Its
+    # refusal of an instance too large to attempt, exit 2 with the reason,
+    # is --ceiling (test_solve_exact_ceiling_exits_2).
+    def built(*args):
+        raise AssertionError("built a dense set")
+
     monkeypatch.setattr(linalg, "DENSE_LIMIT_BYTES", 8)
+    monkeypatch.setattr(linalg, "dense", built)
+    monkeypatch.setattr(linalg, "chain_ratios", built)
     out = tmp_path / "s.json"
     assert main(["solve-exact", "--scenario", _near_multichain(tmp_path),
-                 "--out", str(out)]) == 2
+                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "error: a set of 1 states needs 24 bytes of dense equations" in err
+    assert "classes=2 gains=['1', '10000000000001/10000000000000']" in err
     assert not out.exists()
 
 
 def test_solve_exact_reports_a_lift_that_does_not_converge(tmp_path, capsys, monkeypatch):
     # A factorisation of -m cannot contract: a failure, not a traceback.
-    # Class 0 costs 1 and is swept; class 1 costs 1 + 10**-13 and is lifted.
-    real = linalg._float_lu
-    monkeypatch.setattr(linalg, "_float_lu", lambda a: real(-a))
+    # Class 0 costs 1 and class 1 costs 1 + 10**-13; set 0 is lifted first.
+    real = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda a: real(-a))
     out = tmp_path / "s.json"
     assert main(["solve-exact", "--scenario", _near_multichain(tmp_path),
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "failure: set 1: one closed class, but dyadic lifting" in err
+    assert "failure: set 0: one closed class, but dyadic lifting" in err
     assert not out.exists()

@@ -105,6 +105,21 @@ def test_rvi_zero_arrivals_gain_matches_stationary_average():
     assert abs(sol.gain - expected) < 1e-10
 
 
+def _build_nothing_dense(mp):
+    def built(*args):
+        raise AssertionError("built a dense set")
+
+    for name in ("dense", "_equations", "chain_ratios"):
+        mp.setattr(linalg, name, built)
+
+
+@pytest.fixture
+def sparse_only(monkeypatch):
+    """Exact policy gains with no dense rows and no sweep: every set is
+    lifted from its nonzeros."""
+    _build_nothing_dense(monkeypatch)
+
+
 @pytest.fixture(scope="module")
 def tiny_solution():
     sc = two_charger_scenario()
@@ -123,7 +138,9 @@ def test_rvi_residual_and_constant_gain(tiny_solution):
 
 def test_exact_gain_matches_brute_force(tiny_solution):
     _, mdp, sol = tiny_solution
-    exact = exact_policy_gain(mdp, sol.policy)
+    with pytest.MonkeyPatch.context() as mp:
+        _build_nothing_dense(mp)
+        exact = exact_policy_gain(mdp, sol.policy)
     bf = brute_force_optimal_gain(mdp)
     assert bf.gain == exact
     assert abs(float(exact) - sol.gain) < 1e-10
@@ -490,7 +507,7 @@ def _policy_digest(mdp, policy):
     return hashlib.sha256(repr(doc).encode()).hexdigest()
 
 
-def test_generated_three_charger_pipeline_is_pinned():
+def test_generated_three_charger_pipeline_is_pinned(sparse_only):
     # Reference figures: any change to the enumerated MDP or the exact gains
     # of the value-iteration policy and its projection shows here.
     mdp = enumerate_mdp(_generated_scenario(3))
@@ -528,7 +545,7 @@ def _two_demand_scenario():
                          initial_grid=0, initial_demand=0)
 
 
-def test_two_grid_two_demand_enumeration_is_pinned():
+def test_two_grid_two_demand_enumeration_is_pinned(sparse_only):
     # Every other pinned instance has one demand state; this one fixes the
     # order of grid and demand states within a fleet, and an overflowing batch.
     mdp = enumerate_mdp(_two_demand_scenario())
@@ -540,7 +557,7 @@ def test_two_grid_two_demand_enumeration_is_pinned():
     assert exact_policy_gain(mdp, lllp_projection(mdp, sol).policy) == Fraction(4354363, 5073930)
 
 
-def test_generated_four_charger_enumeration_is_pinned():
+def test_generated_four_charger_enumeration_is_pinned(sparse_only):
     mdp = enumerate_mdp(_generated_scenario(4))
     assert mdp.n_states == 42
     assert sum(len(acts) for acts in mdp.actions) == 154
@@ -548,9 +565,10 @@ def test_generated_four_charger_enumeration_is_pinned():
     sol = relative_value_iteration(mdp)
     assert _policy_digest(mdp, dict(enumerate(sol.policy))) == (
         "abab836c97bd5c66b01d2ac4c037143c0141cb035faa3a2024eba38317dfccf5")
+    assert exact_policy_gain(mdp, sol.policy) == Fraction(30631, 108955)
 
 
-def test_six_chargers_enumerate_far_below_the_lattice():
+def test_six_chargers_enumerate_far_below_the_lattice(sparse_only):
     # The lattice of this instance holds 13**6 * 2 = 9.65M states, over the
     # default ceiling; discovery from the empty fleet finds 1,764.
     mdp = enumerate_mdp(_generated_scenario(6, units=3))
@@ -563,10 +581,9 @@ def test_six_chargers_enumerate_far_below_the_lattice():
     assert exact_policy_gain(mdp, sol.policy) == Fraction(1233304922473, 2292540853916)
 
 
-def test_three_chargers_with_three_units_have_an_exact_gain():
+def test_three_chargers_with_three_units_have_an_exact_gain(sparse_only):
     # The value-iteration policy's closure holds 500 states; its equations
-    # leave the int64 sweep at column 6, so the gain comes from dyadic
-    # lifting.
+    # would leave an int64 sweep at column 6.
     mdp = enumerate_mdp(_generated_scenario(3, units=3))
     sol = relative_value_iteration(mdp)
     assert len(policy_closure(mdp, sol.policy, mdp.special_state)) == 500
@@ -574,7 +591,7 @@ def test_three_chargers_with_three_units_have_an_exact_gain():
         479638327333388540993, 901027208327604496900)
 
 
-def test_four_chargers_with_three_units_have_an_exact_gain():
+def test_four_chargers_with_three_units_have_an_exact_gain(sparse_only):
     # The value-iteration policy's closure holds 898 of 1,524 states.  The
     # p-adic lifting this solver replaced gave the same gain.
     mdp = enumerate_mdp(_generated_scenario(4, units=3))
@@ -583,6 +600,31 @@ def test_four_chargers_with_three_units_have_an_exact_gain():
     assert len(policy_closure(mdp, sol.policy, mdp.special_state)) == 898
     assert exact_policy_gain(mdp, sol.policy) == Fraction(
         862070018456509307789380797, 1460750668588582915939472600)
+
+
+def _heavy_scenario(num_chargers):
+    """`_generated_scenario(num_chargers, units=3)` under a heavier arrival
+    law: a quarter each of no arrival and batches of two, three and four."""
+    q = Fraction(1, 4)
+    law = TabulatedArrivals((
+        (q, ()),
+        (q, (VehicleState(3, 1), VehicleState(2, 2))),
+        (q, (VehicleState(3, 3), VehicleState(1, 1), VehicleState(3, 2))),
+        (q, (VehicleState(2, 1), VehicleState(3, 3), VehicleState(3, 2), VehicleState(1, 1)))))
+    return dataclasses.replace(_generated_scenario(num_chargers, units=3),
+                               demand=DemandModel(kernel=((ONE,),), arrivals=(law,)))
+
+
+def test_a_heavy_law_closure_past_3000_states_has_an_exact_gain(sparse_only):
+    # Past the reach of the pinned closures above; the dense LU solver gave
+    # the same gain.
+    mdp = enumerate_mdp(_heavy_scenario(4))
+    assert mdp.n_states == 6826
+    sol = relative_value_iteration(mdp)
+    assert len(policy_closure(mdp, sol.policy, mdp.special_state)) == 3044
+    assert exact_policy_gain(mdp, sol.policy) == Fraction(
+        35265489049755044465241317782071998659212879334274752188415138148122350751681,
+        37054557548387074838200630036794613678939380365805428924632992302353474598336)
 
 
 @st.composite

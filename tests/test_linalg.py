@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chargesched import linalg
@@ -88,6 +89,22 @@ def _rows(p, costs):
             for r, (row, c) in enumerate(zip(p, costs))}
 
 
+def _stacked(systems):
+    """The gains of `systems` from `chain_ratios`, the sets of one size
+    stacked in one call as brute force stacks them, each named by its index."""
+    gains = [None] * len(systems)
+    by_size = {}
+    for i, rows in enumerate(systems):
+        by_size.setdefault(len(rows), []).append(i)
+    for members in by_size.values():
+        sets = [linalg.dense(systems[i].items(), {s: k for k, s in enumerate(systems[i])})
+                for i in members]
+        stack = linalg.DenseRows(*map(np.stack, zip(*sets)))
+        for i, q in zip(members, linalg.chain_ratios(stack, members)):
+            gains[i] = Fraction(*q)
+    return gains
+
+
 @settings(deadline=None)
 @given(irreducible_chains(), st.data())
 def test_chain_average_is_the_stationary_average(p, data):
@@ -98,6 +115,7 @@ def test_chain_average_is_the_stationary_average(p, data):
     (gain,) = linalg.chain_average([_rows(p, costs)])
     assert type(gain) is Fraction
     assert gain == expected
+    assert _stacked([_rows(p, costs)]) == [expected]
 
 
 @settings(deadline=None)
@@ -109,19 +127,25 @@ def test_chain_average_ignores_transient_states(chain):
     assert linalg.chain_average([_rows(p, costs)]) == alone
 
 
-# Costs shifted by LIFTED put every scaled cost past 2**31, so the set leaves
-# the int64 sweep at its first column and is solved by dyadic lifting.
+# Costs shifted by LIFTED put every scaled cost past 2**31, so in
+# `chain_ratios` the set leaves the int64 sweep at its first column and is
+# solved by dyadic lifting, as `chain_average` solves every set.
 LIFTED = 2**41
 
 
 @settings(deadline=None)
 @given(st.integers(2, 3).flatmap(chains_with_closed_classes))
+# Consistent equations: x = 0 solves them exactly, so only the factor's
+# pivot ratio keeps the lift from returning a gain of 0.
+@example(([[Fraction(1, 3), Fraction(2, 3), 0], [Fraction(3, 5), Fraction(2, 5), 0], [0, 0, 1]],
+          [0, 0, 0], [[0, 1], [2]]))
 def test_chain_average_refuses_several_closed_classes(chain):
     p, costs, classes = chain
-    for shift in (0, LIFTED):    # the int64 sweep, then lifting
-        with pytest.raises(linalg.SingularSystem) as err:
-            linalg.chain_average([_rows(p, [c + shift for c in costs])])
-        assert err.value.classes == len(classes)
+    for shift in (0, LIFTED):    # in `chain_ratios`, the int64 sweep, then lifting
+        for solve in (linalg.chain_average, _stacked):
+            with pytest.raises(linalg.SingularSystem) as err:
+                solve([_rows(p, [c + shift for c in costs])])
+            assert err.value.classes == len(classes)
 
 
 @st.composite
@@ -165,7 +189,9 @@ def test_chain_average_batches_mixed_sizes_in_order(chains):
     for p, costs, pi in chains:
         assert _is_stationary(pi, p)
         expected.append(sum((x * c for x, c in zip(pi, costs)), Fraction(0)))
-    assert linalg.chain_average([_rows(p, costs) for p, costs, _ in chains]) == expected
+    systems = [_rows(p, costs) for p, costs, _ in chains]
+    assert linalg.chain_average(systems) == expected
+    assert _stacked(systems) == expected
 
 
 @settings(deadline=None, max_examples=60)
@@ -183,7 +209,7 @@ def test_lifted_gain_is_the_stationary_average(chain):
                 min_size=1, max_size=4))
 def test_chain_average_mixes_swept_and_lifted_sets_in_order(drawn):
     # Each chain comes twice, plain and shifted past int64, in a drawn order:
-    # every size's batch holds sets of both kinds.
+    # in `chain_ratios`, every size's batch holds sets of both kinds.
     systems, expected = [], []
     for (p, costs, pi), lifted_first in drawn:
         gain = sum((x * c for x, c in zip(pi, costs)), Fraction(0))
@@ -191,6 +217,7 @@ def test_chain_average_mixes_swept_and_lifted_sets_in_order(drawn):
             systems.append(_rows(p, [c + shift for c in costs]))
             expected.append(gain + shift)
     assert linalg.chain_average(systems) == expected
+    assert _stacked(systems) == expected
 
 
 def _fraction_gain(p, costs):
@@ -210,27 +237,25 @@ def _fraction_gain(p, costs):
     return eqs[n - 1][n]
 
 
-def test_chain_average_normalizes_a_negative_pivot(monkeypatch):
+def test_chain_average_normalizes_a_negative_pivot():
     # State 0 of the first two sets is absorbing, so its equation has no h
-    # term: the sweep pivots on the other state's equation, whose h
-    # coefficient is minus a weight, and ends with pivot * g = rhs, both
-    # negative.  The third set pivots in order.
+    # term: the sweep of `chain_ratios` pivots on the other state's
+    # equation, whose h coefficient is minus a weight, and ends with
+    # pivot * g = rhs, both negative.  The third set pivots in order.
     third = Fraction(1, 3)
     chains = [([[1, 0], [third, 2 * third]], [5, 1]),
               ([[1, 0], [1, 0]], [Fraction(7, 2), 4]),
               ([[Fraction(1, 2), Fraction(1, 2)], [1, 0]], [3, -2])]
-    real, pivots = linalg.Fraction, []
-
-    def recording(numerator=0, denominator=None):
-        pivots.append(denominator)
-        return real(numerator, denominator)
-
-    monkeypatch.setattr(linalg, "Fraction", recording)
-    gains = linalg.chain_average([_rows(p, costs) for p, costs in chains])
-    assert min(d for d in pivots if d is not None) < 0
-    assert gains == [_fraction_gain(p, costs) for p, costs in chains]
+    systems = [_rows(p, costs) for p, costs in chains]
+    expected = [_fraction_gain(p, costs) for p, costs in chains]
+    ratios = linalg.chain_ratios(linalg.DenseRows(*map(np.stack, zip(
+        *(linalg.dense(rows.items(), {0: 0, 1: 1}) for rows in systems)))))
+    assert min(d for _, d in ratios) < 0
+    assert [Fraction(*q) for q in ratios] == expected
+    gains = linalg.chain_average(systems)
+    assert gains == expected
     assert gains[:2] == [5, Fraction(7, 2)]
-    assert all(type(g) is real and g.denominator > 0 for g in gains)
+    assert all(type(g) is Fraction and g.denominator > 0 for g in gains)
 
 
 def test_chain_average_leaves_int64_when_products_would_overflow():
@@ -248,8 +273,9 @@ def test_chain_average_leaves_int64_when_products_would_overflow():
     a = max(abs(c) for _, _, c in rows.values())
     assert 2 * a * a >= 2**63
     expected = _fraction_gain(p, costs)
-    assert linalg.chain_average([rows, _rows(p, [c % 7 for c in costs])]) == [
-        expected, _fraction_gain(p, [c % 7 for c in costs])]
+    systems = [rows, _rows(p, [c % 7 for c in costs])]
+    for solve in (linalg.chain_average, _stacked):
+        assert solve(systems) == [expected, _fraction_gain(p, [c % 7 for c in costs])]
     assert abs(expected.numerator) > 2**63
 
 
@@ -257,8 +283,9 @@ def test_chain_average_keeps_rows_past_int64_as_python_ints():
     # State 0 steps to state 1 with probability p and state 1 back with
     # probability 1/2; paying 1 in state 1, the average is pi(1) = p / (p + 1/2).
     # With p = 1 / (2**70 + 1) the first row's scale passes int64, so `dense`
-    # falls back to Python ints: the batch stacks as objects, the other two
-    # chains are swept and that one is lifted.
+    # and `chain_average`'s nonzeros fall back to Python ints.  In
+    # `chain_ratios` the batch stacks as objects, the other two chains are
+    # swept and that one is lifted.
     half = Fraction(1, 2)
 
     def chain(p):
@@ -271,6 +298,7 @@ def test_chain_average_keeps_rows_past_int64_as_python_ints():
     gains = linalg.chain_average([chain(p) for p in steps])
     assert gains == [p / (p + half) for p in steps]
     assert gains[1] == Fraction(2, 2**70 + 3)
+    assert _stacked([chain(p) for p in steps]) == gains
 
 
 def _lifted_chain():
@@ -289,10 +317,11 @@ def test_chain_average_names_a_lift_that_cannot_contract(monkeypatch):
     # The factorisation of -m turns every step's digits the wrong way, so
     # the residual doubles instead of shrinking.  The set has one closed
     # class, so the graph check, run only now, finds no singular system.
+    # Only the 3-state set's factor is negated; the 1-state set lifts.
     rows, _ = _lifted_chain()
     swept = {0: linalg.integer_row([(0, Fraction(1))], 3)}
-    real_lu, real_classes, checked = linalg._float_lu, linalg.closed_classes, []
-    monkeypatch.setattr(linalg, "_float_lu", lambda a: real_lu(-a))
+    real_lu, real_classes, checked = spla.splu, linalg.closed_classes, []
+    monkeypatch.setattr(spla, "splu", lambda a: real_lu(-a if a.shape[0] == 3 else a))
     monkeypatch.setattr(linalg, "closed_classes",
                         lambda graph: checked.append(graph) or real_classes(graph))
     with pytest.raises(linalg.LiftError, match="set 1: one closed class") as err:
@@ -303,7 +332,7 @@ def test_chain_average_names_a_lift_that_cannot_contract(monkeypatch):
 
 def test_a_nearly_decomposable_chain_is_past_dyadic_lifting():
     # Two 2-state blocks, each leaving for the other with probability 2**-60,
-    # form one closed class, but the float LU of its equations is too
+    # form one closed class, but the float factor of its equations is too
     # ill-conditioned for dyadic lifting to contract.  This is a known
     # limit: a lift that solves it would return [_fraction_gain(p, costs)].
     e, half = Fraction(1, 2**60), Fraction(1, 2)
@@ -327,19 +356,22 @@ def test_lifting_a_nonsingular_set_reads_no_graph(monkeypatch):
 
 
 def test_a_singular_float_factorisation_warns_nothing():
-    # Two absorbing states: a column of zeros, so LAPACK meets an exactly
-    # zero pivot.  It reports that in `info`; the set goes to the graph
-    # check, which counts two classes, and no LinAlgWarning is raised.
-    assert linalg._float_lu(np.array([[0.0, 1.0], [0.0, 1.0]])) is None
+    # Two absorbing states: a column of zeros, so SuperLU meets an exactly
+    # zero pivot.  It raises RuntimeError, and `_lift` returns None; the set
+    # goes to the graph check, which counts two classes, and no warning is
+    # raised.
     two_classes = {s: linalg.integer_row([(s, Fraction(1))], LIFTED + s) for s in (0, 1)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        # m = [[0, 1], [0, 1]] by its nonzeros: rows 0 and 1 hold a 1 in column 1.
+        assert linalg._lift(np.array([0, 1, 2]), np.array([1, 1]), np.array([1, 1]),
+                            np.array([0, 1])) is None
         with pytest.raises(linalg.SingularSystem) as err:
             linalg.chain_average([two_classes])
     assert err.value.classes == 2
 
 
-def test_chain_average_refuses_a_set_past_the_limit_before_building_it(monkeypatch):
+def test_chain_ratios_refuses_a_set_past_the_limit_before_building_it(monkeypatch):
     def built(*args):
         raise AssertionError("built a dense set")
 
@@ -354,23 +386,25 @@ def test_chain_average_refuses_a_set_past_the_limit_before_building_it(monkeypat
     stacked = linalg.DenseRows(np.ones((1, 3), dtype=np.int64),
                                np.zeros((1, 3, 3), dtype=np.int64),
                                np.zeros((1, 3), dtype=np.int64))
-    for solve in (lambda: linalg.chain_average([small, large]),
-                  lambda: linalg.chain_ratios(stacked)):
-        with pytest.raises(linalg.SystemTooLarge,
-                           match="a set of 3 states needs 168 bytes") as err:
-            solve()
-        assert (err.value.n, err.value.needed) == (3, 168)
-        assert isinstance(err.value, ValueError)
+    with pytest.raises(linalg.SystemTooLarge, match="a set of 3 states needs 168 bytes") as err:
+        linalg.chain_ratios(stacked)
+    assert (err.value.n, err.value.needed) == (3, 168)
+    assert isinstance(err.value, ValueError)
+    # `chain_average` builds no dense rows and never sweeps: the limit is not
+    # its own, and it solves both sets.
+    monkeypatch.setattr(linalg, "chain_ratios", built)
+    assert linalg.chain_average([small, large]) == [Fraction(2, 3), 1]
 
 
 def test_chain_average_names_the_failing_set_and_a_state_outside_its_set():
     half = Fraction(1, 2)
-    for shift in (0, LIFTED):    # the int64 sweep, then lifting
+    for shift in (0, LIFTED):    # in `chain_ratios`, the int64 sweep, then lifting
         good = {0: linalg.integer_row([(0, Fraction(1))], 3 + shift)}
         two_classes = {s: linalg.integer_row([(s, Fraction(1))], s + shift) for s in (4, 5)}
-        with pytest.raises(linalg.SingularSystem) as err:
-            linalg.chain_average([good, good, two_classes])
-        assert err.value.index == 2
+        for solve in (linalg.chain_average, _stacked):
+            with pytest.raises(linalg.SingularSystem) as err:
+                solve([good, good, two_classes])
+            assert err.value.index == 2
     leaks = {0: linalg.integer_row([(0, half), (1, half)], 0),
              1: linalg.integer_row([(0, half), (7, half)], 0)}
     with pytest.raises(ValueError, match="state 1 moves to state 7, outside its set"):
