@@ -51,6 +51,13 @@ def _load_scenario(path: str) -> models.ScenarioModel:
         raise UsageError(f"bad scenario file {path}: {exc}") from None
 
 
+def _check_out(path: str) -> None:
+    """Refuse an output path whose directory does not exist, before any work."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise UsageError(f"--out {path}: no directory {folder}")
+
+
 def _echo_config(args: argparse.Namespace, extra: dict | None = None) -> None:
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
     if extra:
@@ -72,6 +79,7 @@ def cmd_simulate(args) -> int:
     rates = _parse_rates(args.rates)
     if not rates:
         raise UsageError(f"--rates {args.rates!r} selects no arrival rate")
+    _check_out(args.out)
     if args.penalty:
         scenario = models.with_penalty(scenario, args.penalty)
     penalty = models.penalty_kind(scenario.penalty)
@@ -100,6 +108,7 @@ def cmd_verify_dominance(args) -> int:
     scenario = _load_scenario(args.scenario)
     if args.cases < 1:
         raise UsageError("--cases must be >= 1")
+    _check_out(args.out)
     if args.penalty:
         scenario = models.with_penalty(scenario, args.penalty)
     try:
@@ -123,6 +132,7 @@ def cmd_solve_exact(args) -> int:
         raise UsageError("--max-iter must be >= 1")
     if not args.tol > 0:
         raise UsageError("--tol must be > 0")
+    _check_out(args.out)
     _echo_config(args)
     try:
         mdp = exactdp.enumerate_mdp(scenario, ceiling=args.ceiling)

@@ -113,10 +113,18 @@ class ActionVector:
     aggregate: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ones = self.bits.count(1)       # one C-level pass each, not per bit
+        ones = self.bits.count(1)       # two C-level passes, not one per bit
         if ones + self.bits.count(0) != len(self.bits):
             raise ValueError("action bits must be 0 or 1")
         object.__setattr__(self, "aggregate", ones)
+
+    @classmethod
+    def counted(cls, bits: tuple[int, ...], aggregate: int) -> "ActionVector":
+        """An action whose caller set ``aggregate`` distinct bits of a row of
+        0s to 1, so its bits need neither the check nor the count."""
+        action = object.__new__(cls)
+        action.__dict__.update(bits=bits, aggregate=aggregate)
+        return action
 
     def check_feasible(self, vehicles: Sequence[VehicleState]) -> None:
         if len(self.bits) != len(vehicles):
@@ -141,9 +149,11 @@ class SystemState:
 
     @classmethod
     def successor(cls, vehicles: tuple, grid: int, demand: int, occupied: tuple) -> "SystemState":
-        """A state whose occupied chargers the caller already knows."""
-        state = cls(vehicles, grid, demand)
-        state.__dict__["occupied"] = occupied
+        """A state whose occupied chargers the caller already knows, its
+        fields set directly rather than through the frozen ``__init__``."""
+        state = object.__new__(cls)
+        state.__dict__.update(vehicles=vehicles, grid=grid, demand=demand,
+                              occupied=occupied)
         return state
 
     @functools.cached_property

@@ -110,8 +110,11 @@ def coupled_rollout(scenario: ScenarioModel, base_policy, other,
     ``other`` may be an InterchangeWindow (driven in lock step against the
     base rollout, per its action map) or any plain policy; either way the two
     rollouts must charge equal aggregate counts at every stage, which makes
-    their grid and demand paths coincide.  Stage costs are summed as ints
-    in units of 1/L and returned as exact rationals.
+    their grid and demand paths coincide.  Where the two sides hold one
+    state and take one action, as a window's do outside its swaps, the stage
+    is stepped once for both; a step that leaves them equal makes them one
+    state again.  Stage costs are summed as ints in units of 1/L and
+    returned as exact rationals.
     """
     win = other if isinstance(other, InterchangeWindow) else None
     if win is not None:
@@ -145,8 +148,14 @@ def coupled_rollout(scenario: ScenarioModel, base_policy, other,
         if win is not None:
             _record_shortfalls(x, a, win, stage, rho_base)
             _record_shortfalls(xh, ah, win, stage, rho_sw)
+        shared = xh is x and ah is a
         x, bill = advance_stage(scenario, x, a, stage, key, traj)
-        xh, bill_h = advance_stage(scenario, xh, ah, stage, key, traj)
+        if shared:      # one pure step of identical inputs serves both sides
+            xh, bill_h = x, bill
+        else:
+            xh, bill_h = advance_stage(scenario, xh, ah, stage, key, traj)
+            if xh == x:
+                xh = x      # so later stages take the shared step
         if (x.grid, x.demand) != (xh.grid, xh.demand):
             raise AggregateMismatchError(f"stage {stage}: exogenous paths diverged")
         base_costs.append(bill.charging + bill.penalty)

@@ -704,7 +704,7 @@ def scenario_from_json(doc: dict) -> ScenarioModel:
 
     if isinstance(pdoc, dict):
         # Explicit opt-in for negative-control fixtures with non-convex tables.
-        pdoc = PenaltyFunction([_to_fraction(v) for v in pdoc["values"]],
+        pdoc = PenaltyFunction([_to_fraction(v) for v in _key(pdoc, "penalty", "values")],
                                require_convex=not pdoc.get("allow_nonconvex", False))
     elif not isinstance(pdoc, str):
         pdoc = PenaltyFunction([_to_fraction(v) for v in pdoc])
@@ -740,18 +740,23 @@ def scenario_from_json(doc: dict) -> ScenarioModel:
         raise ValueError(f"demand states = {ddoc['states']}, but the demand kernel "
                          f"has {len(dkernel)} rows")
     laws = []
-    for law in _key(adoc, "arrival", "per_state"):
-        if law["kind"] == "fixed_count":
-            laws.append(FixedCountArrivals(_integer(law["count"], "arrival count")))
-        elif law["kind"] == "tabulated":
-            outcomes = tuple(
-                (_to_fraction(o["prob"]),
-                 tuple(VehicleState(_integer(s, "vehicle stay"), _integer(g, "vehicle need"))
-                       for s, g in o["vehicles"]))
-                for o in law["outcomes"])
-            laws.append(TabulatedArrivals(outcomes))
+    for k, law in enumerate(_key(adoc, "arrival", "per_state")):
+        where = f"arrival.per_state[{k}]"
+        kind = _key(law, where, "kind")
+        if kind == "fixed_count":
+            laws.append(FixedCountArrivals(_integer(_key(law, where, "count"),
+                                                    "arrival count")))
+        elif kind == "tabulated":
+            outcomes = []
+            for m, o in enumerate(_key(law, where, "outcomes")):
+                at = f"{where}.outcomes[{m}]"
+                prob = _to_fraction(_key(o, at, "prob"))
+                outcomes.append((prob, tuple(
+                    VehicleState(_integer(s, "vehicle stay"), _integer(g, "vehicle need"))
+                    for s, g in _key(o, at, "vehicles"))))
+            laws.append(TabulatedArrivals(tuple(outcomes)))
         else:
-            raise ValueError(f"unknown arrival law kind {law['kind']!r}")
+            raise ValueError(f"unknown arrival law kind {kind!r} in {where!r}")
     demand = DemandModel(kernel=dkernel, arrivals=tuple(laws))
 
     init = {k: _integer(v, f"initial {k}") for k, v in doc.get("initial", {}).items()}

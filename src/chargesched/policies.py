@@ -71,7 +71,7 @@ class HeuristicPolicy:
         bits = [0] * n
         for i in charged:
             bits[i] = 1
-        return ActionVector(tuple(bits))
+        return ActionVector.counted(tuple(bits), len(charged))   # distinct indices
 
 
 def make_policy(name: str, scenario: ScenarioModel) -> HeuristicPolicy:

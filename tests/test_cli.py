@@ -308,6 +308,52 @@ def test_a_missing_key_names_its_section(tmp_path, capsys, section, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc_path, at, key, section", [
+    (TINY, ("arrival", "per_state", 0), "kind", "arrival.per_state[0]"),
+    (TINY, ("arrival", "per_state", 0), "outcomes", "arrival.per_state[0]"),
+    (TINY, ("arrival", "per_state", 0, "outcomes", 1), "prob",
+     "arrival.per_state[0].outcomes[1]"),
+    (TINY, ("arrival", "per_state", 0, "outcomes", 1), "vehicles",
+     "arrival.per_state[0].outcomes[1]"),
+    (BENCHMARK, ("arrival", "per_state", 0), "count", "arrival.per_state[0]"),
+    (CONCAVE, ("penalty",), "values", "penalty"),
+], ids=["kind", "outcomes", "prob", "vehicles", "count", "penalty-values"])
+def test_a_missing_key_inside_a_law_names_its_place(tmp_path, capsys, doc_path, at,
+                                                     key, section):
+    with open(doc_path) as fh:
+        doc = json.load(fh)
+    inner = doc
+    for step in at:
+        inner = inner[step]
+    del inner[key]
+    scenario = tmp_path / "missing.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "s.json"
+    assert main(["solve-exact", "--scenario", str(scenario), "--out", str(out)]) == 2
+    assert f"scenario JSON missing key {key!r} in {section!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, work", [
+    (["simulate", "--scenario", BENCHMARK, "--rates", "5", "--T", "5", "--n-traj", "2",
+      "--seed", "1"], "chargesched.montecarlo.figure_experiment"),
+    (["verify-dominance", "--scenario", BENCHMARK, "--cases", "2", "--seed", "1"],
+     "chargesched.interchange.certify_dominance"),
+    (["solve-exact", "--scenario", TINY], "chargesched.exactdp.enumerate_mdp"),
+], ids=["simulate", "verify-dominance", "solve-exact"])
+def test_an_out_in_a_missing_directory_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, command, work):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(work, refuse)
+    out = tmp_path / "absent" / "out.json"
+    assert main(command + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"no directory {out.parent}" in err and "Traceback" not in err
+    assert not out.parent.exists() and list(tmp_path.iterdir()) == []
+
+
 def test_solve_exact_multichain(tmp_path, capsys):
     code = main(["solve-exact", "--scenario", MULTICHAIN, "--max-iter", "2000",
                  "--out", str(tmp_path / "s.json")])

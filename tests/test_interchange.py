@@ -369,3 +369,119 @@ def test_negative_control_search():
 def test_convex_search_finds_nothing():
     assert search_two_vehicle_counterexamples(
         PenaltyFunction.quadratic(6), 2_000, seed=1) == []
+
+
+def _apart(scenario, base, other, state0, horizon, seed, traj=0, stage_offset=0):
+    """`coupled_rollout` written out with two `advance_stage` calls a stage,
+    one per side, whatever their states and actions."""
+    win = other if isinstance(other, InterchangeWindow) else None
+    key = streams.philox_key(seed)
+    x = xh = state0
+    swap_back_at = None
+    costs, costs_h, aggs = [], [], []
+    rho, rho_h = {}, {}
+    for stage in range(stage_offset, stage_offset + horizon + 1):
+        a = base.decide(x, stage)
+        if win is None:
+            ah = other.decide(xh, stage)
+        else:
+            if (swap_back_at is None and win.t0 < stage < min(win.depart_i, win.depart_j)
+                    and (a.bits[win.i], a.bits[win.j]) == (0, 1)):
+                swap_back_at = stage
+            ah = win.map_action(a, stage, swap_back_at)
+            for shortfalls, state, action in ((rho, x, a), (rho_h, xh, ah)):
+                for idx, depart in ((win.i, win.depart_i), (win.j, win.depart_j)):
+                    if stage == depart - 1:
+                        shortfalls[idx] = state.vehicles[idx].need - action.bits[idx]
+        x, bill = advance_stage(scenario, x, a, stage, key, traj)
+        xh, bill_h = advance_stage(scenario, xh, ah, stage, key, traj)
+        costs.append(Fraction(bill.charging + bill.penalty, scenario.prices.unit))
+        costs_h.append(Fraction(bill_h.charging + bill_h.penalty, scenario.prices.unit))
+        aggs.append(a.aggregate)
+    assert win is None or x == xh
+
+    def pair(shortfalls):
+        return (interchange.ShortfallPair(shortfalls[win.i], shortfalls[win.j])
+                if len(shortfalls) == 2 else None)
+
+    return interchange.CoupledRollout(
+        window=win, swap_back_at=swap_back_at,
+        g_empty=None if win is None else swap_back_at is None,
+        base_total=sum(costs, Fraction(0)), swapped_total=sum(costs_h, Fraction(0)),
+        base_stage_costs=tuple(costs), swapped_stage_costs=tuple(costs_h),
+        aggregates=tuple(aggs),
+        base_shortfalls=None if win is None else pair(rho),
+        swapped_shortfalls=None if win is None else pair(rho_h))
+
+
+def _first_violation(scenario, policy, seed, case):
+    """The stage, state and pair where `certify_dominance`'s scan of ``case``
+    stops."""
+    key = streams.philox_key(seed)
+    state = draw_initial(scenario, key, case)
+    for t in range(interchange.MAX_SCAN):
+        action = policy.decide(state, t)
+        if t >= interchange.MIN_STAGE and (pair := find_violation(policy, state, t)):
+            return t, state, pair
+        state, _ = advance_stage(scenario, state, action, t, key, case)
+    raise AssertionError(f"case {case}: no violation")
+
+
+def _assert_fields_equal(roll, want):
+    for f in dataclasses.fields(interchange.CoupledRollout):
+        assert getattr(roll, f.name) == getattr(want, f.name), f.name
+
+
+@pytest.mark.parametrize("penalty", ["linear", "quadratic"])
+def test_coupled_rollout_equals_two_rollouts_stepped_apart(penalty, monkeypatch):
+    sc = capacity_scenario(20, penalty)
+    real, calls = interchange.advance_stage, []
+
+    def counted(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(interchange, "advance_stage", counted)
+    kinds = set()
+    for name in ("edf", "llsp"):
+        pol = make_policy(name, sc)
+        for case in range(8):
+            t0, x0, (i, j) = _first_violation(sc, pol, 3, case)
+            win = wrap_interchange(pol, x0, i, j, t0)
+            want = _apart(sc, pol, win, x0, win.length, 3, traj=case, stage_offset=t0)
+            calls.clear()
+            roll = coupled_rollout(sc, pol, win, x0, win.length, 3, traj=case,
+                                   stage_offset=t0)
+            _assert_fields_equal(roll, want)
+            # The swap at t0 is stepped twice; every stage after the states
+            # meet again is stepped once.
+            assert win.length + 2 <= len(calls) <= 2 * (win.length + 1)
+            if roll.swap_back_at is not None and roll.swap_back_at < t0 + win.length:
+                kinds.add("early swap-back")
+                assert len(calls) < 2 * (win.length + 1)
+            if roll.g_empty:
+                kinds.add("g empty")
+    assert kinds == {"early swap-back", "g empty"}
+    # A plain second policy: the same heuristic as another object, and two
+    # rules that charge equal counts from opposite ends of the charger row.
+    key = streams.philox_key(5)
+    for case in range(3):
+        state = draw_initial(sc, key, case)
+        args = (sc, make_policy("edf", sc), make_policy("edf", sc), state, 30, 5, case)
+        _assert_fields_equal(coupled_rollout(*args), _apart(*args))
+    paired = _paired_arrival_scenario()
+    counts = lambda t: min(t, 3)
+    state = draw_initial(paired, streams.philox_key(2), 0)
+    args = (paired, _ChargeEnds(counts, True), _ChargeEnds(counts, False), state, 20, 2)
+    _assert_fields_equal(coupled_rollout(*args), _apart(*args))
+
+
+def test_certificate_counts_are_pinned():
+    # 25 cases at seed 3 under the quadratic penalty: the counts of the
+    # rollout that steps each side apart at every stage.
+    sc = capacity_scenario(20, "quadratic")
+    got = {name: certify_dominance(sc, make_policy(name, sc), 25, 3)
+           for name in ("edf", "llsp")}
+    assert {name: (r.strict, r.equal, r.g_empty_cases) for name, r in got.items()} == {
+        "edf": (2, 23, 10), "llsp": (0, 25, 0)}
+    assert all(r.ok for r in got.values())

@@ -211,3 +211,47 @@ def test_ranking_holds_while_threads_meet_new_types():
         ranks = _RANKS[name]
         assert met <= ranks.keys(), name
         assert sorted(ranks, key=ranks.get) == sorted(ranks, key=lambda v: key(*v)), name
+
+
+@st.composite
+def _wide_states(draw):
+    """A fleet of up to 400 chargers drawn from a few (stay, need) types, with
+    empty and need-0 slots, on one of two grid states, and capacities there
+    that bind or cover every unfinished vehicle."""
+    palette = draw(st.lists(st.builds(VehicleState, st.integers(1, 12), st.integers(0, 12)),
+                            min_size=1, max_size=6))
+    n = draw(st.integers(1, 400))
+    fleet = draw(st.lists(st.one_of(st.just(E), st.sampled_from(palette)),
+                          min_size=n, max_size=n))
+    state = _state(*fleet, grid=draw(st.integers(0, 1)), demand=draw(st.integers(0, 3)))
+    v = len(state.unfinished)
+    binding = draw(st.booleans()) and v > 0
+    capacities = tuple(draw(st.integers(0, v - 1) if binding else st.integers(v, v + 3))
+                       for _ in range(2))
+    return state, capacities
+
+
+@settings(deadline=None, max_examples=60)
+@given(_wide_states())
+def test_decide_builds_the_action_the_checking_constructor_builds(case):
+    state, capacities = case
+    for name in _KEYS:
+        action = HeuristicPolicy(name, capacities).decide(state)
+        checked = ActionVector(action.bits)
+        assert action == checked and hash(action) == hash(checked), name
+        assert type(action.aggregate) is int and action.aggregate == checked.aggregate, name
+        assert action.aggregate == min(capacities[state.grid], len(state.unfinished)), name
+
+
+@settings(deadline=None, max_examples=60)
+@given(_wide_states())
+def test_successor_is_the_state_the_constructor_builds(case):
+    state, _ = case
+    vehicles, grid, demand = state.vehicles, state.grid, state.demand
+    occupied = tuple(i for i, v in enumerate(vehicles) if v.stay)
+    successor = SystemState.successor(vehicles, grid, demand, occupied)
+    built = SystemState(vehicles, grid, demand)
+    assert successor == built and hash(successor) == hash(built)
+    assert (successor.vehicles, successor.grid, successor.demand) == (vehicles, grid, demand)
+    assert successor.occupied is occupied and built.occupied == occupied
+    assert successor.unfinished == built.unfinished
