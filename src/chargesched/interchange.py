@@ -16,7 +16,7 @@ exact cost equality when one does).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -215,16 +215,8 @@ class DominanceReport:
                 and self.equality_failures == 0)
 
     def to_json(self) -> dict:
-        return {
-            "policy": self.policy, "scenario": self.scenario, "penalty": self.penalty,
-            "cases": self.n_cases, "strict": self.strict, "equal": self.equal,
-            "g_empty_cases": self.g_empty_cases,
-            "g_nonempty_cases": self.g_nonempty_cases,
-            "shortfall_identity_failures": self.shortfall_identity_failures,
-            "equality_failures": self.equality_failures,
-            "counterexamples": self.counterexamples,
-            "seed": self.seed,
-        }
+        """The fields in declaration order, `n_cases` written "cases"."""
+        return {"cases" if k == "n_cases" else k: v for k, v in asdict(self).items()}
 
 
 def _bundle(case: int, seed: int, stage: int, state: SystemState,
@@ -262,45 +254,37 @@ def certify_dominance(scenario: ScenarioModel, policy, n_cases: int,
     grids, demands = initial_states(scenario, key, n_cases)
     for case, (s0, d0) in enumerate(zip(grids.tolist(), demands.tolist())):
         state = scenario.empty_state(s0, d0)
-        found = None
         for t in range(MAX_SCAN):
             action = policy.decide(state, t)
-            if t >= MIN_STAGE:
-                # find_violation on the decision already made
-                pair = check_lllp_compliance(state, action)
-                if pair is not None:
-                    found = (t, state, pair)
-                    break
+            # find_violation on the decision already made
+            pair = check_lllp_compliance(state, action) if t >= MIN_STAGE else None
+            if pair is not None:
+                break
             state, _ = advance_stage(scenario, state, action, t, key, case)
-        if found is None:
+        else:
             raise RuntimeError(
                 f"case {case}: no violation reachable within {MAX_SCAN} stages; "
                 "the policy may already satisfy the priority rule here")
-        t0, x0, (i, j) = found
-        wrapped = wrap_interchange(policy, x0, i, j, t0)
-        roll = coupled_rollout(scenario, policy, wrapped, x0, wrapped.length,
-                               seed, traj=case, stage_offset=t0)
+        wrapped = wrap_interchange(policy, state, *pair, t)
+        roll = coupled_rollout(scenario, policy, wrapped, state, wrapped.length,
+                               seed, traj=case, stage_offset=t)
         delta = roll.base_total - roll.swapped_total
         if delta < 0:
-            report.counterexamples.append(_bundle(case, seed, t0, x0, (i, j), roll))
-            continue
-        if roll.g_empty:
+            failed = True
+        elif roll.g_empty:
             report.g_empty_cases += 1
             rb, rs = roll.base_shortfalls, roll.swapped_shortfalls
-            ok = (rb is not None and rs is not None
-                  and rs.rho_i == rb.rho_i + 1 and rs.rho_j == rb.rho_j - 1
-                  and 0 <= rb.rho_i < rb.rho_j)
-            if not ok:
-                report.shortfall_identity_failures += 1
-                report.counterexamples.append(_bundle(case, seed, t0, x0, (i, j), roll))
-                continue
+            failed = not (rb is not None and rs is not None
+                          and rs.rho_i == rb.rho_i + 1 and rs.rho_j == rb.rho_j - 1
+                          and 0 <= rb.rho_i < rb.rho_j)
+            report.shortfall_identity_failures += failed
         else:
             report.g_nonempty_cases += 1
-            if delta != 0:
-                report.equality_failures += 1
-                report.counterexamples.append(_bundle(case, seed, t0, x0, (i, j), roll))
-                continue
-        if delta > 0:
+            failed = delta != 0
+            report.equality_failures += failed
+        if failed:
+            report.counterexamples.append(_bundle(case, seed, t, state, pair, roll))
+        elif delta > 0:
             report.strict += 1
         else:
             report.equal += 1

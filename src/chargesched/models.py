@@ -31,9 +31,7 @@ ROW_SUM_TOL = 1e-12
 
 
 def _to_fraction(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (str, int, Fraction)):
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10 ** 15)
@@ -65,9 +63,10 @@ def sample_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum((cdf <= u[:, None]).sum(-1), cdf.shape[-1] - 1)
 
 
-def _float_cdf(probabilities: Sequence[Fraction]) -> list[float]:
-    """Float CDF of an exact probability row, for `sample_index`."""
-    return np.cumsum([float(p) for p in probabilities]).tolist()
+def _float_cdf(probabilities) -> np.ndarray:
+    """Float CDF of exact probability rows, along the last axis: the one
+    rule behind every `sample_index` and `sample_indices` table."""
+    return np.cumsum(np.array(probabilities, dtype=float), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +123,7 @@ class GridModel:
     kernel: tuple[tuple[tuple[Fraction, ...], ...], ...] | None  # [s][A][s']
     cost: ChargingCost
     iid_uniform: bool = False  # transitions ignore (s, A): uniform over states
-    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    cdf: np.ndarray | None = field(init=False, repr=False, compare=False)  # [s][A][s']
 
     def __post_init__(self):
         n = len(self.values)
@@ -135,7 +134,7 @@ class GridModel:
                              "a grid value is a charging capacity")
         if self.iid_uniform:
             object.__setattr__(self, "kernel", None)
-            object.__setattr__(self, "_cdf", None)
+            object.__setattr__(self, "cdf", None)
             return
         if self.kernel is None:
             raise ValueError("non-iid grid requires an explicit kernel")
@@ -152,8 +151,7 @@ class GridModel:
                 rows.append(_validate_row(row, f"grid kernel row (s={s}, A={a})"))
         fixed = tuple(tuple(rows[s * a_dim + a] for a in range(a_dim)) for s in range(n))
         object.__setattr__(self, "kernel", fixed)
-        cdf = np.cumsum(np.array([[list(map(float, r)) for r in pa] for pa in fixed]), axis=2)
-        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "cdf", _float_cdf(fixed))
 
     @property
     def state_count(self) -> int:
@@ -162,12 +160,7 @@ class GridModel:
     @functools.cached_property
     def cdf_rows(self) -> list[list[list[float]]]:
         """The float CDF of every kernel row, [s][A], for scalar draws."""
-        return self._cdf.tolist()
-
-    def action_dim_covers(self, n_chargers: int) -> bool:
-        if self.iid_uniform:
-            return True
-        return len(self.kernel[0]) == n_chargers + 1
+        return self.cdf.tolist()
 
     def row(self, s: int, aggregate: int) -> tuple[Fraction, ...]:
         if self.iid_uniform:
@@ -270,7 +263,7 @@ class TabulatedArrivals:
 
     @functools.cached_property
     def cdf(self) -> list[float]:
-        return _float_cdf([p for p, _ in self.outcomes])
+        return _float_cdf([p for p, _ in self.outcomes]).tolist()
 
     def sample(self, key, traj: int, stage: int, max_stay: int) -> list[VehicleState]:
         u = streams.uniform(key, traj, stage, streams.OUTCOME)
@@ -313,7 +306,7 @@ class DemandModel:
 
     @functools.cached_property
     def kernel_cdf(self) -> list[list[float]]:
-        return [_float_cdf(row) for row in self.kernel]
+        return _float_cdf(self.kernel).tolist()
 
 
 def _period(p: list[list[Fraction]]) -> int:
@@ -400,7 +393,7 @@ class ScenarioModel:
         if self.num_chargers < 0 or self.max_stay < 1:
             raise ValueError(f"N = {self.num_chargers}, B = {self.max_stay}: a scenario "
                              "needs N >= 0 chargers and stays of B >= 1 stages")
-        if not self.grid.action_dim_covers(self.num_chargers):
+        if self.grid.kernel and len(self.grid.kernel[0]) != self.num_chargers + 1:
             raise ValueError("grid kernel must cover aggregate actions 0..N")
         if self.penalty.max_units != self.max_units:
             raise ValueError("penalty table length must be E + 1")
@@ -495,12 +488,12 @@ def initial_states(scenario: ScenarioModel, key, n: int,
     else:
         u = streams.uniforms_batch(key, n, 0, streams.INIT_GRID, 1, start)[:, 0]
         s0 = ((u * grid.state_count).astype(np.int64) if grid.iid_uniform else
-              sample_indices(np.cumsum(np.array(grid.initial_distribution, dtype=float)), u))
+              sample_indices(_float_cdf(grid.initial_distribution), u))
     if scenario.initial_demand is not None:
         d0 = np.full(n, scenario.initial_demand, dtype=np.int64)
     else:
         u = streams.uniforms_batch(key, n, 0, streams.INIT_DEMAND, 1, start)[:, 0]
-        d0 = sample_indices(np.cumsum(np.array(demand.initial_distribution, dtype=float)), u)
+        d0 = sample_indices(_float_cdf(demand.initial_distribution), u)
     return s0, d0
 
 
@@ -669,12 +662,10 @@ def scenario_to_json(scenario: ScenarioModel) -> dict:
         "arrival": {"per_state": arrival_laws},
         "penalty": penalty_json(scenario.penalty),
     }
-    if scenario.initial_grid is not None or scenario.initial_demand is not None:
-        out["initial"] = {}
-        if scenario.initial_grid is not None:
-            out["initial"]["grid"] = scenario.initial_grid
-        if scenario.initial_demand is not None:
-            out["initial"]["demand"] = scenario.initial_demand
+    initial = {k: s0 for k, s0 in (("grid", scenario.initial_grid),
+                                   ("demand", scenario.initial_demand)) if s0 is not None}
+    if initial:
+        out["initial"] = initial
     return out
 
 
@@ -690,17 +681,17 @@ def _integer(x, what: str) -> int:
 
 def _key(section: dict, name: str, key: str):
     """section[key], or ValueError naming the section and the key."""
+    if not isinstance(section, dict):
+        raise ValueError(f"scenario JSON {name!r} must be an object, not {type(section).__name__}")
     if key not in section:
         raise ValueError(f"scenario JSON missing key {key!r} in {name!r}")
     return section[key]
 
 
 def scenario_from_json(doc: dict) -> ScenarioModel:
-    try:
-        n, max_stay, max_units = (_integer(doc[k], k) for k in ("N", "B", "E"))
-        gdoc, ddoc, adoc, pdoc = (doc[k] for k in ("grid", "demand", "arrival", "penalty"))
-    except KeyError as exc:
-        raise ValueError(f"scenario JSON missing key {exc}") from None
+    n, max_stay, max_units = (_integer(_key(doc, "document", k), k) for k in ("N", "B", "E"))
+    gdoc, ddoc, adoc, pdoc = (_key(doc, "document", k)
+                              for k in ("grid", "demand", "arrival", "penalty"))
 
     if isinstance(pdoc, dict):
         # Explicit opt-in for negative-control fixtures with non-convex tables.
@@ -709,6 +700,14 @@ def scenario_from_json(doc: dict) -> ScenarioModel:
     elif not isinstance(pdoc, str):
         pdoc = PenaltyFunction([_to_fraction(v) for v in pdoc])
     penalty = _resolve_penalty(pdoc, max_units)
+
+    cdoc = _key(gdoc, "grid", "cost")
+    if cdoc == "capacity":
+        cost: ChargingCost = CapacityCost()
+    elif cdoc == "quadratic":
+        cost = QuadraticLoadCost()
+    else:
+        cost = TableCost(tuple(tuple(_to_fraction(c) for c in row) for row in cdoc))
 
     # An iid grid is `states` with "iid_uniform": true, or, in the older
     # form, "iid_uniform": [lo, hi] for the states lo..hi.
@@ -721,15 +720,6 @@ def scenario_from_json(doc: dict) -> ScenarioModel:
         raise ValueError(f"grid iid_uniform = {iid!r} is neither a flag nor [lo, hi]")
     kernel = None if iid else tuple(tuple(tuple(_to_fraction(p) for p in row) for row in pa)
                                     for pa in _key(gdoc, "grid", "kernel"))
-
-    cdoc = _key(gdoc, "grid", "cost")
-    if cdoc == "capacity":
-        cost: ChargingCost = CapacityCost()
-    elif cdoc == "quadratic":
-        cost = QuadraticLoadCost()
-    else:
-        cost = TableCost(tuple(tuple(_to_fraction(c) for c in row) for row in cdoc))
-
     grid = GridModel(values=values, kernel=kernel, cost=cost, iid_uniform=iid)
     if "states" in gdoc and listed != values:
         raise ValueError(f"grid iid_uniform = {gdoc['iid_uniform']} names the states "
@@ -759,7 +749,11 @@ def scenario_from_json(doc: dict) -> ScenarioModel:
             raise ValueError(f"unknown arrival law kind {kind!r} in {where!r}")
     demand = DemandModel(kernel=dkernel, arrivals=tuple(laws))
 
-    init = {k: _integer(v, f"initial {k}") for k, v in doc.get("initial", {}).items()}
+    init = doc.get("initial", {})
+    if not isinstance(init, dict) or not set(init) <= {"grid", "demand"}:
+        raise ValueError("scenario JSON 'initial' must be an object of 'grid' and "
+                         f"'demand' states, not {init!r}")
+    init = {k: _integer(v, f"initial {k}") for k, v in init.items()}
     return ScenarioModel(
         name=str(doc.get("name", "scenario")),
         num_chargers=n, max_stay=max_stay, max_units=max_units,

@@ -43,8 +43,8 @@ import numpy as np
 from . import streams
 from .core import ActionVector, SystemState, settle_stage
 from .models import (FixedCountArrivals, ScenarioModel, admit, capacity_scenario,
-                     draw_initial, initial_states, sample_grid, sample_demand,
-                     sample_indices, with_arrival_rate)
+                     draw_initial, initial_states, penalty_kind, sample_grid,
+                     sample_demand, sample_indices, with_arrival_rate)
 from .policies import HeuristicPolicy, make_policy, type_ranks
 
 
@@ -247,7 +247,7 @@ class _TypeCounts:
         if self.sc.grid.iid_uniform:
             self.s_idx = (u * self.sc.grid.state_count).astype(np.int64)
         else:
-            self.s_idx = sample_indices(self.sc.grid._cdf[self.s_idx, aggregate], u)
+            self.s_idx = sample_indices(self.sc.grid.cdf[self.s_idx, aggregate], u)
 
     def _arrivals(self, law, t: int):
         """Type rows of each trajectory's arrival batch, in arrival order,
@@ -475,6 +475,8 @@ def figure_experiment(penalty: str, rates: Sequence[int], stages: int,
     for what, items in (("arrival rate", rates), ("policy", policies)):
         if len(set(items)) < len(items):
             raise ValueError(f"repeated {what} in {items}: each cell would run twice")
+    if base_scenario is not None and (kind := penalty_kind(base_scenario.penalty)) != penalty:
+        raise ValueError(f"penalty {penalty!r} mislabels the base scenario's {kind!r} table")
     table = ComparisonTable(penalty=penalty, stages=stages, n_traj=n_traj,
                             seed=seed, policies=policies, rates=rates)
 

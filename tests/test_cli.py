@@ -275,9 +275,17 @@ SHORT_PENALTY = "penalty table length must be E + 1"
      "grid iid_uniform = 160.5 is not an integer"),
     (BENCHMARK, None, {"arrival": {"per_state": [{"kind": "fixed_count", "count": 2.5}]}},
      "arrival count = 2.5 is not an integer"),
+    # A section that is no JSON object, and an initial state the file misnames.
+    (BENCHMARK, None, {"grid": "x"}, "scenario JSON 'grid' must be an object, not str"),
+    (BENCHMARK, None, {"grid": [1]}, "scenario JSON 'grid' must be an object, not list"),
+    (BENCHMARK, None, {"initial": [0, 0]},
+     "'initial' must be an object of 'grid' and 'demand' states, not [0, 0]"),
+    (BENCHMARK, None, {"initial": {"grd": 1}},
+     "'initial' must be an object of 'grid' and 'demand' states, not {'grd': 1}"),
 ], ids=["N=-1", "B=0", "B=-1", "B=-2", "iid-grid-5..4", "empty-grid",
         "penalty-list-short", "penalty-values-short", "N=2.9", "B=2.5", "E=true",
-        "initial-grid-0.5", "iid-grid-40..160.5", "count-2.5"])
+        "initial-grid-0.5", "iid-grid-40..160.5", "count-2.5", "grid-string", "grid-list",
+        "initial-list", "initial-misnamed"])
 def test_scenario_sizes_out_of_range_exit_2(tmp_path, capsys, path, section, change,
                                             reason):
     with open(path) as fh:
@@ -292,6 +300,17 @@ def test_scenario_sizes_out_of_range_exit_2(tmp_path, capsys, path, section, cha
                                "--out", str(out)]) == 2
         assert reason in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [[1], "x", 5], ids=["list", "string", "number"])
+def test_a_document_that_is_no_object_exits_2(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "s.json"
+    assert main(["solve-exact", "--scenario", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"scenario JSON 'document' must be an object, not {type(doc).__name__}" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("section, key", [("grid", "kernel"), ("grid", "cost"),

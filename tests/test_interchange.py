@@ -322,6 +322,42 @@ def test_certify_counts_identity_and_equality_failures(monkeypatch, tmp_path):
     assert (doc["shortfall_identity_failures"], doc["equality_failures"]) == (1, 1)
 
 
+def test_certify_records_a_costlier_interchange_as_a_counterexample_only(monkeypatch):
+    # A case whose interchange costs more is a counterexample and nothing
+    # else: it counts toward neither branch of the window nor its checks.
+    real, altered = interchange.coupled_rollout, []
+
+    def costlier(*args, traj, **kwargs):
+        roll = real(*args, traj=traj, **kwargs)
+        if not altered:
+            altered.append(traj)
+            return dataclasses.replace(roll, swapped_total=roll.base_total + 1)
+        return roll
+
+    monkeypatch.setattr(interchange, "coupled_rollout", costlier)
+    sc = capacity_scenario(20, "linear")
+    rep = certify_dominance(sc, make_policy("edf", sc), n_cases=4, seed=9)
+    assert [b["case"] for b in rep.counterexamples] == altered == [0]
+    assert (rep.shortfall_identity_failures, rep.equality_failures) == (0, 0)
+    assert rep.strict + rep.equal == 3 and rep.g_empty_cases + rep.g_nonempty_cases == 3
+    assert not rep.ok
+
+
+def test_report_json_lists_the_fields_in_order(tmp_path):
+    keys = ["policy", "scenario", "penalty", "cases", "strict", "equal", "g_empty_cases",
+            "g_nonempty_cases", "shortfall_identity_failures", "equality_failures",
+            "counterexamples", "seed"]
+    assert keys == ["cases" if f.name == "n_cases" else f.name
+                    for f in dataclasses.fields(DominanceReport)]
+    sc = capacity_scenario(20, "linear")
+    rep = certify_dominance(sc, make_policy("edf", sc), n_cases=3, seed=1)
+    assert list(rep.to_json()) == keys
+    assert rep.to_json()["cases"] == rep.n_cases == 3
+    out = tmp_path / "report.json"
+    interchange.save_report(rep, out)
+    assert list(json.loads(out.read_text())) == keys
+
+
 def test_certify_quadratic_classifies_cases():
     sc = capacity_scenario(20, "quadratic")
     rep = certify_dominance(sc, make_policy("edf", sc), n_cases=60, seed=2)

@@ -367,6 +367,11 @@ def test_figure_experiment_refuses_before_any_cell(base, monkeypatch):
     with pytest.raises(ValueError, match=r"repeated policy in \('edf', 'lllp', 'edf'\)"):
         figure_experiment("linear", rates=(3,), stages=30, n_traj=5, seed=0,
                           policies=("edf", "lllp", "edf"), base_scenario=base)
+    # A label that misnames the base scenario's penalty would head every row.
+    quadratic = capacity_scenario(3, "quadratic", num_chargers=20, capacity_range=(1, 3))
+    with pytest.raises(ValueError,
+                       match="penalty 'linear' mislabels the base scenario's 'quadratic'"):
+        figure_experiment("linear", (3,), 20, 4, 0, base_scenario=quadratic)
     assert calls == []
 
 
