@@ -119,7 +119,8 @@ def cmd_verify_dominance(args) -> int:
     report = interchange.certify_dominance(scenario, policy, args.cases, args.seed)
     interchange.save_report(report, args.out)
     print(f"{report.n_cases} cases: {report.strict} strict, {report.equal} equal, "
-          f"{len(report.counterexamples)} counterexamples -> {args.out}")
+          f"{report.unreached} unreached, {len(report.counterexamples)} counterexamples "
+          f"-> {args.out}")
     if not report.ok:
         print(f"reproduction bundles in {args.out}", file=sys.stderr)
         return EXIT_FAILURE

@@ -137,10 +137,19 @@ class ActionVector:
 
 @dataclass(frozen=True)
 class SystemState:
-    """All charger states plus the grid and demand state indices."""
+    """All charger states plus the grid and demand state indices.  A charger
+    of stay 0 is empty and holds `EMPTY`; any other vehicle of stay 0 is
+    refused, as admission fills only the chargers that hold `EMPTY`."""
     vehicles: tuple[VehicleState, ...]
     grid: int
     demand: int
+
+    def __post_init__(self):
+        vehicles = self.vehicles
+        if vehicles.count(EMPTY) != len(vehicles) - len(self.occupied):
+            k, v = next((k, v) for k, v in enumerate(vehicles) if not v[0] and v != EMPTY)
+            raise ValueError(f"charger {k}: {v} has stay 0 but is not the empty "
+                             "charger VehicleState(0, 0)")
 
     @functools.cached_property
     def occupied(self) -> tuple[int, ...]:

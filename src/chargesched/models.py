@@ -17,8 +17,6 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import compress, count, islice
-from operator import itemgetter, not_
 from typing import Sequence
 
 import numpy as np
@@ -237,13 +235,40 @@ class FixedCountArrivals:
         return Fraction(1) if self.count == 0 else Fraction(0)
 
     def sample(self, key, traj: int, stage: int, max_stay: int) -> list[VehicleState]:
+        """The arrivals' types by `arrival_cells`, in the grid of stays
+        1..B and needs 0..B that holds them (need <= stay <= B)."""
         if self.count == 0:
             return []
-        u_stay = streams.uniforms(key, traj, stage, streams.STAY, self.count)
-        u_req = streams.uniforms(key, traj, stage, streams.REQUEST, self.count)
-        stays = (u_stay * max_stay).astype(np.int64) + 1
-        reqs = (u_req * stays).astype(np.int64) + 1
-        return list(map(vehicle_type, stays.tolist(), reqs.tolist()))
+        cells = arrival_cells(streams.uniforms(key, traj, stage, streams.STAY, self.count),
+                              streams.uniforms(key, traj, stage, streams.REQUEST, self.count),
+                              max_stay, max_stay + 1)
+        return _type_table(max_stay, max_stay + 1)[cells].tolist()
+
+
+def arrival_cells(u_stay: np.ndarray, u_req: np.ndarray, max_stay: int,
+                  width: int) -> np.ndarray:
+    """The type cells ``(stay - 1) * width + need`` of arrivals whose stay
+    is uniform on 1..B and request uniform on 1..stay, from one STAY and one
+    REQUEST uniform each, in place: both arrays are overwritten.  A STAY
+    uniform of exactly 1.0 gives stay B + 1, a cell past every (B, width)
+    grid, so a table of the grid refuses it."""
+    u_stay *= max_stay
+    stays = u_stay.astype(np.int64)
+    stays += 1
+    u_req *= stays
+    cells = u_req.astype(np.int64)      # need - 1
+    stays *= width
+    cells += stays
+    cells -= width - 1
+    return cells
+
+
+@functools.cache
+def _type_table(max_stay: int, width: int) -> np.ndarray:
+    """``vehicle_type(stay, need)`` at cell ``(stay - 1) * width + need``,
+    for stays 1..B and needs 0..width - 1, as an object array."""
+    return np.fromiter((vehicle_type(c // width + 1, c % width)
+                        for c in range(max_stay * width)), dtype=object)
 
 
 @dataclass(frozen=True)
@@ -464,14 +489,17 @@ def sample_demand(demand: DemandModel, d: int, key, traj: int, stage: int,
 def admit(out: list[VehicleState], arrivals: Sequence[VehicleState]) -> list[int]:
     """Place arrivals on the lowest-index empty chargers of ``out``, in place
     and in arrival order; return the chargers filled, in order.  The overflow
-    is dropped: ``len(arrivals) - len(filled)`` were turned away."""
-    if not arrivals:
-        return []
-    # Lazily, so the search stops at the last slot used.
-    empties = compress(count(), map(not_, map(itemgetter(0), out)))
-    filled = list(islice(empties, len(arrivals)))
-    for slot, arrival in zip(filled, arrivals):
-        out[slot] = arrival
+    is dropped: ``len(arrivals) - len(filled)`` were turned away.  An empty
+    charger holds `EMPTY`, the one vehicle of stay 0 a `SystemState` admits."""
+    filled = []
+    slot = -1
+    try:
+        for arrival in arrivals:
+            slot = out.index(EMPTY, slot + 1)
+            out[slot] = arrival
+            filled.append(slot)
+    except ValueError:      # no empty charger left
+        pass
     return filled
 
 
@@ -688,13 +716,27 @@ def _key(section: dict, name: str, key: str):
     return section[key]
 
 
+def _known(section: dict, name: str, keys: tuple[str, ...]) -> None:
+    """ValueError naming the first key of the object ``section`` that is not
+    one of ``keys``, so a misspelt optional key is not dropped in silence."""
+    if unknown := [k for k in section if k not in keys]:
+        raise ValueError(f"scenario JSON unknown key {unknown[0]!r} in {name!r}; "
+                         f"the keys there are {', '.join(map(repr, keys))}")
+
+
+_LAW_KEYS = {"fixed_count": ("kind", "count"), "tabulated": ("kind", "outcomes")}
+
+
 def scenario_from_json(doc: dict) -> ScenarioModel:
     n, max_stay, max_units = (_integer(_key(doc, "document", k), k) for k in ("N", "B", "E"))
     gdoc, ddoc, adoc, pdoc = (_key(doc, "document", k)
                               for k in ("grid", "demand", "arrival", "penalty"))
+    _known(doc, "document", ("name", "N", "B", "E", "grid", "demand", "arrival",
+                             "penalty", "initial"))
 
     if isinstance(pdoc, dict):
         # Explicit opt-in for negative-control fixtures with non-convex tables.
+        _known(pdoc, "penalty", ("values", "allow_nonconvex"))
         pdoc = PenaltyFunction([_to_fraction(v) for v in _key(pdoc, "penalty", "values")],
                                require_convex=not pdoc.get("allow_nonconvex", False))
     elif not isinstance(pdoc, str):
@@ -702,6 +744,7 @@ def scenario_from_json(doc: dict) -> ScenarioModel:
     penalty = _resolve_penalty(pdoc, max_units)
 
     cdoc = _key(gdoc, "grid", "cost")
+    _known(gdoc, "grid", ("states", "iid_uniform", "kernel", "cost"))
     if cdoc == "capacity":
         cost: ChargingCost = CapacityCost()
     elif cdoc == "quadratic":
@@ -726,13 +769,18 @@ def scenario_from_json(doc: dict) -> ScenarioModel:
                          f"{values[0]}..{values[-1]}, but grid states = {list(listed)}")
 
     dkernel = tuple(tuple(_to_fraction(p) for p in row) for row in _key(ddoc, "demand", "kernel"))
+    _known(ddoc, "demand", ("states", "kernel"))
     if "states" in ddoc and _integer(ddoc["states"], "demand states") != len(dkernel):
         raise ValueError(f"demand states = {ddoc['states']}, but the demand kernel "
                          f"has {len(dkernel)} rows")
     laws = []
-    for k, law in enumerate(_key(adoc, "arrival", "per_state")):
+    per_state = _key(adoc, "arrival", "per_state")
+    _known(adoc, "arrival", ("per_state",))
+    for k, law in enumerate(per_state):
         where = f"arrival.per_state[{k}]"
         kind = _key(law, where, "kind")
+        if kind in _LAW_KEYS:
+            _known(law, where, _LAW_KEYS[kind])
         if kind == "fixed_count":
             laws.append(FixedCountArrivals(_integer(_key(law, where, "count"),
                                                     "arrival count")))
@@ -741,6 +789,7 @@ def scenario_from_json(doc: dict) -> ScenarioModel:
             for m, o in enumerate(_key(law, where, "outcomes")):
                 at = f"{where}.outcomes[{m}]"
                 prob = _to_fraction(_key(o, at, "prob"))
+                _known(o, at, ("prob", "vehicles"))
                 outcomes.append((prob, tuple(
                     VehicleState(_integer(s, "vehicle stay"), _integer(g, "vehicle need"))
                     for s, g in _key(o, at, "vehicles"))))

@@ -42,9 +42,9 @@ import numpy as np
 
 from . import streams
 from .core import ActionVector, SystemState, settle_stage
-from .models import (FixedCountArrivals, ScenarioModel, admit, capacity_scenario,
-                     draw_initial, initial_states, penalty_kind, sample_grid,
-                     sample_demand, sample_indices, with_arrival_rate)
+from .models import (FixedCountArrivals, ScenarioModel, admit, arrival_cells,
+                     capacity_scenario, draw_initial, initial_states, penalty_kind,
+                     sample_grid, sample_demand, sample_indices, with_arrival_rate)
 from .policies import HeuristicPolicy, make_policy, type_ranks
 
 
@@ -256,16 +256,8 @@ class _TypeCounts:
         if isinstance(law, int):
             if law == 0:
                 return None
-            u_stay = self._uniforms(t, streams.STAY, law)
-            u_req = self._uniforms(t, streams.REQUEST, law)
-            u_stay *= self.B
-            stays = u_stay.astype(np.int64)
-            stays += 1
-            u_req *= stays
-            rows = u_req.astype(np.int64)       # need - 1
-            stays *= self.width
-            rows += stays
-            rows -= self.width - 1              # (stay - 1) * width + need
+            rows = arrival_cells(self._uniforms(t, streams.STAY, law),
+                                 self._uniforms(t, streams.REQUEST, law), self.B, self.width)
             return rows, np.full(self.n, law)
         types, sizes, cdf = law
         if sizes.max(initial=0) == 0:

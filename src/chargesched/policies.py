@@ -88,15 +88,18 @@ def check_lllp_compliance(state: SystemState,
     Only chargeable pairs can witness a violation: an idle vehicle with no
     remaining request is never above a charged one, and once the action is
     feasible every charged vehicle is still owed charge.  It is feasible when
-    the bits on unfinished vehicles sum to the aggregate, as bits are 0/1.
+    the bits on unfinished vehicles sum to the aggregate, as bits are 0/1,
+    and when that sum is their count no vehicle owed charge is idle.
     """
-    vehicles, bits = state.vehicles, action.bits
+    vehicles, bits, unfinished = state.vehicles, action.bits, state.unfinished
     if len(bits) != len(vehicles):
         action.check_feasible(vehicles)   # raises the length error
-    charged = [i for i in state.unfinished if bits[i]]
+    charged = [i for i in unfinished if bits[i]]
     if len(charged) != action.aggregate:
         action.check_feasible(vehicles)   # names the charger at fault
-    idle = [j for j in state.unfinished if not bits[j]]
+    if len(charged) == len(unfinished):
+        return None
+    idle = [j for j in unfinished if not bits[j]]
     for i in charged:
         for j in idle:
             if outranks(vehicles[j], vehicles[i]):

@@ -24,7 +24,10 @@ Draws come from two places, with the same bits:
   sets its key and counter before each draw, from one reused state dict.  The
   state it sets (key, counter, empty output buffer) is exactly the state of a
   freshly constructed ``Philox(key=key, counter=counter)``, and no generator
-  is shared between threads.
+  is shared between threads.  The generator reads the dict's words faster
+  from Python ints than from arrays, so its buffer is a tuple, and it keeps
+  the ints of the last read-only key (`philox_key` returns one) and converts
+  only another key.
 * stage blocks.  A rollout of known length opens a `stage_window` for its
   (key, trajectory); while it is open, `uniform` serves that trajectory's
   GRID, DEMAND and OUTCOME draws from blocks of up to `BLOCK_STAGES` stages,
@@ -68,14 +71,18 @@ _U64_INV = 1.0 / 2.0 ** 64
 
 
 def philox_key(seed: int) -> np.ndarray:
-    """Derive the 128-bit Philox key for a user-facing integer seed."""
+    """Derive the 128-bit Philox key for a user-facing integer seed, as a
+    read-only array."""
     ss = np.random.SeedSequence([0x6C61786974, seed & 0xFFFFFFFFFFFFFFFF])
-    return ss.generate_state(2, np.uint64)
+    key = ss.generate_state(2, np.uint64)
+    key.flags.writeable = False
+    return key
 
 
 class _Local(threading.local):
     philox = None       # this thread's generator, keyed before every draw
     state = None        # the state dict it is keyed from
+    key = None          # the read-only key whose ints that dict holds, if any
     window = None       # the open `stage_window`, if any
 
 
@@ -89,23 +96,29 @@ def _keyed(key: np.ndarray, c0: int, stage: int, source: int) -> np.random.Philo
     if local.philox is None:
         local.philox = np.random.Philox(0)
         local.state = {"bit_generator": "Philox", "state": {},
-                       "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                       "buffer": (0, 0, 0, 0), "buffer_pos": 4,
                        "has_uint32": 0, "uinteger": 0}
     state = local.state
     address = state["state"]
     address["counter"] = (c0, stage, source, 0)
-    address["key"] = key
+    if key is not local.key:    # a writable key may change, so it is never kept
+        address["key"] = (int(key[0]), int(key[1]))
+        local.key = None if key.flags.writeable else key
     local.philox.state = state
     return local.philox
 
 
 def uniforms(key: np.ndarray, traj: int, stage: int, source: int, n: int) -> np.ndarray:
-    """n uniforms in [0, 1) for one trajectory at one (stage, source) cell."""
+    """n uniforms in [0, 1] for one trajectory at one (stage, source) cell.
+
+    A uniform is a uint64 word times 2**-64, rounded to float64, so the 2**10
+    largest words give exactly 1.0 (about 2**-54 per draw): a sampler that
+    scales a uniform to an index must refuse that index or clamp it."""
     blocks = _BLOCKS[source]
     if n > 4 * blocks:
         raise ValueError(f"source {source} supports at most {4 * blocks} draws per stage")
     raw = _keyed(key, traj * blocks, stage, source).random_raw(n)
-    return raw.astype(np.float64) * _U64_INV
+    return np.multiply(raw, _U64_INV, dtype=np.float64)
 
 
 def uniform(key: np.ndarray, traj: int, stage: int, source: int) -> float:

@@ -149,6 +149,19 @@ def test_verify_dominance_negative_control_exits_1(tmp_path):
         assert key in bundle
 
 
+def test_verify_dominance_counts_the_cases_without_a_violation(tmp_path, capsys):
+    # LLLP keeps the priority rule, so no case meets a violation to wrap.
+    out = tmp_path / "report.json"
+    assert main(["verify-dominance", "--scenario", BENCHMARK, "--policy", "lllp",
+                 "--cases", "2", "--seed", "1", "--out", str(out)]) == 0
+    assert (f"2 cases: 0 strict, 0 equal, 2 unreached, 0 counterexamples -> {out}"
+            in capsys.readouterr().out)
+    doc = json.loads(out.read_text())
+    assert (doc["strict"], doc["equal"], doc["unreached"], doc["cases"]) == (0, 0, 2, 2)
+    keys = list(doc)
+    assert keys[keys.index("equal") + 1] == "unreached"
+
+
 def test_verify_dominance_zero_cases(tmp_path):
     assert main(["verify-dominance", "--scenario", BENCHMARK, "--cases", "0",
                  "--seed", "1", "--out", str(tmp_path / "r.json")]) == 2
@@ -351,6 +364,43 @@ def test_a_missing_key_inside_a_law_names_its_place(tmp_path, capsys, doc_path, 
     assert main(["solve-exact", "--scenario", str(scenario), "--out", str(out)]) == 2
     assert f"scenario JSON missing key {key!r} in {section!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("doc_path, at, key, place", [
+    (TINY, (), "intial", "document"),
+    (BENCHMARK, ("grid",), "iid_unifrm", "grid"),
+    (TINY, ("demand",), "sates", "demand"),
+    (TINY, ("arrival",), "per_stage", "arrival"),
+    (BENCHMARK, ("arrival", "per_state", 0), "outcomes", "arrival.per_state[0]"),
+    (TINY, ("arrival", "per_state", 0), "count", "arrival.per_state[0]"),
+    (TINY, ("arrival", "per_state", 0, "outcomes", 1), "probability",
+     "arrival.per_state[0].outcomes[1]"),
+    (CONCAVE, ("penalty",), "allow_non_convex", "penalty"),
+], ids=["document", "grid", "demand", "arrival", "fixed-count-law", "tabulated-law",
+        "outcome", "penalty"])
+def test_an_unknown_key_is_refused_at_its_place(tmp_path, capsys, doc_path, at, key, place):
+    # A misspelt optional key would otherwise be dropped in silence: "intial"
+    # left both initial states unpinned, and "iid_unifrm" read as a grid
+    # with no kernel.
+    with open(doc_path) as fh:
+        doc = json.load(fh)
+    inner = doc
+    for step in at:
+        inner = inner[step]
+    if key == "intial":
+        inner[key] = inner.pop("initial")
+    elif key == "iid_unifrm":
+        inner[key] = inner.pop("iid_uniform")
+    else:
+        inner[key] = 1
+    scenario = tmp_path / "unknown.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "s.json"
+    assert main(["verify-dominance", "--scenario", str(scenario), "--cases", "1",
+                 "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"scenario JSON unknown key {key!r} in {place!r}" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("command, work", [

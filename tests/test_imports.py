@@ -86,3 +86,13 @@ def test_monte_carlo_and_certificates_load_no_factorisation():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert run.stdout.split() == ["[]"]
+
+
+def test_pytest_finds_the_package_in_a_bare_checkout():
+    # pyproject.toml puts src/ on the path, so no PYTHONPATH is needed.
+    root = PACKAGE.parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q",
+                          "-p", "no:cacheprovider", "tests/test_core.py"],
+                         cwd=root, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr

@@ -347,10 +347,12 @@ def test_report_json_lists_the_fields_in_order(tmp_path):
     keys = ["policy", "scenario", "penalty", "cases", "strict", "equal", "g_empty_cases",
             "g_nonempty_cases", "shortfall_identity_failures", "equality_failures",
             "counterexamples", "seed"]
-    assert keys == ["cases" if f.name == "n_cases" else f.name
-                    for f in dataclasses.fields(DominanceReport)]
+    # `unreached` follows `equal`, and is written only when a case was unreached.
+    assert keys[:6] + ["unreached"] + keys[6:] == [
+        "cases" if f.name == "n_cases" else f.name for f in dataclasses.fields(DominanceReport)]
     sc = capacity_scenario(20, "linear")
     rep = certify_dominance(sc, make_policy("edf", sc), n_cases=3, seed=1)
+    assert rep.unreached == 0
     assert list(rep.to_json()) == keys
     assert rep.to_json()["cases"] == rep.n_cases == 3
     out = tmp_path / "report.json"

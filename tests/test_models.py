@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargesched import models, streams
-from chargesched.core import PenaltyFunction, VehicleState
+from chargesched.core import (ActionVector, PenaltyFunction, SystemState, VehicleState,
+                              step_vehicles)
 from chargesched.models import (DemandModel, FixedCountArrivals, GridModel,
                                 QuadraticLoadCost, ScenarioModel, TableCost,
                                 TabulatedArrivals, admit, capacity_scenario,
@@ -22,6 +23,8 @@ from chargesched.models import (DemandModel, FixedCountArrivals, GridModel,
                                 scenario_to_json, two_charger_scenario,
                                 with_arrival_rate, with_penalty)
 from chargesched.exactdp import validate_unichain_assumptions
+from chargesched.montecarlo import _TypeCounts
+from chargesched.policies import make_policy
 from test_exactdp import _law_rows, _two_demand_scenario
 
 ONE = Fraction(1)
@@ -130,6 +133,86 @@ def test_admit_permutation_stability():
         filled2 = admit(out2, arrivals)
         assert len(filled1) == len(filled2)
         assert sorted(out1) == sorted(out2)
+
+
+def test_a_state_refuses_a_stay_zero_vehicle_other_than_empty():
+    # Admission fills the chargers holding EMPTY, so a fleet whose stay-0
+    # charger holds anything else never reaches it: the state refuses it.
+    with pytest.raises(ValueError, match=r"^charger 1: VehicleState\(stay=0, need=2\) "
+                                         "has stay 0 but is not the empty charger"):
+        SystemState((VehicleState(2, 1), VehicleState(0, 2), VehicleState(0, 0)), 0, 0)
+    with pytest.raises(ValueError, match="^charger 0: "):
+        step_vehicles([VehicleState(0, 1)], ActionVector((0,)))
+    out = list(SystemState((VehicleState(2, 1), VehicleState(0, 0)), 0, 0).vehicles)
+    assert admit(out, [VehicleState(3, 3)]) == [1]
+
+
+def _arrival_scenario(count, max_stay, max_units):
+    """A small capacity scenario with a fixed count, stays 1..B and E >= B."""
+    sc = capacity_scenario(count, num_chargers=8, max_stay=max_stay, capacity_range=(1, 4))
+    return dataclasses.replace(sc, max_units=max_units,
+                               penalty=PenaltyFunction.linear(max_units))
+
+
+def _batch_cells(sc, seed, traj, stage):
+    """The batch engine's arrival cells for one trajectory and stage."""
+    block = _TypeCounts(sc, make_policy("edf", sc), 1, seed, traj)
+    return block._arrivals(block.laws[0], stage)[0][0].tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(max_stay=st.integers(1, 12), extra=st.integers(0, 3),
+       count=st.integers(1, streams.MAX_ARRIVALS_PER_STAGE), seed=st.integers(0, 2 ** 32),
+       traj=st.integers(0, 10 ** 6), stage=st.integers(0, 10 ** 4))
+def test_scalar_arrival_types_are_the_batch_engines_cells(max_stay, extra, count, seed,
+                                                           traj, stage):
+    sc = _arrival_scenario(count, max_stay, max_stay + extra)
+    width = sc.max_units + 1
+    _, types = sample_demand(sc.demand, 0, streams.philox_key(seed), traj, stage, max_stay)
+    assert [(v.stay - 1) * width + v.need for v in types] == _batch_cells(sc, seed, traj,
+                                                                          stage)
+    assert all(type(v) is VehicleState for v in types)
+
+
+def _around(x):
+    """x and its two float neighbours, kept inside [0, 1)."""
+    return [u for u in (np.nextafter(x, -1.0), x, np.nextafter(x, 2.0)) if 0 <= u < 1]
+
+
+@pytest.mark.parametrize("max_stay, max_units", [(7, 7), (5, 9), (10, 10)])
+def test_arrival_types_on_the_rounding_boundaries(monkeypatch, max_stay, max_units):
+    # Uniforms one ulp either side of every stay boundary k / B and every
+    # need boundary j / stay.  Each is a word times 2**-64, as every float
+    # of [2**-12, 1) is one.
+    pairs = []
+    for k in range(max_stay + 1):
+        for u_stay in _around(k / max_stay):
+            stay = int(u_stay * max_stay) + 1
+            pairs += [(u_stay, u_req) for j in range(stay + 1)
+                      for u_req in _around(j / stay)]
+    # The rule both engines share, in Python floats, read straight off the law.
+    want = [(int(a * max_stay) + 1, int(b * (int(a * max_stay) + 1)) + 1) for a, b in pairs]
+    sc = _arrival_scenario(1, max_stay, max_units)
+    width = max_units + 1
+    drawn = {}
+    real = streams.uniforms_batch
+    monkeypatch.setattr(streams, "uniforms",
+                        lambda key, traj, stage, source, n: drawn[source].copy())
+    monkeypatch.setattr(streams, "uniforms_batch",
+                        lambda key, n_traj, stage, source, n_per, start=0:
+                        drawn[source][None, :].copy() if source in drawn
+                        else real(key, n_traj, stage, source, n_per, start))
+    for at in range(0, len(pairs), streams.MAX_ARRIVALS_PER_STAGE):
+        chunk = pairs[at:at + streams.MAX_ARRIVALS_PER_STAGE]
+        drawn[streams.STAY] = np.array([a for a, _ in chunk])
+        drawn[streams.REQUEST] = np.array([b for _, b in chunk])
+        law = FixedCountArrivals(len(chunk))
+        types = law.sample(streams.philox_key(0), 0, 0, max_stay)
+        assert types == want[at:at + len(chunk)]
+        scenario = dataclasses.replace(sc, demand=DemandModel(kernel=((ONE,),),
+                                                              arrivals=(law,)))
+        assert _batch_cells(scenario, 0, 0, 0) == [(s - 1) * width + g
+                                                   for s, g in types]
 
 
 def test_capacity_scenario_parameters():

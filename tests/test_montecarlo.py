@@ -463,3 +463,30 @@ def test_unknown_cost_form_runs_on_the_batch_engine():
     assert (res.engine, res.fallback) == ("batch", None)
     scalar = [run_trajectory(sc, pol, 30, seed=4, traj=i).time_average for i in range(3)]
     assert res.per_traj.tobytes() == np.array(scalar).tobytes()
+
+
+def test_a_stay_uniform_of_exactly_one_raises_in_both_engines(monkeypatch):
+    # The 2**10 largest uint64 words round to a uniform of exactly 1.0, which
+    # scales to stay B + 1: a type neither engine has a cell for.
+    words = np.array([2 ** 64 - 2 ** 10, 2 ** 64 - 2 ** 10 - 1], dtype=np.uint64)
+    assert np.multiply(words, 2.0 ** -64, dtype=np.float64).tolist() == [1.0, 1 - 2 ** -53]
+    sc = capacity_scenario(5, num_chargers=10, max_stay=4, capacity_range=(1, 3))
+    pol = make_policy("lllp", sc)
+    real, real_batch = streams.uniforms, streams.uniforms_batch
+
+    def one_at_stage_3(u, stage, source):
+        if stage == 3 and source == streams.STAY:
+            u.flat[0] = 1.0
+        return u
+
+    monkeypatch.setattr(streams, "uniforms", lambda key, traj, stage, source, n:
+                        one_at_stage_3(real(key, traj, stage, source, n), stage, source))
+    monkeypatch.setattr(streams, "uniforms_batch", lambda *args: one_at_stage_3(
+        real_batch(*args), args[2], args[3]))
+    with pytest.raises(IndexError):
+        run_trajectory(sc, pol, 10, seed=1)
+    with pytest.raises(IndexError):
+        monte_carlo(sc, pol, 10, 3, base_seed=1)
+    # Both run through stage 2, where every draw is the real one.
+    run_trajectory(sc, pol, 3, seed=1)
+    assert monte_carlo(sc, pol, 3, 3, base_seed=1).engine == "batch"

@@ -171,3 +171,19 @@ def test_batch_start_offsets_the_trajectories():
     part = streams.uniforms_batch(key, 4, 4, streams.STAY, 5, 6)
     assert part.tobytes() == whole[6:].tobytes()
     assert part[0].tobytes() == streams.uniforms(key, 6, 4, streams.STAY, 5).tobytes()
+
+
+def test_a_key_is_read_again_unless_it_is_the_read_only_key_last_used():
+    # `_keyed` keeps the ints of the last read-only key; a writable key may
+    # change between draws, so its current words are read every time.
+    key = streams.philox_key(31)
+    assert not key.flags.writeable
+    mutable = streams.philox_key(32).copy()
+    draws = []
+    for k in (key, mutable, key, mutable, mutable):
+        got = streams.uniforms(k, 2, 5, streams.STAY, 4).tobytes()
+        assert got == _fresh_draws(k, 2, 5, streams.STAY)[:4].tobytes()
+        if k is mutable:
+            draws.append(got)
+            mutable[1] ^= 1         # the next draw with it must see this
+    assert len(set(draws)) == 2     # the words alternate: no stale key was used
