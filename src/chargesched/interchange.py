@@ -22,7 +22,8 @@ from typing import Optional
 
 from . import streams
 from .core import ActionVector, SystemState, VehicleState, outranks
-from .models import ScenarioModel, initial_states, penalty_json
+from .models import (DemandModel, GridModel, ScenarioModel, TableCost, TabulatedArrivals,
+                     initial_states, penalty_json)
 from .montecarlo import advance_stage, as_fractions
 from .policies import check_lllp_compliance
 
@@ -324,19 +325,17 @@ class ScriptedPolicy:
         return ActionVector(fixed)
 
 
-def pure_penalty_scenario(penalty, num_chargers: int = 2) -> ScenarioModel:
-    """Zero charging cost, no arrivals, a single grid state: every cost on a
-    rollout is a departure penalty.  The stage for studying penalties alone."""
-    from .models import (DemandModel, GridModel, ScenarioModel, TableCost,
-                         TabulatedArrivals)
+def pure_penalty_scenario(penalty) -> ScenarioModel:
+    """Two chargers, zero charging cost, no arrivals, a single grid state:
+    every cost on a rollout is a departure penalty.  The stage for studying
+    penalties alone."""
     one = Fraction(1)
     e = penalty.max_units
-    kernel = ((tuple((one,) for _ in range(num_chargers + 1))),)
-    grid = GridModel(values=(0,), kernel=kernel,
-                     cost=TableCost(((Fraction(0),),) * (num_chargers + 1)))
+    kernel = (((one,),) * 3,)           # aggregate actions 0..2
+    grid = GridModel(values=(0,), kernel=kernel, cost=TableCost(((Fraction(0),),) * 3))
     demand = DemandModel(kernel=((one,),),
                          arrivals=(TabulatedArrivals(((one, ()),)),))
-    return ScenarioModel(name="pure-penalty", num_chargers=num_chargers,
+    return ScenarioModel(name="pure-penalty", num_chargers=2,
                          max_stay=max(e, 10), max_units=e,
                          grid=grid, demand=demand, penalty=penalty,
                          initial_grid=0, initial_demand=0)

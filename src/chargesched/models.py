@@ -161,20 +161,16 @@ class GridModel:
         return self.cdf.tolist()
 
     def row(self, s: int, aggregate: int) -> tuple[Fraction, ...]:
-        if self.iid_uniform:
-            p = Fraction(1, self.state_count)
-            return tuple(p for _ in range(self.state_count))
-        return self.kernel[s][aggregate]
+        return self.initial_distribution if self.iid_uniform else self.kernel[s][aggregate]
 
     def special_state(self) -> int | None:
-        """A state reachable (under zero aggregate action) from every initial
-        state, if one exists: the anchor the constant-gain argument needs."""
+        """The least state of the zero-action chain's closed class when it has
+        one, else None: the states every initial state reaches are that
+        class, and the anchor the constant-gain argument needs."""
         if self.iid_uniform:
             return 0
-        graph = _positive_graph([per_action[0] for per_action in self.kernel])
-        common = set.intersection(*(set(linalg.reachable(graph, s0))
-                                    for s0 in range(self.state_count)))
-        return min(common) if common else None
+        closed = linalg.closed_classes(_positive_graph([pa[0] for pa in self.kernel]))
+        return min(closed[0]) if len(closed) == 1 else None
 
     @functools.cached_property
     def initial_distribution(self) -> tuple[Fraction, ...]:
@@ -249,9 +245,10 @@ def arrival_cells(u_stay: np.ndarray, u_req: np.ndarray, max_stay: int,
                   width: int) -> np.ndarray:
     """The type cells ``(stay - 1) * width + need`` of arrivals whose stay
     is uniform on 1..B and request uniform on 1..stay, from one STAY and one
-    REQUEST uniform each, in place: both arrays are overwritten.  A STAY
-    uniform of exactly 1.0 gives stay B + 1, a cell past every (B, width)
-    grid, so a table of the grid refuses it."""
+    REQUEST uniform each, in place: both arrays are overwritten.  A uniform
+    of exactly 1.0 would give stay B + 1 or need stay + 1, and is refused."""
+    if u_stay.max() >= 1 or u_req.max() >= 1:
+        raise ValueError("an arrival's STAY or REQUEST uniform is exactly 1.0")
     u_stay *= max_stay
     stays = u_stay.astype(np.int64)
     stays += 1
@@ -632,12 +629,10 @@ def with_penalty(scenario: ScenarioModel, penalty: str | PenaltyFunction) -> Sce
 def penalty_kind(penalty: PenaltyFunction) -> str:
     """Classify a penalty table: "linear", "quadratic", another convex
     "table", or "nonconvex"."""
-    q = penalty.values
-    if q == tuple(Fraction(n) for n in range(len(q))):
-        return "linear"
-    if q == tuple(Fraction(n * n) for n in range(len(q))):
-        return "quadratic"
-    return "nonconvex" if convexity_fault(q) else "table"
+    for kind in ("linear", "quadratic"):
+        if penalty.values == _resolve_penalty(kind, penalty.max_units).values:
+            return kind
+    return "nonconvex" if convexity_fault(penalty.values) else "table"
 
 
 # ---------------------------------------------------------------------------
@@ -707,44 +702,39 @@ def _integer(x, what: str) -> int:
     return x
 
 
-def _key(section: dict, name: str, key: str):
-    """section[key], or ValueError naming the section and the key."""
+def _section(section, name: str, required: Sequence[str], optional=()) -> list:
+    """The values of the ``required`` keys of the JSON object ``section``.
+    ValueError naming ``name`` when it is no object, lacks a required key,
+    or holds a key that is neither required nor ``optional``, so a misspelt
+    optional key is not dropped in silence; the section itself as
+    ``optional`` lets every key it holds pass."""
     if not isinstance(section, dict):
         raise ValueError(f"scenario JSON {name!r} must be an object, not {type(section).__name__}")
-    if key not in section:
-        raise ValueError(f"scenario JSON missing key {key!r} in {name!r}")
-    return section[key]
-
-
-def _known(section: dict, name: str, keys: tuple[str, ...]) -> None:
-    """ValueError naming the first key of the object ``section`` that is not
-    one of ``keys``, so a misspelt optional key is not dropped in silence."""
+    if missing := [k for k in required if k not in section]:
+        raise ValueError(f"scenario JSON missing key {missing[0]!r} in {name!r}")
+    keys = (*required, *optional)
     if unknown := [k for k in section if k not in keys]:
         raise ValueError(f"scenario JSON unknown key {unknown[0]!r} in {name!r}; "
                          f"the keys there are {', '.join(map(repr, keys))}")
-
-
-_LAW_KEYS = {"fixed_count": ("kind", "count"), "tabulated": ("kind", "outcomes")}
+    return [section[k] for k in required]
 
 
 def scenario_from_json(doc: dict) -> ScenarioModel:
-    n, max_stay, max_units = (_integer(_key(doc, "document", k), k) for k in ("N", "B", "E"))
-    gdoc, ddoc, adoc, pdoc = (_key(doc, "document", k)
-                              for k in ("grid", "demand", "arrival", "penalty"))
-    _known(doc, "document", ("name", "N", "B", "E", "grid", "demand", "arrival",
-                             "penalty", "initial"))
+    *sizes, gdoc, ddoc, adoc, pdoc = _section(
+        doc, "document", ("N", "B", "E", "grid", "demand", "arrival", "penalty"),
+        ("name", "initial"))
+    n, max_stay, max_units = (_integer(v, k) for v, k in zip(sizes, "NBE"))
 
     if isinstance(pdoc, dict):
         # Explicit opt-in for negative-control fixtures with non-convex tables.
-        _known(pdoc, "penalty", ("values", "allow_nonconvex"))
-        pdoc = PenaltyFunction([_to_fraction(v) for v in _key(pdoc, "penalty", "values")],
+        values, = _section(pdoc, "penalty", ("values",), ("allow_nonconvex",))
+        pdoc = PenaltyFunction([_to_fraction(v) for v in values],
                                require_convex=not pdoc.get("allow_nonconvex", False))
     elif not isinstance(pdoc, str):
         pdoc = PenaltyFunction([_to_fraction(v) for v in pdoc])
     penalty = _resolve_penalty(pdoc, max_units)
 
-    cdoc = _key(gdoc, "grid", "cost")
-    _known(gdoc, "grid", ("states", "iid_uniform", "kernel", "cost"))
+    cdoc, = _section(gdoc, "grid", ("cost",), ("states", "iid_uniform", "kernel"))
     if cdoc == "capacity":
         cost: ChargingCost = CapacityCost()
     elif cdoc == "quadratic":
@@ -753,7 +743,7 @@ def scenario_from_json(doc: dict) -> ScenarioModel:
         cost = TableCost(tuple(tuple(_to_fraction(c) for c in row) for row in cdoc))
 
     # An iid grid is `states` with "iid_uniform": true, or, in the older
-    # form, "iid_uniform": [lo, hi] for the states lo..hi.
+    # form, "iid_uniform": [lo, hi] for the states lo..hi.  Any other grid needs a kernel.
     listed = values = tuple(_integer(v, "grid states") for v in gdoc.get("states", ()))
     iid = gdoc.get("iid_uniform", False)
     if isinstance(iid, list):
@@ -762,39 +752,34 @@ def scenario_from_json(doc: dict) -> ScenarioModel:
     elif not isinstance(iid, bool):
         raise ValueError(f"grid iid_uniform = {iid!r} is neither a flag nor [lo, hi]")
     kernel = None if iid else tuple(tuple(tuple(_to_fraction(p) for p in row) for row in pa)
-                                    for pa in _key(gdoc, "grid", "kernel"))
+                                    for pa in _section(gdoc, "grid", ("kernel",), gdoc)[0])
     grid = GridModel(values=values, kernel=kernel, cost=cost, iid_uniform=iid)
     if "states" in gdoc and listed != values:
         raise ValueError(f"grid iid_uniform = {gdoc['iid_uniform']} names the states "
                          f"{values[0]}..{values[-1]}, but grid states = {list(listed)}")
 
-    dkernel = tuple(tuple(_to_fraction(p) for p in row) for row in _key(ddoc, "demand", "kernel"))
-    _known(ddoc, "demand", ("states", "kernel"))
+    dkernel = tuple(tuple(_to_fraction(p) for p in row)
+                    for row in _section(ddoc, "demand", ("kernel",), ("states",))[0])
     if "states" in ddoc and _integer(ddoc["states"], "demand states") != len(dkernel):
         raise ValueError(f"demand states = {ddoc['states']}, but the demand kernel "
                          f"has {len(dkernel)} rows")
     laws = []
-    per_state = _key(adoc, "arrival", "per_state")
-    _known(adoc, "arrival", ("per_state",))
-    for k, law in enumerate(per_state):
+    for k, law in enumerate(_section(adoc, "arrival", ("per_state",))[0]):
         where = f"arrival.per_state[{k}]"
-        kind = _key(law, where, "kind")
-        if kind in _LAW_KEYS:
-            _known(law, where, _LAW_KEYS[kind])
+        kind = isinstance(law, dict) and law.get("kind")
         if kind == "fixed_count":
-            laws.append(FixedCountArrivals(_integer(_key(law, where, "count"),
-                                                    "arrival count")))
+            count = _section(law, where, ("kind", "count"))[1]
+            laws.append(FixedCountArrivals(_integer(count, "arrival count")))
         elif kind == "tabulated":
             outcomes = []
-            for m, o in enumerate(_key(law, where, "outcomes")):
-                at = f"{where}.outcomes[{m}]"
-                prob = _to_fraction(_key(o, at, "prob"))
-                _known(o, at, ("prob", "vehicles"))
-                outcomes.append((prob, tuple(
+            for m, o in enumerate(_section(law, where, ("kind", "outcomes"))[1]):
+                prob, vehicles = _section(o, f"{where}.outcomes[{m}]", ("prob", "vehicles"))
+                outcomes.append((_to_fraction(prob), tuple(
                     VehicleState(_integer(s, "vehicle stay"), _integer(g, "vehicle need"))
-                    for s, g in _key(o, at, "vehicles"))))
+                    for s, g in vehicles)))
             laws.append(TabulatedArrivals(tuple(outcomes)))
         else:
+            _section(law, where, ("kind",), law)
             raise ValueError(f"unknown arrival law kind {kind!r} in {where!r}")
     demand = DemandModel(kernel=dkernel, arrivals=tuple(laws))
 

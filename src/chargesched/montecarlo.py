@@ -341,16 +341,15 @@ TRAJ_BLOCK = 1000
 
 
 def _batch_averages(scenario, policy, stages, n_traj, seed, warmup):
-    """Per-trajectory warm-up-excluded and raw averages, and rejections, in
-    blocks of at most `TRAJ_BLOCK` trajectories; every trajectory draws from
-    its own substreams, so the blocking changes no value.  Both sums are
-    below 2**53 units (`_batch_supported`), so each average equals the scalar
-    engine's float(Fraction) / stages bit for bit."""
+    """Per-trajectory averages past ``warmup < stages`` stages, raw ones and
+    rejections, in blocks of at most `TRAJ_BLOCK` trajectories; every
+    trajectory draws from its own substreams, so the blocking changes no
+    value.  Both sums are below 2**53 units (`_batch_supported`), so each
+    average equals the scalar engine's float(Fraction) / stages bit for bit."""
     unit = scenario.prices.unit
     blocks = []
     for start in range(0, n_traj, TRAJ_BLOCK):
         bs = _TypeCounts(scenario, policy, min(TRAJ_BLOCK, n_traj - start), seed, start)
-        head = bs.total.copy()
         for t in range(stages):
             if t == warmup:
                 head = bs.total.copy()

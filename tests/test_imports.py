@@ -1,4 +1,5 @@
-"""Each module of the package uses only the public names of its siblings."""
+"""Each module of the package uses only the public names of its siblings,
+and a function does not import again a sibling its module imports at top level."""
 import ast
 import os
 import subprocess
@@ -65,6 +66,32 @@ def private_reads_across_modules(package: Path) -> list[str]:
 
 def test_no_module_reads_a_private_attribute_only_a_sibling_defines():
     assert private_reads_across_modules(PACKAGE) == []
+
+
+def _siblings(node: ast.ImportFrom) -> set[str]:
+    """The sibling modules a relative import reads from."""
+    return {node.module} if node.module else {alias.name for alias in node.names}
+
+
+def function_imports_of_imported_siblings(package: Path) -> list[str]:
+    """Every relative import inside a function that reads a sibling module
+    its own module already imports at top level, where it is in scope."""
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = set().union(*(_siblings(node) for node in tree.body
+                            if isinstance(node, ast.ImportFrom) and node.level > 0))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.ImportFrom) and node.level > 0
+                            and _siblings(node) & top):
+                        found.setdefault((path.name, node.lineno), fn.name)
+    return [f"{name}:{line}: {fn}" for (name, line), fn in sorted(found.items())]
+
+
+def test_no_function_imports_a_sibling_its_module_imports_at_top_level():
+    assert function_imports_of_imported_siblings(PACKAGE) == []
 
 
 def test_monte_carlo_and_certificates_load_no_factorisation():

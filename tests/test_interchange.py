@@ -86,6 +86,23 @@ def test_price_cycle_interchange_swaps_back_with_equal_cost():
     assert roll.aggregates == (1, 1, 1)
 
 
+def test_a_window_rollout_refuses_a_short_horizon_or_a_late_start():
+    sc = _no_arrival_scenario(PenaltyFunction.linear(10), prices=(1, 0, 2))
+    pol = ScriptedPolicy({0: (1, 0), 1: (0, 1), 2: (0, 1)})
+    x0 = SystemState((VehicleState(2, 1), VehicleState(3, 2)), 0, 0)
+    wrapped = wrap_interchange(pol, x0, 0, 1, 0)
+    with pytest.raises(ValueError, match="horizon must cover the interchange window"):
+        coupled_rollout(sc, pol, wrapped, x0, wrapped.length - 1, seed=0)
+    with pytest.raises(ValueError, match="rollout must start at the window's opening stage"):
+        coupled_rollout(sc, pol, wrapped, x0, wrapped.length, seed=0, stage_offset=1)
+
+
+def test_certify_dominance_needs_a_case():
+    sc = capacity_scenario(5, num_chargers=4)
+    with pytest.raises(ValueError, match="need at least one case"):
+        certify_dominance(sc, make_policy("edf", sc), n_cases=0, seed=0)
+
+
 def _two_vehicle_outcomes(penalty, x0, script, prices):
     """Oracle: exhaustively replay the scripted decisions, tracking both the
     base order and the interchanged order by brute-force state stepping."""

@@ -534,3 +534,47 @@ def test_draw_initial_is_one_row_of_initial_states(build):
                                  (demand, sc.initial_demand, sc.demand.state_count)):
         if pinned is None and count > 1:
             assert len(set(drawn.tolist())) > 1
+
+
+_COST = TableCost(((Fraction(0), Fraction(0)),) * 2)
+_HALF = Fraction(1, 2)
+_EMPTY_LAW = TabulatedArrivals(((ONE, ()),))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GridModel(values=(0, 1), kernel=None, cost=_COST),
+     "non-iid grid requires an explicit kernel"),
+    (lambda: GridModel(values=(0, 1), kernel=(((ONE, 0),) * 2,), cost=_COST),
+     "kernel first dimension must match state count"),
+    (lambda: GridModel(values=(0, 1), kernel=(((ONE, 0),) * 2, ((ONE, 0),)), cost=_COST),
+     "kernel action dimension is ragged"),
+    (lambda: GridModel(values=(0, 1), kernel=(((ONE,),) * 2,) * 2, cost=_COST),
+     "kernel row length must match state count"),
+    (lambda: DemandModel(kernel=((3 * _HALF, -_HALF),) * 2, arrivals=(_EMPTY_LAW,) * 2),
+     "demand kernel row 0: negative probability"),
+    (lambda: DemandModel(kernel=((ONE,),), arrivals=(_EMPTY_LAW,) * 2),
+     "need one arrival law per demand state"),
+    (lambda: capacity_scenario(5, "cubic"), "unknown penalty kind 'cubic'"),
+    (lambda: scenario_from_json({**scenario_to_json(two_charger_scenario()),
+                                 "arrival": {"per_state": [{"kind": "poisson"}]}}),
+     "unknown arrival law kind 'poisson' in 'arrival.per_state[0]'"),
+], ids=["grid-no-kernel", "grid-first-dimension", "grid-ragged-actions", "grid-row-length",
+        "negative-probability", "laws-per-demand-state", "penalty-kind", "arrival-law-kind"])
+def test_a_malformed_model_is_refused(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_json_floats_load_as_the_exact_numbers_they_write():
+    # Sizes written as 2.0 are the integer 2, and a probability written as a
+    # float is the nearest fraction with a denominator up to 10**15: 0.1 is 1/10.
+    doc = scenario_to_json(two_charger_scenario())
+    outcomes = doc["arrival"]["per_state"][0]["outcomes"]
+    outcomes[0]["prob"], outcomes[1]["prob"] = "1/10", "9/10"
+    exact = scenario_from_json(doc)
+    doc["N"], doc["B"], doc["E"] = 2.0, 2.0, 2.0
+    outcomes[0]["prob"], outcomes[1]["prob"] = 0.1, 0.9
+    doc["grid"]["kernel"] = [[[float(Fraction(p)) for p in row] for row in per_action]
+                             for per_action in doc["grid"]["kernel"]]
+    assert scenario_from_json(doc) == exact
+    assert exact.demand.arrivals[0].outcomes[0][0] == Fraction(1, 10)

@@ -69,8 +69,14 @@ def test_batched_equals_scalar_with_tabulated_arrivals():
         assert tr.time_average == pytest.approx(res.per_traj[i], abs=1e-12)
 
 
+_NOTHING = TabulatedArrivals(((Fraction(1, 2), ()), (Fraction(1, 2), ())))
+_BATCH = TabulatedArrivals(((Fraction(1, 3), ()), (Fraction(2, 3), (
+    VehicleState(3, 2), VehicleState(1, 1), VehicleState(2, 3)))))
+
+
 def _two_demand_state_scenario(cost=lambda a: (Fraction(0), Fraction(a, 3)),
-                               penalty=PenaltyFunction.quadratic(3)):
+                               penalty=PenaltyFunction.quadratic(3),
+                               fixed=FixedCountArrivals(2), table=_BATCH):
     """Fixed-count arrivals in one demand state, a tabulated batch in the
     other; the grid tilts toward the expensive state as more vehicles charge
     and charging costs thirds."""
@@ -78,11 +84,9 @@ def _two_demand_state_scenario(cost=lambda a: (Fraction(0), Fraction(a, 3)),
     tilt = tuple((Fraction(n + 1 - a, n + 2), Fraction(a + 1, n + 2)) for a in range(n + 1))
     grid = GridModel(values=(2, 4), kernel=(tilt, tilt),
                      cost=TableCost(tuple(cost(a) for a in range(n + 1))))
-    batch = (VehicleState(3, 2), VehicleState(1, 1), VehicleState(2, 3))
     demand = DemandModel(
         kernel=((Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 4), Fraction(3, 4))),
-        arrivals=(FixedCountArrivals(2),
-                  TabulatedArrivals(((Fraction(1, 3), ()), (Fraction(2, 3), batch)))))
+        arrivals=(fixed, table))
     return ScenarioModel(name="two-demand-states", num_chargers=n, max_stay=3,
                          max_units=3, grid=grid, demand=demand, penalty=penalty)
 
@@ -100,8 +104,15 @@ def _two_demand_state_scenario(cost=lambda a: (Fraction(0), Fraction(a, 3)),
     (capacity_scenario(6, "linear", num_chargers=40, max_stay=4, capacity_range=(5, 10)),
      50, 4, capacity_scenario(6, "linear", num_chargers=40, max_stay=4,
                               capacity_range=(1, 6))),
+    # Laws that bring no vehicle: the batch engine skips their draws.
+    (capacity_scenario(0, num_chargers=12, capacity_range=(1, 6)), 30, 5, None),
+    (dataclasses.replace(two_charger_scenario(), demand=DemandModel(
+        kernel=((Fraction(1),),), arrivals=(_NOTHING,))), 30, 5, None),
+    (_two_demand_state_scenario(fixed=FixedCountArrivals(0)), 80, 30, None),
+    (_two_demand_state_scenario(table=_NOTHING), 80, 30, None),
 ], ids=["capacity", "two-charger", "fractional-penalty", "two-demand-states",
-        "chargers-full", "foreign-budget"])
+        "chargers-full", "foreign-budget", "rate-0", "all-empty-table",
+        "two-demand-states-count-0", "two-demand-states-all-empty"])
 def test_batched_equals_scalar_bitwise(scenario, stages, n_traj, budget_from):
     for name in ("edf", "llsp", "lllp"):
         pol = HeuristicPolicy(name, (budget_from or scenario).grid.values)
@@ -466,27 +477,32 @@ def test_unknown_cost_form_runs_on_the_batch_engine():
 
 
 def test_a_stay_uniform_of_exactly_one_raises_in_both_engines(monkeypatch):
-    # The 2**10 largest uint64 words round to a uniform of exactly 1.0, which
-    # scales to stay B + 1: a type neither engine has a cell for.
+    # The 2**10 largest uint64 words round to a uniform of exactly 1.0.  As a
+    # STAY draw it scales to stay B + 1, and as a REQUEST draw to need
+    # stay + 1, which with E > B fits the batch engine's type grid and not
+    # the scalar one's: `arrival_cells` refuses both draws for both engines.
     words = np.array([2 ** 64 - 2 ** 10, 2 ** 64 - 2 ** 10 - 1], dtype=np.uint64)
     assert np.multiply(words, 2.0 ** -64, dtype=np.float64).tolist() == [1.0, 1 - 2 ** -53]
-    sc = capacity_scenario(5, num_chargers=10, max_stay=4, capacity_range=(1, 3))
-    pol = make_policy("lllp", sc)
+    narrow = capacity_scenario(5, num_chargers=10, max_stay=4, capacity_range=(1, 3))
+    wide = dataclasses.replace(narrow, max_units=6, penalty=PenaltyFunction.linear(6))
     real, real_batch = streams.uniforms, streams.uniforms_batch
 
-    def one_at_stage_3(u, stage, source):
-        if stage == 3 and source == streams.STAY:
+    def one_at_stage_3(u, stage, drawn):
+        if stage == 3 and drawn == source:
             u.flat[0] = 1.0
         return u
 
-    monkeypatch.setattr(streams, "uniforms", lambda key, traj, stage, source, n:
-                        one_at_stage_3(real(key, traj, stage, source, n), stage, source))
+    monkeypatch.setattr(streams, "uniforms", lambda key, traj, stage, drawn, n:
+                        one_at_stage_3(real(key, traj, stage, drawn, n), stage, drawn))
     monkeypatch.setattr(streams, "uniforms_batch", lambda *args: one_at_stage_3(
         real_batch(*args), args[2], args[3]))
-    with pytest.raises(IndexError):
-        run_trajectory(sc, pol, 10, seed=1)
-    with pytest.raises(IndexError):
-        monte_carlo(sc, pol, 10, 3, base_seed=1)
-    # Both run through stage 2, where every draw is the real one.
-    run_trajectory(sc, pol, 3, seed=1)
-    assert monte_carlo(sc, pol, 3, 3, base_seed=1).engine == "batch"
+    for source in (streams.STAY, streams.REQUEST):
+        for sc in (narrow, wide):
+            pol = make_policy("lllp", sc)
+            with pytest.raises(ValueError, match="uniform is exactly 1.0"):
+                run_trajectory(sc, pol, 10, seed=1)
+            with pytest.raises(ValueError, match="uniform is exactly 1.0"):
+                monte_carlo(sc, pol, 10, 3, base_seed=1)
+            # Both run through stage 2, where every draw is the real one.
+            run_trajectory(sc, pol, 3, seed=1)
+            assert monte_carlo(sc, pol, 3, 3, base_seed=1).engine == "batch"
