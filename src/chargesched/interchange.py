@@ -10,7 +10,10 @@ wrapper can never exceed the base policy's when the penalty increments are
 non-decreasing.  `certify_dominance` checks that claim case by case in exact
 arithmetic, also asserting the structural facts the argument rests on
 (aggregate preservation, the shortfall algebra when no swap-back occurs, and
-exact cost equality when one does).
+exact cost equality when one does).  Its cases are trajectories 0..n-1 of
+one key, so it opens a `montecarlo.stage_table` over them: each stage is
+drawn and typed once for a block of cases, and the scans and both sides of
+every coupled rollout read their case's row, bit for bit the addressed draws.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from . import streams
 from .core import ActionVector, SystemState, VehicleState, outranks
 from .models import (DemandModel, GridModel, ScenarioModel, TableCost, TabulatedArrivals,
                      initial_states, penalty_json)
-from .montecarlo import advance_stage, as_fractions
+from .montecarlo import advance_stage, as_fractions, stage_table
 from .policies import check_lllp_compliance
 
 # `certify_dominance` looks for a case's violation from stage MIN_STAGE on,
@@ -248,6 +251,7 @@ def certify_dominance(scenario: ScenarioModel, policy, n_cases: int,
     Each case uses its own trajectory substream (seed, case), from the
     initial state `draw_initial` gives it (all drawn in one call); the
     rollout continues that trajectory's randomness from the violation stage.
+    Every stage outcome comes from one `stage_table` over the cases.
     A case whose rollout meets no violation within `MAX_SCAN` stages, as a
     policy that keeps the priority rule never does, counts as unreached, so
     ``strict + equal + unreached == n_cases`` when the report is ok.
@@ -259,42 +263,43 @@ def certify_dominance(scenario: ScenarioModel, policy, n_cases: int,
                              penalty=penalty_json(scenario.penalty),
                              n_cases=n_cases, seed=seed)
     key = streams.philox_key(seed)
-    grids, demands = initial_states(scenario, key, n_cases)
-    for case, (s0, d0) in enumerate(zip(grids.tolist(), demands.tolist())):
-        state = scenario.empty_state(s0, d0)
-        for t in range(MAX_SCAN):
-            action = policy.decide(state, t)
-            # find_violation on the decision already made
-            pair = check_lllp_compliance(state, action) if t >= MIN_STAGE else None
-            if pair is not None:
-                break
-            state, _ = advance_stage(scenario, state, action, t, key, case)
-        else:
-            report.unreached += 1
-            continue
-        wrapped = wrap_interchange(policy, state, *pair, t)
-        roll = coupled_rollout(scenario, policy, wrapped, state, wrapped.length,
-                               seed, traj=case, stage_offset=t)
-        delta = roll.base_total - roll.swapped_total
-        if delta < 0:
-            failed = True
-        elif roll.g_empty:
-            report.g_empty_cases += 1
-            rb, rs = roll.base_shortfalls, roll.swapped_shortfalls
-            failed = not (rb is not None and rs is not None
-                          and rs.rho_i == rb.rho_i + 1 and rs.rho_j == rb.rho_j - 1
-                          and 0 <= rb.rho_i < rb.rho_j)
-            report.shortfall_identity_failures += failed
-        else:
-            report.g_nonempty_cases += 1
-            failed = delta != 0
-            report.equality_failures += failed
-        if failed:
-            report.counterexamples.append(_bundle(case, seed, t, state, pair, roll))
-        elif delta > 0:
-            report.strict += 1
-        else:
-            report.equal += 1
+    with stage_table(scenario, key, n_cases):
+        grids, demands = initial_states(scenario, key, n_cases)
+        for case, (s0, d0) in enumerate(zip(grids.tolist(), demands.tolist())):
+            state = scenario.empty_state(s0, d0)
+            for t in range(MAX_SCAN):
+                action = policy.decide(state, t)
+                # find_violation on the decision already made
+                pair = check_lllp_compliance(state, action) if t >= MIN_STAGE else None
+                if pair is not None:
+                    break
+                state, _ = advance_stage(scenario, state, action, t, key, case)
+            else:
+                report.unreached += 1
+                continue
+            wrapped = wrap_interchange(policy, state, *pair, t)
+            roll = coupled_rollout(scenario, policy, wrapped, state, wrapped.length,
+                                   seed, traj=case, stage_offset=t)
+            delta = roll.base_total - roll.swapped_total
+            if delta < 0:
+                failed = True
+            elif roll.g_empty:
+                report.g_empty_cases += 1
+                rb, rs = roll.base_shortfalls, roll.swapped_shortfalls
+                failed = not (rb is not None and rs is not None
+                              and rs.rho_i == rb.rho_i + 1 and rs.rho_j == rb.rho_j - 1
+                              and 0 <= rb.rho_i < rb.rho_j)
+                report.shortfall_identity_failures += failed
+            else:
+                report.g_nonempty_cases += 1
+                failed = delta != 0
+                report.equality_failures += failed
+            if failed:
+                report.counterexamples.append(_bundle(case, seed, t, state, pair, roll))
+            elif delta > 0:
+                report.strict += 1
+            else:
+                report.equal += 1
     return report
 
 

@@ -61,6 +61,13 @@ def sample_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum((cdf <= u[:, None]).sum(-1), cdf.shape[-1] - 1)
 
 
+def _iid_states(u: np.ndarray, count: int) -> np.ndarray:
+    """States of a chain uniform on 0..count-1 from one uniform each, as
+    int64: u * count rounded down, clamped to count - 1 as `sample_indices`
+    clamps, since a uniform can be exactly 1.0."""
+    return np.minimum((u * count).astype(np.int64), count - 1)
+
+
 def _float_cdf(probabilities) -> np.ndarray:
     """Float CDF of exact probability rows, along the last axis: the one
     rule behind every `sample_index` and `sample_indices` table."""
@@ -163,6 +170,21 @@ class GridModel:
     def row(self, s: int, aggregate: int) -> tuple[Fraction, ...]:
         return self.initial_distribution if self.iid_uniform else self.kernel[s][aggregate]
 
+    def next_state(self, s: int, aggregate: int, u: float) -> int:
+        """The state after state s under aggregate action ``aggregate``, from
+        one GRID uniform u: `sample_index` on the kernel row, or for an iid
+        grid u * G rounded down, a u of exactly 1.0 taking state G - 1 as
+        `sample_index` takes the last index."""
+        if self.iid_uniform:
+            return min(int(u * len(self.values)), len(self.values) - 1)
+        return sample_index(self.cdf_rows[s][aggregate], u)
+
+    def next_states(self, s: np.ndarray, aggregate: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Row-wise `next_state`, as int64."""
+        if self.iid_uniform:
+            return _iid_states(u, len(self.values))
+        return sample_indices(self.cdf[s, aggregate], u)
+
     def special_state(self) -> int | None:
         """The least state of the zero-action chain's closed class when it has
         one, else None: the states every initial state reaches are that
@@ -235,20 +257,32 @@ class FixedCountArrivals:
         1..B and needs 0..B that holds them (need <= stay <= B)."""
         if self.count == 0:
             return []
-        cells = arrival_cells(streams.uniforms(key, traj, stage, streams.STAY, self.count),
-                              streams.uniforms(key, traj, stage, streams.REQUEST, self.count),
-                              max_stay, max_stay + 1)
-        return _type_table(max_stay, max_stay + 1)[cells].tolist()
+        cells, refused = arrival_cells(
+            streams.uniforms(key, traj, stage, streams.STAY, self.count),
+            streams.uniforms(key, traj, stage, streams.REQUEST, self.count),
+            max_stay, max_stay + 1)
+        if refused is not None:
+            raise ValueError(UNIT_ARRIVAL)
+        return type_table(max_stay, max_stay + 1)[cells].tolist()
+
+
+UNIT_ARRIVAL = "an arrival's STAY or REQUEST uniform is exactly 1.0"
 
 
 def arrival_cells(u_stay: np.ndarray, u_req: np.ndarray, max_stay: int,
-                  width: int) -> np.ndarray:
+                  width: int) -> tuple[np.ndarray, np.ndarray | None]:
     """The type cells ``(stay - 1) * width + need`` of arrivals whose stay
     is uniform on 1..B and request uniform on 1..stay, from one STAY and one
-    REQUEST uniform each, in place: both arrays are overwritten.  A uniform
-    of exactly 1.0 would give stay B + 1 or need stay + 1, and is refused."""
+    REQUEST uniform each, arrivals along the last axis, in place: both
+    arrays are overwritten.  A uniform of exactly 1.0 would give stay B + 1
+    or need stay + 1, so a row that holds one is typed as if its uniforms
+    were 0 and marked in the returned mask, for the caller to refuse
+    (`UNIT_ARRIVAL`) where it reads that row; the mask is None when no row
+    holds one."""
+    refused = None
     if u_stay.max() >= 1 or u_req.max() >= 1:
-        raise ValueError("an arrival's STAY or REQUEST uniform is exactly 1.0")
+        refused = (u_stay >= 1).any(-1) | (u_req >= 1).any(-1)
+        u_stay[refused] = u_req[refused] = 0
     u_stay *= max_stay
     stays = u_stay.astype(np.int64)
     stays += 1
@@ -257,11 +291,11 @@ def arrival_cells(u_stay: np.ndarray, u_req: np.ndarray, max_stay: int,
     stays *= width
     cells += stays
     cells -= width - 1
-    return cells
+    return cells, refused
 
 
 @functools.cache
-def _type_table(max_stay: int, width: int) -> np.ndarray:
+def type_table(max_stay: int, width: int) -> np.ndarray:
     """``vehicle_type(stay, need)`` at cell ``(stay - 1) * width + need``,
     for stays 1..B and needs 0..width - 1, as an object array."""
     return np.fromiter((vehicle_type(c // width + 1, c % width)
@@ -293,6 +327,43 @@ class TabulatedArrivals:
 
 
 ArrivalLaw = FixedCountArrivals | TabulatedArrivals
+
+
+def law_table(law: ArrivalLaw, width: int):
+    """An arrival law as `arrival_batches` reads it: a fixed count, or the
+    type cells of each outcome's vehicles (padded), the batch sizes and the
+    float cdf of a tabulated law."""
+    if isinstance(law, FixedCountArrivals):
+        return law.count
+    sizes = np.array([len(vs) for _, vs in law.outcomes])
+    types = np.zeros((len(sizes), max(sizes.max(initial=0), 1)), dtype=np.int64)
+    for o, (_, vs) in enumerate(law.outcomes):
+        types[o, :len(vs)] = [(v.stay - 1) * width + v.need for v in vs]
+    return types, sizes, np.array(law.cdf)
+
+
+def arrival_batches(law, key, stage: int, n: int, start: int, max_stay: int, width: int):
+    """The arrival batches of trajectories start..start+n-1 at one stage
+    under one law (`law_table`), from one `streams.uniforms_batch` call per
+    source: the type cells of each batch in arrival order (padded past its
+    size; a new array, which the caller may overwrite), the batch sizes and
+    the rows `arrival_cells` refuses (or None); None when the law never
+    brings a vehicle.  The batch engine and the scalar engine's stage table
+    (`montecarlo.stage_table`) type their arrivals here."""
+    if isinstance(law, int):
+        if law == 0:
+            return None
+        cells, refused = arrival_cells(
+            streams.uniforms_batch(key, n, stage, streams.STAY, law, start),
+            streams.uniforms_batch(key, n, stage, streams.REQUEST, law, start),
+            max_stay, width)
+        return cells, np.full(n, law), refused
+    types, sizes, cdf = law
+    if sizes.max(initial=0) == 0:
+        return None
+    u = streams.uniforms_batch(key, n, stage, streams.OUTCOME, 1, start)[:, 0]
+    outcome = sample_indices(cdf, u)
+    return types[outcome], sizes[outcome], None
 
 
 @dataclass(frozen=True)
@@ -460,10 +531,7 @@ class ScenarioModel:
 
 def sample_grid(grid: GridModel, s: int, aggregate: int, key, traj: int, stage: int) -> int:
     """Next grid state; consumes exactly one uniform from the grid substream."""
-    u = streams.uniform(key, traj, stage, streams.GRID)
-    if grid.iid_uniform:
-        return int(u * grid.state_count)
-    return sample_index(grid.cdf_rows[s][aggregate], u)
+    return grid.next_state(s, aggregate, streams.uniform(key, traj, stage, streams.GRID))
 
 
 def sample_demand(demand: DemandModel, d: int, key, traj: int, stage: int,
@@ -512,7 +580,7 @@ def initial_states(scenario: ScenarioModel, key, n: int,
         s0 = np.full(n, scenario.initial_grid, dtype=np.int64)
     else:
         u = streams.uniforms_batch(key, n, 0, streams.INIT_GRID, 1, start)[:, 0]
-        s0 = ((u * grid.state_count).astype(np.int64) if grid.iid_uniform else
+        s0 = (_iid_states(u, grid.state_count) if grid.iid_uniform else
               sample_indices(_float_cdf(grid.initial_distribution), u))
     if scenario.initial_demand is not None:
         d0 = np.full(n, scenario.initial_demand, dtype=np.int64)

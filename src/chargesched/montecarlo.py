@@ -25,15 +25,24 @@ rational in both.
 Randomness is addressed by (seed, trajectory, stage, source), so runs couple
 across policies and arrival rates, and results do not depend on execution
 order, thread count or block size.  Both engines draw their initial states
-through `models.initial_states`, the scalar one a row at a time.
-`run_trajectory` knows its horizon, so it opens a `streams.stage_window` and
-takes its per-stage draws from vectorized stage blocks.
+through `models.initial_states`, the scalar one a row at a time, and type
+fixed-count arrivals by `models.arrival_cells`.  A scalar
+stage (`advance_stage`) takes its exogenous outcome (GRID uniform, next
+demand state, arrival batch) from `stage_outcome` and applies it to a state
+and an action.  `run_trajectory` knows its horizon, so it opens a
+`streams.stage_window` and takes its per-stage draws from vectorized stage
+blocks; `interchange.certify_dominance` opens a `stage_table`, which draws
+and types each stage once for a block of its cases by the batch engine's
+`models.arrival_batches`, and every scan stage and coupled-rollout side
+reads its case's row there.
 """
 
 from __future__ import annotations
 
 import csv
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -41,10 +50,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import streams
-from .core import ActionVector, SystemState, settle_stage
-from .models import (FixedCountArrivals, ScenarioModel, admit, arrival_cells,
-                     capacity_scenario, draw_initial, initial_states, penalty_kind,
-                     sample_grid, sample_demand, sample_indices, with_arrival_rate)
+from .core import ActionVector, SystemState, VehicleState, settle_stage
+from .models import (UNIT_ARRIVAL, ScenarioModel, admit, arrival_batches, capacity_scenario,
+                     draw_initial, initial_states, law_table, penalty_kind, sample_demand,
+                     sample_index, sample_indices, type_table, with_arrival_rate)
 from .policies import HeuristicPolicy, make_policy, type_ranks
 
 
@@ -62,18 +71,118 @@ class StageBill(NamedTuple):
 def advance_stage(scenario: ScenarioModel, state: SystemState, action: ActionVector,
                   stage: int, key, traj: int) -> tuple[SystemState, StageBill]:
     """One stage-boundary step: pay the stage cost, process departures, then
-    admit the next stage's arrivals and move the grid/demand chains.  The
-    next state inherits its occupied chargers: those kept plus those filled."""
+    admit the next stage's arrivals and move the grid/demand chains, from
+    the `stage_outcome` of (key, traj) at this stage.  The next state
+    inherits its occupied chargers: those kept plus those filled."""
+    u_grid, d_next, arrivals = stage_outcome(scenario, state.demand, stage, key, traj)
     prices = scenario.prices
     shortfall, vehicles, kept = settle_stage(state, action, prices.steps)
-    charging = prices[action.aggregate, state.grid]
-    d_next, arrivals = sample_demand(scenario.demand, state.demand, key, traj,
-                                     stage, scenario.max_stay)
     filled = admit(vehicles, arrivals)
-    s_next = sample_grid(scenario.grid, state.grid, action.aggregate, key, traj, stage)
+    s_next = scenario.grid.next_state(state.grid, action.aggregate, u_grid)
     occupied = tuple(sorted(kept + filled) if filled else kept)
     return (SystemState.successor(tuple(vehicles), s_next, d_next, occupied),
-            StageBill(charging, shortfall, len(arrivals) - len(filled)))
+            StageBill(prices[action.aggregate, state.grid], shortfall,
+                      len(arrivals) - len(filled)))
+
+
+def stage_outcome(scenario: ScenarioModel, demand: int, stage: int, key,
+                  traj: int) -> tuple[float, int, Sequence[VehicleState]]:
+    """The exogenous outcome of one stage of trajectory ``traj`` from demand
+    state ``demand``: its GRID uniform, the next demand state and the
+    arrival batch.  It does not depend on the stepping side's action: the
+    next grid state is `GridModel.next_state` on the uniform.  It is read
+    from this thread's open `stage_table` when that covers (scenario, key,
+    traj), and drawn from the addressed streams otherwise; the two give the
+    same outcome bit for bit."""
+    table = _local.table
+    if table is not None and key is table.key and scenario is table.scenario \
+            and 0 <= traj < table.n:
+        return table.outcome(demand, stage, traj)
+    d_next, arrivals = sample_demand(scenario.demand, demand, key, traj, stage,
+                                     scenario.max_stay)
+    return streams.uniform(key, traj, stage, streams.GRID), d_next, arrivals
+
+
+# Cases per block of a `stage_table`: it holds the drawn stages of one block
+# at a time, so its memory does not grow with the number of trajectories.
+TABLE_BLOCK = 25
+
+
+class _StageTable:
+    """The stage outcomes of trajectories 0..n-1 of one key, drawn for a
+    block of `TABLE_BLOCK` trajectories at a time: the first time any of
+    them reaches a stage, one `streams.uniforms_batch` call per source draws
+    it for the whole block and `arrival_batches` types every batch, under
+    each demand state's law.  A row that `arrival_cells` refuses raises on
+    read only.  Reading a trajectory of another block drops this one."""
+
+    def __init__(self, scenario: ScenarioModel, key, n: int):
+        self.scenario, self.key, self.n = scenario, key, n
+        self.width = scenario.max_units + 1
+        self.types = type_table(scenario.max_stay, self.width)
+        self.laws = [law_table(law, self.width) for law in scenario.demand.arrivals]
+        self.start = self.stop = 0
+        self.stages: dict[int, tuple] = {}
+
+    def outcome(self, demand: int, stage: int, traj: int):
+        if not self.start <= traj < self.stop:
+            self.start = traj - traj % TABLE_BLOCK
+            self.stop = min(self.start + TABLE_BLOCK, self.n)
+            self.stages = {}
+        drawn = self.stages.get(stage) or self._draw(stage)
+        row = traj - self.start
+        arrivals = drawn[2][demand][row]
+        if arrivals is None:
+            raise ValueError(UNIT_ARRIVAL)
+        d_next = (demand if drawn[1] is None else
+                  sample_index(self.scenario.demand.kernel_cdf[demand], drawn[1][row]))
+        return drawn[0][row], d_next, arrivals
+
+    def _draw(self, stage: int) -> tuple:
+        n, start, sc = self.stop - self.start, self.start, self.scenario
+        u_grid = self._uniforms(stage, streams.GRID)
+        u_demand = self._uniforms(stage, streams.DEMAND) if sc.demand.state_count > 1 else None
+        batches = []
+        for law in self.laws:
+            batch = arrival_batches(law, self.key, stage, n, start, sc.max_stay, self.width)
+            if batch is None:
+                batches.append([()] * n)
+                continue
+            cells, sizes, refused = batch
+            rows = self.types[cells].tolist()
+            if isinstance(law, tuple):      # tabulated: cut each row to its size
+                rows = [r[:k] for r, k in zip(rows, sizes.tolist())]
+            if refused is not None:
+                for r in np.flatnonzero(refused).tolist():
+                    rows[r] = None
+            batches.append(rows)
+        drawn = self.stages[stage] = (u_grid, u_demand, batches)
+        return drawn
+
+    def _uniforms(self, stage: int, source: int) -> list[float]:
+        return streams.uniforms_batch(self.key, self.stop - self.start, stage, source, 1,
+                                      self.start)[:, 0].tolist()
+
+
+class _Local(threading.local):
+    table = None        # the open `stage_table`, if any
+
+
+_local = _Local()
+
+
+@contextmanager
+def stage_table(scenario: ScenarioModel, key, n: int):
+    """While open, `advance_stage` takes this thread's stage outcomes for
+    (scenario, key, traj), traj in 0..n-1, from one `_StageTable`: each
+    stage drawn once for a block of trajectories, not once per trajectory
+    and step.  Only these very scenario and key objects select it."""
+    prev = _local.table
+    _local.table = _StageTable(scenario, key, n)
+    try:
+        yield
+    finally:
+        _local.table = prev
 
 
 def as_fractions(units: Sequence[int], unit: int) -> tuple[Fraction, ...]:
@@ -202,25 +311,15 @@ class _TypeCounts:
         self.total = np.zeros(n_traj, dtype=np.int64)
         self.rejected = np.zeros(n_traj, dtype=np.int64)
         self.traj = np.arange(n_traj)
-        self.laws = [self._law_table(law) for law in sc.demand.arrivals]
+        self.laws = [law_table(law, self.width) for law in sc.demand.arrivals]
         self.batch_width = max(law if isinstance(law, int) else law[0].shape[1]
                                for law in self.laws)
         self.s_idx, self.d_idx = initial_states(sc, self.key, n_traj, start)
         self.demand_cdf = np.array(sc.demand.kernel_cdf)
 
-    def _law_table(self, law):
-        """A fixed count, or (type rows per outcome, batch sizes, cdf)."""
-        if isinstance(law, FixedCountArrivals):
-            return law.count
-        sizes = np.array([len(vs) for _, vs in law.outcomes])
-        types = np.zeros((len(sizes), max(sizes.max(initial=0), 1)), dtype=np.int64)
-        for o, (_, vs) in enumerate(law.outcomes):
-            types[o, :len(vs)] = [(v.stay - 1) * self.width + v.need for v in vs]
-        return types, sizes, np.array(law.cdf)
-
-    def _uniforms(self, t: int, source: int, n_per: int = 1) -> np.ndarray:
-        """This block's (trajectory, n_per) draws of one (stage, source) cell."""
-        return streams.uniforms_batch(self.key, self.n, t, source, n_per, self.start)
+    def _uniforms(self, t: int, source: int) -> np.ndarray:
+        """This block's draws of one (stage, source) cell, one per trajectory."""
+        return streams.uniforms_batch(self.key, self.n, t, source, 1, self.start)[:, 0]
 
     def step(self, t: int):
         flat = self.counts.reshape(-1, self.n)
@@ -241,39 +340,27 @@ class _TypeCounts:
         self.counts[-1] = 0
         self._admit(t)
         if self.sc.demand.state_count > 1:
-            u = self._uniforms(t, streams.DEMAND)[:, 0]
-            self.d_idx = sample_indices(self.demand_cdf[self.d_idx], u)
-        u = self._uniforms(t, streams.GRID)[:, 0]
-        if self.sc.grid.iid_uniform:
-            self.s_idx = (u * self.sc.grid.state_count).astype(np.int64)
-        else:
-            self.s_idx = sample_indices(self.sc.grid.cdf[self.s_idx, aggregate], u)
+            self.d_idx = sample_indices(self.demand_cdf[self.d_idx],
+                                        self._uniforms(t, streams.DEMAND))
+        self.s_idx = self.sc.grid.next_states(self.s_idx, aggregate,
+                                              self._uniforms(t, streams.GRID))
 
     def _arrivals(self, law, t: int):
-        """Type rows of each trajectory's arrival batch, in arrival order,
-        and the batch sizes; None when the law never brings a vehicle.  The
-        rows are a new array, which the caller may overwrite."""
-        if isinstance(law, int):
-            if law == 0:
-                return None
-            rows = arrival_cells(self._uniforms(t, streams.STAY, law),
-                                 self._uniforms(t, streams.REQUEST, law), self.B, self.width)
-            return rows, np.full(self.n, law)
-        types, sizes, cdf = law
-        if sizes.max(initial=0) == 0:
-            return None
-        u = self._uniforms(t, streams.OUTCOME)[:, 0]
-        outcome = sample_indices(cdf, u)
-        return types[outcome], sizes[outcome]
+        """`arrival_batches` for this block."""
+        return arrival_batches(law, self.key, t, self.n, self.start, self.B, self.width)
 
     def _admit(self, t: int):
         """Add the first min(batch size, free chargers) arrivals of every
-        trajectory; arrivals come from the law of its current demand state."""
+        trajectory; arrivals come from the law of its current demand state.
+        A batch `arrival_cells` refuses ends the run where a trajectory reads
+        it."""
         if len(self.laws) == 1:
             batch = self._arrivals(self.laws[0], t)
             if batch is None:
                 return
-            cells, want = batch
+            cells, want, refused = batch
+            if refused is not None:
+                raise ValueError(UNIT_ARRIVAL)
         else:
             cells = np.zeros((self.n, self.batch_width), dtype=np.int64)
             want = np.zeros(self.n, dtype=np.int64)
@@ -281,6 +368,8 @@ class _TypeCounts:
                 rows = np.flatnonzero(self.d_idx == d)
                 batch = self._arrivals(law, t) if rows.size else None
                 if batch is not None:
+                    if batch[2] is not None and batch[2][rows].any():
+                        raise ValueError(UNIT_ARRIVAL)
                     cells[rows, :batch[0].shape[1]] = batch[0][rows]
                     want[rows] = batch[1][rows]
         placed = np.minimum(want, self.sc.num_chargers

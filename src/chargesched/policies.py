@@ -89,7 +89,9 @@ def check_lllp_compliance(state: SystemState,
     remaining request is never above a charged one, and once the action is
     feasible every charged vehicle is still owed charge.  It is feasible when
     the bits on unfinished vehicles sum to the aggregate, as bits are 0/1,
-    and when that sum is their count no vehicle owed charge is idle.
+    and when that sum is their count no vehicle owed charge is idle.  The
+    order depends on types only, so a charged type found clear of every idle
+    vehicle is not compared again.
     """
     vehicles, bits, unfinished = state.vehicles, action.bits, state.unfinished
     if len(bits) != len(vehicles):
@@ -100,8 +102,13 @@ def check_lllp_compliance(state: SystemState,
     if len(charged) == len(unfinished):
         return None
     idle = [j for j in unfinished if not bits[j]]
+    clear = set()       # charged types no idle vehicle outranks
     for i in charged:
+        vi = vehicles[i]
+        if vi in clear:
+            continue
         for j in idle:
-            if outranks(vehicles[j], vehicles[i]):
+            if outranks(vehicles[j], vi):
                 return (i, j)
+        clear.add(vi)
     return None

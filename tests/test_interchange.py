@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from chargesched import interchange, streams
+from chargesched import interchange, montecarlo, streams
 from chargesched.cli import main
 from chargesched.core import (ActionVector, PenaltyFunction, SystemState,
                               VehicleState, vehicle_type)
@@ -411,6 +411,65 @@ def test_certify_from_threads_matches_single_thread():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert reports == [expected] * 4
+
+
+def test_threads_certifying_different_seeds_give_the_single_thread_reports():
+    # Each thread opens its own stage table; 30 cases span two table blocks.
+    sc = capacity_scenario(20, "quadratic")
+    pol = make_policy("edf", sc)
+    expected = {seed: certify_dominance(sc, pol, 30, seed).to_json() for seed in (6, 7)}
+    got = {}
+
+    def run(seed):
+        got[seed] = certify_dominance(sc, pol, 30, seed).to_json()
+
+    threads = [threading.Thread(target=run, args=(seed,)) for seed in expected]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
+
+
+@pytest.mark.parametrize("source", [streams.STAY, streams.REQUEST], ids=["STAY", "REQUEST"])
+def test_a_unit_arrival_uniform_ends_a_certificate_only_where_a_case_reads_it(
+        monkeypatch, source):
+    sc = capacity_scenario(20, "linear")
+    pol, n, seed = make_policy("edf", sc), 6, 4
+    last = {}       # case -> the last stage it reads
+    real_outcome, real_batch = montecarlo.stage_outcome, streams.uniforms_batch
+
+    def recorded(scenario, demand, stage, key, traj):
+        last[traj] = max(last.get(traj, 0), stage)
+        return real_outcome(scenario, demand, stage, key, traj)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "stage_outcome", recorded)
+        want = certify_dominance(sc, pol, n, seed).to_json()
+    # A case that stops before another one does: the table draws its row of
+    # the stage after its last, and no case reads that row.
+    case = min(last, key=last.get)
+    assert last[case] < max(last.values())
+
+    def one_in(row_case, row_stage):
+        def uniforms_batch(key, n_traj, stage, drawn, n_per, start=0):
+            u = real_batch(key, n_traj, stage, drawn, n_per, start)
+            if (stage, drawn) == (row_stage, source) and start <= row_case < start + n_traj:
+                u[row_case - start, -1] = 1.0
+            return u
+        return uniforms_batch
+
+    monkeypatch.setattr(streams, "uniforms_batch", one_in(case, last[case] + 1))
+    assert certify_dominance(sc, pol, n, seed).to_json() == want
+    monkeypatch.setattr(streams, "uniforms_batch", one_in(case, last[case]))
+    with pytest.raises(ValueError, match="uniform is exactly 1.0"):
+        certify_dominance(sc, pol, n, seed)
 
 
 def test_negative_control_search():

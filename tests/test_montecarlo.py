@@ -13,10 +13,12 @@ from chargesched.interchange import coupled_rollout, wrap_interchange
 from chargesched.models import (ChargingCost, DemandModel, FixedCountArrivals,
                                 GridModel, QuadraticLoadCost, ScenarioModel, TableCost,
                                 TabulatedArrivals, admit, capacity_scenario,
-                                draw_initial, sample_demand, two_charger_scenario)
+                                draw_initial, initial_states, sample_demand, sample_grid,
+                                two_charger_scenario)
 from chargesched.montecarlo import (CSV_COLUMNS, advance_stage, figure_experiment,
                                     monte_carlo, run_trajectory)
 from chargesched.policies import HeuristicPolicy, check_lllp_compliance, make_policy
+from test_exactdp import _two_demand_scenario
 
 
 def test_zero_arrivals_zero_cost():
@@ -506,3 +508,71 @@ def test_a_stay_uniform_of_exactly_one_raises_in_both_engines(monkeypatch):
             # Both run through stage 2, where every draw is the real one.
             run_trajectory(sc, pol, 3, seed=1)
             assert monte_carlo(sc, pol, 3, 3, base_seed=1).engine == "batch"
+
+
+@pytest.mark.parametrize("source", [streams.GRID, streams.INIT_GRID], ids=["GRID", "INIT_GRID"])
+def test_an_iid_grid_uniform_of_exactly_one_takes_the_last_state_in_both_engines(
+        monkeypatch, source):
+    # u * G would be G, one past the last state: every rule clamps it to
+    # G - 1, as `sample_index` clamps, and the engines agree bit for bit.
+    sc = capacity_scenario(5, num_chargers=10, max_stay=4, capacity_range=(1, 3))
+    last, pol, key = sc.grid.state_count - 1, make_policy("lllp", sc), streams.philox_key(1)
+    stage = 3 if source == streams.GRID else 0
+    real, real_batch = streams.uniform, streams.uniforms_batch
+    monkeypatch.setattr(streams, "uniform", lambda key, traj, t, drawn: 1.0
+                        if (t, drawn) == (stage, source) else real(key, traj, t, drawn))
+    monkeypatch.setattr(streams, "uniforms_batch", lambda *args: (
+        np.ones_like(real_batch(*args)) if args[2:4] == (stage, source) else real_batch(*args)))
+    if source == streams.INIT_GRID:
+        assert initial_states(sc, key, 4)[0].tolist() == [last] * 4
+        assert draw_initial(sc, key, 2).grid == last
+    else:
+        assert sample_grid(sc.grid, 0, 0, key, 0, stage) == last
+        state = draw_initial(sc, key, 0)
+        action = make_policy("lllp", sc).decide(state)
+        assert advance_stage(sc, state, action, stage, key, 0)[0].grid == last
+        with montecarlo.stage_table(sc, key, 1):
+            assert advance_stage(sc, state, action, stage, key, 0)[0].grid == last
+    scalar = [run_trajectory(sc, pol, 10, seed=1, traj=i).time_average for i in range(3)]
+    assert monte_carlo(sc, pol, 10, 3, base_seed=1).per_traj.tobytes() == \
+        np.array(scalar).tobytes()
+
+
+def _two_fixed_counts():
+    """The two-charger grid (a kernel) with two demand states that bring one
+    and three fixed-count arrivals."""
+    sc = two_charger_scenario()
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    demand = DemandModel(kernel=((half, half), (quarter, 1 - quarter)),
+                         arrivals=(FixedCountArrivals(1), FixedCountArrivals(3)))
+    return dataclasses.replace(sc, demand=demand)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: capacity_scenario(20),      # a fixed count, an iid grid, one demand state
+    two_charger_scenario,               # a tabulated law and a kernel grid
+    _two_fixed_counts,                  # two fixed counts, two demand states
+    _two_demand_scenario,               # two tabulated laws, two demand states
+], ids=["capacity", "two-charger", "two-fixed-counts", "two-demand"])
+def test_a_stage_table_gives_the_addressed_outcomes_bit_for_bit(monkeypatch, build):
+    sc = build()
+    key, n = streams.philox_key(17), montecarlo.TABLE_BLOCK + 3
+    # Every trajectory of two blocks, then one of the first block again.
+    reads = [(traj, t, d) for traj in [*range(n), 1] for t in range(6)
+             for d in range(sc.demand.state_count)]
+    want = [montecarlo.stage_outcome(sc, d, t, key, traj) for traj, t, d in reads]
+
+    def addressed(*args):
+        raise AssertionError("an addressed draw under an open stage table")
+
+    with monkeypatch.context() as patch, montecarlo.stage_table(sc, key, n):
+        for name in ("uniform", "uniforms"):
+            patch.setattr(streams, name, addressed)
+        got = [montecarlo.stage_outcome(sc, d, t, key, traj) for traj, t, d in reads]
+    for (u, d_next, arrivals), (u_t, d_t, arrivals_t) in zip(want, got):
+        assert np.float64(u).tobytes() == np.float64(u_t).tobytes()
+        assert (d_next, list(arrivals)) == (d_t, list(arrivals_t))
+        assert all(type(v) is VehicleState for v in arrivals_t)
+    # Another key object takes the addressed draws.
+    with montecarlo.stage_table(sc, key, n):
+        assert montecarlo.stage_outcome(sc, 0, 2, key.copy(), 0) == want[2 * sc.demand.state_count]

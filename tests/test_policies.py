@@ -4,10 +4,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chargesched.core import ActionVector, InfeasibleActionError, SystemState, VehicleState
+from chargesched.core import (ActionVector, InfeasibleActionError, SystemState, VehicleState,
+                              outranks)
 from chargesched.models import capacity_scenario
 from chargesched.policies import (_KEYS, _RANKS, HeuristicPolicy, check_lllp_compliance,
                                   make_policy)
@@ -255,3 +256,42 @@ def test_successor_is_the_state_the_constructor_builds(case):
     assert (successor.vehicles, successor.grid, successor.demand) == (vehicles, grid, demand)
     assert successor.occupied is occupied and built.occupied == occupied
     assert successor.unfinished == built.unfinished
+
+
+def _violation_vehicle_by_vehicle(state, action):
+    """The compliance check without its shortcuts: every charged vehicle
+    against every idle one, both owed charge, in index order."""
+    vehicles, bits = state.vehicles, action.bits
+    charged = [i for i in state.unfinished if bits[i]]
+    idle = [j for j in state.unfinished if not bits[j]]
+    for i in charged:
+        for j in idle:
+            if outranks(vehicles[j], vehicles[i]):
+                return (i, j)
+    return None
+
+
+@st.composite
+def _actions_on_repeated_types(draw):
+    """A fleet of up to 60 chargers whose vehicles come from a few small
+    types, so that types repeat and pairs of one stay or need are common,
+    and any subset of its unfinished vehicles charged: a feasible action."""
+    palette = draw(st.lists(st.builds(VehicleState, st.integers(1, 4), st.integers(0, 4)),
+                            min_size=1, max_size=8))
+    fleet = draw(st.lists(st.one_of(st.just(E), st.sampled_from(palette)), max_size=60))
+    state = _state(*fleet)
+    bits = [0] * len(fleet)
+    for i, on in zip(state.unfinished, draw(st.lists(st.booleans(), min_size=len(fleet),
+                                                      max_size=len(fleet)))):
+        bits[i] = int(on)
+    return state, ActionVector(tuple(bits))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_actions_on_repeated_types())
+@example((_state(VehicleState(4, 3), VehicleState(4, 1), VehicleState(4, 2)),
+          ActionVector((1, 1, 0))))     # (4, 3) is clear, (4, 1) of one stay is not
+def test_compliance_check_finds_the_pair_the_vehicle_by_vehicle_loop_finds(case):
+    # A charged type found clear of every idle vehicle is met again here.
+    state, action = case
+    assert check_lllp_compliance(state, action) == _violation_vehicle_by_vehicle(state, action)
