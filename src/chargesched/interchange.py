@@ -7,10 +7,13 @@ not i (swapping back there), and coincides with it afterwards.  Because the
 wrapper charges the same number of vehicles at every stage, both rollouts can
 be driven by the same exogenous randomness, and the realized cost of the
 wrapper can never exceed the base policy's when the penalty increments are
-non-decreasing.  `certify_dominance` checks that claim case by case in exact
-arithmetic, also asserting the structural facts the argument rests on
-(aggregate preservation, the shortfall algebra when no swap-back occurs, and
-exact cost equality when one does).  Its cases are trajectories 0..n-1 of
+non-decreasing.  The two sides hold one state again after the swap-back
+stage, or after the window's last stage when there is none; every later cost
+is common to both, so a window's coupled rollout ends there.
+`certify_dominance` checks that claim case by case in exact arithmetic, also
+asserting the structural facts the argument rests on (aggregate
+preservation, the shortfall algebra when no swap-back occurs, and exact cost
+equality when one does).  Its cases are trajectories 0..n-1 of
 one key, so it opens a `montecarlo.stage_table` over them: each stage is
 drawn and typed once for a block of cases, and the scans and both sides of
 every coupled rollout read their case's row, bit for bit the addressed draws.
@@ -94,6 +97,11 @@ class AggregateMismatchError(AssertionError):
 
 @dataclass
 class CoupledRollout:
+    """Two coupled rollouts' exact costs.  For a window, the stage costs,
+    aggregates and totals cover the stages from t0 to the one after which
+    the two sides hold one state again, and the shortfall pairs are set only
+    when both vehicles depart by then, as in a window with no swap-back; for
+    two plain policies, the whole horizon."""
     window: Optional[InterchangeWindow]
     swap_back_at: Optional[int]
     g_empty: Optional[bool]
@@ -114,11 +122,14 @@ def coupled_rollout(scenario: ScenarioModel, base_policy, other,
     ``other`` may be an InterchangeWindow (driven in lock step against the
     base rollout, per its action map) or any plain policy; either way the two
     rollouts must charge equal aggregate counts at every stage, which makes
-    their grid and demand paths coincide.  Where the two sides hold one
-    state and take one action, as a window's do outside its swaps, the stage
-    is stepped once for both; a step that leaves them equal makes them one
-    state again.  Stage costs are summed as ints in units of 1/L and
-    returned as exact rationals.
+    their grid and demand paths coincide.  A window's rollout stops after the
+    first stage that leaves its two sides one state: the swap-back stage, or
+    the window's last stage when there is none.  Past it `map_action` returns
+    the base action, so the sides never part again and every later cost is
+    common to both; ``horizon`` must still cover the window.  Two plain
+    policies run the whole horizon, and where their sides hold one state and
+    take one action, the stage is stepped once for both.  Stage costs are
+    summed as ints in units of 1/L and returned as exact rationals.
     """
     win = other if isinstance(other, InterchangeWindow) else None
     if win is not None:
@@ -165,6 +176,8 @@ def coupled_rollout(scenario: ScenarioModel, base_policy, other,
         base_costs.append(bill.charging + bill.penalty)
         sw_costs.append(bill_h.charging + bill_h.penalty)
         aggs.append(a.aggregate)
+        if win is not None and xh is x:
+            break       # the sides met: from here the wrapper is the base policy
 
     g_empty = None
     if win is not None:
@@ -229,7 +242,8 @@ class DominanceReport:
 
 def _bundle(case: int, seed: int, stage: int, state: SystemState,
             pair: tuple[int, int], roll: CoupledRollout) -> dict:
-    """Everything needed to replay one failing case."""
+    """Everything needed to replay one failing case; its totals run from
+    the window's opening stage to the stage where the two sides meet."""
     return {
         "case": case, "seed": seed, "stage": stage,
         "state": {"vehicles": [[v.stay, v.need] for v in state.vehicles],

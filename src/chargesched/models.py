@@ -52,26 +52,36 @@ def _validate_row(row: Sequence[Fraction], what: str) -> tuple[Fraction, ...]:
 
 def sample_index(cdf_row: Sequence[float], u: float) -> int:
     """Inverse-CDF draw using exactly one uniform: the first index whose
-    (non-decreasing) cdf entry exceeds u, or the last index."""
-    return min(bisect.bisect_right(cdf_row, u), len(cdf_row) - 1)
+    (non-decreasing) cdf entry exceeds u.  A `_float_cdf` row ends in +inf,
+    so every u in [0, 1] has one."""
+    return bisect.bisect_right(cdf_row, u)
 
 
 def sample_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Row-wise `sample_index`: the first index whose cdf entry exceeds u."""
-    return np.minimum((cdf <= u[:, None]).sum(-1), cdf.shape[-1] - 1)
+    return (cdf <= u[:, None]).sum(-1)
 
 
 def _iid_states(u: np.ndarray, count: int) -> np.ndarray:
     """States of a chain uniform on 0..count-1 from one uniform each, as
-    int64: u * count rounded down, clamped to count - 1 as `sample_indices`
-    clamps, since a uniform can be exactly 1.0."""
+    int64: u * count rounded down, clamped to count - 1, since a uniform
+    can be exactly 1.0: the last state, as `sample_indices` takes a row's
+    last outcome of positive probability."""
     return np.minimum((u * count).astype(np.int64), count - 1)
 
 
 def _float_cdf(probabilities) -> np.ndarray:
     """Float CDF of exact probability rows, along the last axis: the one
-    rule behind every `sample_index` and `sample_indices` table."""
-    return np.cumsum(np.array(probabilities, dtype=float), axis=-1)
+    rule behind every `sample_index` and `sample_indices` table.  The entry
+    of a row's last outcome of positive probability, and every later one,
+    is +inf, so no uniform in [0, 1] takes an outcome of probability 0: a
+    float sum just below 1, or a uniform of exactly 1.0, takes that last
+    outcome."""
+    p = np.array(probabilities, dtype=float)
+    cdf = np.cumsum(p, axis=-1)
+    positive = p > 0
+    cdf[positive.cumsum(-1) == positive.sum(-1, keepdims=True)] = np.inf
+    return cdf
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +184,7 @@ class GridModel:
         """The state after state s under aggregate action ``aggregate``, from
         one GRID uniform u: `sample_index` on the kernel row, or for an iid
         grid u * G rounded down, a u of exactly 1.0 taking state G - 1 as
-        `sample_index` takes the last index."""
+        `sample_index` takes a row's last outcome of positive probability."""
         if self.iid_uniform:
             return min(int(u * len(self.values)), len(self.values) - 1)
         return sample_index(self.cdf_rows[s][aggregate], u)
@@ -257,32 +267,29 @@ class FixedCountArrivals:
         1..B and needs 0..B that holds them (need <= stay <= B)."""
         if self.count == 0:
             return []
-        cells, refused = arrival_cells(
+        cells = arrival_cells(
             streams.uniforms(key, traj, stage, streams.STAY, self.count),
             streams.uniforms(key, traj, stage, streams.REQUEST, self.count),
             max_stay, max_stay + 1)
-        if refused is not None:
-            raise ValueError(UNIT_ARRIVAL)
         return type_table(max_stay, max_stay + 1)[cells].tolist()
 
 
-UNIT_ARRIVAL = "an arrival's STAY or REQUEST uniform is exactly 1.0"
+# The largest float below 1.0: times any count k up to 2**52 it rounds to
+# a float in [k - 1, k), so it scales to the last of k values.
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def arrival_cells(u_stay: np.ndarray, u_req: np.ndarray, max_stay: int,
-                  width: int) -> tuple[np.ndarray, np.ndarray | None]:
+                  width: int) -> np.ndarray:
     """The type cells ``(stay - 1) * width + need`` of arrivals whose stay
     is uniform on 1..B and request uniform on 1..stay, from one STAY and one
     REQUEST uniform each, arrivals along the last axis, in place: both
     arrays are overwritten.  A uniform of exactly 1.0 would give stay B + 1
-    or need stay + 1, so a row that holds one is typed as if its uniforms
-    were 0 and marked in the returned mask, for the caller to refuse
-    (`UNIT_ARRIVAL`) where it reads that row; the mask is None when no row
-    holds one."""
-    refused = None
+    or need stay + 1, so it is read as `_BELOW_ONE`, which gives stay B or
+    need = stay, as the iid grid's draw takes its last state."""
     if u_stay.max() >= 1 or u_req.max() >= 1:
-        refused = (u_stay >= 1).any(-1) | (u_req >= 1).any(-1)
-        u_stay[refused] = u_req[refused] = 0
+        np.minimum(u_stay, _BELOW_ONE, out=u_stay)
+        np.minimum(u_req, _BELOW_ONE, out=u_req)
     u_stay *= max_stay
     stays = u_stay.astype(np.int64)
     stays += 1
@@ -291,7 +298,7 @@ def arrival_cells(u_stay: np.ndarray, u_req: np.ndarray, max_stay: int,
     stays *= width
     cells += stays
     cells -= width - 1
-    return cells, refused
+    return cells
 
 
 @functools.cache
@@ -346,24 +353,24 @@ def arrival_batches(law, key, stage: int, n: int, start: int, max_stay: int, wid
     """The arrival batches of trajectories start..start+n-1 at one stage
     under one law (`law_table`), from one `streams.uniforms_batch` call per
     source: the type cells of each batch in arrival order (padded past its
-    size; a new array, which the caller may overwrite), the batch sizes and
-    the rows `arrival_cells` refuses (or None); None when the law never
-    brings a vehicle.  The batch engine and the scalar engine's stage table
-    (`montecarlo.stage_table`) type their arrivals here."""
+    size; a new array, which the caller may overwrite) and the batch sizes;
+    None when the law never brings a vehicle.  The batch engine and the
+    scalar engine's stage table (`montecarlo.stage_table`) type their
+    arrivals here."""
     if isinstance(law, int):
         if law == 0:
             return None
-        cells, refused = arrival_cells(
+        cells = arrival_cells(
             streams.uniforms_batch(key, n, stage, streams.STAY, law, start),
             streams.uniforms_batch(key, n, stage, streams.REQUEST, law, start),
             max_stay, width)
-        return cells, np.full(n, law), refused
+        return cells, np.full(n, law)
     types, sizes, cdf = law
     if sizes.max(initial=0) == 0:
         return None
     u = streams.uniforms_batch(key, n, stage, streams.OUTCOME, 1, start)[:, 0]
     outcome = sample_indices(cdf, u)
-    return types[outcome], sizes[outcome], None
+    return types[outcome], sizes[outcome]
 
 
 @dataclass(frozen=True)

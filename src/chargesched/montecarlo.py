@@ -51,7 +51,7 @@ import numpy as np
 
 from . import streams
 from .core import ActionVector, SystemState, VehicleState, settle_stage
-from .models import (UNIT_ARRIVAL, ScenarioModel, admit, arrival_batches, capacity_scenario,
+from .models import (ScenarioModel, admit, arrival_batches, capacity_scenario,
                      draw_initial, initial_states, law_table, penalty_kind, sample_demand,
                      sample_index, sample_indices, type_table, with_arrival_rate)
 from .policies import HeuristicPolicy, make_policy, type_ranks
@@ -113,8 +113,8 @@ class _StageTable:
     block of `TABLE_BLOCK` trajectories at a time: the first time any of
     them reaches a stage, one `streams.uniforms_batch` call per source draws
     it for the whole block and `arrival_batches` types every batch, under
-    each demand state's law.  A row that `arrival_cells` refuses raises on
-    read only.  Reading a trajectory of another block drops this one."""
+    each demand state's law.  Reading a trajectory of another block drops
+    this one."""
 
     def __init__(self, scenario: ScenarioModel, key, n: int):
         self.scenario, self.key, self.n = scenario, key, n
@@ -132,8 +132,6 @@ class _StageTable:
         drawn = self.stages.get(stage) or self._draw(stage)
         row = traj - self.start
         arrivals = drawn[2][demand][row]
-        if arrivals is None:
-            raise ValueError(UNIT_ARRIVAL)
         d_next = (demand if drawn[1] is None else
                   sample_index(self.scenario.demand.kernel_cdf[demand], drawn[1][row]))
         return drawn[0][row], d_next, arrivals
@@ -148,13 +146,10 @@ class _StageTable:
             if batch is None:
                 batches.append([()] * n)
                 continue
-            cells, sizes, refused = batch
+            cells, sizes = batch
             rows = self.types[cells].tolist()
             if isinstance(law, tuple):      # tabulated: cut each row to its size
                 rows = [r[:k] for r, k in zip(rows, sizes.tolist())]
-            if refused is not None:
-                for r in np.flatnonzero(refused).tolist():
-                    rows[r] = None
             batches.append(rows)
         drawn = self.stages[stage] = (u_grid, u_demand, batches)
         return drawn
@@ -351,16 +346,12 @@ class _TypeCounts:
 
     def _admit(self, t: int):
         """Add the first min(batch size, free chargers) arrivals of every
-        trajectory; arrivals come from the law of its current demand state.
-        A batch `arrival_cells` refuses ends the run where a trajectory reads
-        it."""
+        trajectory; arrivals come from the law of its current demand state."""
         if len(self.laws) == 1:
             batch = self._arrivals(self.laws[0], t)
             if batch is None:
                 return
-            cells, want, refused = batch
-            if refused is not None:
-                raise ValueError(UNIT_ARRIVAL)
+            cells, want = batch
         else:
             cells = np.zeros((self.n, self.batch_width), dtype=np.int64)
             want = np.zeros(self.n, dtype=np.int64)
@@ -368,8 +359,6 @@ class _TypeCounts:
                 rows = np.flatnonzero(self.d_idx == d)
                 batch = self._arrivals(law, t) if rows.size else None
                 if batch is not None:
-                    if batch[2] is not None and batch[2][rows].any():
-                        raise ValueError(UNIT_ARRIVAL)
                     cells[rows, :batch[0].shape[1]] = batch[0][rows]
                     want[rows] = batch[1][rows]
         placed = np.minimum(want, self.sc.num_chargers

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -24,6 +25,7 @@ from chargesched.models import (DemandModel, FixedCountArrivals, GridModel,
                                 scenario_to_json)
 from chargesched.montecarlo import advance_stage
 from chargesched.policies import make_policy
+from test_montecarlo import _narrow_and_wide, _ones_at
 
 ONE = Fraction(1)
 
@@ -74,16 +76,23 @@ def test_no_violation_when_everyone_charged():
 def test_price_cycle_interchange_swaps_back_with_equal_cost():
     # vehicles (2,1) and (3,2); per-stage unit prices 1, 0, 2; base policy
     # charges vehicle 0 then vehicle 1 twice: both orderings cost exactly 3
+    # over the window.  The sides meet after the swap-back at stage 1, so the
+    # rollout stops there, short of stage 2, which costs 2 on either side.
     sc = _no_arrival_scenario(PenaltyFunction.linear(10), prices=(1, 0, 2))
     pol = ScriptedPolicy({0: (1, 0), 1: (0, 1), 2: (0, 1)})
     x0 = SystemState((VehicleState(2, 1), VehicleState(3, 2)), 0, 0)
     wrapped = wrap_interchange(pol, x0, 0, 1, 0)
     assert wrapped.length == 2
+    full, _ = _apart(sc, pol, wrapped, x0, wrapped.length, seed=0)
+    assert full.base_total == full.swapped_total == 3
+    assert full.base_stage_costs[2] == full.swapped_stage_costs[2] == 2
     roll = coupled_rollout(sc, pol, wrapped, x0, wrapped.length, seed=0)
     assert roll.swap_back_at == 1
     assert roll.g_empty is False
-    assert roll.base_total == roll.swapped_total == 3
-    assert roll.aggregates == (1, 1, 1)
+    assert roll.base_total == roll.swapped_total == full.base_total - 2 == 1
+    assert roll.aggregates == (1, 1)
+    # A longer horizon rolls out no further.
+    assert coupled_rollout(sc, pol, wrapped, x0, wrapped.length + 5, seed=0) == roll
 
 
 def test_a_window_rollout_refuses_a_short_horizon_or_a_late_start():
@@ -438,38 +447,19 @@ def test_threads_certifying_different_seeds_give_the_single_thread_reports():
 
 
 @pytest.mark.parametrize("source", [streams.STAY, streams.REQUEST], ids=["STAY", "REQUEST"])
-def test_a_unit_arrival_uniform_ends_a_certificate_only_where_a_case_reads_it(
+def test_a_unit_arrival_uniform_certifies_alike_on_table_and_draws(
         monkeypatch, source):
-    sc = capacity_scenario(20, "linear")
-    pol, n, seed = make_policy("edf", sc), 6, 4
-    last = {}       # case -> the last stage it reads
-    real_outcome, real_batch = montecarlo.stage_outcome, streams.uniforms_batch
-
-    def recorded(scenario, demand, stage, key, traj):
-        last[traj] = max(last.get(traj, 0), stage)
-        return real_outcome(scenario, demand, stage, key, traj)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(montecarlo, "stage_outcome", recorded)
-        want = certify_dominance(sc, pol, n, seed).to_json()
-    # A case that stops before another one does: the table draws its row of
-    # the stage after its last, and no case reads that row.
-    case = min(last, key=last.get)
-    assert last[case] < max(last.values())
-
-    def one_in(row_case, row_stage):
-        def uniforms_batch(key, n_traj, stage, drawn, n_per, start=0):
-            u = real_batch(key, n_traj, stage, drawn, n_per, start)
-            if (stage, drawn) == (row_stage, source) and start <= row_case < start + n_traj:
-                u[row_case - start, -1] = 1.0
-            return u
-        return uniforms_batch
-
-    monkeypatch.setattr(streams, "uniforms_batch", one_in(case, last[case] + 1))
-    assert certify_dominance(sc, pol, n, seed).to_json() == want
-    monkeypatch.setattr(streams, "uniforms_batch", one_in(case, last[case]))
-    with pytest.raises(ValueError, match="uniform is exactly 1.0"):
-        certify_dominance(sc, pol, n, seed)
+    # Every case reads stages 3 on, where each first arrival's uniform is
+    # 1.0.  30 cases span two table blocks.
+    _ones_at(monkeypatch, set(range(3, interchange.MAX_SCAN)), {source})
+    for sc in _narrow_and_wide():
+        pol = make_policy("edf", sc)
+        tabled = certify_dominance(sc, pol, 30, seed=4)
+        with monkeypatch.context() as patch:
+            patch.setattr(interchange, "stage_table", lambda *args: contextlib.nullcontext())
+            addressed = certify_dominance(sc, pol, 30, seed=4)
+        assert tabled.to_json() == addressed.to_json()
+        assert tabled.ok and tabled.strict + tabled.equal == 30
 
 
 def test_negative_control_search():
@@ -487,12 +477,14 @@ def test_convex_search_finds_nothing():
 
 def _apart(scenario, base, other, state0, horizon, seed, traj=0, stage_offset=0):
     """`coupled_rollout` written out with two `advance_stage` calls a stage,
-    one per side, whatever their states and actions."""
+    one per side, whatever their states and actions, over the whole horizon
+    even for a window; with it, for each stage, whether the two sides' states
+    or actions differ there."""
     win = other if isinstance(other, InterchangeWindow) else None
     key = streams.philox_key(seed)
     x = xh = state0
     swap_back_at = None
-    costs, costs_h, aggs = [], [], []
+    costs, costs_h, aggs, apart = [], [], [], []
     rho, rho_h = {}, {}
     for stage in range(stage_offset, stage_offset + horizon + 1):
         a = base.decide(x, stage)
@@ -507,6 +499,7 @@ def _apart(scenario, base, other, state0, horizon, seed, traj=0, stage_offset=0)
                 for idx, depart in ((win.i, win.depart_i), (win.j, win.depart_j)):
                     if stage == depart - 1:
                         shortfalls[idx] = state.vehicles[idx].need - action.bits[idx]
+        apart.append((x, a) != (xh, ah))
         x, bill = advance_stage(scenario, x, a, stage, key, traj)
         xh, bill_h = advance_stage(scenario, xh, ah, stage, key, traj)
         costs.append(Fraction(bill.charging + bill.penalty, scenario.prices.unit))
@@ -525,7 +518,20 @@ def _apart(scenario, base, other, state0, horizon, seed, traj=0, stage_offset=0)
         base_stage_costs=tuple(costs), swapped_stage_costs=tuple(costs_h),
         aggregates=tuple(aggs),
         base_shortfalls=None if win is None else pair(rho),
-        swapped_shortfalls=None if win is None else pair(rho_h))
+        swapped_shortfalls=None if win is None else pair(rho_h)), tuple(apart)
+
+
+def _first_stages(roll, n):
+    """``roll`` cut to its first n stages: a window's shortfall pairs stay
+    only when both of its vehicles depart within them."""
+    base, swapped = roll.base_stage_costs[:n], roll.swapped_stage_costs[:n]
+    win = roll.window
+    departed = win is None or max(win.depart_i, win.depart_j) <= win.t0 + n
+    return dataclasses.replace(
+        roll, base_total=sum(base, Fraction(0)), swapped_total=sum(swapped, Fraction(0)),
+        base_stage_costs=base, swapped_stage_costs=swapped, aggregates=roll.aggregates[:n],
+        base_shortfalls=roll.base_shortfalls if departed else None,
+        swapped_shortfalls=roll.swapped_shortfalls if departed else None)
 
 
 def _first_violation(scenario, policy, seed, case):
@@ -562,17 +568,22 @@ def test_coupled_rollout_equals_two_rollouts_stepped_apart(penalty, monkeypatch)
         for case in range(8):
             t0, x0, (i, j) = _first_violation(sc, pol, 3, case)
             win = wrap_interchange(pol, x0, i, j, t0)
-            want = _apart(sc, pol, win, x0, win.length, 3, traj=case, stage_offset=t0)
+            want, apart = _apart(sc, pol, win, x0, win.length, 3, traj=case,
+                                 stage_offset=t0)
             calls.clear()
             roll = coupled_rollout(sc, pol, win, x0, win.length, 3, traj=case,
                                    stage_offset=t0)
-            _assert_fields_equal(roll, want)
-            # The swap at t0 is stepped twice; every stage after the states
-            # meet again is stepped once.
-            assert win.length + 2 <= len(calls) <= 2 * (win.length + 1)
+            n = len(roll.aggregates)
+            _assert_fields_equal(roll, _first_stages(want, n))
+            # Past the stage where the sides meet, each stage costs both the same.
+            assert want.base_stage_costs[n:] == want.swapped_stage_costs[n:]
+            # That stage is the swap-back, or the window's last stage.
+            assert t0 + n - 1 == (t0 + win.length if roll.g_empty else roll.swap_back_at)
+            # One step a stage, and one more for each stage whose sides differ.
+            assert len(calls) == n + sum(apart[:n])
             if roll.swap_back_at is not None and roll.swap_back_at < t0 + win.length:
                 kinds.add("early swap-back")
-                assert len(calls) < 2 * (win.length + 1)
+                assert n < win.length + 1
             if roll.g_empty:
                 kinds.add("g empty")
     assert kinds == {"early swap-back", "g empty"}
@@ -582,12 +593,12 @@ def test_coupled_rollout_equals_two_rollouts_stepped_apart(penalty, monkeypatch)
     for case in range(3):
         state = draw_initial(sc, key, case)
         args = (sc, make_policy("edf", sc), make_policy("edf", sc), state, 30, 5, case)
-        _assert_fields_equal(coupled_rollout(*args), _apart(*args))
+        _assert_fields_equal(coupled_rollout(*args), _apart(*args)[0])
     paired = _paired_arrival_scenario()
     counts = lambda t: min(t, 3)
     state = draw_initial(paired, streams.philox_key(2), 0)
     args = (paired, _ChargeEnds(counts, True), _ChargeEnds(counts, False), state, 20, 2)
-    _assert_fields_equal(coupled_rollout(*args), _apart(*args))
+    _assert_fields_equal(coupled_rollout(*args), _apart(*args)[0])
 
 
 def test_certificate_counts_are_pinned():
@@ -599,3 +610,23 @@ def test_certificate_counts_are_pinned():
     assert {name: (r.strict, r.equal, r.g_empty_cases) for name, r in got.items()} == {
         "edf": (2, 23, 10), "llsp": (0, 25, 0)}
     assert all(r.ok for r in got.values())
+
+
+def test_certificate_stage_count_is_pinned(monkeypatch):
+    # The `advance_stage` calls of the certificates above: each case's scan
+    # and both sides of its rollout up to the stage where they meet.  Stepping
+    # the common tail past that stage made 639 and 548.
+    sc = capacity_scenario(20, "quadratic")
+    real, calls = interchange.advance_stage, []
+
+    def counted(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(interchange, "advance_stage", counted)
+    counts = {}
+    for name in ("edf", "llsp"):
+        calls.clear()
+        certify_dominance(sc, make_policy(name, sc), 25, 3)
+        counts[name] = len(calls)
+    assert counts == {"edf": 557, "llsp": 425}

@@ -13,8 +13,8 @@ from chargesched.interchange import coupled_rollout, wrap_interchange
 from chargesched.models import (ChargingCost, DemandModel, FixedCountArrivals,
                                 GridModel, QuadraticLoadCost, ScenarioModel, TableCost,
                                 TabulatedArrivals, admit, capacity_scenario,
-                                draw_initial, initial_states, sample_demand, sample_grid,
-                                two_charger_scenario)
+                                draw_initial, initial_states, multichain_fixture,
+                                sample_demand, sample_grid, two_charger_scenario)
 from chargesched.montecarlo import (CSV_COLUMNS, advance_stage, figure_experiment,
                                     monte_carlo, run_trajectory)
 from chargesched.policies import HeuristicPolicy, check_lllp_compliance, make_policy
@@ -269,7 +269,7 @@ def test_coupled_rollout_totals_match_a_fraction_sum(scale):
         for decide, stage_costs, total in ((base, roll.base_stage_costs, roll.base_total),
                                            (swapped, roll.swapped_stage_costs,
                                             roll.swapped_total)):
-            want = [c + p for c, p in _fraction_walk(sc, decide, state, horizon + 1,
+            want = [c + p for c, p in _fraction_walk(sc, decide, state, len(roll.aggregates),
                                                      seed=8, traj=case, offset=t)]
             assert stage_costs == tuple(want)
             assert all(type(c) is Fraction for c in stage_costs)
@@ -478,43 +478,95 @@ def test_unknown_cost_form_runs_on_the_batch_engine():
     assert res.per_traj.tobytes() == np.array(scalar).tobytes()
 
 
-def test_a_stay_uniform_of_exactly_one_raises_in_both_engines(monkeypatch):
-    # The 2**10 largest uint64 words round to a uniform of exactly 1.0.  As a
-    # STAY draw it scales to stay B + 1, and as a REQUEST draw to need
-    # stay + 1, which with E > B fits the batch engine's type grid and not
-    # the scalar one's: `arrival_cells` refuses both draws for both engines.
-    words = np.array([2 ** 64 - 2 ** 10, 2 ** 64 - 2 ** 10 - 1], dtype=np.uint64)
-    assert np.multiply(words, 2.0 ** -64, dtype=np.float64).tolist() == [1.0, 1 - 2 ** -53]
-    narrow = capacity_scenario(5, num_chargers=10, max_stay=4, capacity_range=(1, 3))
-    wide = dataclasses.replace(narrow, max_units=6, penalty=PenaltyFunction.linear(6))
-    real, real_batch = streams.uniforms, streams.uniforms_batch
+def _ones_at(monkeypatch, stages, sources):
+    """Make the first draw of every (stage, source) cell with a stage in
+    ``stages`` and a source in ``sources`` exactly 1.0, in every trajectory
+    and for every caller: addressed, batched or one at a time."""
+    real_one, real, real_batch = streams.uniform, streams.uniforms, streams.uniforms_batch
 
-    def one_at_stage_3(u, stage, drawn):
-        if stage == 3 and drawn == source:
-            u.flat[0] = 1.0
+    def forced(u, stage, source):
+        if stage in stages and source in sources:
+            u[..., 0] = 1.0
         return u
 
-    monkeypatch.setattr(streams, "uniforms", lambda key, traj, stage, drawn, n:
-                        one_at_stage_3(real(key, traj, stage, drawn, n), stage, drawn))
-    monkeypatch.setattr(streams, "uniforms_batch", lambda *args: one_at_stage_3(
-        real_batch(*args), args[2], args[3]))
-    for source in (streams.STAY, streams.REQUEST):
-        for sc in (narrow, wide):
-            pol = make_policy("lllp", sc)
-            with pytest.raises(ValueError, match="uniform is exactly 1.0"):
-                run_trajectory(sc, pol, 10, seed=1)
-            with pytest.raises(ValueError, match="uniform is exactly 1.0"):
-                monte_carlo(sc, pol, 10, 3, base_seed=1)
-            # Both run through stage 2, where every draw is the real one.
-            run_trajectory(sc, pol, 3, seed=1)
-            assert monte_carlo(sc, pol, 3, 3, base_seed=1).engine == "batch"
+    monkeypatch.setattr(streams, "uniform", lambda key, traj, stage, source: 1.0
+                        if stage in stages and source in sources
+                        else real_one(key, traj, stage, source))
+    monkeypatch.setattr(streams, "uniforms", lambda key, traj, stage, source, n:
+                        forced(real(key, traj, stage, source, n), stage, source))
+    monkeypatch.setattr(streams, "uniforms_batch", lambda *args:
+                        forced(real_batch(*args), args[2], args[3]))
+
+
+def _narrow_and_wide():
+    """A capacity scenario with E = B, and the same with E > B, where a need
+    of stay + 1 would still fit the batch engine's type grid."""
+    narrow = capacity_scenario(5, num_chargers=10, max_stay=4, capacity_range=(1, 3))
+    return narrow, dataclasses.replace(narrow, max_units=6, penalty=PenaltyFunction.linear(6))
+
+
+@pytest.mark.parametrize("source", [streams.STAY, streams.REQUEST], ids=["STAY", "REQUEST"])
+def test_a_unit_arrival_uniform_gives_one_run_on_both_engines(monkeypatch, source):
+    # The 2**10 largest uint64 words round to a uniform of exactly 1.0.  As a
+    # STAY draw it would scale to stay B + 1, and as a REQUEST draw to need
+    # stay + 1; `arrival_cells` types it as stay B or need = stay instead.
+    words = np.array([2 ** 64 - 2 ** 10, 2 ** 64 - 2 ** 10 - 1], dtype=np.uint64)
+    assert np.multiply(words, 2.0 ** -64, dtype=np.float64).tolist() == [1.0, 1 - 2 ** -53]
+    _ones_at(monkeypatch, {3}, {source})
+    for sc in _narrow_and_wide():
+        first = sc.demand.arrivals[0].sample(streams.philox_key(1), 0, 3, sc.max_stay)[0]
+        assert first.stay == sc.max_stay if source == streams.STAY else first.need == first.stay
+        pol = make_policy("lllp", sc)
+        scalar = [run_trajectory(sc, pol, 10, seed=1, traj=i, warmup=0).time_average
+                  for i in range(3)]
+        res = monte_carlo(sc, pol, 10, 3, base_seed=1, warmup=0)
+        assert res.engine == "batch"
+        assert res.per_traj.tobytes() == np.array(scalar).tobytes()
+
+
+def test_a_grid_uniform_of_exactly_one_keeps_an_absorbing_state(monkeypatch):
+    # Grid state 0 of the fixture is absorbing, with kernel row (1, 0).  A
+    # uniform of 1.0 once took the row's last index, state 1, and its cost.
+    sc = multichain_fixture()
+    pol, key = make_policy("lllp", sc), streams.philox_key(1)
+    _ones_at(monkeypatch, {3}, {streams.GRID})
+    assert sample_grid(sc.grid, 0, 0, key, 0, 3) == 0
+    assert run_trajectory(sc, pol, 10, seed=1).total_cost == 0
+    res = monte_carlo(sc, pol, 10, 3, base_seed=1)
+    assert res.engine == "batch" and res.per_traj.tolist() == [0, 0, 0]
+
+
+def test_outcome_and_demand_uniforms_of_one_take_the_last_positive_outcome(
+        monkeypatch):
+    # Demand row 0 is (1, 0) and each law's last outcome has probability 0:
+    # a uniform of 1.0 takes demand state 0 and the one-vehicle outcome.
+    sc = two_charger_scenario()
+    half, zero = Fraction(1, 2), Fraction(0)
+    one, two = (VehicleState(2, 1),), (VehicleState(1, 1),) * 2
+    laws = tuple(TabulatedArrivals(((half, ()), (half, batch), (zero, two)))
+                 for batch in (one, two[:1]))
+    sc = dataclasses.replace(sc, initial_demand=0, demand=DemandModel(
+        kernel=((Fraction(1), zero), (half, half)), arrivals=laws))
+    key = streams.philox_key(2)
+    _ones_at(monkeypatch, {3}, {streams.OUTCOME, streams.DEMAND})
+    assert sample_demand(sc.demand, 0, key, 0, 3, sc.max_stay) == (0, list(one))
+    with montecarlo.stage_table(sc, key, 2):
+        assert montecarlo.stage_outcome(sc, 0, 3, key, 1)[1:] == (0, list(one))
+    for name in ("edf", "lllp"):
+        pol = make_policy(name, sc)
+        scalar = [run_trajectory(sc, pol, 10, seed=2, traj=i, warmup=0).time_average
+                  for i in range(3)]
+        res = monte_carlo(sc, pol, 10, 3, base_seed=2, warmup=0)
+        assert res.engine == "batch"
+        assert res.per_traj.tobytes() == np.array(scalar).tobytes()
 
 
 @pytest.mark.parametrize("source", [streams.GRID, streams.INIT_GRID], ids=["GRID", "INIT_GRID"])
 def test_an_iid_grid_uniform_of_exactly_one_takes_the_last_state_in_both_engines(
         monkeypatch, source):
     # u * G would be G, one past the last state: every rule clamps it to
-    # G - 1, as `sample_index` clamps, and the engines agree bit for bit.
+    # G - 1, the last state `sample_index` would take, and the engines agree
+    # bit for bit.
     sc = capacity_scenario(5, num_chargers=10, max_stay=4, capacity_range=(1, 3))
     last, pol, key = sc.grid.state_count - 1, make_policy("lllp", sc), streams.philox_key(1)
     stage = 3 if source == streams.GRID else 0
