@@ -13,10 +13,12 @@ is common to both, so a window's coupled rollout ends there.
 `certify_dominance` checks that claim case by case in exact arithmetic, also
 asserting the structural facts the argument rests on (aggregate
 preservation, the shortfall algebra when no swap-back occurs, and exact cost
-equality when one does).  Its cases are trajectories 0..n-1 of
-one key, so it opens a `montecarlo.stage_table` over them: each stage is
-drawn and typed once for a block of cases, and the scans and both sides of
-every coupled rollout read their case's row, bit for bit the addressed draws.
+equality when one does).  Both sides of a coupled stage apply one
+outcome, read once: `coupled_rollout` reads the addressed draws, and
+`certify_dominance`, whose cases are trajectories 0..n-1 of one key, builds
+one `montecarlo.StageTable` over them, which draws and types each stage once
+for a block of cases, and hands each case's row to its scan and its
+rollout, bit for bit the addressed draws.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from . import streams
 from .core import ActionVector, SystemState, VehicleState, outranks
 from .models import (DemandModel, GridModel, ScenarioModel, TableCost, TabulatedArrivals,
                      initial_states, penalty_json)
-from .montecarlo import advance_stage, as_fractions, stage_table
+from .montecarlo import StageTable, advance_stage, as_fractions, stage_outcome
 from .policies import check_lllp_compliance
 
 # `certify_dominance` looks for a case's violation from stage MIN_STAGE on,
@@ -128,16 +131,26 @@ def coupled_rollout(scenario: ScenarioModel, base_policy, other,
     the base action, so the sides never part again and every later cost is
     common to both; ``horizon`` must still cover the window.  Two plain
     policies run the whole horizon, and where their sides hold one state and
-    take one action, the stage is stepped once for both.  Stage costs are
-    summed as ints in units of 1/L and returned as exact rationals.
+    take one action, the stage is stepped once for both.  Each stage's
+    outcome is the addressed `stage_outcome` of (seed, traj), drawn once and
+    applied to both sides.  Stage costs are summed as ints in units of 1/L
+    and returned as exact rationals.
     """
+    key = streams.philox_key(seed)
+    return _coupled(scenario, base_policy, other, state0, horizon, stage_offset,
+                    lambda demand, stage: stage_outcome(scenario, demand, stage, key, traj))
+
+
+def _coupled(scenario: ScenarioModel, base_policy, other, state0: SystemState,
+             horizon: int, stage_offset: int, draw) -> CoupledRollout:
+    """`coupled_rollout` with each stage's outcome from ``draw(demand,
+    stage)``, read once a stage for both sides."""
     win = other if isinstance(other, InterchangeWindow) else None
     if win is not None:
         if horizon < win.length:
             raise ValueError("horizon must cover the interchange window")
         if stage_offset != win.t0:
             raise ValueError("rollout must start at the window's opening stage")
-    key = streams.philox_key(seed)
     x = state0
     xh = state0
     swap_back_at: Optional[int] = None
@@ -164,11 +177,12 @@ def coupled_rollout(scenario: ScenarioModel, base_policy, other,
             _record_shortfalls(x, a, win, stage, rho_base)
             _record_shortfalls(xh, ah, win, stage, rho_sw)
         shared = xh is x and ah is a
-        x, bill = advance_stage(scenario, x, a, stage, key, traj)
+        outcome = draw(x.demand, stage)
+        x, bill = advance_stage(scenario, x, a, outcome)
         if shared:      # one pure step of identical inputs serves both sides
             xh, bill_h = x, bill
         else:
-            xh, bill_h = advance_stage(scenario, xh, ah, stage, key, traj)
+            xh, bill_h = advance_stage(scenario, xh, ah, outcome)
             if xh == x:
                 xh = x      # so later stages take the shared step
         if (x.grid, x.demand) != (xh.grid, xh.demand):
@@ -265,7 +279,7 @@ def certify_dominance(scenario: ScenarioModel, policy, n_cases: int,
     Each case uses its own trajectory substream (seed, case), from the
     initial state `draw_initial` gives it (all drawn in one call); the
     rollout continues that trajectory's randomness from the violation stage.
-    Every stage outcome comes from one `stage_table` over the cases.
+    Every stage outcome comes from one `StageTable` over the cases.
     A case whose rollout meets no violation within `MAX_SCAN` stages, as a
     policy that keeps the priority rule never does, counts as unreached, so
     ``strict + equal + unreached == n_cases`` when the report is ok.
@@ -277,43 +291,43 @@ def certify_dominance(scenario: ScenarioModel, policy, n_cases: int,
                              penalty=penalty_json(scenario.penalty),
                              n_cases=n_cases, seed=seed)
     key = streams.philox_key(seed)
-    with stage_table(scenario, key, n_cases):
-        grids, demands = initial_states(scenario, key, n_cases)
-        for case, (s0, d0) in enumerate(zip(grids.tolist(), demands.tolist())):
-            state = scenario.empty_state(s0, d0)
-            for t in range(MAX_SCAN):
-                action = policy.decide(state, t)
-                # find_violation on the decision already made
-                pair = check_lllp_compliance(state, action) if t >= MIN_STAGE else None
-                if pair is not None:
-                    break
-                state, _ = advance_stage(scenario, state, action, t, key, case)
-            else:
-                report.unreached += 1
-                continue
-            wrapped = wrap_interchange(policy, state, *pair, t)
-            roll = coupled_rollout(scenario, policy, wrapped, state, wrapped.length,
-                                   seed, traj=case, stage_offset=t)
-            delta = roll.base_total - roll.swapped_total
-            if delta < 0:
-                failed = True
-            elif roll.g_empty:
-                report.g_empty_cases += 1
-                rb, rs = roll.base_shortfalls, roll.swapped_shortfalls
-                failed = not (rb is not None and rs is not None
-                              and rs.rho_i == rb.rho_i + 1 and rs.rho_j == rb.rho_j - 1
-                              and 0 <= rb.rho_i < rb.rho_j)
-                report.shortfall_identity_failures += failed
-            else:
-                report.g_nonempty_cases += 1
-                failed = delta != 0
-                report.equality_failures += failed
-            if failed:
-                report.counterexamples.append(_bundle(case, seed, t, state, pair, roll))
-            elif delta > 0:
-                report.strict += 1
-            else:
-                report.equal += 1
+    table = StageTable(scenario, key, n_cases)
+    grids, demands = initial_states(scenario, key, n_cases)
+    for case, (s0, d0) in enumerate(zip(grids.tolist(), demands.tolist())):
+        draw = partial(table.outcome, case)
+        state = scenario.empty_state(s0, d0)
+        for t in range(MAX_SCAN):
+            action = policy.decide(state, t)
+            # find_violation on the decision already made
+            pair = check_lllp_compliance(state, action) if t >= MIN_STAGE else None
+            if pair is not None:
+                break
+            state, _ = advance_stage(scenario, state, action, draw(state.demand, t))
+        else:
+            report.unreached += 1
+            continue
+        wrapped = wrap_interchange(policy, state, *pair, t)
+        roll = _coupled(scenario, policy, wrapped, state, wrapped.length, t, draw)
+        delta = roll.base_total - roll.swapped_total
+        if delta < 0:
+            failed = True
+        elif roll.g_empty:
+            report.g_empty_cases += 1
+            rb, rs = roll.base_shortfalls, roll.swapped_shortfalls
+            failed = not (rb is not None and rs is not None
+                          and rs.rho_i == rb.rho_i + 1 and rs.rho_j == rb.rho_j - 1
+                          and 0 <= rb.rho_i < rb.rho_j)
+            report.shortfall_identity_failures += failed
+        else:
+            report.g_nonempty_cases += 1
+            failed = delta != 0
+            report.equality_failures += failed
+        if failed:
+            report.counterexamples.append(_bundle(case, seed, t, state, pair, roll))
+        elif delta > 0:
+            report.strict += 1
+        else:
+            report.equal += 1
     return report
 
 

@@ -355,8 +355,7 @@ def arrival_batches(law, key, stage: int, n: int, start: int, max_stay: int, wid
     source: the type cells of each batch in arrival order (padded past its
     size; a new array, which the caller may overwrite) and the batch sizes;
     None when the law never brings a vehicle.  The batch engine and the
-    scalar engine's stage table (`montecarlo.stage_table`) type their
-    arrivals here."""
+    scalar engine's `montecarlo.StageTable` type their arrivals here."""
     if isinstance(law, int):
         if law == 0:
             return None

@@ -27,22 +27,21 @@ across policies and arrival rates, and results do not depend on execution
 order, thread count or block size.  Both engines draw their initial states
 through `models.initial_states`, the scalar one a row at a time, and type
 fixed-count arrivals by `models.arrival_cells`.  A scalar
-stage (`advance_stage`) takes its exogenous outcome (GRID uniform, next
-demand state, arrival batch) from `stage_outcome` and applies it to a state
-and an action.  `run_trajectory` knows its horizon, so it opens a
-`streams.stage_window` and takes its per-stage draws from vectorized stage
-blocks; `interchange.certify_dominance` opens a `stage_table`, which draws
-and types each stage once for a block of its cases by the batch engine's
-`models.arrival_batches`, and every scan stage and coupled-rollout side
-reads its case's row there.
+stage (`advance_stage`) applies a given exogenous outcome (GRID uniform,
+next demand state, arrival batch) to a state and an action and draws
+nothing; the caller that owns the trajectory chooses where its outcomes come
+from.  `run_trajectory` passes `stage_outcome`, the addressed draws, under
+a `streams.stage_window` over its horizon, so they come from vectorized
+stage blocks; `interchange.certify_dominance` builds one `StageTable`,
+which draws and types each stage once for a block of its cases by the batch
+engine's `models.arrival_batches`, and passes its case's row to every scan
+stage and to both sides of every coupled-rollout stage.
 """
 
 from __future__ import annotations
 
 import csv
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -69,12 +68,14 @@ class StageBill(NamedTuple):
 
 
 def advance_stage(scenario: ScenarioModel, state: SystemState, action: ActionVector,
-                  stage: int, key, traj: int) -> tuple[SystemState, StageBill]:
-    """One stage-boundary step: pay the stage cost, process departures, then
-    admit the next stage's arrivals and move the grid/demand chains, from
-    the `stage_outcome` of (key, traj) at this stage.  The next state
-    inherits its occupied chargers: those kept plus those filled."""
-    u_grid, d_next, arrivals = stage_outcome(scenario, state.demand, stage, key, traj)
+                  outcome: tuple[float, int, Sequence[VehicleState]]
+                  ) -> tuple[SystemState, StageBill]:
+    """One stage-boundary step under a given exogenous ``outcome`` (GRID
+    uniform, next demand state, arrival batch; see `stage_outcome`): pay the
+    stage cost, process departures, then admit the arrivals and move the
+    grid/demand chains.  It draws nothing.  The next state inherits its
+    occupied chargers: those kept plus those filled."""
+    u_grid, d_next, arrivals = outcome
     prices = scenario.prices
     shortfall, vehicles, kept = settle_stage(state, action, prices.steps)
     filled = admit(vehicles, arrivals)
@@ -88,33 +89,28 @@ def advance_stage(scenario: ScenarioModel, state: SystemState, action: ActionVec
 def stage_outcome(scenario: ScenarioModel, demand: int, stage: int, key,
                   traj: int) -> tuple[float, int, Sequence[VehicleState]]:
     """The exogenous outcome of one stage of trajectory ``traj`` from demand
-    state ``demand``: its GRID uniform, the next demand state and the
-    arrival batch.  It does not depend on the stepping side's action: the
-    next grid state is `GridModel.next_state` on the uniform.  It is read
-    from this thread's open `stage_table` when that covers (scenario, key,
-    traj), and drawn from the addressed streams otherwise; the two give the
-    same outcome bit for bit."""
-    table = _local.table
-    if table is not None and key is table.key and scenario is table.scenario \
-            and 0 <= traj < table.n:
-        return table.outcome(demand, stage, traj)
+    state ``demand``, from the addressed streams: its GRID uniform, the next
+    demand state and the arrival batch.  It does not depend on the stepping
+    side's action: the next grid state is `GridModel.next_state` on the
+    uniform.  A `StageTable` gives the same outcome bit for bit."""
     d_next, arrivals = sample_demand(scenario.demand, demand, key, traj, stage,
                                      scenario.max_stay)
     return streams.uniform(key, traj, stage, streams.GRID), d_next, arrivals
 
 
-# Cases per block of a `stage_table`: it holds the drawn stages of one block
+# Cases per block of a `StageTable`: it holds the drawn stages of one block
 # at a time, so its memory does not grow with the number of trajectories.
 TABLE_BLOCK = 25
 
 
-class _StageTable:
+class StageTable:
     """The stage outcomes of trajectories 0..n-1 of one key, drawn for a
     block of `TABLE_BLOCK` trajectories at a time: the first time any of
     them reaches a stage, one `streams.uniforms_batch` call per source draws
     it for the whole block and `arrival_batches` types every batch, under
     each demand state's law.  Reading a trajectory of another block drops
-    this one."""
+    this one.  `outcome(traj, demand, stage)` equals `stage_outcome` bit
+    for bit."""
 
     def __init__(self, scenario: ScenarioModel, key, n: int):
         self.scenario, self.key, self.n = scenario, key, n
@@ -124,7 +120,7 @@ class _StageTable:
         self.start = self.stop = 0
         self.stages: dict[int, tuple] = {}
 
-    def outcome(self, demand: int, stage: int, traj: int):
+    def outcome(self, traj: int, demand: int, stage: int):
         if not self.start <= traj < self.stop:
             self.start = traj - traj % TABLE_BLOCK
             self.stop = min(self.start + TABLE_BLOCK, self.n)
@@ -157,27 +153,6 @@ class _StageTable:
     def _uniforms(self, stage: int, source: int) -> list[float]:
         return streams.uniforms_batch(self.key, self.stop - self.start, stage, source, 1,
                                       self.start)[:, 0].tolist()
-
-
-class _Local(threading.local):
-    table = None        # the open `stage_table`, if any
-
-
-_local = _Local()
-
-
-@contextmanager
-def stage_table(scenario: ScenarioModel, key, n: int):
-    """While open, `advance_stage` takes this thread's stage outcomes for
-    (scenario, key, traj), traj in 0..n-1, from one `_StageTable`: each
-    stage drawn once for a block of trajectories, not once per trajectory
-    and step.  Only these very scenario and key objects select it."""
-    prev = _local.table
-    _local.table = _StageTable(scenario, key, n)
-    try:
-        yield
-    finally:
-        _local.table = prev
 
 
 def as_fractions(units: Sequence[int], unit: int) -> tuple[Fraction, ...]:
@@ -221,8 +196,8 @@ def run_trajectory(scenario: ScenarioModel, policy, stages: int, seed: int,
         for t in range(stages):
             if t == warmup:
                 head = charging + penalty
-            action = policy.decide(state, t)
-            state, bill = advance_stage(scenario, state, action, t, key, traj)
+            state, bill = advance_stage(scenario, state, policy.decide(state, t),
+                                        stage_outcome(scenario, state.demand, t, key, traj))
             charging += bill.charging
             penalty += bill.penalty
             rejected += bill.rejected

@@ -74,9 +74,9 @@ _U64_INV = 1.0 / 2.0 ** 64
 @functools.lru_cache(maxsize=256)
 def philox_key(seed: int) -> np.ndarray:
     """Derive the 128-bit Philox key for a user-facing integer seed, as a
-    read-only array, one object per seed while it stays in the cache: the
-    draws that select by key identity (`stage_window`, the scalar engine's
-    stage tables) see one seed's key from any caller."""
+    read-only array, one object per seed while it stays in the cache, so
+    the two readers of key identity, an open `stage_window` and `_keyed`'s
+    cached key ints, see one seed's key from any caller."""
     ss = np.random.SeedSequence([0x6C61786974, seed & 0xFFFFFFFFFFFFFFFF])
     key = ss.generate_state(2, np.uint64)
     key.flags.writeable = False

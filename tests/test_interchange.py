@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import itertools
 import json
@@ -23,7 +22,7 @@ from chargesched.models import (DemandModel, FixedCountArrivals, GridModel,
                                 ScenarioModel, TableCost, TabulatedArrivals,
                                 capacity_scenario, draw_initial, penalty_json,
                                 scenario_to_json)
-from chargesched.montecarlo import advance_stage
+from chargesched.montecarlo import advance_stage, stage_outcome
 from chargesched.policies import make_policy
 from test_montecarlo import _narrow_and_wide, _ones_at
 
@@ -219,16 +218,19 @@ def test_aggregate_mismatch_is_hard_failure():
 
 
 def test_diverged_exogenous_paths_are_hard_failure(monkeypatch):
-    # the swapped rollout draws trajectory 1's randomness instead of 0's
+    # the swapped rollout's grid uniform moves by one half, so on this iid
+    # grid it takes another next grid state
     import chargesched.interchange as interchange
     from chargesched.models import draw_initial
     from chargesched import streams
     real = interchange.advance_stage
     calls = []
 
-    def skewed(scenario, state, action, stage, key, traj):
-        calls.append(stage)
-        return real(scenario, state, action, stage, key, traj + len(calls) % 2 - 1)
+    def skewed(scenario, state, action, outcome):
+        calls.append(outcome)
+        if len(calls) % 2 == 0:
+            outcome = ((outcome[0] + 0.5) % 1.0, *outcome[1:])
+        return real(scenario, state, action, outcome)
 
     sc = capacity_scenario(5, num_chargers=4)
     pol = make_policy("edf", sc)
@@ -297,7 +299,7 @@ def test_map_action_keeps_the_base_action_where_nothing_swaps():
         pair = find_violation(pol, state, t) if t >= 3 else None
         if pair is not None:
             break
-        state, _ = advance_stage(sc, state, action, t, key, 0)
+        state, _ = advance_stage(sc, state, action, stage_outcome(sc, state.demand, t, key, 0))
     win = wrap_interchange(pol, state, *pair, t)
     base = pol.decide(state, t + 1)
     assert win.map_action(base, t + 1, None) is base
@@ -315,20 +317,21 @@ def test_map_action_keeps_the_base_action_where_nothing_swaps():
 def test_certify_counts_identity_and_equality_failures(monkeypatch, tmp_path):
     # Alter the first g-empty case's shortfalls, so the identity rho' = rho
     # + (1, -1) fails, and the first g-nonempty case's swapped total, so the
-    # totals differ although the window swapped back.
-    real, altered = interchange.coupled_rollout, {}
+    # totals differ although the window swapped back.  Every case reaches
+    # its rollout (asserted below), so the k-th rollout is case k's.
+    real, altered, cases = interchange._coupled, {}, itertools.count()
 
-    def tampered(*args, traj, **kwargs):
-        roll = real(*args, traj=traj, **kwargs)
+    def tampered(*args):
+        roll, case = real(*args), next(cases)
         if roll.g_empty and True not in altered:
-            altered[True] = traj
+            altered[True] = case
             return dataclasses.replace(roll, swapped_shortfalls=roll.base_shortfalls)
         if roll.g_empty is False and False not in altered:
-            altered[False] = traj
+            altered[False] = case
             return dataclasses.replace(roll, swapped_total=roll.base_total - 1)
         return roll
 
-    monkeypatch.setattr(interchange, "coupled_rollout", tampered)
+    monkeypatch.setattr(interchange, "_coupled", tampered)
     sc = capacity_scenario(20, "linear")
     rep = certify_dominance(sc, make_policy("edf", sc), n_cases=6, seed=9)
     assert (rep.shortfall_identity_failures, rep.equality_failures) == (1, 1)
@@ -351,16 +354,18 @@ def test_certify_counts_identity_and_equality_failures(monkeypatch, tmp_path):
 def test_certify_records_a_costlier_interchange_as_a_counterexample_only(monkeypatch):
     # A case whose interchange costs more is a counterexample and nothing
     # else: it counts toward neither branch of the window nor its checks.
-    real, altered = interchange.coupled_rollout, []
+    # Every case reaches its rollout (asserted below), so the k-th rollout is
+    # case k's.
+    real, altered, cases = interchange._coupled, [], itertools.count()
 
-    def costlier(*args, traj, **kwargs):
-        roll = real(*args, traj=traj, **kwargs)
+    def costlier(*args):
+        roll, case = real(*args), next(cases)
         if not altered:
-            altered.append(traj)
+            altered.append(case)
             return dataclasses.replace(roll, swapped_total=roll.base_total + 1)
         return roll
 
-    monkeypatch.setattr(interchange, "coupled_rollout", costlier)
+    monkeypatch.setattr(interchange, "_coupled", costlier)
     sc = capacity_scenario(20, "linear")
     rep = certify_dominance(sc, make_policy("edf", sc), n_cases=4, seed=9)
     assert [b["case"] for b in rep.counterexamples] == altered == [0]
@@ -446,6 +451,13 @@ def test_threads_certifying_different_seeds_give_the_single_thread_reports():
     assert got == expected
 
 
+class _AddressedTable(montecarlo.StageTable):
+    """A `StageTable` whose rows are the addressed `stage_outcome` draws."""
+
+    def outcome(self, traj, demand, stage):
+        return stage_outcome(self.scenario, demand, stage, self.key, traj)
+
+
 @pytest.mark.parametrize("source", [streams.STAY, streams.REQUEST], ids=["STAY", "REQUEST"])
 def test_a_unit_arrival_uniform_certifies_alike_on_table_and_draws(
         monkeypatch, source):
@@ -456,7 +468,7 @@ def test_a_unit_arrival_uniform_certifies_alike_on_table_and_draws(
         pol = make_policy("edf", sc)
         tabled = certify_dominance(sc, pol, 30, seed=4)
         with monkeypatch.context() as patch:
-            patch.setattr(interchange, "stage_table", lambda *args: contextlib.nullcontext())
+            patch.setattr(interchange, "StageTable", _AddressedTable)
             addressed = certify_dominance(sc, pol, 30, seed=4)
         assert tabled.to_json() == addressed.to_json()
         assert tabled.ok and tabled.strict + tabled.equal == 30
@@ -477,7 +489,8 @@ def test_convex_search_finds_nothing():
 
 def _apart(scenario, base, other, state0, horizon, seed, traj=0, stage_offset=0):
     """`coupled_rollout` written out with two `advance_stage` calls a stage,
-    one per side, whatever their states and actions, over the whole horizon
+    one per side, each on its own `stage_outcome` draw, whatever their states
+    and actions, over the whole horizon
     even for a window; with it, for each stage, whether the two sides' states
     or actions differ there."""
     win = other if isinstance(other, InterchangeWindow) else None
@@ -500,8 +513,9 @@ def _apart(scenario, base, other, state0, horizon, seed, traj=0, stage_offset=0)
                     if stage == depart - 1:
                         shortfalls[idx] = state.vehicles[idx].need - action.bits[idx]
         apart.append((x, a) != (xh, ah))
-        x, bill = advance_stage(scenario, x, a, stage, key, traj)
-        xh, bill_h = advance_stage(scenario, xh, ah, stage, key, traj)
+        x, bill = advance_stage(scenario, x, a, stage_outcome(scenario, x.demand, stage, key, traj))
+        xh, bill_h = advance_stage(scenario, xh, ah,
+                                   stage_outcome(scenario, xh.demand, stage, key, traj))
         costs.append(Fraction(bill.charging + bill.penalty, scenario.prices.unit))
         costs_h.append(Fraction(bill_h.charging + bill_h.penalty, scenario.prices.unit))
         aggs.append(a.aggregate)
@@ -543,7 +557,8 @@ def _first_violation(scenario, policy, seed, case):
         action = policy.decide(state, t)
         if t >= interchange.MIN_STAGE and (pair := find_violation(policy, state, t)):
             return t, state, pair
-        state, _ = advance_stage(scenario, state, action, t, key, case)
+        state, _ = advance_stage(scenario, state, action,
+                                 stage_outcome(scenario, state.demand, t, key, case))
     raise AssertionError(f"case {case}: no violation")
 
 
@@ -555,13 +570,7 @@ def _assert_fields_equal(roll, want):
 @pytest.mark.parametrize("penalty", ["linear", "quadratic"])
 def test_coupled_rollout_equals_two_rollouts_stepped_apart(penalty, monkeypatch):
     sc = capacity_scenario(20, penalty)
-    real, calls = interchange.advance_stage, []
-
-    def counted(*args):
-        calls.append(args[3])
-        return real(*args)
-
-    monkeypatch.setattr(interchange, "advance_stage", counted)
+    calls, reads = _count_calls(monkeypatch, interchange, "advance_stage", "stage_outcome")
     kinds = set()
     for name in ("edf", "llsp"):
         pol = make_policy(name, sc)
@@ -571,6 +580,7 @@ def test_coupled_rollout_equals_two_rollouts_stepped_apart(penalty, monkeypatch)
             want, apart = _apart(sc, pol, win, x0, win.length, 3, traj=case,
                                  stage_offset=t0)
             calls.clear()
+            reads.clear()
             roll = coupled_rollout(sc, pol, win, x0, win.length, 3, traj=case,
                                    stage_offset=t0)
             n = len(roll.aggregates)
@@ -579,7 +589,9 @@ def test_coupled_rollout_equals_two_rollouts_stepped_apart(penalty, monkeypatch)
             assert want.base_stage_costs[n:] == want.swapped_stage_costs[n:]
             # That stage is the swap-back, or the window's last stage.
             assert t0 + n - 1 == (t0 + win.length if roll.g_empty else roll.swap_back_at)
-            # One step a stage, and one more for each stage whose sides differ.
+            # One outcome read and one step a stage, and one more step for
+            # each stage whose sides differ.
+            assert len(reads) == n
             assert len(calls) == n + sum(apart[:n])
             if roll.swap_back_at is not None and roll.swap_back_at < t0 + win.length:
                 kinds.add("early swap-back")
@@ -612,21 +624,35 @@ def test_certificate_counts_are_pinned():
     assert all(r.ok for r in got.values())
 
 
+def _count_calls(monkeypatch, owner, *names):
+    """Replace each named attribute of ``owner`` by a wrapper that records
+    its calls' arguments; return one list of them per name."""
+    lists = []
+    for name in names:
+        real, calls = getattr(owner, name), []
+        lists.append(calls)
+
+        def counted(*args, real=real, calls=calls):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return lists
+
+
 def test_certificate_stage_count_is_pinned(monkeypatch):
     # The `advance_stage` calls of the certificates above: each case's scan
     # and both sides of its rollout up to the stage where they meet.  Stepping
-    # the common tail past that stage made 639 and 548.
+    # the common tail past that stage made 639 and 548.  Its table reads: one
+    # a scan stage and one a rollout stage, for both sides; reading one per
+    # side made as many reads as steps.
     sc = capacity_scenario(20, "quadratic")
-    real, calls = interchange.advance_stage, []
-
-    def counted(*args):
-        calls.append(args[3])
-        return real(*args)
-
-    monkeypatch.setattr(interchange, "advance_stage", counted)
+    calls, = _count_calls(monkeypatch, interchange, "advance_stage")
+    reads, = _count_calls(monkeypatch, montecarlo.StageTable, "outcome")
     counts = {}
     for name in ("edf", "llsp"):
         calls.clear()
+        reads.clear()
         certify_dominance(sc, make_policy(name, sc), 25, 3)
-        counts[name] = len(calls)
-    assert counts == {"edf": 557, "llsp": 425}
+        counts[name] = len(calls), len(reads)
+    assert counts == {"edf": (557, 421), "llsp": (425, 358)}

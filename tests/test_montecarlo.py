@@ -16,7 +16,7 @@ from chargesched.models import (ChargingCost, DemandModel, FixedCountArrivals,
                                 draw_initial, initial_states, multichain_fixture,
                                 sample_demand, sample_grid, two_charger_scenario)
 from chargesched.montecarlo import (CSV_COLUMNS, advance_stage, figure_experiment,
-                                    monte_carlo, run_trajectory)
+                                    monte_carlo, run_trajectory, stage_outcome)
 from chargesched.policies import HeuristicPolicy, check_lllp_compliance, make_policy
 from test_exactdp import _two_demand_scenario
 
@@ -204,7 +204,7 @@ def _fraction_walk(sc, decide, state, stages, seed, traj, offset=0):
     for t in range(offset, offset + stages):
         action = decide(state, t)
         costs.append(_fraction_costs(sc, state, action))
-        state, _ = advance_stage(sc, state, action, t, key, traj)
+        state, _ = advance_stage(sc, state, action, stage_outcome(sc, state.demand, t, key, traj))
     return costs
 
 
@@ -249,7 +249,8 @@ def test_coupled_rollout_totals_match_a_fraction_sum(scale):
             pair = check_lllp_compliance(state, action) if t >= 3 else None
             if pair is not None:
                 break
-            state, _ = advance_stage(sc, state, action, t, key, case)
+            state, _ = advance_stage(sc, state, action,
+                                     stage_outcome(sc, state.demand, t, key, case))
         if pair is None:
             continue
         found += 1
@@ -333,34 +334,62 @@ _TYPES = st.builds(VehicleState, st.integers(1, 3), st.integers(0, 3))
 
 
 @st.composite
-def _fleets_and_laws(draw):
-    """A scenario on at most 8 chargers with one tabulated arrival law, whose
-    batches hold need-0 vehicles and can overflow the free chargers, and a
-    starting fleet with empty slots and need-0 vehicles."""
+def _fleets(draw):
+    """A scenario on at most 8 chargers and a starting fleet with empty slots
+    and need-0 vehicles."""
     n = draw(st.integers(1, 8))
-    batches = draw(st.lists(st.lists(_TYPES, max_size=n + 3), min_size=1, max_size=3))
-    law = TabulatedArrivals(tuple((Fraction(1, len(batches)), tuple(b)) for b in batches))
-    base = capacity_scenario(0, num_chargers=n, max_stay=3, capacity_range=(0, n))
-    sc = dataclasses.replace(base, demand=DemandModel(kernel=((Fraction(1),),),
-                                                      arrivals=(law,)))
+    sc = capacity_scenario(0, num_chargers=n, max_stay=3, capacity_range=(0, n))
     fleet = draw(st.lists(st.one_of(st.just(EMPTY), _TYPES), min_size=n, max_size=n))
     return sc, SystemState(tuple(fleet), 0, 0)
 
 
+def _no_draw(*args):
+    raise AssertionError("a stage drew from the streams")
+
+
 @settings(deadline=None, max_examples=200)
-@given(_fleets_and_laws(), st.integers(0, 2 ** 32), st.data())
-def test_advance_stage_carries_the_occupied_chargers(case, seed, data):
+@given(_fleets(), st.data())
+def test_advance_stage_carries_the_occupied_chargers(case, data):
+    # Every stage applies a hand-built outcome with every draw refused: a
+    # grid uniform and an arrival batch that holds need-0 vehicles and, at
+    # stage 0, more vehicles than there are chargers.
     sc, x = case
-    key = streams.philox_key(seed)
-    for t in range(10):
-        bits = tuple(data.draw(st.integers(0, 1)) if v.need else 0 for v in x.vehicles)
-        a = ActionVector(bits)
-        _, arrivals = sample_demand(sc.demand, x.demand, key, 0, t, sc.max_stay)
-        vehicles = settle_stage(x, a, step_tables(sc.penalty.values))[1]
-        rejected = len(arrivals) - len(admit(vehicles, arrivals))
-        x, bill = advance_stage(sc, x, a, t, key, 0)
-        assert (x.vehicles, bill.rejected) == (tuple(vehicles), rejected)
-        assert x.occupied == SystemState(x.vehicles, x.grid, x.demand).occupied
+    n, unit = sc.num_chargers, sc.prices.unit
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("uniform", "uniforms", "uniforms_batch"):
+            patch.setattr(streams, name, _no_draw)
+        for t in range(10):
+            bits = tuple(data.draw(st.integers(0, 1)) if v.need else 0 for v in x.vehicles)
+            a = ActionVector(bits)
+            u = data.draw(st.floats(0, 1))
+            arrivals = tuple(data.draw(st.lists(_TYPES, min_size=n + 1 if t == 0 else 0,
+                                                max_size=n + 3)))
+            vehicles = settle_stage(x, a, step_tables(sc.penalty.values))[1]
+            rejected = len(arrivals) - len(admit(vehicles, arrivals))
+            # By hand: every stay drops by one, a charged vehicle owes one
+            # unit less, stay-1 vehicles leave and pay for what they still
+            # owe, and arrivals fill the empty chargers in index order.
+            stepped = [EMPTY if v.stay <= 1 else VehicleState(v.stay - 1, v.need - b)
+                       for v, b in zip(x.vehicles, bits)]
+            free = [k for k, v in enumerate(stepped) if v == EMPTY]
+            for k, v in zip(free, arrivals):
+                stepped[k] = v
+            due = sum((sc.penalty(v.need - b) for v, b in zip(x.vehicles, bits)
+                       if v.stay == 1), Fraction(0))
+            y, bill = advance_stage(sc, x, a, (u, 0, arrivals))
+            assert (y.vehicles, bill.rejected) == (tuple(vehicles), rejected)
+            assert y.vehicles == tuple(stepped)
+            assert (y.grid, y.demand) == (sc.grid.next_state(x.grid, a.aggregate, u), 0)
+            assert bill.rejected == max(len(arrivals) - len(free), 0)
+            assert bill.rejected > 0 or t > 0
+            # Charging is free up to the grid state's capacity, N q(E) past it.
+            ceiling = n * sc.penalty(sc.max_units)
+            assert Fraction(bill.charging, unit) == (
+                0 if a.aggregate <= sc.grid.values[x.grid] else ceiling)
+            assert Fraction(bill.penalty, unit) == due
+            assert y.occupied == tuple(k for k, v in enumerate(y.vehicles) if v.stay)
+            assert y.occupied == SystemState(y.vehicles, y.grid, y.demand).occupied
+            x = y
 
 
 @pytest.mark.parametrize("base", [None, capacity_scenario(2, num_chargers=30,
@@ -550,8 +579,7 @@ def test_outcome_and_demand_uniforms_of_one_take_the_last_positive_outcome(
     key = streams.philox_key(2)
     _ones_at(monkeypatch, {3}, {streams.OUTCOME, streams.DEMAND})
     assert sample_demand(sc.demand, 0, key, 0, 3, sc.max_stay) == (0, list(one))
-    with montecarlo.stage_table(sc, key, 2):
-        assert montecarlo.stage_outcome(sc, 0, 3, key, 1)[1:] == (0, list(one))
+    assert montecarlo.StageTable(sc, key, 2).outcome(1, 0, 3)[1:] == (0, list(one))
     for name in ("edf", "lllp"):
         pol = make_policy(name, sc)
         scalar = [run_trajectory(sc, pol, 10, seed=2, traj=i, warmup=0).time_average
@@ -582,9 +610,9 @@ def test_an_iid_grid_uniform_of_exactly_one_takes_the_last_state_in_both_engines
         assert sample_grid(sc.grid, 0, 0, key, 0, stage) == last
         state = draw_initial(sc, key, 0)
         action = make_policy("lllp", sc).decide(state)
-        assert advance_stage(sc, state, action, stage, key, 0)[0].grid == last
-        with montecarlo.stage_table(sc, key, 1):
-            assert advance_stage(sc, state, action, stage, key, 0)[0].grid == last
+        for outcome in (stage_outcome(sc, state.demand, stage, key, 0),
+                        montecarlo.StageTable(sc, key, 1).outcome(0, state.demand, stage)):
+            assert advance_stage(sc, state, action, outcome)[0].grid == last
     scalar = [run_trajectory(sc, pol, 10, seed=1, traj=i).time_average for i in range(3)]
     assert monte_carlo(sc, pol, 10, 3, base_seed=1).per_traj.tobytes() == \
         np.array(scalar).tobytes()
@@ -612,19 +640,19 @@ def test_a_stage_table_gives_the_addressed_outcomes_bit_for_bit(monkeypatch, bui
     # Every trajectory of two blocks, then one of the first block again.
     reads = [(traj, t, d) for traj in [*range(n), 1] for t in range(6)
              for d in range(sc.demand.state_count)]
-    want = [montecarlo.stage_outcome(sc, d, t, key, traj) for traj, t, d in reads]
+    want = [stage_outcome(sc, d, t, key, traj) for traj, t, d in reads]
 
     def addressed(*args):
-        raise AssertionError("an addressed draw under an open stage table")
+        raise AssertionError("an addressed draw from a stage table")
 
-    with monkeypatch.context() as patch, montecarlo.stage_table(sc, key, n):
+    table = montecarlo.StageTable(sc, key, n)
+    with monkeypatch.context() as patch:
         for name in ("uniform", "uniforms"):
             patch.setattr(streams, name, addressed)
-        got = [montecarlo.stage_outcome(sc, d, t, key, traj) for traj, t, d in reads]
+        got = [table.outcome(traj, d, t) for traj, t, d in reads]
     for (u, d_next, arrivals), (u_t, d_t, arrivals_t) in zip(want, got):
         assert np.float64(u).tobytes() == np.float64(u_t).tobytes()
         assert (d_next, list(arrivals)) == (d_t, list(arrivals_t))
         assert all(type(v) is VehicleState for v in arrivals_t)
-    # Another key object takes the addressed draws.
-    with montecarlo.stage_table(sc, key, n):
-        assert montecarlo.stage_outcome(sc, 0, 2, key.copy(), 0) == want[2 * sc.demand.state_count]
+    # A table changes no addressed draw, from any key object.
+    assert stage_outcome(sc, 0, 2, key.copy(), 0) == want[2 * sc.demand.state_count]
