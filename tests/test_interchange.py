@@ -513,7 +513,8 @@ def _apart(scenario, base, other, state0, horizon, seed, traj=0, stage_offset=0)
                     if stage == depart - 1:
                         shortfalls[idx] = state.vehicles[idx].need - action.bits[idx]
         apart.append((x, a) != (xh, ah))
-        x, bill = advance_stage(scenario, x, a, stage_outcome(scenario, x.demand, stage, key, traj))
+        x, bill = advance_stage(scenario, x, a,
+                                stage_outcome(scenario, x.demand, stage, key, traj))
         xh, bill_h = advance_stage(scenario, xh, ah,
                                    stage_outcome(scenario, xh.demand, stage, key, traj))
         costs.append(Fraction(bill.charging + bill.penalty, scenario.prices.unit))
