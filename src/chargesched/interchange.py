@@ -136,9 +136,9 @@ def coupled_rollout(scenario: ScenarioModel, base_policy, other,
     applied to both sides.  Stage costs are summed as ints in units of 1/L
     and returned as exact rationals.
     """
-    key = streams.philox_key(seed)
+    draws = streams.Substream(streams.philox_key(seed), traj)
     return _coupled(scenario, base_policy, other, state0, horizon, stage_offset,
-                    lambda demand, stage: stage_outcome(scenario, demand, stage, key, traj))
+                    lambda demand, stage: stage_outcome(scenario, demand, stage, draws))
 
 
 def _coupled(scenario: ScenarioModel, base_policy, other, state0: SystemState,

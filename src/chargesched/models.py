@@ -262,15 +262,15 @@ class FixedCountArrivals:
     def zero_arrival_probability(self) -> Fraction:
         return Fraction(1) if self.count == 0 else Fraction(0)
 
-    def sample(self, key, traj: int, stage: int, max_stay: int) -> list[VehicleState]:
+    def sample(self, draws: streams.Substream, stage: int,
+               max_stay: int) -> list[VehicleState]:
         """The arrivals' types by `arrival_cells`, in the grid of stays
         1..B and needs 0..B that holds them (need <= stay <= B)."""
         if self.count == 0:
             return []
-        cells = arrival_cells(
-            streams.uniforms(key, traj, stage, streams.STAY, self.count),
-            streams.uniforms(key, traj, stage, streams.REQUEST, self.count),
-            max_stay, max_stay + 1)
+        cells = arrival_cells(draws.uniforms(stage, streams.STAY, self.count),
+                              draws.uniforms(stage, streams.REQUEST, self.count),
+                              max_stay, max_stay + 1)
         return type_table(max_stay, max_stay + 1)[cells].tolist()
 
 
@@ -328,8 +328,9 @@ class TabulatedArrivals:
     def cdf(self) -> list[float]:
         return _float_cdf([p for p, _ in self.outcomes]).tolist()
 
-    def sample(self, key, traj: int, stage: int, max_stay: int) -> list[VehicleState]:
-        u = streams.uniform(key, traj, stage, streams.OUTCOME)
+    def sample(self, draws: streams.Substream, stage: int,
+               max_stay: int) -> list[VehicleState]:
+        u = draws.uniform(stage, streams.OUTCOME)
         return list(self.outcomes[sample_index(self.cdf, u)][1])
 
 
@@ -535,12 +536,13 @@ class ScenarioModel:
 # Sampling and admission
 # ---------------------------------------------------------------------------
 
-def sample_grid(grid: GridModel, s: int, aggregate: int, key, traj: int, stage: int) -> int:
+def sample_grid(grid: GridModel, s: int, aggregate: int, draws: streams.Substream,
+                stage: int) -> int:
     """Next grid state; consumes exactly one uniform from the grid substream."""
-    return grid.next_state(s, aggregate, streams.uniform(key, traj, stage, streams.GRID))
+    return grid.next_state(s, aggregate, draws.uniform(stage, streams.GRID))
 
 
-def sample_demand(demand: DemandModel, d: int, key, traj: int, stage: int,
+def sample_demand(demand: DemandModel, d: int, draws: streams.Substream, stage: int,
                   max_stay: int) -> tuple[int, list[VehicleState]]:
     """Next demand state and the arrival batch generated while in state d.
 
@@ -549,11 +551,11 @@ def sample_demand(demand: DemandModel, d: int, key, traj: int, stage: int,
     substreams so the consumption pattern never depends on the policy.
     """
     if demand.state_count > 1:
-        u = streams.uniform(key, traj, stage, streams.DEMAND)
+        u = draws.uniform(stage, streams.DEMAND)
         d_next = sample_index(demand.kernel_cdf[d], u)
     else:
         d_next = d
-    arrivals = demand.arrivals[d].sample(key, traj, stage, max_stay)
+    arrivals = demand.arrivals[d].sample(draws, stage, max_stay)
     return d_next, arrivals
 
 

@@ -30,8 +30,8 @@ fixed-count arrivals by `models.arrival_cells`.  A scalar
 stage (`advance_stage`) applies a given exogenous outcome (GRID uniform,
 next demand state, arrival batch) to a state and an action and draws
 nothing; the caller that owns the trajectory chooses where its outcomes come
-from.  `run_trajectory` passes `stage_outcome`, the addressed draws, under
-a `streams.stage_window` over its horizon, so they come from vectorized
+from.  `run_trajectory` passes `stage_outcome`, the addressed draws, from
+a `streams.Substream` over its horizon, which serves them from vectorized
 stage blocks; `interchange.certify_dominance` builds one `StageTable`,
 which draws and types each stage once for a block of its cases by the batch
 engine's `models.arrival_batches`, and passes its case's row to every scan
@@ -86,16 +86,17 @@ def advance_stage(scenario: ScenarioModel, state: SystemState, action: ActionVec
                       len(arrivals) - len(filled)))
 
 
-def stage_outcome(scenario: ScenarioModel, demand: int, stage: int, key,
-                  traj: int) -> tuple[float, int, Sequence[VehicleState]]:
-    """The exogenous outcome of one stage of trajectory ``traj`` from demand
-    state ``demand``, from the addressed streams: its GRID uniform, the next
-    demand state and the arrival batch.  It does not depend on the stepping
-    side's action: the next grid state is `GridModel.next_state` on the
-    uniform.  A `StageTable` gives the same outcome bit for bit."""
-    d_next, arrivals = sample_demand(scenario.demand, demand, key, traj, stage,
+def stage_outcome(scenario: ScenarioModel, demand: int, stage: int,
+                  draws: streams.Substream) -> tuple[float, int, Sequence[VehicleState]]:
+    """The exogenous outcome of one stage of the trajectory whose
+    `streams.Substream` is ``draws``, from demand state ``demand``: its GRID
+    uniform, the next demand state and the arrival batch.  It does not
+    depend on the stepping side's action: the next grid state is
+    `GridModel.next_state` on the uniform.  A `StageTable` gives the same
+    outcome bit for bit."""
+    d_next, arrivals = sample_demand(scenario.demand, demand, draws, stage,
                                      scenario.max_stay)
-    return streams.uniform(key, traj, stage, streams.GRID), d_next, arrivals
+    return draws.uniform(stage, streams.GRID), d_next, arrivals
 
 
 # Cases per block of a `StageTable`: it holds the drawn stages of one block
@@ -192,18 +193,18 @@ def run_trajectory(scenario: ScenarioModel, policy, stages: int, seed: int,
     head = 0                     # cost of the warm-up stages
     per_c: list[int] = []
     per_p: list[int] = []
-    with streams.stage_window(key, traj, stages):
-        for t in range(stages):
-            if t == warmup:
-                head = charging + penalty
-            state, bill = advance_stage(scenario, state, policy.decide(state, t),
-                                        stage_outcome(scenario, state.demand, t, key, traj))
-            charging += bill.charging
-            penalty += bill.penalty
-            rejected += bill.rejected
-            if record_stages:
-                per_c.append(bill.charging)
-                per_p.append(bill.penalty)
+    draws = streams.Substream(key, traj, stages)
+    for t in range(stages):
+        if t == warmup:
+            head = charging + penalty
+        state, bill = advance_stage(scenario, state, policy.decide(state, t),
+                                    stage_outcome(scenario, state.demand, t, draws))
+        charging += bill.charging
+        penalty += bill.penalty
+        rejected += bill.rejected
+        if record_stages:
+            per_c.append(bill.charging)
+            per_p.append(bill.penalty)
     unit = scenario.prices.unit
     total = charging + penalty
     return TrajectoryResult(

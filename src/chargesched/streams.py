@@ -28,20 +28,20 @@ Draws come from two places, with the same bits:
   from Python ints than from arrays, so its buffer is a tuple, and it keeps
   the ints of the last read-only key (`philox_key` returns one) and converts
   only another key.
-* stage blocks.  A rollout of known length opens a `stage_window` for its
-  (key, trajectory); while it is open, `uniform` serves that trajectory's
-  GRID, DEMAND and OUTCOME draws from blocks of up to `BLOCK_STAGES` stages,
-  each one vectorized Philox4x64-10 pass over the stage counters (Salmon et
-  al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  A pass
-  costs about as much as 100 single draws, so a horizon shorter than
-  `MIN_WINDOW_STAGES` opens no window.
+* stage blocks.  A `Substream` holds one trajectory's draws; given a
+  horizon of at least `MIN_WINDOW_STAGES` stages, it serves that
+  trajectory's GRID, DEMAND and OUTCOME draws from blocks of up to
+  `BLOCK_STAGES` stages, each one vectorized Philox4x64-10 pass over the
+  stage counters (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+  3", SC'11).  A pass costs about as much as 100 single draws, so a shorter
+  horizon opens no blocks.  The substream a sampler is handed, not any
+  thread or key state, selects the blocks.
 """
 
 from __future__ import annotations
 
 import functools
 import threading
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -75,8 +75,8 @@ _U64_INV = 1.0 / 2.0 ** 64
 def philox_key(seed: int) -> np.ndarray:
     """Derive the 128-bit Philox key for a user-facing integer seed, as a
     read-only array, one object per seed while it stays in the cache, so
-    the two readers of key identity, an open `stage_window` and `_keyed`'s
-    cached key ints, see one seed's key from any caller."""
+    `_keyed`'s cached key ints, the one reader of key identity, serve one
+    seed's key from any caller."""
     ss = np.random.SeedSequence([0x6C61786974, seed & 0xFFFFFFFFFFFFFFFF])
     key = ss.generate_state(2, np.uint64)
     key.flags.writeable = False
@@ -87,7 +87,6 @@ class _Local(threading.local):
     philox = None       # this thread's generator, keyed before every draw
     state = None        # the state dict it is keyed from
     key = None          # the read-only key whose ints that dict holds, if any
-    window = None       # the open `stage_window`, if any
 
 
 _local = _Local()
@@ -127,12 +126,6 @@ def uniforms(key: np.ndarray, traj: int, stage: int, source: int, n: int) -> np.
 
 def uniform(key: np.ndarray, traj: int, stage: int, source: int) -> float:
     """``uniforms(key, traj, stage, source, 1)[0]`` as a Python float."""
-    win = _local.window
-    if win is not None and key is win.key and traj == win.traj:
-        block = win.blocks.get(source)
-        if block is not None and 0 <= stage < win.stages:
-            i = stage - block[0]
-            return block[1][i] if 0 <= i < len(block[1]) else win.fill(source, stage)
     return _keyed(key, traj * _BLOCKS[source], stage, source).random_raw() * _U64_INV
 
 
@@ -200,13 +193,28 @@ def stage_block(key: np.ndarray, traj: int, source: int, start: int, n: int) -> 
 _STAGED = (GRID, DEMAND, OUTCOME)
 
 
-class _Window:
-    """One trajectory's staged draws, a block per source at a time."""
+class Substream:
+    """One trajectory's draws, ``uniform(stage, source)`` and
+    ``uniforms(stage, source, n)``, bit for bit the module functions of
+    (key, traj).  Given a horizon of at least `MIN_WINDOW_STAGES` stages, it
+    serves GRID, DEMAND and OUTCOME at stages 0..stages-1 from stage blocks,
+    a block per source at a time; every other draw takes the generator."""
     __slots__ = ("key", "traj", "stages", "blocks")
 
-    def __init__(self, key: np.ndarray, traj: int, stages: int):
+    def __init__(self, key: np.ndarray, traj: int, stages: int = 0):
         self.key, self.traj, self.stages = key, traj, stages
-        self.blocks = {s: (0, ()) for s in _STAGED}   # source -> (first stage, uniforms)
+        self.blocks = ({s: (0, ()) for s in _STAGED} if stages >= MIN_WINDOW_STAGES
+                       else {})                # source -> (first stage, uniforms)
+
+    def uniform(self, stage: int, source: int) -> float:
+        block = self.blocks.get(source)
+        if block is not None and 0 <= stage < self.stages:
+            i = stage - block[0]
+            return block[1][i] if 0 <= i < len(block[1]) else self.fill(source, stage)
+        return uniform(self.key, self.traj, stage, source)
+
+    def uniforms(self, stage: int, source: int, n: int) -> np.ndarray:
+        return uniforms(self.key, self.traj, stage, source, n)
 
     def fill(self, source: int, stage: int) -> float:
         start = stage - stage % BLOCK_STAGES
@@ -214,21 +222,3 @@ class _Window:
                             min(BLOCK_STAGES, self.stages - start))
         self.blocks[source] = start, block
         return block[stage - start]
-
-
-@contextmanager
-def stage_window(key: np.ndarray, traj: int, stages: int):
-    """While open, `uniform` serves this thread's GRID, DEMAND and OUTCOME
-    draws for (key, traj) at stages 0..stages-1 from stage blocks, when
-    there are at least `MIN_WINDOW_STAGES` of them.  Only this very `key`
-    object selects the window; every other draw, and every draw of another
-    thread, takes the generator."""
-    if stages < MIN_WINDOW_STAGES:
-        yield
-        return
-    prev = _local.window
-    _local.window = _Window(key, traj, stages)
-    try:
-        yield
-    finally:
-        _local.window = prev

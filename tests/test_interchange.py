@@ -293,13 +293,13 @@ def test_map_action_keeps_the_base_action_where_nothing_swaps():
     sc = capacity_scenario(20, "quadratic")
     pol = make_policy("edf", sc)
     key = streams.philox_key(4)
-    state = draw_initial(sc, key, 0)
+    state, draws = draw_initial(sc, key, 0), streams.Substream(key, 0)
     for t in range(400):
         action = pol.decide(state, t)
         pair = find_violation(pol, state, t) if t >= 3 else None
         if pair is not None:
             break
-        state, _ = advance_stage(sc, state, action, stage_outcome(sc, state.demand, t, key, 0))
+        state, _ = advance_stage(sc, state, action, stage_outcome(sc, state.demand, t, draws))
     win = wrap_interchange(pol, state, *pair, t)
     base = pol.decide(state, t + 1)
     assert win.map_action(base, t + 1, None) is base
@@ -455,7 +455,7 @@ class _AddressedTable(montecarlo.StageTable):
     """A `StageTable` whose rows are the addressed `stage_outcome` draws."""
 
     def outcome(self, traj, demand, stage):
-        return stage_outcome(self.scenario, demand, stage, self.key, traj)
+        return stage_outcome(self.scenario, demand, stage, streams.Substream(self.key, traj))
 
 
 @pytest.mark.parametrize("source", [streams.STAY, streams.REQUEST], ids=["STAY", "REQUEST"])
@@ -494,7 +494,7 @@ def _apart(scenario, base, other, state0, horizon, seed, traj=0, stage_offset=0)
     even for a window; with it, for each stage, whether the two sides' states
     or actions differ there."""
     win = other if isinstance(other, InterchangeWindow) else None
-    key = streams.philox_key(seed)
+    draws = streams.Substream(streams.philox_key(seed), traj)
     x = xh = state0
     swap_back_at = None
     costs, costs_h, aggs, apart = [], [], [], []
@@ -514,9 +514,9 @@ def _apart(scenario, base, other, state0, horizon, seed, traj=0, stage_offset=0)
                         shortfalls[idx] = state.vehicles[idx].need - action.bits[idx]
         apart.append((x, a) != (xh, ah))
         x, bill = advance_stage(scenario, x, a,
-                                stage_outcome(scenario, x.demand, stage, key, traj))
+                                stage_outcome(scenario, x.demand, stage, draws))
         xh, bill_h = advance_stage(scenario, xh, ah,
-                                   stage_outcome(scenario, xh.demand, stage, key, traj))
+                                   stage_outcome(scenario, xh.demand, stage, draws))
         costs.append(Fraction(bill.charging + bill.penalty, scenario.prices.unit))
         costs_h.append(Fraction(bill_h.charging + bill_h.penalty, scenario.prices.unit))
         aggs.append(a.aggregate)
@@ -553,13 +553,13 @@ def _first_violation(scenario, policy, seed, case):
     """The stage, state and pair where `certify_dominance`'s scan of ``case``
     stops."""
     key = streams.philox_key(seed)
-    state = draw_initial(scenario, key, case)
+    state, draws = draw_initial(scenario, key, case), streams.Substream(key, case)
     for t in range(interchange.MAX_SCAN):
         action = policy.decide(state, t)
         if t >= interchange.MIN_STAGE and (pair := find_violation(policy, state, t)):
             return t, state, pair
         state, _ = advance_stage(scenario, state, action,
-                                 stage_outcome(scenario, state.demand, t, key, case))
+                                 stage_outcome(scenario, state.demand, t, draws))
     raise AssertionError(f"case {case}: no violation")
 
 

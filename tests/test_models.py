@@ -60,26 +60,26 @@ def test_sample_grid_point_mass_and_reproducibility():
     grid = _point_mass_grid()
     key = streams.philox_key(1)
     for stage in range(5):
-        assert sample_grid(grid, 0, 1, key, 0, stage) == 1
-    a = sample_grid(grid, 0, 0, key, 3, 7)
-    b = sample_grid(grid, 0, 0, key, 3, 7)
+        assert sample_grid(grid, 0, 1, streams.Substream(key, 0), stage) == 1
+    a = sample_grid(grid, 0, 0, streams.Substream(key, 3), 7)
+    b = sample_grid(grid, 0, 0, streams.Substream(key, 3), 7)
     assert a == b
 
 
 def test_sample_grid_iid_uniform_ignores_inputs():
     sc = capacity_scenario(5)
-    key = streams.philox_key(9)
-    draws = {sample_grid(sc.grid, s, a, key, 0, 4)
+    draws = streams.Substream(streams.philox_key(9), 0)
+    grids = {sample_grid(sc.grid, s, a, draws, 4)
              for s in (0, 50) for a in (0, 3)}
-    assert len(draws) == 1  # same (traj, stage) cell: same draw no matter (s, A)
-    vals = [sample_grid(sc.grid, 0, 0, key, 0, t) for t in range(200)]
+    assert len(grids) == 1  # same (traj, stage) cell: same draw no matter (s, A)
+    vals = [sample_grid(sc.grid, 0, 0, draws, t) for t in range(200)]
     assert min(vals) >= 0 and max(vals) < sc.grid.state_count
 
 
 def test_sample_demand_fixed_count_law():
     sc = capacity_scenario(6)
-    key = streams.philox_key(4)
-    d, arrivals = sample_demand(sc.demand, 0, key, 0, 11, sc.max_stay)
+    draws = streams.Substream(streams.philox_key(4), 0)
+    d, arrivals = sample_demand(sc.demand, 0, draws, 11, sc.max_stay)
     assert d == 0 and len(arrivals) == 6
     for v in arrivals:
         assert 1 <= v.stay <= sc.max_stay
@@ -88,11 +88,11 @@ def test_sample_demand_fixed_count_law():
 
 def test_sample_demand_zero_and_degenerate():
     zero = capacity_scenario(0)
-    key = streams.philox_key(4)
-    _, arrivals = sample_demand(zero.demand, 0, key, 0, 0, zero.max_stay)
+    draws = streams.Substream(streams.philox_key(4), 0)
+    _, arrivals = sample_demand(zero.demand, 0, draws, 0, zero.max_stay)
     assert arrivals == []
     tiny = capacity_scenario(1, max_stay=1, penalty=PenaltyFunction.linear(1))
-    _, arrivals = sample_demand(tiny.demand, 0, key, 0, 0, tiny.max_stay)
+    _, arrivals = sample_demand(tiny.demand, 0, draws, 0, tiny.max_stay)
     assert arrivals == [VehicleState(1, 1)]
 
 
@@ -168,7 +168,8 @@ def test_scalar_arrival_types_are_the_batch_engines_cells(max_stay, extra, count
                                                            traj, stage):
     sc = _arrival_scenario(count, max_stay, max_stay + extra)
     width = sc.max_units + 1
-    _, types = sample_demand(sc.demand, 0, streams.philox_key(seed), traj, stage, max_stay)
+    _, types = sample_demand(sc.demand, 0, streams.Substream(streams.philox_key(seed), traj),
+                             stage, max_stay)
     assert [(v.stay - 1) * width + v.need for v in types] == _batch_cells(sc, seed, traj,
                                                                           stage)
     assert all(type(v) is VehicleState for v in types)
@@ -207,7 +208,7 @@ def test_arrival_types_on_the_rounding_boundaries(monkeypatch, max_stay, max_uni
         drawn[streams.STAY] = np.array([a for a, _ in chunk])
         drawn[streams.REQUEST] = np.array([b for _, b in chunk])
         law = FixedCountArrivals(len(chunk))
-        types = law.sample(streams.philox_key(0), 0, 0, max_stay)
+        types = law.sample(streams.Substream(streams.philox_key(0), 0), 0, max_stay)
         assert types == want[at:at + len(chunk)]
         scenario = dataclasses.replace(sc, demand=DemandModel(kernel=((ONE,),),
                                                               arrivals=(law,)))

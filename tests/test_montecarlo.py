@@ -199,12 +199,12 @@ def _fraction_costs(sc, state, action):
 def _fraction_walk(sc, decide, state, stages, seed, traj, offset=0):
     """Stage costs of a rollout replayed outside `run_trajectory`, each priced
     with `_fraction_costs`; ``decide(state, stage)`` picks the action."""
-    key = streams.philox_key(seed)
+    draws = streams.Substream(streams.philox_key(seed), traj)
     costs = []
     for t in range(offset, offset + stages):
         action = decide(state, t)
         costs.append(_fraction_costs(sc, state, action))
-        state, _ = advance_stage(sc, state, action, stage_outcome(sc, state.demand, t, key, traj))
+        state, _ = advance_stage(sc, state, action, stage_outcome(sc, state.demand, t, draws))
     return costs
 
 
@@ -212,7 +212,7 @@ def _fraction_walk(sc, decide, state, stages, seed, traj, offset=0):
 def test_integer_cost_units_match_a_fraction_sum(scale):
     sc = _rational_scenario(scale)
     assert sc.prices.unit == 42
-    stages, warmup = 150, 20        # long enough to open a stage window
+    stages, warmup = 150, 20        # long enough for stage blocks
     for name in ("edf", "lllp"):
         pol = make_policy(name, sc)
         costs = _fraction_walk(sc, pol.decide, draw_initial(sc, streams.philox_key(5), 2),
@@ -243,14 +243,14 @@ def test_coupled_rollout_totals_match_a_fraction_sum(scale):
     pol = make_policy("edf", sc)
     key, found = streams.philox_key(8), 0
     for case in range(40):
-        state = draw_initial(sc, key, case)
+        state, draws = draw_initial(sc, key, case), streams.Substream(key, case)
         for t in range(60):
             action = pol.decide(state, t)
             pair = check_lllp_compliance(state, action) if t >= 3 else None
             if pair is not None:
                 break
             state, _ = advance_stage(sc, state, action,
-                                     stage_outcome(sc, state.demand, t, key, case))
+                                     stage_outcome(sc, state.demand, t, draws))
         if pair is None:
             continue
         found += 1
@@ -507,6 +507,22 @@ def test_unknown_cost_form_runs_on_the_batch_engine():
     assert res.per_traj.tobytes() == np.array(scalar).tobytes()
 
 
+def test_a_long_trajectory_takes_its_staged_draws_from_blocks(monkeypatch):
+    # A DP-vs-simulation rollout is 128 stages or more: the generator draws
+    # none of its GRID and OUTCOME uniforms (the instance has one demand
+    # state), and one stage block per source serves them all.
+    sc = two_charger_scenario()
+    real, real_block, keyed, blocks = streams._keyed, streams.stage_block, [], []
+    monkeypatch.setattr(streams, "_keyed", lambda key, c0, stage, source:
+                        keyed.append(source) or real(key, c0, stage, source))
+    monkeypatch.setattr(streams, "stage_block", lambda key, traj, source, start, n:
+                        blocks.append((source, start, n)) or
+                        real_block(key, traj, source, start, n))
+    run_trajectory(sc, make_policy("lllp", sc), 200, seed=3)
+    assert not {streams.GRID, streams.DEMAND, streams.OUTCOME} & set(keyed)
+    assert sorted(blocks) == [(streams.GRID, 0, 200), (streams.OUTCOME, 0, 200)]
+
+
 def _ones_at(monkeypatch, stages, sources):
     """Make the first draw of every (stage, source) cell with a stage in
     ``stages`` and a source in ``sources`` exactly 1.0, in every trajectory
@@ -543,7 +559,8 @@ def test_a_unit_arrival_uniform_gives_one_run_on_both_engines(monkeypatch, sourc
     assert np.multiply(words, 2.0 ** -64, dtype=np.float64).tolist() == [1.0, 1 - 2 ** -53]
     _ones_at(monkeypatch, {3}, {source})
     for sc in _narrow_and_wide():
-        first = sc.demand.arrivals[0].sample(streams.philox_key(1), 0, 3, sc.max_stay)[0]
+        first = sc.demand.arrivals[0].sample(streams.Substream(streams.philox_key(1), 0), 3,
+                                             sc.max_stay)[0]
         assert first.stay == sc.max_stay if source == streams.STAY else first.need == first.stay
         pol = make_policy("lllp", sc)
         scalar = [run_trajectory(sc, pol, 10, seed=1, traj=i, warmup=0).time_average
@@ -559,7 +576,7 @@ def test_a_grid_uniform_of_exactly_one_keeps_an_absorbing_state(monkeypatch):
     sc = multichain_fixture()
     pol, key = make_policy("lllp", sc), streams.philox_key(1)
     _ones_at(monkeypatch, {3}, {streams.GRID})
-    assert sample_grid(sc.grid, 0, 0, key, 0, 3) == 0
+    assert sample_grid(sc.grid, 0, 0, streams.Substream(key, 0), 3) == 0
     assert run_trajectory(sc, pol, 10, seed=1).total_cost == 0
     res = monte_carlo(sc, pol, 10, 3, base_seed=1)
     assert res.engine == "batch" and res.per_traj.tolist() == [0, 0, 0]
@@ -578,7 +595,8 @@ def test_outcome_and_demand_uniforms_of_one_take_the_last_positive_outcome(
         kernel=((Fraction(1), zero), (half, half)), arrivals=laws))
     key = streams.philox_key(2)
     _ones_at(monkeypatch, {3}, {streams.OUTCOME, streams.DEMAND})
-    assert sample_demand(sc.demand, 0, key, 0, 3, sc.max_stay) == (0, list(one))
+    assert sample_demand(sc.demand, 0, streams.Substream(key, 0), 3,
+                         sc.max_stay) == (0, list(one))
     assert montecarlo.StageTable(sc, key, 2).outcome(1, 0, 3)[1:] == (0, list(one))
     for name in ("edf", "lllp"):
         pol = make_policy(name, sc)
@@ -607,10 +625,11 @@ def test_an_iid_grid_uniform_of_exactly_one_takes_the_last_state_in_both_engines
         assert initial_states(sc, key, 4)[0].tolist() == [last] * 4
         assert draw_initial(sc, key, 2).grid == last
     else:
-        assert sample_grid(sc.grid, 0, 0, key, 0, stage) == last
+        draws = streams.Substream(key, 0)
+        assert sample_grid(sc.grid, 0, 0, draws, stage) == last
         state = draw_initial(sc, key, 0)
         action = make_policy("lllp", sc).decide(state)
-        for outcome in (stage_outcome(sc, state.demand, stage, key, 0),
+        for outcome in (stage_outcome(sc, state.demand, stage, draws),
                         montecarlo.StageTable(sc, key, 1).outcome(0, state.demand, stage)):
             assert advance_stage(sc, state, action, outcome)[0].grid == last
     scalar = [run_trajectory(sc, pol, 10, seed=1, traj=i).time_average for i in range(3)]
@@ -640,7 +659,7 @@ def test_a_stage_table_gives_the_addressed_outcomes_bit_for_bit(monkeypatch, bui
     # Every trajectory of two blocks, then one of the first block again.
     reads = [(traj, t, d) for traj in [*range(n), 1] for t in range(6)
              for d in range(sc.demand.state_count)]
-    want = [stage_outcome(sc, d, t, key, traj) for traj, t, d in reads]
+    want = [stage_outcome(sc, d, t, streams.Substream(key, traj)) for traj, t, d in reads]
 
     def addressed(*args):
         raise AssertionError("an addressed draw from a stage table")
@@ -655,4 +674,5 @@ def test_a_stage_table_gives_the_addressed_outcomes_bit_for_bit(monkeypatch, bui
         assert (d_next, list(arrivals)) == (d_t, list(arrivals_t))
         assert all(type(v) is VehicleState for v in arrivals_t)
     # A table changes no addressed draw, from any key object.
-    assert stage_outcome(sc, 0, 2, key.copy(), 0) == want[2 * sc.demand.state_count]
+    assert (stage_outcome(sc, 0, 2, streams.Substream(key.copy(), 0))
+            == want[2 * sc.demand.state_count])

@@ -78,13 +78,14 @@ def test_scalar_draws_from_concurrent_threads():
         start.wait(timeout=60)
         reps = []
         for _ in range(20):
-            # A window per repetition, open in every thread at once: the staged
-            # draws of trajectory 1 come from newly filled blocks, the rest
-            # from the thread's generator.
-            with streams.stage_window(key, 1, streams.MIN_WINDOW_STAGES):
-                reps.append([(streams.uniforms(key, *cell, 4 * streams._BLOCKS[cell[2]]
-                                               ).tobytes(),
-                              streams.uniform(key, *cell)) for cell in cells])
+            # New substreams per repetition, in every thread at once: the
+            # staged draws of trajectory 1 come from newly filled blocks, the
+            # rest from the thread's generator.
+            subs = [streams.Substream(key, traj, streams.MIN_WINDOW_STAGES * (traj == 1))
+                    for traj in range(3)]
+            reps.append([(streams.uniforms(key, *cell, 4 * streams._BLOCKS[cell[2]]
+                                           ).tobytes(),
+                          subs[cell[0]].uniform(*cell[1:])) for cell in cells])
         return reps
 
     interval = sys.getswitchinterval()
@@ -119,13 +120,8 @@ def test_stage_blocks_equal_a_fresh_generator():
                         == [_fresh_draws(key, traj, t, source)[0] for t in stages])
 
 
-def test_stage_window_serves_blocks_and_nothing_else(monkeypatch):
-    """Inside a window, staged draws of its (key, traj) come from blocks;
-    draws for other keys, trajectories, sources or stages past the horizon
-    go to the generator, and every draw equals a fresh generator's."""
-    key, other = streams.philox_key(21), streams.philox_key(22)
-    same_value = key.copy()               # equal bits, but not the window's key
-    B = streams.BLOCK_STAGES
+def _counting_keyed(monkeypatch):
+    """The argument tuples, less the key, of every `streams._keyed` call."""
     real, per_call = streams._keyed, []
 
     def counting(*args):
@@ -133,36 +129,65 @@ def test_stage_window_serves_blocks_and_nothing_else(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(streams, "_keyed", counting)
+    return per_call
+
+
+def test_a_substream_serves_blocks_and_nothing_else(monkeypatch):
+    """A substream's staged draws within its horizon come from blocks; its
+    other sources, stages past the horizon and every module-level draw go
+    to the generator, and every draw equals a fresh generator's.  A copy
+    of the key reads blocks too: the substream, not the key's identity,
+    selects them."""
+    key = streams.philox_key(21)
+    B = streams.BLOCK_STAGES
+    per_call = _counting_keyed(monkeypatch)
     for horizon in (B + 1, B + 904):      # last block of length 1, and not a multiple
-        with streams.stage_window(key, 3, horizon):
-            draws = []
-            for t in [0, 1, B - 1, B, horizon - 1, 2, B + 1 if horizon > B + 1 else 0]:
-                for source in STAGED:     # interleave sources, keys and trajectories
-                    draws.append((key, 3, t, source, True))
-                    draws.append((other, 3, t, source, False))
-                    draws.append((key, 4, t, source, False))
-                    draws.append((same_value, 3, t, source, False))
-                draws.append((key, 3, t, streams.STAY, False))
-            draws.append((key, 3, horizon, streams.GRID, False))   # past the horizon
-            for k, traj, t, source, blocked in draws:
-                per_call.clear()
-                u = streams.uniform(k, traj, t, source)
-                assert u == _fresh_draws(k, traj, t, source)[0], (traj, t, source)
-                assert (per_call == []) == blocked, (traj, t, source)
-        assert streams._local.window is None
-    with streams.stage_window(key, 3, streams.MIN_WINDOW_STAGES - 1):
-        assert streams._local.window is None  # too short to pay for a block
+        subs = (streams.Substream(key, 3, horizon), streams.Substream(key.copy(), 3, horizon))
+        draws = []
+        for t in [0, 1, B - 1, B, horizon - 1, 2, B + 1 if horizon > B + 1 else 0]:
+            for source in STAGED:         # interleave sources and substreams
+                draws += [(sub, t, source, True) for sub in subs]
+                draws.append((None, t, source, False))
+            draws.append((subs[0], t, streams.STAY, False))
+        draws.append((subs[1], horizon, streams.GRID, False))   # past the horizon
+        for sub, t, source, blocked in draws:
+            per_call.clear()
+            u = (streams.uniform(key, 3, t, source) if sub is None
+                 else sub.uniform(t, source))
+            assert u == _fresh_draws(key, 3, t, source)[0], (t, source)
+            assert (per_call == []) == blocked, (t, source)
+    short = streams.Substream(key, 3, streams.MIN_WINDOW_STAGES - 1)
+    per_call.clear()
+    assert short.uniform(5, streams.GRID) == _fresh_draws(key, 3, 5, streams.GRID)[0]
+    assert per_call == [(3, 5, streams.GRID)]   # too short to pay for a block
+    got = subs[0].uniforms(7, streams.REQUEST, 6)
+    assert got.tobytes() == _fresh_draws(key, 3, 7, streams.REQUEST)[:6].tobytes()
 
 
-def test_stage_windows_nest():
-    key = streams.philox_key(23)
-    with streams.stage_window(key, 0, 200):
-        outer = streams._local.window
-        with streams.stage_window(key, 1, 300):
-            assert streams.uniform(key, 1, 250, streams.GRID) == _fresh_draws(key, 1, 250, 0)[0]
-            assert streams.uniform(key, 0, 150, streams.GRID) == _fresh_draws(key, 0, 150, 0)[0]
-        assert streams._local.window is outer
-        assert streams.uniform(key, 0, 150, streams.GRID) == _fresh_draws(key, 0, 150, 0)[0]
+def test_substreams_of_two_trajectories_step_in_turn_from_blocks(monkeypatch):
+    """Two trajectories' substreams, stepped alternately in one thread, each
+    read their own blocks: no generator call, one stage block per
+    trajectory, source and block of stages, and every draw equals a fresh
+    generator's.  A window selected by thread could serve only one of them."""
+    key = streams.philox_key(24)
+    horizon = streams.BLOCK_STAGES + 10
+    subs = {traj: streams.Substream(key, traj, horizon) for traj in (0, 5)}
+    per_call = _counting_keyed(monkeypatch)
+    real, blocks = streams.stage_block, []
+
+    def counting(key, traj, source, start, n):
+        blocks.append((traj, source, start))
+        return real(key, traj, source, start, n)
+
+    monkeypatch.setattr(streams, "stage_block", counting)
+    for t in [*range(0, horizon, 37), horizon - 1]:
+        for traj, sub in subs.items():
+            for source in STAGED:
+                assert sub.uniform(t, source) == _fresh_draws(key, traj, t, source)[0]
+    assert per_call == []
+    assert sorted(blocks) == sorted((traj, source, start) for traj in subs
+                                    for source in STAGED
+                                    for start in (0, streams.BLOCK_STAGES))
 
 
 def test_batch_start_offsets_the_trajectories():
